@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import derivation, expand, fol, obvious, skolem, tptp
 from .derivation import StepClass
-from .errors import DuplicateName, ExpansionFailed, NoConjecture
+from .errors import DuplicateName, NoConjecture
 
 
 @dataclass
@@ -66,13 +66,6 @@ class ArticleModel:
 
 # ---------------------------------------------------------------------------
 # Building an article from a derivation graph
-
-
-def _henkin_premises(unit_formula, parent_formulas, henkin):
-    premises = list(parent_formulas)
-    if henkin is not None:
-        premises.append(henkin)
-    return premises
 
 
 def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
@@ -131,9 +124,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
         if classes[name] in skip_classes:
             continue
         if name == assumption_node or name == graph.sink:
-            continue
-        if classes[name] is StepClass.NEGATED_CONJECTURE and name != assumption_node:
-            pass  # redundant restatements of the assumption are ordinary steps
+            continue  # other negated-conjecture units are ordinary steps
         if not used[name] and not keep_unused:
             continue
         derived.append(name)
@@ -160,34 +151,26 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     for name in derived:
         if classes[name] is StepClass.SKOLEMIZATION:
             symbol = skolem.validate_single_skolem(name, graph, base_sig)
-            henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph, base_sig))
+            henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
             skolem_symbols.append(symbol)
 
-    def justify(name):
+    def justified_item(name):
         unit = graph.nodes[name]
-        parent_names = list(graph.parents[name])
-        parent_formulas = [graph.nodes[p].formula for p in parent_names]
-        refs = [label_of[p] for p in parent_names]
+        refs = [label_of[p] for p in graph.parents[name]]
+        premises = [graph.nodes[p].formula for p in graph.parents[name]]
         henkin = henkins.get(name)
-        premises = list(parent_formulas)
         if henkin is not None:
             refs.append(f"SKOLEM:def {henkin[0]}")
             premises.append(henkin[1])
         query = obvious.ObviousnessQuery.make(premises, unit.formula, budget)
-        if obvious.is_obvious(query).is_obvious:
-            return tuple(refs), None
-        hint = expand.substitution_from_inference_record(unit.source)
-        sub = expand.build_subproof(name, unit.formula, premises, budget, hint)
-        return tuple(refs), sub
+        sub = None
+        if not obvious.is_obvious(query).is_obvious:
+            hint = expand.substitution_from_inference_record(unit.source)
+            sub = expand.build_subproof(name, unit.formula, premises, budget, hint)
+        return Item(label_of[name], unit.formula, tuple(refs), sub, name)
 
-    lemma_items = []
-    for name in lemma_names:
-        refs, sub = justify(name)
-        lemma_items.append(Item(label_of[name], graph.nodes[name].formula, refs, sub, name))
-    inner_items = []
-    for name in inner_names:
-        refs, sub = justify(name)
-        inner_items.append(Item(label_of[name], graph.nodes[name].formula, refs, sub, name))
+    lemma_items = [justified_item(name) for name in lemma_names]
+    inner_items = [justified_item(name) for name in inner_names]
 
     if graph.sink is not None:
         contradiction_refs = tuple(label_of[p] for p in graph.parents[graph.sink])
@@ -249,28 +232,26 @@ def _formula_var_count(f):
     return count
 
 
-def _reservations(model):
-    most = 0
-    for item in model.axiom_items + model.all_steps():
-        most = max(most, _formula_var_count(item.formula))
-        if item.subproof is not None:
-            for s in item.subproof.instances:
-                most = max(most, _formula_var_count(s.formula))
-    most = max(most, _formula_var_count(model.theorem))
-    most = max(most, _formula_var_count(model.diffuse.assumption))
-    return tuple(f"X{i}" for i in range(1, most + 1))
-
-
-def _build_manifest(model, henkins):
+def _model_formulas(model):
+    """Every formula the article states; problem mode may lack a theorem."""
     formulas = [item.formula for item in model.axiom_items + model.all_steps()]
-    formulas.append(model.theorem)
+    if model.theorem is not None:
+        formulas.append(model.theorem)
     formulas.append(model.diffuse.assumption)
     for item in model.all_steps():
         if item.subproof is not None:
             formulas.extend(s.formula for s in item.subproof.instances)
+    return formulas
+
+
+def _reservations(model):
+    most = max(map(_formula_var_count, _model_formulas(model)), default=0)
+    return tuple(f"X{i}" for i in range(1, most + 1))
+
+
+def _build_manifest(model, henkins):
     skolem_defs = [axiom for _, axiom in sorted(henkins.values())]
-    formulas.extend(skolem_defs)
-    closed = [fol.universal_closure(f) for f in formulas]
+    closed = [fol.universal_closure(f) for f in _model_formulas(model) + skolem_defs]
     symbols = fol.collect_signature(closed)
     return EnvironmentManifest(
         functions=[(s.name, s.arity) for s in symbols if s.kind == "function"],
@@ -302,27 +283,8 @@ def translate_problem(units):
             )
     diffuse = DiffuseBlock("", fol.FALSE, [], ())
     model = ArticleModel((), axiom_items, [], theorem, diffuse, pending=True)
-    model.reservations = _reservations_flat(model)
-    closed = [fol.universal_closure(i.formula) for i in axiom_items]
-    if theorem is not None:
-        closed.append(fol.universal_closure(theorem))
-    symbols = fol.collect_signature(closed)
-    manifest = EnvironmentManifest(
-        functions=[(s.name, s.arity) for s in symbols if s.kind == "function"],
-        predicates=[(s.name, s.arity) for s in symbols if s.kind == "predicate"],
-        axioms=[fol.universal_closure(i.formula) for i in axiom_items],
-        skolem_defs=[],
-    )
-    return model, manifest
-
-
-def _reservations_flat(model):
-    most = 0
-    for item in model.axiom_items:
-        most = max(most, _formula_var_count(item.formula))
-    if model.theorem is not None:
-        most = max(most, _formula_var_count(model.theorem))
-    return tuple(f"X{i}" for i in range(1, most + 1))
+    model.reservations = _reservations(model)
+    return model, _build_manifest(model, {})
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +299,7 @@ def _render_term(t, names):
     return "(" + t.name + " " + " ".join(_render_term(a, names) for a in t.args) + ")"
 
 
-def _render(f, names, top=False):
+def _render(f, names):
     def operand(g):
         text = _render(g, names)
         if isinstance(g, (fol.Atom, fol.Eq)):
@@ -405,7 +367,7 @@ def _display_form(f):
             note_bound(g.right)
 
     note_bound(matrix)
-    text = _render(matrix, names, top=True)
+    text = _render(matrix, names)
     renamed = [(old, new) for old, new in names.items() if old != new]
     comment = None
     if renamed:

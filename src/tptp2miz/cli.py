@@ -61,14 +61,6 @@ def _build_parser():
     return parser
 
 
-def _read(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
 def _write(path, text):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -84,7 +76,10 @@ def _stem(path):
 
 
 def _emit(args, model, manifest):
-    os.makedirs(args.output_dir, exist_ok=True)
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
     stem = _stem(args.input)
     miz = os.path.join(args.output_dir, stem + ".miz")
     env = os.path.join(args.output_dir, stem + ".env")

@@ -8,10 +8,10 @@ accepted deletion strictly shrinks the article, so this terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import fol, obvious
-from .article import ArticleModel, DiffuseBlock, Item
+from .article import ArticleModel
 
 
 @dataclass
@@ -31,23 +31,13 @@ class CompressionReport:
 
 
 def _clone(model: ArticleModel) -> ArticleModel:
+    """Copy the model down to its items, which compression edits in place."""
     def items(src):
-        return [Item(i.label, i.formula, tuple(i.refs), i.subproof, i.source_name) for i in src]
+        return [replace(i) for i in src]
 
-    diffuse = DiffuseBlock(
-        model.diffuse.assumption_label,
-        model.diffuse.assumption,
-        items(model.diffuse.inner_steps),
-        tuple(model.diffuse.contradiction_refs),
-    )
-    return ArticleModel(
-        tuple(model.reservations),
-        items(model.axiom_items),
-        items(model.lemma_items),
-        model.theorem,
-        diffuse,
-        model.pending,
-    )
+    diffuse = replace(model.diffuse, inner_steps=items(model.diffuse.inner_steps))
+    return replace(model, axiom_items=items(model.axiom_items),
+                   lemma_items=items(model.lemma_items), diffuse=diffuse)
 
 
 def _formula_index(model, manifest):
@@ -73,11 +63,10 @@ def _inline(refs, label, replacement):
 
 
 def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
-             max_passes=None, checker=None):
-    if checker is None:
-        def checker(premises, conclusion):
-            q = obvious.ObviousnessQuery.make(premises, conclusion, budget)
-            return obvious.is_obvious(q).is_obvious
+             max_passes=None):
+    def checker(premises, conclusion):
+        q = obvious.ObviousnessQuery.make(premises, conclusion, budget)
+        return obvious.is_obvious(q).is_obvious
 
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import fol
@@ -42,12 +42,6 @@ class DerivationGraph:
     children: dict  # name -> list of child names
     order_index: dict  # name -> position in the input file
     sink: str | None  # first falsum node in topological order, if any
-
-    def roots(self):
-        return [n for n, ps in self.parents.items() if not ps]
-
-    def node(self, name) -> AnnotatedFormula:
-        return self.nodes[name]
 
 
 def _parent_names(unit: AnnotatedFormula):

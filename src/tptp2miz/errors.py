@@ -50,6 +50,15 @@ class IncludeNotFound(TranslationError):
         super().__init__(f"include {path!r} not found (searched {list(searched)})")
 
 
+class IncludeCycle(TranslationError):
+    def __init__(self, path, including):
+        self.path = path
+        self.including = tuple(including)
+        super().__init__(
+            f"include {path!r} is already being read (open includes {list(self.including)})"
+        )
+
+
 class MissingParent(TranslationError):
     def __init__(self, name, referenced_by):
         self.name = name

@@ -18,13 +18,6 @@ from .tptp import InferenceRecord
 
 
 @dataclass(frozen=True)
-class DirectJustification:
-    """The step is obvious from its parents as stated; cite them directly."""
-
-    verdict: "obvious.ObviousnessVerdict"
-
-
-@dataclass(frozen=True)
 class InstanceStep:
     label: str
     parent_index: int  # into the step's parent list
@@ -51,36 +44,13 @@ def substitution_from_inference_record(record) -> dict:
     return {}
 
 
-def _atom_infos(formulas):
-    infos = []
-    seen = set()
-
-    def note(info):
-        if info[0] == "pred":
-            key = ("p", info[1], tuple(obvious._term_key(a) for a in info[2]))
-        else:
-            key = ("e", tuple(sorted((obvious._term_key(info[1]), obvious._term_key(info[2])))))
-        if key not in seen:
-            seen.add(key)
-            infos.append(info)
-
-    for f in formulas:
-        for atom in obvious._matrix_atoms(f):
-            if isinstance(atom, fol.Atom):
-                note(("pred", atom.pred, tuple(atom.args)))
-            else:
-                note(("eq", atom.left, atom.right))
-    return infos
-
-
-def expand_step(step_formula, parent_formulas, budget=obvious.DEFAULT_BUDGET,
-                hint=None):
+def build_subproof(step_name, step_formula, parent_formulas,
+                   budget=obvious.DEFAULT_BUDGET, hint=None) -> SubProof:
     """Instance selection turning one derivation step into a sub-proof.
 
-    Returns (fixed_variables, instances) where instances is a list of
-    (parent_index, substitution, instance_formula); raises ExpansionFailed
-    when no selection within the search space works.  Parents may be used
-    twice: the search retries with duplicated parents before giving up.
+    Raises ExpansionFailed when no selection within the search space
+    works.  Parents may be used twice: the search retries with duplicated
+    parents before giving up.
     """
     fixed = tuple(fol.free_vars(step_formula))
     conclusion = step_formula
@@ -88,30 +58,30 @@ def expand_step(step_formula, parent_formulas, budget=obvious.DEFAULT_BUDGET,
     parents = []
     for i, p in enumerate(parent_formulas):
         closed = fol.universal_closure(p)
-        unit = obvious._universal_unit(closed)
+        unit = obvious.universal_unit(closed)
         parents.append((i, unit, closed))
 
     # pool of atoms instances can be matched against
-    pool = _atom_infos(
+    pool = obvious.atom_infos(
         [conclusion]
         + [closed for _, unit, closed in parents if unit is None]
     )
     universe = {}
     for f in [conclusion] + [c for _, _, c in parents]:
         for t in fol.ground_subterms(f):
-            universe.setdefault(obvious._term_key(t), t)
+            universe.setdefault(fol.term_key(t), t)
     for v in fixed:
-        universe.setdefault(obvious._term_key(fol.Var(v)), fol.Var(v))
+        universe.setdefault(fol.term_key(fol.Var(v)), fol.Var(v))
     universe = [universe[k] for k in sorted(universe)]
 
-    tracker = obvious._Budget(budget)
+    tracker = obvious.Budget(budget)
 
     def try_parents(active):
         universal = [(i, unit) for i, unit, _ in active if unit is not None]
         ground = [closed for _, unit, closed in active if unit is None]
 
         def leaf_check(chosen):
-            premises = ground + [inst for _, _, inst in chosen]
+            premises = ground + [inst for _, inst in chosen]
             query = ObviousnessQuery.make(
                 premises, conclusion,
                 budget=max(200, budget // 10), fixed_vars=fixed,
@@ -123,7 +93,7 @@ def expand_step(step_formula, parent_formulas, budget=obvious.DEFAULT_BUDGET,
             if pos == len(universal):
                 return chosen if leaf_check(chosen) else None
             index, unit = universal[pos]
-            candidates = obvious._candidate_substitutions(
+            candidates = obvious.candidate_substitutions(
                 unit, pool_now, universe, tracker
             )
             if hint:
@@ -132,7 +102,7 @@ def expand_step(step_formula, parent_formulas, budget=obvious.DEFAULT_BUDGET,
                     merged = []
                     for c in candidates:
                         if all(
-                            obvious._term_key(c.get(v)) == obvious._term_key(t)
+                            fol.term_key(c[v]) == fol.term_key(t)
                             for v, t in preferred.items()
                         ):
                             merged.insert(0, c)
@@ -140,10 +110,9 @@ def expand_step(step_formula, parent_formulas, budget=obvious.DEFAULT_BUDGET,
                             merged.append(c)
                     candidates = merged
             for subst in candidates:
-                inst = obvious._instance_formula(unit, subst)
-                extra = _atom_infos([inst])
-                result = search(pos + 1, chosen + [(index, subst, inst)],
-                                pool_now + extra)
+                inst = obvious.instance_formula(unit, subst)
+                result = search(pos + 1, chosen + [(index, inst)],
+                                pool_now + obvious.atom_infos([inst]))
                 if result is not None:
                     return result
             return None
@@ -151,30 +120,21 @@ def expand_step(step_formula, parent_formulas, budget=obvious.DEFAULT_BUDGET,
         return search(0, [], list(pool))
 
     try:
-        result = try_parents(parents)
-        if result is None:
+        chosen = try_parents(parents)
+        if chosen is None:
             doubled = []
             for i, unit, closed in parents:
                 doubled.append((i, unit, closed))
                 if unit is not None:
                     doubled.append((i, unit, closed))
             if len(doubled) > len(parents):
-                result = try_parents(doubled)
-    except obvious._BudgetExceeded:
-        result = None
-    if result is None:
-        raise ExpansionFailed("<step>")
-    return fixed, result
-
-
-def build_subproof(step_name, step_formula, parent_formulas,
-                   budget=obvious.DEFAULT_BUDGET, hint=None) -> SubProof:
-    try:
-        fixed, chosen = expand_step(step_formula, parent_formulas, budget, hint)
-    except ExpansionFailed:
-        raise ExpansionFailed(step_name) from None
+                chosen = try_parents(doubled)
+    except obvious.BudgetExceeded:
+        chosen = None
+    if chosen is None:
+        raise ExpansionFailed(step_name)
     labels = _labels()
     instances = tuple(
-        InstanceStep(next(labels), index, inst) for index, _, inst in chosen
+        InstanceStep(next(labels), index, inst) for index, inst in chosen
     )
     return SubProof(fixed, instances, step_formula)

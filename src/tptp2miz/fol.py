@@ -1,4 +1,4 @@
-"""First-order syntax: terms, formulas, clauses, substitutions, signatures.
+"""First-order syntax: terms, formulas, substitutions, signatures.
 
 Values are immutable; every operation returns new structures.  Variables are
 kept by name so they survive into rendered output, while alpha-equivalence
@@ -7,7 +7,6 @@ and generalized-atom identity go through a de Bruijn normal form.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -37,10 +36,6 @@ class App:
 
 
 Term = Union[Var, App]
-
-
-def const(name: str) -> App:
-    return App(name, ())
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +114,6 @@ _BINARY = (And, Or, Implies, Iff)
 _QUANT = (Forall, Exists)
 
 
-def big_and(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def big_or(parts) -> Formula:
     parts = list(parts)
     if not parts:
@@ -144,48 +129,6 @@ def flatten(f: Formula, node) -> list:
     if isinstance(f, node):
         return flatten(f.left, node) + flatten(f.right, node)
     return [f]
-
-
-# ---------------------------------------------------------------------------
-# Clauses
-
-
-@dataclass(frozen=True)
-class Literal:
-    positive: bool
-    atom: Union[Atom, Eq]
-
-    def negate(self) -> "Literal":
-        return Literal(not self.positive, self.atom)
-
-    def to_formula(self) -> Formula:
-        return self.atom if self.positive else Not(self.atom)
-
-
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple
-
-    def to_formula(self) -> Formula:
-        if not self.literals:
-            return FALSE
-        return big_or(lit.to_formula() for lit in self.literals)
-
-
-def literal_of_formula(f: Formula) -> Literal:
-    if isinstance(f, Not):
-        inner = literal_of_formula(f.body)
-        return inner.negate()
-    if isinstance(f, (Atom, Eq)):
-        return Literal(True, f)
-    raise ValueError(f"not a literal: {f!r}")
-
-
-def clause_of_formula(f: Formula) -> Clause:
-    """Read a disjunction of literals (or falsum) as a clause."""
-    if isinstance(f, Falsum):
-        return Clause(())
-    return Clause(tuple(literal_of_formula(p) for p in flatten(f, Or)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +221,6 @@ def strip_universal_prefix(f: Formula):
 # ---------------------------------------------------------------------------
 # Substitution
 
-_LOWER_WORD = re.compile(r"[a-z][a-zA-Z0-9_]*$")
-
-_fresh_counter = [0]
-
 
 def fresh_var(avoid, base="Z") -> str:
     n = 0
@@ -341,6 +280,11 @@ def _norm_term(t: Term, env) -> tuple:
     return ("a", t.name, tuple(_norm_term(a, env) for a in t.args))
 
 
+def term_key(t: Term) -> tuple:
+    """Hashable identity of a term; its variables count as free names."""
+    return _norm_term(t, {})
+
+
 def debruijn(f: Formula, env=None, depth=0) -> tuple:
     """Hashable normal form: bound variables as indices, equality oriented."""
     if env is None:
@@ -377,10 +321,6 @@ class Symbol:
     kind: str  # "function" | "predicate"
     arity: int
 
-    @property
-    def quoted(self) -> bool:
-        return _LOWER_WORD.match(self.name) is None
-
 
 def collect_signature(formulas: Iterable[Formula]) -> list:
     """Deterministic symbol inventory; rejects arity and kind conflicts."""
@@ -399,21 +339,6 @@ def collect_signature(formulas: Iterable[Formula]) -> list:
     symbols = [Symbol(name, kind, arity) for (name, kind), arity in arities.items()]
     symbols.sort(key=lambda s: (s.kind, s.name))
     return symbols
-
-
-def merge_signatures(base: Iterable[Symbol], extra: Iterable[Symbol]) -> list:
-    by_key = {}
-    for s in list(base) + list(extra):
-        prev = by_key.get((s.name, s.kind))
-        if prev is not None and prev.arity != s.arity:
-            raise ArityConflict(s.name, s.kind, (prev.arity, s.arity))
-        other = "function" if s.kind == "predicate" else "predicate"
-        if (s.name, other) in by_key:
-            raise KindConflict(s.name)
-        by_key[(s.name, s.kind)] = s
-    out = list(by_key.values())
-    out.sort(key=lambda s: (s.kind, s.name))
-    return out
 
 
 def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
@@ -451,7 +376,7 @@ def ground_subterms(f: Formula) -> list:
             if not walk_term(a):
                 ground = False
         if ground:
-            found.setdefault(_norm_term(t, {}), t)
+            found.setdefault(term_key(t), t)
         return ground
 
     def walk(g):

@@ -17,10 +17,8 @@ through a disjunctive instance are rejected as non-obvious.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from . import fol
 from .errors import SignatureTooLarge
@@ -66,7 +64,7 @@ NOT_OBVIOUS = ObviousnessVerdict(Verdict.NOT_OBVIOUS)
 UNKNOWN = ObviousnessVerdict(Verdict.UNKNOWN)
 
 
-class _BudgetExceeded(Exception):
+class BudgetExceeded(Exception):
     pass
 
 
@@ -74,7 +72,9 @@ class _TooHard(Exception):
     """Structure outside the supported fragment (explosion guards)."""
 
 
-class _Budget:
+class Budget:
+    """Work units shared by one search; spending past the limit raises."""
+
     def __init__(self, limit):
         self.limit = limit
         self.used = 0
@@ -82,15 +82,11 @@ class _Budget:
     def spend(self, n=1):
         self.used += n
         if self.used > self.limit:
-            raise _BudgetExceeded()
+            raise BudgetExceeded()
 
 
 # ---------------------------------------------------------------------------
 # Generalized atoms
-
-
-def _term_key(t):
-    return fol._norm_term(t, {})
 
 
 @dataclass
@@ -98,12 +94,12 @@ class _Registry:
     atoms: dict = field(default_factory=dict)  # key -> info tuple
 
     def pred(self, name, args):
-        key = ("p", name, tuple(_term_key(a) for a in args))
+        key = ("p", name, tuple(fol.term_key(a) for a in args))
         self.atoms.setdefault(key, ("pred", name, tuple(args)))
         return key
 
     def eq(self, left, right):
-        lk, rk = _term_key(left), _term_key(right)
+        lk, rk = fol.term_key(left), fol.term_key(right)
         if rk < lk:
             left, right = right, left
             lk, rk = rk, lk
@@ -186,7 +182,6 @@ def _clausify(f, registry):
 
 class _Congruence:
     def __init__(self, terms, equations):
-        self.key_of = {}
         self.terms = {}
         self.parent = {}
         for t in terms:
@@ -199,7 +194,7 @@ class _Congruence:
         self._congruence_fixpoint()
 
     def _add(self, t):
-        key = _term_key(t)
+        key = fol.term_key(t)
         if key not in self.terms:
             self.terms[key] = t
             self.parent[key] = key
@@ -229,7 +224,7 @@ class _Congruence:
             for key, t in self.terms.items():
                 if not isinstance(t, fol.App) or not t.args:
                     continue
-                sig = (t.name, tuple(self.find(_term_key(a)) for a in t.args))
+                sig = (t.name, tuple(self.find(fol.term_key(a)) for a in t.args))
                 other = sigs.get(sig)
                 if other is None:
                     sigs[sig] = key
@@ -238,7 +233,7 @@ class _Congruence:
                     changed = True
 
     def term_class(self, t):
-        key = _term_key(t)
+        key = fol.term_key(t)
         if key not in self.parent:
             # unseen term: classes of compound terms follow argument classes
             if isinstance(t, fol.App) and t.args:
@@ -256,12 +251,10 @@ class _BranchView:
     """Branch assignment canonicalized through congruence closure."""
 
     values: dict  # canonical atom key -> bool
-    cc: Optional[_Congruence]
+    cc: _Congruence
     conflict: bool
 
     def lookup(self, key, registry):
-        if self.cc is None:
-            return self.values.get(key)
         return self.values.get(_canonical(key, registry, self.cc))
 
 
@@ -328,7 +321,7 @@ def _evaluate(f, view, registry):
             if a is False and b is False:
                 return False
             return None
-        if isinstance(g, fol.Eq) and view.cc is not None:
+        if isinstance(g, fol.Eq):
             if view.cc.term_class(g.left) == view.cc.term_class(g.right):
                 return True
         key = registry.atom_key(g)
@@ -400,17 +393,18 @@ def _dpll_branches(clauses, budget):
 
 
 @dataclass(frozen=True)
-class _UniversalUnit:
+class UniversalUnit:
     key: tuple  # normalized closed form, identifies the unit
     variables: tuple
     matrix: "fol.Formula"
 
 
-def _universal_unit(closed):
+def universal_unit(closed):
+    """The closed formula's universal prefix and matrix; None when it has none."""
     variables, matrix = fol.strip_universal_prefix(closed)
     if not variables:
         return None
-    return _UniversalUnit(fol.debruijn(closed), tuple(variables), matrix)
+    return UniversalUnit(fol.debruijn(closed), tuple(variables), matrix)
 
 
 def _derived_units(branch, registry):
@@ -423,7 +417,7 @@ def _derived_units(branch, registry):
             continue
         formula = info[1]
         if value and isinstance(formula, fol.Forall):
-            unit = _universal_unit(formula)
+            unit = universal_unit(formula)
             if unit is not None:
                 units.append(unit)
         elif not value and isinstance(formula, fol.Exists):
@@ -433,14 +427,15 @@ def _derived_units(branch, registry):
                 variables.append(body.var)
                 body = body.body
             units.append(
-                _UniversalUnit(
+                UniversalUnit(
                     ("neg",) + fol.debruijn(formula), tuple(variables), fol.Not(body)
                 )
             )
     return units
 
 
-def _matrix_atoms(matrix):
+def matrix_atoms(matrix):
+    """Atoms and equations outside quantified subformulas, in order."""
     atoms = []
 
     def walk(g):
@@ -457,6 +452,15 @@ def _matrix_atoms(matrix):
     return atoms
 
 
+def atom_infos(formulas):
+    """Distinct matrix atoms of the formulas as registry infos, in order."""
+    registry = _Registry()
+    for f in formulas:
+        for atom in matrix_atoms(f):
+            registry.atom_key(atom)
+    return list(registry.atoms.values())
+
+
 def _match_term(pattern, ground, variables, subst):
     if isinstance(pattern, fol.Var):
         if pattern.name in variables:
@@ -464,7 +468,7 @@ def _match_term(pattern, ground, variables, subst):
             if bound is None:
                 subst[pattern.name] = ground
                 return True
-            return _term_key(bound) == _term_key(ground)
+            return fol.term_key(bound) == fol.term_key(ground)
         return isinstance(ground, fol.Var) and ground.name == pattern.name
     if isinstance(ground, fol.Var) or pattern.name != ground.name:
         return False
@@ -500,10 +504,10 @@ def _match_atom(pattern, ground_info, variables, subst):
     return None
 
 
-def _candidate_substitutions(unit, atom_infos, universe, budget):
+def candidate_substitutions(unit, atom_infos, universe, budget):
     """Instance candidates for one universal unit, deterministically ordered."""
     variables = set(unit.variables)
-    patterns = _matrix_atoms(unit.matrix)
+    patterns = matrix_atoms(unit.matrix)
     partials = [{}]
     for pattern in patterns:
         extended = []
@@ -518,7 +522,7 @@ def _candidate_substitutions(unit, atom_infos, universe, budget):
         seen = set()
         kept = []
         for p in extended:
-            sig = tuple(sorted((k, _term_key(v)) for k, v in p.items()))
+            sig = tuple(sorted((k, fol.term_key(v)) for k, v in p.items()))
             if sig not in seen:
                 seen.add(sig)
                 kept.append(p)
@@ -538,7 +542,7 @@ def _candidate_substitutions(unit, atom_infos, universe, budget):
             budget.spend()
             subst = dict(partial)
             subst.update(dict(zip(residual, fill)))
-            sig = tuple(sorted((k, _term_key(v)) for k, v in subst.items()))
+            sig = tuple(sorted((k, fol.term_key(v)) for k, v in subst.items()))
             if sig not in seen:
                 seen.add(sig)
                 complete.append(subst)
@@ -561,7 +565,7 @@ def _fix_formula(f, fixed_vars):
     return fol.apply_substitution(mapping, closed)
 
 
-def _instance_formula(unit, subst):
+def instance_formula(unit, subst):
     mapping = {v: subst.get(v, _FILL) for v in unit.variables}
     return fol.apply_substitution(mapping, unit.matrix)
 
@@ -570,7 +574,7 @@ class _Problem:
     def __init__(self, premises, conclusion, fixed_vars, budget):
         self.registry = _Registry()
         self.budget = budget
-        self.premise_units = []  # per premise: _UniversalUnit or None
+        self.premise_units = []  # per premise: UniversalUnit or None
         self.clauses = []
         ground_formulas = []
 
@@ -583,7 +587,7 @@ class _Problem:
         conclusion = fol.universal_closure(conclusion)
 
         for closed in prem_closed:
-            unit = _universal_unit(closed)
+            unit = universal_unit(closed)
             self.premise_units.append(unit)
             ground_formulas.append(closed if unit is None else None)
             if unit is not None:
@@ -607,8 +611,8 @@ class _Problem:
         found = {}
         for f in formulas:
             for t in fol.ground_subterms(f):
-                found.setdefault(_term_key(t), t)
-        found.setdefault(_term_key(_FILL), _FILL)
+                found.setdefault(fol.term_key(t), t)
+        found.setdefault(fol.term_key(_FILL), _FILL)
         return [found[k] for k in sorted(found)]
 
     # -- closure search ------------------------------------------------------
@@ -642,7 +646,7 @@ class _Problem:
         assignment = dict(branch)
         instances = []
         for unit, subst in commitments.values():
-            inst = _instance_formula(unit, subst)
+            inst = instance_formula(unit, subst)
             instances.append(inst)
             lit = _as_literal(inst)
             if lit is not None:
@@ -672,7 +676,7 @@ class _Problem:
             return None
         assignment = dict(branch)
         for unit, subst in commitments.values():
-            inst = _instance_formula(unit, subst)
+            inst = instance_formula(unit, subst)
             lit = _as_literal(inst)
             if lit is not None:
                 assignment.setdefault(self.registry.atom_key(lit[1]), lit[0])
@@ -685,12 +689,12 @@ class _Problem:
             if key in commitments:
                 continue
             unit = available[key]
-            for subst in _candidate_substitutions(
+            for subst in candidate_substitutions(
                 unit, atom_infos, self.universe, self.budget
             ):
                 trial = dict(commitments)
                 trial[key] = (unit, subst)
-                inst = _instance_formula(unit, subst)
+                inst = instance_formula(unit, subst)
                 lit = _as_literal(inst)
                 helps = self._branch_closed(branch, trial) or lit is not None
                 if not helps:
@@ -714,13 +718,13 @@ def _as_literal(f):
 
 
 def is_obvious(query: ObviousnessQuery) -> ObviousnessVerdict:
-    budget = _Budget(query.budget)
+    budget = Budget(query.budget)
     try:
         problem = _Problem(
             query.premises, query.conclusion, query.fixed_vars, budget
         )
         commitments = problem.solve()
-    except _BudgetExceeded:
+    except BudgetExceeded:
         return UNKNOWN
     except _TooHard:
         return UNKNOWN
@@ -744,11 +748,11 @@ def replay(query: ObviousnessQuery, verdict: ObviousnessVerdict) -> bool:
     """Re-check an Obvious verdict using only its recorded selection."""
     if not verdict.is_obvious:
         return False
-    budget = _Budget(query.budget)
+    budget = Budget(query.budget)
     try:
         problem = _Problem(query.premises, query.conclusion, query.fixed_vars, budget)
         branches = _dpll_branches(problem.clauses, budget)
-    except (_BudgetExceeded, _TooHard):
+    except (BudgetExceeded, _TooHard):
         return False
     units_by_key = {u.key: u for u in problem.premise_units if u is not None}
     commitments = {}

@@ -13,23 +13,8 @@ the environment manifest and cited as SKOLEM:def <n>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import derivation, fol
 from .errors import MalformedSkolemStep, MultipleSkolemsUnsupported
-
-
-@dataclass(frozen=True)
-class SkolemJustification:
-    step_name: str
-    parent_name: str
-    symbol: fol.Symbol
-    axiom: "fol.Formula"  # closed implication parent -> conclusion
-    index: int  # 1-based position in the SKOLEM:def numbering
-
-
-def detect_new_symbols(name, graph, base_sig=None):
-    return derivation.new_function_symbols(name, graph, base_sig)
 
 
 def validate_single_skolem(name, graph, base_sig=None) -> fol.Symbol:
@@ -40,7 +25,7 @@ def validate_single_skolem(name, graph, base_sig=None) -> fol.Symbol:
     """
     if len(graph.parents[name]) != 1:
         raise MalformedSkolemStep(name, len(graph.parents[name]))
-    fresh = detect_new_symbols(name, graph, base_sig)
+    fresh = derivation.new_function_symbols(name, graph, base_sig)
     if not fresh:
         raise MalformedSkolemStep(name, 1)
     if len(fresh) > 1:
@@ -48,33 +33,9 @@ def validate_single_skolem(name, graph, base_sig=None) -> fol.Symbol:
     return fresh[0]
 
 
-def make_henkin_axiom(name, graph, base_sig=None) -> "fol.Formula":
+def make_henkin_axiom(name, graph) -> "fol.Formula":
     (parent,) = graph.parents[name]
     return fol.Implies(
         fol.universal_closure(graph.nodes[parent].formula),
         fol.universal_closure(graph.nodes[name].formula),
     )
-
-
-def justify_all(graph, classes=None, base_sig=None) -> dict:
-    """SkolemJustification per skolemization step, indexed in topological
-    order so the SKOLEM:def numbering is dense and deterministic."""
-    if classes is None:
-        classes = derivation.classify_all(graph)
-    if base_sig is None:
-        base_sig = derivation.original_signature(graph)
-    out = {}
-    index = 0
-    for name in derivation.topological_order(graph):
-        if classes[name] is not derivation.StepClass.SKOLEMIZATION:
-            continue
-        symbol = validate_single_skolem(name, graph, base_sig)
-        index += 1
-        out[name] = SkolemJustification(
-            step_name=name,
-            parent_name=graph.parents[name][0],
-            symbol=symbol,
-            axiom=make_henkin_axiom(name, graph, base_sig),
-            index=index,
-        )
-    return out

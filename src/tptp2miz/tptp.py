@@ -5,11 +5,17 @@ from __future__ import annotations
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import fol
-from .errors import IncludeNotFound, IoError, TptpSyntaxError, UnsupportedLanguage
+from .errors import (
+    IncludeCycle,
+    IncludeNotFound,
+    IoError,
+    TptpSyntaxError,
+    UnsupportedLanguage,
+)
 
 
 class TptpWarning(UserWarning):
@@ -26,9 +32,6 @@ ROLES = {
     "lemma",
     "derived",
 }
-
-# Rules that may legitimately have no parents (introductions).
-INTRODUCTION_RULES = {"introduced", "assumption", "definition", "axiom_of_choice"}
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,6 @@ class InferenceRecord:
     bindings: tuple = ()  # ((var, Term), ...) when the record carries bind() info
 
 
-Source = None  # FileSource | InferenceRecord | UnknownSource | None
-
-
 @dataclass(frozen=True)
 class AnnotatedFormula:
     name: str
@@ -60,7 +60,6 @@ class AnnotatedFormula:
     role: str
     formula: "fol.Formula"
     source: object = None
-    clause: Optional["fol.Clause"] = None
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +217,10 @@ class _Parser:
             )
         role = self.next().value
         self.expect(",")
-        clause = None
         if lang == "fof":
             formula = self.parse_fof_formula()
         else:
             formula = self.parse_cnf_formula()
-            clause = fol.clause_of_formula(formula)
         source = None
         if self.at(","):
             self.next()
@@ -233,7 +230,7 @@ class _Parser:
                 self.parse_annotation_term()
         self.expect(")")
         self.expect(".")
-        return AnnotatedFormula(name, lang, role, formula, source, clause)
+        return AnnotatedFormula(name, lang, role, formula, source)
 
     # -- fof formulas -------------------------------------------------------
 
@@ -375,11 +372,7 @@ class _Parser:
     # -- sources ------------------------------------------------------------
 
     def parse_source(self):
-        start = self.i
-        try:
-            term = self.parse_annotation_term()
-        except TptpSyntaxError:
-            raise
+        term = self.parse_annotation_term()
         source = _interpret_source(term)
         if isinstance(source, UnknownSource):
             warnings.warn(
@@ -552,39 +545,40 @@ def _resolve_include(path, base_dir, include_dirs):
     raise IncludeNotFound(path, searched)
 
 
-def _parse(text, base_dir=None, include_dirs=()):
-    units = []
-    for item in _Parser(text).parse_units():
-        if item[0] == "unit":
-            units.append(item[1])
-        else:
-            _, path, names = item
-            resolved = _resolve_include(path, base_dir, include_dirs)
-            with open(resolved, "r", encoding="utf-8") as fh:
-                sub = _parse(fh.read(), os.path.dirname(resolved), include_dirs)
-            if names is not None:
-                wanted = set(names)
-                sub = [u for u in sub if u.name in wanted]
-            units.extend(sub)
-    return units
-
-
-def parse_problem(text: str, base_dir=None, include_dirs=()) -> list:
-    """Parse a TPTP problem (fof/cnf units, includes resolved)."""
-    return _parse(text, base_dir, include_dirs)
-
-
-def parse_derivation(text: str, base_dir=None, include_dirs=()) -> list:
-    """Parse a TSTP derivation; identical grammar, sources interpreted."""
-    return _parse(text, base_dir, include_dirs)
-
-
 def _read_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{path}: {exc}") from exc
+
+
+def parse_problem(text: str, base_dir=None, include_dirs=()) -> list:
+    """Parse TPTP problem or TSTP derivation text: fof/cnf units with their
+    sources interpreted, includes resolved and filtered by name."""
+
+    def parse(text, base_dir, including):
+        units = []
+        for item in _Parser(text).parse_units():
+            if item[0] == "unit":
+                units.append(item[1])
+                continue
+            _, path, names = item
+            resolved = _resolve_include(path, base_dir, include_dirs)
+            real = os.path.realpath(resolved)
+            if real in including:
+                raise IncludeCycle(path, including)
+            sub = parse(_read_file(resolved), os.path.dirname(resolved),
+                        including + (real,))
+            if names is not None:
+                wanted = set(names)
+                sub = [u for u in sub if u.name in wanted]
+            units.extend(sub)
+        return units
+
+    return parse(text, base_dir, ())
 
 
 def parse_problem_file(path, include_dirs=()):
@@ -592,9 +586,8 @@ def parse_problem_file(path, include_dirs=()):
     return parse_problem(text, os.path.dirname(os.path.abspath(path)), include_dirs)
 
 
-def parse_derivation_file(path, include_dirs=()):
-    text = _read_file(path)
-    return parse_derivation(text, os.path.dirname(os.path.abspath(path)), include_dirs)
+# TSTP derivations share the grammar; derivation mode reads its input by this name.
+parse_derivation_file = parse_problem_file
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +614,15 @@ def format_formula(f: "fol.Formula") -> str:
     if isinstance(f, fol.Not):
         if isinstance(f.body, fol.Eq):
             return f"{format_term(f.body.left)} != {format_term(f.body.right)}"
-        return "~ " + _format_unitary(f.body)
+        return "~ " + format_formula(f.body)
     if isinstance(f, (fol.And, fol.Or)):
         op = " & " if isinstance(f, fol.And) else " | "
         parts = fol.flatten(f, type(f))
-        return "(" + op.join(_format_unitary(p) for p in parts) + ")"
+        return "(" + op.join(format_formula(p) for p in parts) + ")"
     if isinstance(f, fol.Implies):
-        return f"({_format_unitary(f.left)} => {_format_unitary(f.right)})"
+        return f"({format_formula(f.left)} => {format_formula(f.right)})"
     if isinstance(f, fol.Iff):
-        return f"({_format_unitary(f.left)} <=> {_format_unitary(f.right)})"
+        return f"({format_formula(f.left)} <=> {format_formula(f.right)})"
     if isinstance(f, (fol.Forall, fol.Exists)):
         node = type(f)
         mark = "!" if isinstance(f, fol.Forall) else "?"
@@ -637,17 +630,10 @@ def format_formula(f: "fol.Formula") -> str:
         while isinstance(f, node):
             names.append(f.var)
             f = f.body
-        return f"{mark} [{','.join(names)}] : {_format_unitary(f)}"
+        return f"{mark} [{','.join(names)}] : {format_formula(f)}"
     if isinstance(f, fol.Verum):
         return "$true"
     return "$false"
-
-
-def _format_unitary(f) -> str:
-    text = format_formula(f)
-    if isinstance(f, (fol.And, fol.Or, fol.Implies, fol.Iff)):
-        return text  # already parenthesized
-    return text
 
 
 def format_source(source) -> str:
@@ -665,7 +651,7 @@ def format_source(source) -> str:
 
 
 def serialize(units) -> str:
-    """Emit TPTP text re-parsable by parse_problem / parse_derivation."""
+    """Emit TPTP text re-parsable by parse_problem."""
     lines = []
     for u in units:
         head = f"{u.language}({quote_atom(u.name)},{u.role},{format_formula(u.formula)}"

@@ -271,7 +271,7 @@ class TestCriterion7ParserRoundTrip:
             (DERIVATION, tptp.parse_derivation_file),
         ):
             units = parse(path)
-            again = tptp.parse_derivation(tptp.serialize(units))
+            again = tptp.parse_problem(tptp.serialize(units))
             ok &= again == units
 
         for seed in range(1000):
@@ -283,8 +283,8 @@ class TestCriterion7ParserRoundTrip:
                 )
                 for i in range(rng.randint(1, 3))
             ]
-            once = tptp.parse_derivation(tptp.serialize(units))
-            twice = tptp.parse_derivation(tptp.serialize(once))
+            once = tptp.parse_problem(tptp.serialize(units))
+            twice = tptp.parse_problem(tptp.serialize(once))
             ok &= once == twice
 
         for seed in range(200):
@@ -293,7 +293,7 @@ class TestCriterion7ParserRoundTrip:
             text = blob.decode("latin-1")
             started = time.perf_counter()
             try:
-                tptp.parse_derivation(text)
+                tptp.parse_problem(text)
             except TranslationError:
                 pass
             ok &= (time.perf_counter() - started) < 1.0

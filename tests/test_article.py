@@ -98,7 +98,7 @@ class TestBuildArticle:
         assert obvious.is_obvious(q).is_obvious
 
     def test_no_conjecture_raises(self):
-        units = tptp.parse_derivation(
+        units = tptp.parse_problem(
             "fof(a, axiom, p(c), file('x.p', a)).\n"
             "cnf(f, plain, ($false), inference(sr,[status(thm)],[a]))."
         )
@@ -107,7 +107,7 @@ class TestBuildArticle:
             article.build_article(graph)
 
     def test_designated_conjecture(self):
-        units = tptp.parse_derivation(
+        units = tptp.parse_problem(
             "fof(a, axiom, ~p(c), file('x.p', a)).\n"
             "fof(b, axiom, p(c), file('x.p', b)).\n"
             "cnf(f, plain, ($false), inference(sr,[status(thm)],[a, b]))."

@@ -105,6 +105,52 @@ class TestProblemMode:
         assert err.startswith("error: TptpSyntaxError:")
         assert "line 1" in err
 
+    def test_output_dir_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, _, err = run(
+            capsys,
+            "problem",
+            os.path.join(FIXTURES, "puz001+1.p"),
+            "-o",
+            str(blocker / "out"),
+        )
+        assert code == 2
+        assert err.startswith("error: IoError:")
+        assert "Traceback" not in err
+
+
+class TestInputErrors:
+    CASES = {
+        # case: (files to write, the first one translated; expected error kind)
+        "undecodable_input": ({"top.p": b"fof(a, axiom, p(c)).\n\xff\n"}, "IoError"),
+        "undecodable_include": (
+            {"top.p": b"include('bad.ax').\n", "bad.ax": b"\xff"}, "IoError"
+        ),
+        "include_names_a_directory": (
+            {"top.p": b"include('Axioms').\n", "Axioms/x.ax": b""}, "IoError"
+        ),
+        "include_cycle": (
+            {"top.p": b"fof(a, axiom, p(c)).\ninclude('other.ax').\n",
+             "other.ax": b"include('top.p').\n"},
+            "IncludeCycle",
+        ),
+        "self_include": ({"top.p": b"include('top.p').\n"}, "IncludeCycle"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reported_with_exit_two(self, case, tmp_path, capsys):
+        files, kind = self.CASES[case]
+        for name, data in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(data)
+        code, _, err = run(
+            capsys, "problem", str(tmp_path / "top.p"), "-o", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert err.startswith(f"error: {kind}:")
+        assert "Traceback" not in err
+
 
 class TestCheckObviousMode:
     def write(self, tmp_path, text):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from tptp2miz import derivation, fol, obvious, skolem, tptp
+from tptp2miz import article, derivation, fol, obvious, skolem, tptp
 from tptp2miz.errors import MalformedSkolemStep, MultipleSkolemsUnsupported
 
 from conftest import FIXTURES
@@ -84,12 +84,13 @@ class TestHenkinAxiom:
 class TestJustifyAll:
     def test_fixture_numbering_is_dense_topological(self):
         units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
-        g = derivation.build_graph(units)
-        justs = skolem.justify_all(g)
-        assert sorted(justs) == ["c_0_13", "c_0_16"]
-        assert justs["c_0_13"].index == 1
-        assert justs["c_0_16"].index == 2
-        assert justs["c_0_13"].symbol.name == "esk1_0"
-        assert justs["c_0_16"].symbol.name == "esk2_1"
-        for j in justs.values():
-            assert fol.free_vars(j.axiom) == []
+        model, manifest = article.build_article(derivation.build_graph(units))
+        assert len(manifest.skolem_defs) == 2
+        for axiom in manifest.skolem_defs:
+            assert fol.free_vars(axiom) == []
+        # esk1_0 and esk2_1 become skolem1 and skolem2, numbered in step order
+        assert ("skolem1", 0) in manifest.functions
+        assert ("skolem2", 1) in manifest.functions
+        refs = {item.source_name: item.refs for item in model.all_steps()}
+        assert "SKOLEM:def 1" in refs["c_0_13"]
+        assert "SKOLEM:def 2" in refs["c_0_16"]

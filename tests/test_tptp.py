@@ -74,13 +74,12 @@ class TestCnfParsing:
     def test_clause(self):
         u = parse1("cnf(c1, plain, (p(X) | ~q(X))).")
         assert u.language == "cnf"
-        assert u.clause is not None
-        assert len(u.clause.literals) == 2
+        X = fol.Var("X")
+        assert u.formula == fol.Or(fol.Atom("p", (X,)), fol.Not(fol.Atom("q", (X,))))
 
     def test_clause_without_parens(self):
         u = parse1("cnf(c1, plain, ~p(X)).")
-        assert len(u.clause.literals) == 1
-        assert not u.clause.literals[0].positive
+        assert u.formula == fol.Not(fol.Atom("p", (fol.Var("X"),)))
 
 
 class TestErrors:
@@ -125,6 +124,13 @@ class TestIncludes:
         units = tptp.parse_problem("include('Axioms/x.ax').", base_dir="/nowhere")
         assert [u.name for u in units] == ["ax1"]
 
+    def test_same_file_twice_is_not_a_cycle(self, tmp_path):
+        (tmp_path / "extra.ax").write_text("fof(ax1, axiom, p(c)).\n")
+        units = tptp.parse_problem(
+            "include('extra.ax', [ax1]).\ninclude('extra.ax').", base_dir=str(tmp_path)
+        )
+        assert [u.name for u in units] == ["ax1", "ax1"]
+
 
 class TestSources:
     def test_file_source(self):
@@ -165,7 +171,7 @@ class TestSources:
 
 
 def roundtrip(units):
-    return tptp.parse_derivation(tptp.serialize(units))
+    return tptp.parse_problem(tptp.serialize(units))
 
 
 class TestRoundTrip:
