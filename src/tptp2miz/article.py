@@ -154,7 +154,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
             skolem_symbols.append(symbol)
 
-    def justified_item(name):
+    def justified_item(name, memo):
         unit = graph.nodes[name]
         refs = [label_of[p] for p in graph.parents[name]]
         premises = [graph.nodes[p].formula for p in graph.parents[name]]
@@ -164,13 +164,14 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             premises.append(henkin[1])
         query = obvious.ObviousnessQuery.make(premises, unit.formula, budget)
         sub = None
-        if not obvious.is_obvious(query).is_obvious:
+        if not obvious.is_obvious(query, memo).is_obvious:
             hint = expand.substitution_from_inference_record(unit.source)
             sub = expand.build_subproof(name, unit.formula, premises, budget, hint)
         return Item(label_of[name], unit.formula, tuple(refs), sub, name)
 
-    lemma_items = [justified_item(name) for name in lemma_names]
-    inner_items = [justified_item(name) for name in inner_names]
+    with obvious.PremiseMemo() as memo:
+        lemma_items = [justified_item(name, memo) for name in lemma_names]
+        inner_items = [justified_item(name, memo) for name in inner_names]
 
     if graph.sink is not None:
         contradiction_refs = tuple(label_of[p] for p in graph.parents[graph.sink])

@@ -53,112 +53,130 @@ def _formula_index(model, manifest):
 
 
 def _inline(refs, label, replacement):
-    out = []
+    """refs with the label replaced by the replacement refs they lack, each
+    ref once, at its first occurrence."""
+    cited = set(refs)
+    out = {}
     for r in refs:
-        if r == label:
-            out.extend(x for x in replacement if x not in out and x not in refs)
-        elif r not in out:
-            out.append(r)
+        if r != label:
+            out.setdefault(r)
+            continue
+        for x in replacement:
+            if x not in cited:
+                out.setdefault(x)
     return tuple(out)
+
+
+class _Citers:
+    """Who cites each label, kept up to date as refs change.
+
+    Citers come in the order of all_steps(), then the closing `thus`;
+    deletions keep that order, so a rank fixed at the start sorts them.
+    """
+
+    def __init__(self, model):
+        steps = model.all_steps()
+        self.rank = {item.label: i for i, item in enumerate(steps)}
+        self.by_label = {}  # label -> {rank: citing item, None for thus}
+        for item in steps:
+            self.add(item, item.refs)
+        self.add(None, model.diffuse.contradiction_refs)
+
+    def _rank(self, citer):
+        return len(self.rank) if citer is None else self.rank[citer.label]
+
+    def add(self, citer, refs):
+        rank = self._rank(citer)
+        for r in refs:
+            self.by_label.setdefault(r, {})[rank] = citer
+
+    def of(self, label):
+        """The items citing the label, None standing for thus."""
+        found = self.by_label.get(label, {})
+        return [found[rank] for rank in sorted(found)]
+
+    def remove(self, victim):
+        self.by_label.pop(victim.label, None)
+        rank = self._rank(victim)
+        for r in victim.refs:
+            self.by_label.get(r, {}).pop(rank, None)
 
 
 def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
              max_passes=None):
-    def checker(premises, conclusion):
-        q = obvious.ObviousnessQuery.make(premises, conclusion, budget)
-        return obvious.is_obvious(q).is_obvious
-
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))
+    # Formulas never change and a deleted label is never cited again, so
+    # one index serves the whole call.
+    index = _formula_index(model, manifest)
+    citers = _Citers(model)
 
-    changed = True
-    while changed:
-        if max_passes is not None and report.passes >= max_passes:
-            break
-        report.passes += 1
-        changed = False
-        index = _formula_index(model, manifest)
+    with obvious.PremiseMemo() as memo:
+        def checker(refs, conclusion):
+            premises = [index[r] for r in refs if r in index]
+            q = obvious.ObviousnessQuery.make(premises, conclusion, budget)
+            return obvious.is_obvious(q, memo).is_obvious
 
-        # sub-proof collapse: the step may have become obvious from the
-        # original parents once surrounding steps were inlined
-        for item in model.all_steps():
-            if item.subproof is None:
-                continue
-            premises = [index[r] for r in item.refs if r in index]
-            if checker(premises, item.formula):
-                item.subproof = None
-                report.collapsed_subproofs.append(item.label)
-                changed = True
+        changed = True
+        while changed:
+            if max_passes is not None and report.passes >= max_passes:
+                break
+            report.passes += 1
+            changed = False
 
-        # deletion scan, reverse topological order (closest to the
-        # contradiction first)
-        sweep = [label for label in _labels_reverse(model)]
-        for label in sweep:
-            located = _locate(model, label)
-            if located is None:
-                continue
-            pool, position = located
-            victim = pool[position]
-            index = _formula_index(model, manifest)
-            citers = _citers(model, victim.label)
-            if any(c is not None and c.subproof is not None for c, _ in citers):
-                continue  # sub-proof citations are left untouched
-            ok = True
-            trial_refs = {}
-            for citer, is_contradiction in citers:
-                if is_contradiction:
-                    refs = _inline(model.diffuse.contradiction_refs, victim.label, victim.refs)
-                    conclusion = fol.FALSE
+            # sub-proof collapse: the step may have become obvious from the
+            # original parents once surrounding steps were inlined
+            for item in model.all_steps():
+                if item.subproof is not None and checker(item.refs, item.formula):
+                    item.subproof = None
+                    report.collapsed_subproofs.append(item.label)
+                    changed = True
+
+            # deletion scan, reverse topological order (closest to the
+            # contradiction first)
+            removed = set()
+            for victim in _steps_reverse(model):
+                found = citers.of(victim.label)
+                if any(c is not None and c.subproof is not None for c in found):
+                    continue  # sub-proof citations are left untouched
+                trial_refs = {}
+                for citer in found:
+                    if citer is None:
+                        refs = _inline(model.diffuse.contradiction_refs,
+                                       victim.label, victim.refs)
+                        conclusion = fol.FALSE
+                    else:
+                        refs = _inline(citer.refs, victim.label, victim.refs)
+                        conclusion = citer.formula
+                    if not checker(refs, conclusion):
+                        break
+                    trial_refs[id(citer)] = refs
                 else:
-                    refs = _inline(citer.refs, victim.label, victim.refs)
-                    conclusion = citer.formula
-                premises = [index[r] for r in refs if r in index]
-                if not checker(premises, conclusion):
-                    ok = False
-                    break
-                trial_refs[id(citer) if citer is not None else "thus"] = refs
-            if not ok:
-                continue
-            pool.pop(position)
-            for citer, is_contradiction in citers:
-                if is_contradiction:
-                    model.diffuse.contradiction_refs = trial_refs["thus"]
-                else:
-                    citer.refs = trial_refs[id(citer)]
-            report.removed_labels.append(victim.label)
-            changed = True
+                    removed.add(victim.label)
+                    citers.remove(victim)
+                    for citer in found:
+                        refs = trial_refs[id(citer)]
+                        if citer is None:
+                            model.diffuse.contradiction_refs = refs
+                        else:
+                            citer.refs = refs
+                        citers.add(citer, refs)
+                    report.removed_labels.append(victim.label)
+                    changed = True
+            if removed:
+                model.lemma_items = [i for i in model.lemma_items
+                                     if i.label not in removed]
+                model.diffuse.inner_steps = [i for i in model.diffuse.inner_steps
+                                             if i.label not in removed]
 
     report.steps_after = len(model.all_steps())
     _relabel(model)
     return model, report
 
 
-def _labels_reverse(model):
-    """Step labels in reverse topological order of the article."""
-    out = [item.label for item in model.diffuse.inner_steps]
-    out.reverse()
-    lemmas = [item.label for item in model.lemma_items]
-    lemmas.reverse()
-    return out + lemmas
-
-
-def _locate(model, label):
-    for pool in (model.diffuse.inner_steps, model.lemma_items):
-        for i, item in enumerate(pool):
-            if item.label == label:
-                return pool, i
-    return None
-
-
-def _citers(model, label):
-    """(item, is_contradiction) pairs citing the label; item None for thus."""
-    found = []
-    for item in model.all_steps():
-        if label in item.refs:
-            found.append((item, False))
-    if label in model.diffuse.contradiction_refs:
-        found.append((None, True))
-    return found
+def _steps_reverse(model):
+    """Step items in reverse topological order of the article."""
+    return model.diffuse.inner_steps[::-1] + model.lemma_items[::-1]
 
 
 def _relabel(model):

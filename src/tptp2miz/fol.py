@@ -366,6 +366,12 @@ def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
 
 def ground_subterms(f: Formula) -> list:
     """All ground terms occurring in a formula, deterministically ordered."""
+    found = keyed_ground_subterms(f)
+    return [found[k] for k in sorted(found)]
+
+
+def keyed_ground_subterms(f: Formula) -> dict:
+    """term_key -> term for every ground term occurring in a formula."""
     found = {}
 
     def walk_term(t):
@@ -395,4 +401,4 @@ def ground_subterms(f: Formula) -> list:
             walk(g.body)
 
     walk(f)
-    return [found[k] for k in sorted(found)]
+    return found

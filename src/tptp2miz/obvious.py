@@ -231,6 +231,8 @@ class _Congruence:
                 elif self.find(other) != self.find(key):
                     self._merge(other, key)
                     changed = True
+        # the last round merged nothing: terms with equal signatures share a root
+        self.signatures = sigs
 
     def term_class(self, t):
         key = fol.term_key(t)
@@ -238,10 +240,9 @@ class _Congruence:
             # unseen term: classes of compound terms follow argument classes
             if isinstance(t, fol.App) and t.args:
                 sig = (t.name, tuple(self.term_class(a) for a in t.args))
-                for key2, t2 in self.terms.items():
-                    if isinstance(t2, fol.App) and t2.args:
-                        if (t2.name, tuple(self.term_class(a) for a in t2.args)) == sig:
-                            return self.find(key2)
+                other = self.signatures.get(sig)
+                if other is not None:
+                    return self.find(other)
             return key
         return self.find(key)
 
@@ -570,50 +571,104 @@ def instance_formula(unit, subst):
     return fol.apply_substitution(mapping, unit.matrix)
 
 
+@dataclass(slots=True)
+class _Prepared:
+    """One premise closed and split on its own, ready to join a problem.
+    Shared by the queries of a memo, so never modified."""
+
+    unit: object  # UniversalUnit, or None when the premise is ground
+    clauses: list
+    infos: dict  # atom key -> registry info, in registration order
+    ground_terms: dict  # term key -> term
+
+
+def _prepare(premise, fixed_vars):
+    """Close a premise over all but the fixed variables and split it: a
+    universal premise into its unit and one opaque atom, a ground one into
+    its clauses.  Depends on nothing but its arguments and spends no
+    budget; raises _TooHard on a clause blow-up."""
+    closed = fol.universal_closure(_fix_formula(premise, fixed_vars))
+    unit = universal_unit(closed)
+    if unit is None:
+        registry = _Registry()
+        clauses = _clausify(closed, registry)
+        infos = registry.atoms
+    else:
+        # The whole closed premise also participates as an opaque fact.  Its
+        # unit key is the de Bruijn form that _Registry.quant keys it by.
+        key = ("q", unit.key)
+        clauses = [((key, True),)]
+        infos = {key: ("quant", closed)}
+    return _Prepared(unit, clauses, infos, fol.keyed_ground_subterms(closed))
+
+
+class PremiseMemo:
+    """Prepared premises shared by the queries of one translation.
+
+    Entries are keyed by the premise object's identity and hold that
+    object, so no key can be reused while the memo lives.  Use it as a
+    context manager: it is emptied on exit, on return or on raise alike.
+    """
+
+    def __init__(self):
+        self._entries = {}  # (id(premise), fixed_vars) -> (premise, _Prepared or None)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._entries.clear()
+
+    def prepare(self, premise, fixed_vars):
+        key = (id(premise), fixed_vars)
+        entry = self._entries.get(key)
+        if entry is None:
+            try:
+                prepared = _prepare(premise, fixed_vars)
+            except _TooHard:
+                prepared = None  # every query citing it is too hard
+            entry = self._entries[key] = (premise, prepared)
+        if entry[1] is None:
+            raise _TooHard()
+        return entry[1]
+
+
 class _Problem:
-    def __init__(self, premises, conclusion, fixed_vars, budget):
+    def __init__(self, premises, conclusion, fixed_vars, budget, memo=None):
         self.registry = _Registry()
         self.budget = budget
-        self.premise_units = []  # per premise: UniversalUnit or None
-        self.clauses = []
-        ground_formulas = []
-
         fixed = tuple(fixed_vars)
-        prem_closed = []
-        for p in premises:
-            p = _fix_formula(p, fixed)
-            prem_closed.append(fol.universal_closure(p))
-        conclusion = _fix_formula(conclusion, fixed)
-        conclusion = fol.universal_closure(conclusion)
+        prepare = _prepare if memo is None else memo.prepare
+        prepared = [prepare(p, fixed) for p in premises]
+        self.premise_units = [p.unit for p in prepared]  # None for ground premises
 
-        for closed in prem_closed:
-            unit = universal_unit(closed)
-            self.premise_units.append(unit)
-            ground_formulas.append(closed if unit is None else None)
-            if unit is not None:
-                # the whole closed premise also participates as an opaque fact
-                self.clauses.append(((self.registry.quant(closed), True),))
-
+        conclusion = fol.universal_closure(_fix_formula(conclusion, fixed))
         goal_vars, matrix = fol.strip_universal_prefix(conclusion)
         consts = _goal_constants(len(goal_vars))
         self.goal_matrix = fol.apply_substitution(
             dict(zip(goal_vars, consts)), matrix
         )
-        ground_formulas.append(fol.Not(self.goal_matrix))
 
-        for g in ground_formulas:
-            if g is not None:
-                self.clauses.extend(_clausify(g, self.registry))
-
-        self.universe = self._term_universe(prem_closed + [self.goal_matrix])
-
-    def _term_universe(self, formulas):
+        # Universal premises register first, then ground premises, then the
+        # goal.  The registry keeps the first info of a key, and that info
+        # names the bound variables of alpha-variant quantified atoms.
+        parts = [p for p in prepared if p.unit is not None]
+        parts += [p for p in prepared if p.unit is None]
+        atoms = self.registry.atoms
+        self.clauses = []
         found = {}
-        for f in formulas:
-            for t in fol.ground_subterms(f):
-                found.setdefault(fol.term_key(t), t)
+        for part in parts:
+            self.clauses.extend(part.clauses)
+            for key, info in part.infos.items():
+                atoms.setdefault(key, info)
+            found.update(part.ground_terms)
+        self.clauses.extend(_clausify(fol.Not(self.goal_matrix), self.registry))
+        found.update(fol.keyed_ground_subterms(self.goal_matrix))
         found.setdefault(fol.term_key(_FILL), _FILL)
-        return [found[k] for k in sorted(found)]
+        self.universe = [found[k] for k in sorted(found)]
 
     # -- closure search ------------------------------------------------------
 
@@ -717,11 +772,13 @@ def _as_literal(f):
     return None
 
 
-def is_obvious(query: ObviousnessQuery) -> ObviousnessVerdict:
+def is_obvious(query: ObviousnessQuery, memo=None) -> ObviousnessVerdict:
+    """The query's verdict; a PremiseMemo shares premise preparation between
+    queries and changes no verdict."""
     budget = Budget(query.budget)
     try:
         problem = _Problem(
-            query.premises, query.conclusion, query.fixed_vars, budget
+            query.premises, query.conclusion, query.fixed_vars, budget, memo
         )
         commitments = problem.solve()
     except BudgetExceeded:

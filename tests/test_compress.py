@@ -34,6 +34,25 @@ def recheck(model, manifest):
         assert obvious.is_obvious(q).is_obvious
 
 
+class TestInline:
+    def test_label_replaced_in_place(self):
+        assert compress._inline(("A", "V", "B"), "V", ("C", "D")) == ("A", "C", "D", "B")
+
+    def test_duplicates_dropped_first_occurrence_kept(self):
+        refs = ("A", "B", "A", "V", "B")
+        assert compress._inline(refs, "V", ("C", "D", "C")) == ("A", "B", "C", "D")
+
+    def test_replacement_already_cited_is_not_repeated(self):
+        # B and A are cited already, before and after the label
+        assert compress._inline(("A", "V", "B"), "V", ("B", "C", "A")) == ("A", "C", "B")
+
+    def test_label_cited_twice_is_replaced_once(self):
+        assert compress._inline(("V", "A", "V"), "V", ("C",)) == ("C", "A")
+
+    def test_absent_label_leaves_refs_unchanged(self):
+        assert compress._inline(("A", "B"), "V", ("C",)) == ("A", "B")
+
+
 class TestChainExample:
     def build(self):
         # phi'' --(conjunction elim)--> phi' --(restatement)--> phi

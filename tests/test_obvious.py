@@ -100,6 +100,16 @@ class TestEqualityReasoning:
         assert is_obvious(query(["a=b", "b=c"], "a=c")).is_obvious
 
 
+class TestCongruence:
+    def test_unseen_compound_term_joins_the_class_of_its_signature(self):
+        a, b = fol.App("a"), fol.App("b")
+        fa, fb = fol.App("f", (a,)), fol.App("f", (b,))
+        cc = obvious._Congruence([fa, b], [(a, b)])
+        assert cc.term_class(fb) == cc.term_class(fa)
+        assert cc.term_class(fol.App("g", (b,))) == fol.term_key(fol.App("g", (b,)))
+        assert cc.term_class(fol.App("f", (fol.App("d"),))) != cc.term_class(fa)
+
+
 class TestBudget:
     def test_tiny_budget_gives_unknown(self):
         q = query(

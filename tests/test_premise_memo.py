@@ -1,0 +1,185 @@
+"""The premise memo: it changes no verdict, it lives for one translation,
+and it keeps compression from preparing a premise more than once."""
+
+import os
+
+import pytest
+
+from tptp2miz import article, cli, compress, derivation, obvious, tptp
+from tptp2miz.errors import ExpansionFailed
+from tptp2miz.obvious import ObviousnessQuery, Verdict
+
+import helpers
+from conftest import FIXTURES
+
+
+def F(text):
+    return tptp.parse_problem(f"fof(x,axiom,{text}).")[0].formula
+
+
+def answer(verdict):
+    return verdict.kind, verdict.selection, verdict.commitments
+
+
+class TestVerdictsUnchanged:
+    def test_soundness_sample(self):
+        # the 500 queries of the acceptance gate's soundness criterion
+        queries = []
+        for seed in range(500):
+            rng = helpers.make_rng(seed)
+            premises = [
+                helpers.random_quantified(rng) for _ in range(rng.randint(1, 3))
+            ]
+            conclusion = helpers.random_quantified(rng)
+            queries.append(ObviousnessQuery.make(premises, conclusion, budget=2000))
+        alone = [answer(obvious.is_obvious(q)) for q in queries]
+        with obvious.PremiseMemo() as memo:
+            first = [answer(obvious.is_obvious(q, memo)) for q in queries]
+            # the second round finds every premise prepared already
+            second = [answer(obvious.is_obvious(q, memo)) for q in queries]
+        assert first == alone
+        assert second == alone
+
+    @pytest.mark.parametrize("left,right,conclusion", [
+        ("![X]:(p(X)=>q(X))", "![Y]:(p(Y)=>q(Y))", "p(c)=>q(c)"),
+        ("![X]:(p(X)=>q(X))", "p(c) & ![Y]:(p(Y)=>q(Y))", "q(c)"),
+        ("![X]:?[Z]:r(X,Z)", "![Y]:?[W]:r(Y,W)", "?[V]:r(c,V)"),
+    ])
+    def test_alpha_variant_premises_in_both_orders(self, left, right, conclusion):
+        left, right, conclusion = F(left), F(right), F(conclusion)
+        queries = [ObviousnessQuery.make(premises, conclusion)
+                   for premises in ([left, right], [right, left])]
+        alone = [answer(obvious.is_obvious(q)) for q in queries]
+        assert all(kind is Verdict.OBVIOUS for kind, _, _ in alone)
+        with obvious.PremiseMemo() as memo:
+            shared = [answer(obvious.is_obvious(q, memo)) for q in queries + queries]
+        assert shared == alone + alone
+
+    def test_clause_blowup_is_unknown_on_every_call(self):
+        # ten two-atom conjunctions in a disjunction: 1024 clauses
+        blowup = F(" | ".join(f"(p{i}(c) & q{i}(c))" for i in range(10)))
+        q = ObviousnessQuery.make([blowup, F("r(c)")], F("r(c)"))
+        assert obvious.is_obvious(q).kind is Verdict.UNKNOWN
+        with obvious.PremiseMemo() as memo:
+            assert obvious.is_obvious(q, memo).kind is Verdict.UNKNOWN
+            assert obvious.is_obvious(q, memo).kind is Verdict.UNKNOWN
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    """Every PremiseMemo made while the test runs, with its largest size."""
+    made = []
+
+    class Recording(obvious.PremiseMemo):
+        def __init__(self):
+            super().__init__()
+            self.peak = 0
+            made.append(self)
+
+        def prepare(self, premise, fixed_vars):
+            try:
+                return super().prepare(premise, fixed_vars)
+            finally:
+                self.peak = max(self.peak, len(self))
+
+    monkeypatch.setattr(obvious, "PremiseMemo", Recording)
+    return made
+
+
+def fixture_graph():
+    units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
+    return derivation.build_graph(units)
+
+
+def assert_used_and_emptied(made, count):
+    assert len(made) == count
+    assert all(m.peak > 0 for m in made)
+    assert all(len(m) == 0 for m in made)
+
+
+class TestLifetime:
+    def test_build_article(self, memos):
+        article.build_article(fixture_graph())
+        assert_used_and_emptied(memos, 1)
+
+    def test_compress(self, memos):
+        model, manifest = article.build_article(fixture_graph())
+        compress.compress(model, manifest)
+        assert_used_and_emptied(memos, 2)
+
+    def test_cli_main(self, memos, tmp_path, capsys):
+        code = cli.main(["derivation", os.path.join(FIXTURES, "puz001+1.out"),
+                         "-o", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        assert_used_and_emptied(memos, 2)
+
+    def test_raising_call(self, memos):
+        # r(c) does not follow from p(c), so the step cannot be expanded
+        units = tptp.parse_problem(
+            "fof(a1, axiom, p(c), file('x.p', a1)).\n"
+            "fof(goal, conjecture, q(c), file('x.p', goal)).\n"
+            "fof(neg, negated_conjecture, ~q(c),"
+            " inference(assume_negation,[status(cth)],[goal])).\n"
+            "cnf(bad, plain, r(c), inference(resolution,[status(thm)],[a1])).\n"
+            "cnf(f, plain, $false, inference(resolution,[status(thm)],[bad, neg])).\n"
+        )
+        with pytest.raises(ExpansionFailed):
+            article.build_article(derivation.build_graph(units))
+        assert_used_and_emptied(memos, 1)
+
+
+def ground_chain(n):
+    """A TSTP refutation: p0(c) and n implications p(i-1)(c) => pi(c)
+    derive pn(c) step by step, against the conjecture's negation."""
+    lines = ["fof(a0, axiom, p0(c), file('chain.p', a0))."]
+    lines += [f"fof(a{i}, axiom, (p{i - 1}(c) => p{i}(c)), file('chain.p', a{i}))."
+              for i in range(1, n + 1)]
+    lines.append(f"fof(goal, conjecture, p{n}(c), file('chain.p', goal)).")
+    lines.append(f"fof(neg, negated_conjecture, ~p{n}(c),"
+                 " inference(assume_negation,[status(cth)],[goal])).")
+    previous = "a0"
+    for i in range(1, n + 1):
+        lines.append(f"cnf(s{i}, plain, p{i}(c),"
+                     f" inference(resolution,[status(thm)],[{previous}, a{i}])).")
+        previous = f"s{i}"
+    lines.append("cnf(f, plain, $false,"
+                 f" inference(resolution,[status(thm)],[{previous}, neg])).")
+    return "\n".join(lines) + "\n"
+
+
+class TestComplexityGuard:
+    """Counts, not timings: compression prepares each premise formula once
+    and builds its formula index once."""
+
+    def test_ground_chain(self, monkeypatch):
+        units = tptp.parse_problem(ground_chain(200))
+        model, manifest = article.build_article(derivation.build_graph(units))
+
+        counts = {"clausify": 0, "queries": 0, "index": 0}
+        premises = {}  # id -> formula: distinct premise objects queried
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        original_is_obvious = obvious.is_obvious
+
+        def is_obvious(query, *args, **kwargs):
+            counts["queries"] += 1
+            premises.update((id(p), p) for p in query.premises)
+            return original_is_obvious(query, *args, **kwargs)
+
+        monkeypatch.setattr(obvious, "_clausify", counting("clausify", obvious._clausify))
+        monkeypatch.setattr(obvious, "is_obvious", is_obvious)
+        monkeypatch.setattr(compress, "_formula_index",
+                            counting("index", compress._formula_index))
+        out, report = compress.compress(model, manifest)
+
+        assert report.steps_before == 200 and report.steps_after == 0
+        assert counts["queries"] >= 200
+        # every query clausifies its goal once; the rest are premises
+        assert counts["clausify"] - counts["queries"] <= len(premises)
+        assert counts["index"] == 1
