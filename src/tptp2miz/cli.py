@@ -16,6 +16,21 @@ from . import article, compress, derivation, obvious, tptp
 from .errors import IoError, TranslationError
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tptp2miz",
@@ -43,11 +58,11 @@ def _build_parser():
     p.add_argument("--no-compress", action="store_true", help="keep every derivation step")
     p.add_argument("--keep-unused", action="store_true",
                    help="keep steps that do not contribute to the contradiction")
-    p.add_argument("--budget", type=int, default=obvious.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_at_least(1), default=obvious.DEFAULT_BUDGET,
                    help="search budget for the inference checker")
     p.add_argument("--conjecture", default=None, metavar="NAME",
                    help="treat the named unit as the refuted assumption")
-    p.add_argument("--max-passes", type=int, default=None,
+    p.add_argument("--max-passes", type=_at_least(0), default=None,
                    help="limit the number of compression passes")
 
     p = sub.add_parser(
@@ -55,9 +70,10 @@ def _build_parser():
         help="check one inference: all units but the last are premises",
     )
     p.add_argument("input", help="input file")
-    p.add_argument("--budget", type=int, default=obvious.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(1), default=obvious.DEFAULT_BUDGET)
     p.add_argument("--axiom-dir", action="append", default=[])
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="print the instance chosen for each premise")
     return parser
 
 
@@ -129,6 +145,10 @@ def _run_check(args):
     query = obvious.ObviousnessQuery.make(premises, conclusion, args.budget)
     verdict = obvious.is_obvious(query)
     print(verdict.kind.value)
+    if args.verbose:
+        for index, chosen in enumerate(verdict.selection, 1):
+            instance = ", ".join(f"{var}: {term!r}" for var, term in chosen.items())
+            print(f"{index} {{{instance}}}" if chosen else f"{index} -")
     if verdict.is_obvious:
         return 0
     if verdict.kind is obvious.Verdict.NOT_OBVIOUS:

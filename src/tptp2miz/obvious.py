@@ -247,16 +247,13 @@ class _Congruence:
         return self.find(key)
 
 
-@dataclass
+@dataclass(slots=True)
 class _BranchView:
     """Branch assignment canonicalized through congruence closure."""
 
     values: dict  # canonical atom key -> bool
     cc: _Congruence
-    conflict: bool
-
-    def lookup(self, key, registry):
-        return self.values.get(_canonical(key, registry, self.cc))
+    evaluated: dict = field(default_factory=dict)  # _Commitment -> _evaluate result
 
 
 def _canonical(key, registry, cc):
@@ -272,6 +269,9 @@ def _canonical(key, registry, cc):
 
 
 def _make_branch_view(assignment, registry):
+    """The assignment's view, or None when congruence makes it contradictory.
+    The view depends on the assignment as a set: union-find roots are the
+    least keys of their classes, so insertion order changes nothing."""
     equations = []
     terms = []
     for key, value in assignment.items():
@@ -288,12 +288,11 @@ def _make_branch_view(assignment, registry):
         canon = _canonical(key, registry, cc)
         if canon == ("e", "refl"):
             if not value:
-                return _BranchView({}, cc, True)
+                return None
             continue
-        if canon in values and values[canon] != value:
-            return _BranchView({}, cc, True)
-        values[canon] = value
-    return _BranchView(values, cc, False)
+        if values.setdefault(canon, value) != value:
+            return None
+    return _BranchView(values, cc)
 
 
 def _evaluate(f, view, registry):
@@ -326,7 +325,7 @@ def _evaluate(f, view, registry):
             if view.cc.term_class(g.left) == view.cc.term_class(g.right):
                 return True
         key = registry.atom_key(g)
-        return view.lookup(key, registry)
+        return view.values.get(_canonical(key, registry, view.cc))
 
     return ev(f)
 
@@ -636,6 +635,19 @@ class PremiseMemo:
         return entry[1]
 
 
+_UNSEEN = object()  # memo miss marker
+
+
+@dataclass(eq=False, slots=True)
+class _Commitment:
+    """One chosen instance; hashed by identity, as a key of view memos."""
+
+    unit: UniversalUnit
+    subst: dict
+    instance: "fol.Formula"
+    literal: tuple  # (atom key, polarity) when the instance is a literal, else None
+
+
 class _Problem:
     def __init__(self, premises, conclusion, fixed_vars, budget, memo=None):
         self.registry = _Registry()
@@ -671,17 +683,37 @@ class _Problem:
         self.universe = [found[k] for k in sorted(found)]
 
     # -- closure search ------------------------------------------------------
+    #
+    # A query's branch views are memoized by (open branch index, literal set
+    # of the committed instances): the view depends on nothing else.  The
+    # memo is made by _open_branches and dies with the problem, so nothing
+    # outlives one query.
 
-    def solve(self):
-        branches = _dpll_branches(self.clauses, self.budget)
-        views = []
-        open_branches = []
+    def _open_branches(self, branches):
+        """Keep the branches that congruence does not close, seeding the
+        view memo with their views."""
+        self.branches = []
+        self._views = {}  # (branch index, literal set) -> _BranchView or None
         for branch in branches:
             view = _make_branch_view(branch, self.registry)
-            if not view.conflict:
-                views.append(view)
-                open_branches.append(branch)
-        if not views:
+            if view is not None:
+                self._views[(len(self.branches), frozenset())] = view
+                self.branches.append(branch)
+        return self.branches
+
+    def _commit(self, unit, subst):
+        """A commitment to one instance of a unit, with the instance formula
+        and, when it is a single literal, its (atom key, polarity)."""
+        inst = instance_formula(unit, subst)
+        lit = _as_literal(inst)
+        literal = None if lit is None else (self.registry.atom_key(lit[1]), lit[0])
+        return _Commitment(unit, subst, inst, literal)
+
+    def solve(self):
+        open_branches = self._open_branches(
+            _dpll_branches(self.clauses, self.budget)
+        )
+        if not open_branches:
             return {}
         units_by_key = {}
         for unit in self.premise_units:
@@ -694,47 +726,49 @@ class _Problem:
                 available.setdefault(unit.key, unit)
             per_branch_units.append(available)
 
-        commitments = self._close_all(open_branches, per_branch_units, 0, {})
-        return commitments
+        return self._close_all(per_branch_units, 0, {})
 
-    def _branch_closed(self, branch, commitments):
-        assignment = dict(branch)
-        instances = []
-        for unit, subst in commitments.values():
-            inst = instance_formula(unit, subst)
-            instances.append(inst)
-            lit = _as_literal(inst)
-            if lit is not None:
-                key = self.registry.atom_key(lit[1])
-                if key in assignment and assignment[key] != lit[0]:
-                    return True
-                assignment[key] = lit[0]
-        view = _make_branch_view(assignment, self.registry)
-        if view.conflict:
+    def _branch_closed(self, index, commitments):
+        literals = frozenset(
+            c.literal for c in commitments.values() if c.literal is not None
+        )
+        view = self._views.get((index, literals), _UNSEEN)
+        if view is _UNSEEN:
+            assignment = dict(self.branches[index])
+            view = None  # a literal contradicts the branch or another literal
+            for key, value in literals:
+                if assignment.setdefault(key, value) != value:
+                    break
+            else:
+                view = _make_branch_view(assignment, self.registry)
+            self._views[(index, literals)] = view
+        if view is None:
             return True
-        for inst in instances:
-            if _evaluate(inst, view, self.registry) is False:
-                return True
+        # A literal instance is part of the view, so it cannot be false there.
+        for c in commitments.values():
+            if c.literal is None:
+                value = view.evaluated.get(c, _UNSEEN)
+                if value is _UNSEEN:
+                    value = view.evaluated[c] = _evaluate(c.instance, view, self.registry)
+                if value is False:
+                    return True
         return False
 
-    def _close_all(self, branches, per_branch_units, index, commitments):
-        if index == len(branches):
+    def _close_all(self, per_branch_units, index, commitments):
+        if index == len(self.branches):
             return commitments
         self.budget.spend()
-        branch = branches[index]
-        if self._branch_closed(branch, commitments):
-            return self._close_all(branches, per_branch_units, index + 1, commitments)
+        if self._branch_closed(index, commitments):
+            return self._close_all(per_branch_units, index + 1, commitments)
         available = per_branch_units[index]
         if len(commitments) >= len(available) + len(
             [u for u in self.premise_units if u is not None]
         ):
             return None
-        assignment = dict(branch)
-        for unit, subst in commitments.values():
-            inst = instance_formula(unit, subst)
-            lit = _as_literal(inst)
-            if lit is not None:
-                assignment.setdefault(self.registry.atom_key(lit[1]), lit[0])
+        assignment = dict(self.branches[index])
+        for c in commitments.values():
+            if c.literal is not None:
+                assignment.setdefault(*c.literal)
         atom_infos = [
             self.registry.atoms[k]
             for k in sorted(assignment, key=repr)
@@ -748,13 +782,10 @@ class _Problem:
                 unit, atom_infos, self.universe, self.budget
             ):
                 trial = dict(commitments)
-                trial[key] = (unit, subst)
-                inst = instance_formula(unit, subst)
-                lit = _as_literal(inst)
-                helps = self._branch_closed(branch, trial) or lit is not None
-                if not helps:
+                trial[key] = commitment = self._commit(unit, subst)
+                if commitment.literal is None and not self._branch_closed(index, trial):
                     continue
-                result = self._close_all(branches, per_branch_units, index, trial)
+                result = self._close_all(per_branch_units, index, trial)
                 if result is not None:
                     return result
         return None
@@ -792,11 +823,10 @@ def is_obvious(query: ObviousnessQuery, memo=None) -> ObviousnessVerdict:
         if unit is None or unit.key not in commitments:
             selection.append({})
         else:
-            _, subst = commitments[unit.key]
+            subst = commitments[unit.key].subst
             selection.append({v: subst.get(v, _FILL) for v in unit.variables})
     packed = tuple(
-        (key, tuple(sorted(subst.items())))
-        for key, (unit, subst) in commitments.items()
+        (key, tuple(sorted(c.subst.items()))) for key, c in commitments.items()
     )
     return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed)
 
@@ -826,14 +856,12 @@ def replay(query: ObviousnessQuery, verdict: ObviousnessVerdict) -> bool:
                     break
         if unit is None:
             return False
-        commitments[key] = (unit, dict(subst_items))
-    for branch in branches:
-        view = _make_branch_view(branch, problem.registry)
-        if view.conflict:
-            continue
-        if not problem._branch_closed(branch, commitments):
-            return False
-    return True
+        commitments[key] = problem._commit(unit, dict(subst_items))
+    problem._open_branches(branches)
+    return all(
+        problem._branch_closed(index, commitments)
+        for index in range(len(problem.branches))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -188,3 +188,52 @@ class TestCheckObviousMode:
         code, out, _ = run(capsys, "check-obvious", path, "--budget", "1")
         assert code == 3
         assert out.strip() == "Unknown"
+
+    def test_verbose_prints_the_selection(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            "fof(p1, axiom, ![X]: (p(X) => q(X))).\n"
+            "fof(p2, axiom, p(c)).\n"
+            "fof(c1, conjecture, q(c)).\n",
+        )
+        code, out, _ = run(capsys, "check-obvious", path, "--verbose")
+        assert code == 0
+        assert out.splitlines() == ["Obvious", "1 {X: c}", "2 -"]
+
+    def test_verbose_not_obvious_prints_the_verdict_alone(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            "fof(p1, axiom, p(c)).\nfof(c1, conjecture, q(c)).\n",
+        )
+        code, out, _ = run(capsys, "check-obvious", path, "--verbose")
+        assert code == 1
+        assert out.splitlines() == ["NotObvious"]
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("mode,option,value", [
+        ("derivation", "--budget", "0"),
+        ("derivation", "--budget", "-5"),
+        ("derivation", "--budget", "ten"),
+        ("derivation", "--max-passes", "-1"),
+        ("check-obvious", "--budget", "0"),
+        ("check-obvious", "--budget", "-5"),
+    ])
+    def test_rejected_with_usage(self, mode, option, value, tmp_path, capsys):
+        path = os.path.join(FIXTURES, "puz001+1.out")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([mode, path, option, value]
+                     + (["-o", str(tmp_path)] if mode == "derivation" else []))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"{option}: expected an integer" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_passes_accepted(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "derivation", os.path.join(FIXTURES, "puz001+1.out"),
+            "-o", str(tmp_path), "--max-passes", "0",
+        )
+        assert code == 0
+        assert "compression:" in err
