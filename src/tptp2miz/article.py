@@ -154,7 +154,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
             skolem_symbols.append(symbol)
 
-    def justified_item(name, memo):
+    def justified_item(name):
         unit = graph.nodes[name]
         refs = [label_of[p] for p in graph.parents[name]]
         premises = [graph.nodes[p].formula for p in graph.parents[name]]
@@ -164,14 +164,13 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             premises.append(henkin[1])
         query = obvious.ObviousnessQuery.make(premises, unit.formula, budget)
         sub = None
-        if not obvious.is_obvious(query, memo).is_obvious:
+        if not obvious.is_obvious(query).is_obvious:
             hint = expand.substitution_from_inference_record(unit.source)
             sub = expand.build_subproof(name, unit.formula, premises, budget, hint)
         return Item(label_of[name], unit.formula, tuple(refs), sub, name)
 
-    with obvious.PremiseMemo() as memo:
-        lemma_items = [justified_item(name, memo) for name in lemma_names]
-        inner_items = [justified_item(name, memo) for name in inner_names]
+    lemma_items = [justified_item(name) for name in lemma_names]
+    inner_items = [justified_item(name) for name in inner_names]
 
     if graph.sink is not None:
         contradiction_refs = tuple(label_of[p] for p in graph.parents[graph.sink])
@@ -215,22 +214,12 @@ def _rename_skolems(model, henkins, skolem_symbols):
 
 
 def _formula_var_count(f):
-    prefix, matrix = fol.strip_universal_prefix(fol.universal_closure(f))
-    count = len(prefix)
-
-    def walk(g):
-        nonlocal count
-        if isinstance(g, (fol.Forall, fol.Exists)):
-            count += 1
-            walk(g.body)
-        elif isinstance(g, fol.Not):
-            walk(g.body)
-        elif isinstance(g, (fol.And, fol.Or, fol.Implies, fol.Iff)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(matrix)
-    return count
+    """Variables a formula's display form names: its free variables, which
+    the closure binds, plus one per quantifier."""
+    quantifiers = sum(
+        isinstance(g, (fol.Forall, fol.Exists)) for g, _ in fol.subformulas(f)
+    )
+    return len(fol.free_vars(f)) + quantifiers
 
 
 def _model_formulas(model):
@@ -252,8 +241,7 @@ def _reservations(model):
 
 def _build_manifest(model, henkins):
     skolem_defs = [axiom for _, axiom in sorted(henkins.values())]
-    closed = [fol.universal_closure(f) for f in _model_formulas(model) + skolem_defs]
-    symbols = fol.collect_signature(closed)
+    symbols = fol.collect_signature(_model_formulas(model) + skolem_defs)
     return EnvironmentManifest(
         functions=[(s.name, s.arity) for s in symbols if s.kind == "function"],
         predicates=[(s.name, s.arity) for s in symbols if s.kind == "predicate"],
@@ -356,18 +344,9 @@ def _display_form(f):
     for v in prefix:
         names[v] = f"X{len(names) + 1}"
 
-    def note_bound(g):
-        if isinstance(g, (fol.Forall, fol.Exists)):
-            if g.var not in names:
-                names[g.var] = f"X{len(names) + 1}"
-            note_bound(g.body)
-        elif isinstance(g, fol.Not):
-            note_bound(g.body)
-        elif isinstance(g, (fol.And, fol.Or, fol.Implies, fol.Iff)):
-            note_bound(g.left)
-            note_bound(g.right)
-
-    note_bound(matrix)
+    for g, _ in fol.subformulas(matrix):
+        if isinstance(g, (fol.Forall, fol.Exists)) and g.var not in names:
+            names[g.var] = f"X{len(names) + 1}"
     text = _render(matrix, names)
     renamed = [(old, new) for old, new in names.items() if old != new]
     comment = None

@@ -68,8 +68,7 @@ def build_subproof(step_name, step_formula, parent_formulas,
     )
     universe = {}
     for f in [conclusion] + [c for _, _, c in parents]:
-        for t in fol.ground_subterms(f):
-            universe.setdefault(fol.term_key(t), t)
+        universe.update(fol.keyed_ground_subterms(f))
     for v in fixed:
         universe.setdefault(fol.term_key(fol.Var(v)), fol.Var(v))
     universe = [universe[k] for k in sorted(universe)]

@@ -126,13 +126,51 @@ def big_or(parts) -> Formula:
 
 def flatten(f: Formula, node) -> list:
     """Flatten a nested binary connective into its operand list."""
-    if isinstance(f, node):
-        return flatten(f.left, node) + flatten(f.right, node)
-    return [f]
+    parts = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, node):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            parts.append(g)
+    return parts
 
 
 # ---------------------------------------------------------------------------
-# Variable traversal
+# Traversal
+
+
+def subformulas(f: Formula) -> list:
+    """Every subformula with the set of variables bound above it, as
+    (subformula, frozenset) pairs in pre-order, left to right."""
+    out = []
+    stack = [(f, frozenset())]
+    while stack:
+        item = stack.pop()
+        out.append(item)
+        g, bound = item
+        kind = type(g)
+        if kind is Atom or kind is Eq:
+            continue
+        if kind is Not:
+            stack.append((g.body, bound))
+        elif kind in _BINARY:
+            stack.append((g.right, bound))
+            stack.append((g.left, bound))
+        elif kind in _QUANT:
+            stack.append((g.body, bound | {g.var}))
+    return out
+
+
+def _atom_terms(f: Formula) -> tuple:
+    """The argument terms of an atom or equation; () for other formulas."""
+    if isinstance(f, Atom):
+        return f.args
+    if isinstance(f, Eq):
+        return (f.left, f.right)
+    return ()
 
 
 def term_vars(t: Term) -> Iterator[str]:
@@ -143,33 +181,15 @@ def term_vars(t: Term) -> Iterator[str]:
             yield from term_vars(a)
 
 
-def _free_vars(f: Formula, bound: frozenset) -> Iterator[str]:
-    if isinstance(f, Atom):
-        for t in f.args:
-            for v in term_vars(t):
-                if v not in bound:
-                    yield v
-    elif isinstance(f, Eq):
-        for t in (f.left, f.right):
-            for v in term_vars(t):
-                if v not in bound:
-                    yield v
-    elif isinstance(f, Not):
-        yield from _free_vars(f.body, bound)
-    elif isinstance(f, _BINARY):
-        yield from _free_vars(f.left, bound)
-        yield from _free_vars(f.right, bound)
-    elif isinstance(f, _QUANT):
-        yield from _free_vars(f.body, bound | {f.var})
-
-
 def free_vars(f: Formula) -> list:
     """Free variables in first-occurrence (left-to-right) order."""
-    seen = []
-    for v in _free_vars(f, frozenset()):
-        if v not in seen:
-            seen.append(v)
-    return seen
+    seen = {}
+    for g, bound in subformulas(f):
+        for t in _atom_terms(g):
+            for v in term_vars(t):
+                if v not in bound:
+                    seen[v] = None
+    return list(seen)
 
 
 def term_functions(t: Term) -> Iterator[tuple]:
@@ -179,24 +199,16 @@ def term_functions(t: Term) -> Iterator[tuple]:
             yield from term_functions(a)
 
 
-def formula_symbols(f: Formula) -> Iterator[tuple]:
-    """Yield (name, kind, arity) for every symbol occurrence."""
-    if isinstance(f, Atom):
-        yield (f.pred, "predicate", len(f.args))
-        for t in f.args:
+def formula_symbols(f: Formula) -> list:
+    """(name, kind, arity) for every symbol occurrence, in order."""
+    out = []
+    for g, _ in subformulas(f):
+        if isinstance(g, Atom):
+            out.append((g.pred, "predicate", len(g.args)))
+        for t in _atom_terms(g):
             for name, arity in term_functions(t):
-                yield (name, "function", arity)
-    elif isinstance(f, Eq):
-        for t in (f.left, f.right):
-            for name, arity in term_functions(t):
-                yield (name, "function", arity)
-    elif isinstance(f, Not):
-        yield from formula_symbols(f.body)
-    elif isinstance(f, _BINARY):
-        yield from formula_symbols(f.left)
-        yield from formula_symbols(f.right)
-    elif isinstance(f, _QUANT):
-        yield from formula_symbols(f.body)
+                out.append((name, "function", arity))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +263,9 @@ def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
         return type(f)(apply_substitution(s, f.left), apply_substitution(s, f.right))
     if isinstance(f, _QUANT):
         relevant = {k: v for k, v in s.items() if k != f.var}
-        live = [k for k in relevant if k in free_vars(f.body)]
-        relevant = {k: relevant[k] for k in live}
+        if relevant:
+            body_free = set(free_vars(f.body))
+            relevant = {k: v for k, v in relevant.items() if k in body_free}
         if not relevant:
             return f
         range_vars = set()
@@ -260,7 +273,7 @@ def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
             range_vars.update(term_vars(t))
         var, body = f.var, f.body
         if var in range_vars:
-            avoid = range_vars | set(free_vars(body)) | set(relevant)
+            avoid = range_vars | body_free | set(relevant)
             new = fresh_var(avoid, base=var)
             body = apply_substitution({var: Var(new)}, body)
             var = new
@@ -364,12 +377,6 @@ def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
     return f
 
 
-def ground_subterms(f: Formula) -> list:
-    """All ground terms occurring in a formula, deterministically ordered."""
-    found = keyed_ground_subterms(f)
-    return [found[k] for k in sorted(found)]
-
-
 def keyed_ground_subterms(f: Formula) -> dict:
     """term_key -> term for every ground term occurring in a formula."""
     found = {}
@@ -385,20 +392,7 @@ def keyed_ground_subterms(f: Formula) -> dict:
             found.setdefault(term_key(t), t)
         return ground
 
-    def walk(g):
-        if isinstance(g, Atom):
-            for t in g.args:
-                walk_term(t)
-        elif isinstance(g, Eq):
-            walk_term(g.left)
-            walk_term(g.right)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, _BINARY):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, _QUANT):
-            walk(g.body)
-
-    walk(f)
+    for g, _ in subformulas(f):
+        for t in _atom_terms(g):
+            walk_term(t)
     return found

@@ -435,21 +435,12 @@ def _derived_units(branch, registry):
 
 
 def matrix_atoms(matrix):
-    """Atoms and equations outside quantified subformulas, in order."""
-    atoms = []
-
-    def walk(g):
-        if isinstance(g, (fol.Atom, fol.Eq)):
-            atoms.append(g)
-        elif isinstance(g, fol.Not):
-            walk(g.body)
-        elif isinstance(g, (fol.And, fol.Or, fol.Implies, fol.Iff)):
-            walk(g.left)
-            walk(g.right)
-        # quantified subformulas are opaque for candidate generation
-
-    walk(matrix)
-    return atoms
+    """Atoms and equations outside quantified subformulas, in order;
+    quantified subformulas are opaque for candidate generation."""
+    return [
+        g for g, bound in fol.subformulas(matrix)
+        if not bound and isinstance(g, (fol.Atom, fol.Eq))
+    ]
 
 
 def atom_infos(formulas):
@@ -602,7 +593,7 @@ def _prepare(premise, fixed_vars):
 
 
 class PremiseMemo:
-    """Prepared premises shared by the queries of one translation.
+    """Prepared premises shared by the queries of one compress call.
 
     Entries are keyed by the premise object's identity and hold that
     object, so no key can be reused while the memo lives.  Use it as a

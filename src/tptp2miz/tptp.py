@@ -6,7 +6,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import fol
 from .errors import (
@@ -75,42 +75,36 @@ _TOKEN_RE = re.compile(
   | (?P<upper>[A-Z][a-zA-Z0-9_]*)
   | (?P<number>[+-]?\d+(?:\.\d+)?)
   | (?P<op><=>|<~>|=>|<=|!=|~\||~&|[!?~&|=:(),.\[\]<>*])
+  | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    column: int
+    pos: int  # offset of the token's first character in the text
 
 
 def tokenize(text: str):
-    pos = 0
-    line = 1
-    line_start = 0
     tokens = []
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TptpSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, pos - line_start + 1))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            raise TptpSyntaxError(
+                f"unexpected character {m.group()!r}", *_line_column(text, m.start())
+            )
+        tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
+
+
+def _line_column(text: str, pos: int):
+    """1-based line and column of an offset in the text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _unquote(s: str) -> str:
@@ -132,6 +126,7 @@ def quote_atom(name: str) -> str:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
 
@@ -146,7 +141,7 @@ class _Parser:
 
     def error(self, message, expected=()):
         tok = self.peek()
-        raise TptpSyntaxError(message, tok.line, tok.column, expected)
+        raise TptpSyntaxError(message, *_line_column(self.text, tok.pos), expected)
 
     def expect(self, value):
         tok = self.peek()
@@ -170,7 +165,8 @@ class _Parser:
             elif tok.value in ("fof", "cnf"):
                 items.append(("unit", self.parse_unit()))
             elif tok.value in ("tff", "thf", "tcf", "tpi"):
-                raise UnsupportedLanguage(tok.value, tok.line)
+                line, _ = _line_column(self.text, tok.pos)
+                raise UnsupportedLanguage(tok.value, line)
             else:
                 self.error(f"got {tok.value!r}", expected=("'fof'", "'cnf'", "'include'"))
         return items

@@ -120,6 +120,39 @@ class TestProblemMode:
         assert "Traceback" not in err
 
 
+class TestWideInputs:
+    """Units deeper than the recursion limit as left-nested formulas."""
+
+    WIDE = 5000
+
+    def translate(self, tmp_path, capsys, text):
+        (tmp_path / "wide.p").write_text(text)
+        code, _, err = run(
+            capsys, "problem", str(tmp_path / "wide.p"), "-o", str(tmp_path / "out")
+        )
+        assert (code, err) == (0, "")
+        return (tmp_path / "out" / "wide.miz").read_text()
+
+    def test_cnf_clause(self, tmp_path, capsys):
+        literals = [f"{'~' if i % 2 else ''}p{i}(X)" for i in range(self.WIDE)]
+        miz = self.translate(
+            tmp_path, capsys, f"cnf(wide, axiom, ({' | '.join(literals)})).\n"
+        )
+        rendered = [f"(not p{i} X1)" if i % 2 else f"p{i} X1" for i in range(self.WIDE)]
+        assert miz.splitlines() == [
+            "reserve X1;", "", ":: X1 <- X",
+            "Ax1: " + " or ".join(rendered) + " by AXIOMS:1;",
+        ]
+
+    def test_fof_conjunction(self, tmp_path, capsys):
+        conjuncts = [f"q{i}(c)" for i in range(self.WIDE)]
+        miz = self.translate(
+            tmp_path, capsys, f"fof(wide, axiom, ({' & '.join(conjuncts)})).\n"
+        )
+        rendered = [f"q{i} c" for i in range(self.WIDE)]
+        assert miz.splitlines() == ["Ax1: " + " & ".join(rendered) + " by AXIOMS:1;"]
+
+
 class TestInputErrors:
     CASES = {
         # case: (files to write, the first one translated; expected error kind)

@@ -161,12 +161,57 @@ class TestRenameSymbols:
 class TestGroundSubterms:
     def test_deterministic_and_complete(self):
         f = fol.Atom("p", (fol.App("f", (C("a"), C("b"))),))
-        terms = fol.ground_subterms(f)
-        assert terms == fol.ground_subterms(f)
-        keys = {fol._norm_term(t, {}) for t in terms}
-        assert fol._norm_term(C("a"), {}) in keys
-        assert fol._norm_term(fol.App("f", (C("a"), C("b"))), {}) in keys
+        found = fol.keyed_ground_subterms(f)
+        assert list(found.items()) == list(fol.keyed_ground_subterms(f).items())
+        assert {fol.term_key(t): t for t in found.values()} == found
+        assert found[fol.term_key(C("a"))] == C("a")
+        assert fol.term_key(fol.App("f", (C("a"), C("b")))) in found
 
     def test_open_terms_excluded(self):
         f = fol.Atom("p", (fol.App("f", (V("X"),)),))
-        assert fol.ground_subterms(f) == []
+        assert fol.keyed_ground_subterms(f) == {}
+
+
+# A chain as wide as this one is deeper than the default recursion limit.
+WIDE = 5000
+
+
+class TestSubformulas:
+    def test_pre_order_with_bound_sets(self):
+        q_xy = fol.Atom("q", (V("X"), V("Y")))
+        inner = fol.Exists("Y", fol.Not(q_xy))
+        f = fol.Or(fol.Forall("X", fol.And(p_x, inner)), p_c)
+        none, x, xy = frozenset(), frozenset({"X"}), frozenset({"X", "Y"})
+        assert fol.subformulas(f) == [
+            (f, none),
+            (f.left, none),
+            (f.left.body, x),
+            (p_x, x),
+            (inner, x),
+            (inner.body, xy),
+            (q_xy, xy),
+            (p_c, none),
+        ]
+
+
+class TestWideFormulas:
+    """Left-nested chains deeper than the recursion limit."""
+
+    def test_free_vars_first_occurrence(self):
+        names = [f"X{(i * 7) % WIDE}" for i in range(WIDE)]
+        chain = fol.big_or(fol.Atom("p", (V(n), V("X0"))) for n in names)
+        assert fol.free_vars(chain) == names
+
+    def test_formula_symbols_in_order(self):
+        chain = fol.big_or(fol.Atom(f"p{i}", (C(f"c{i}"),)) for i in range(WIDE))
+        expected = []
+        for i in range(WIDE):
+            expected += [(f"p{i}", "predicate", 1), (f"c{i}", "function", 0)]
+        assert list(fol.formula_symbols(chain)) == expected
+
+    def test_flatten_in_order(self):
+        atoms = [fol.Atom(f"p{i}") for i in range(WIDE)]
+        chain = atoms[0]
+        for a in atoms[1:]:
+            chain = fol.And(chain, a)
+        assert fol.flatten(chain, fol.And) == atoms

@@ -1,5 +1,5 @@
-"""The premise memo: it changes no verdict, it lives for one translation,
-and it keeps compression from preparing a premise more than once."""
+"""The premise memo: it changes no verdict, it lives for one compress
+call, and it keeps compression from preparing a premise more than once."""
 
 import os
 
@@ -99,20 +99,31 @@ def assert_used_and_emptied(made, count):
 
 class TestLifetime:
     def test_build_article(self, memos):
+        # justify queries cite parents no other step cites: no memo
         article.build_article(fixture_graph())
-        assert_used_and_emptied(memos, 1)
+        assert_used_and_emptied(memos, 0)
 
     def test_compress(self, memos):
         model, manifest = article.build_article(fixture_graph())
         compress.compress(model, manifest)
-        assert_used_and_emptied(memos, 2)
+        assert_used_and_emptied(memos, 1)
 
     def test_cli_main(self, memos, tmp_path, capsys):
         code = cli.main(["derivation", os.path.join(FIXTURES, "puz001+1.out"),
                          "-o", str(tmp_path)])
         capsys.readouterr()
         assert code == 0
-        assert_used_and_emptied(memos, 2)
+        assert_used_and_emptied(memos, 1)
+
+    def test_emptied_on_raise(self):
+        memo = obvious.PremiseMemo()
+        with pytest.raises(RuntimeError):
+            with memo:
+                memo.prepare(F("![X]:p(X)"), ())
+                memo.prepare(F("q(c)"), ())
+                assert len(memo) == 2
+                raise RuntimeError()
+        assert len(memo) == 0
 
     def test_raising_call(self, memos):
         # r(c) does not follow from p(c), so the step cannot be expanded
@@ -126,7 +137,7 @@ class TestLifetime:
         )
         with pytest.raises(ExpansionFailed):
             article.build_article(derivation.build_graph(units))
-        assert_used_and_emptied(memos, 1)
+        assert_used_and_emptied(memos, 0)
 
 
 def ground_chain(n):

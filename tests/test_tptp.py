@@ -89,6 +89,17 @@ class TestErrors:
         assert info.value.line == 1
         assert info.value.column > 0
 
+    def test_syntax_error_position_on_a_later_line(self):
+        text = "% header\nfof(a, axiom, p(c)).\n\n  fof(b, axiom, q(c) & ).\n"
+        with pytest.raises(TptpSyntaxError) as info:
+            tptp.parse_problem(text)
+        assert (info.value.line, info.value.column) == (4, 24)
+
+    def test_unexpected_character_position(self):
+        with pytest.raises(TptpSyntaxError) as info:
+            tptp.parse_problem("fof(a, axiom, p(c)).\n/* open\n*/ fof(b, axiom, @).\n")
+        assert (info.value.line, info.value.column) == (3, 18)
+
     def test_unsupported_language(self):
         with pytest.raises(UnsupportedLanguage):
             tptp.parse_problem("tff(a, type, p: $i > $o).")
