@@ -162,11 +162,13 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
         if henkin is not None:
             refs.append(f"SKOLEM:def {henkin[0]}")
             premises.append(henkin[1])
-        query = obvious.ObviousnessQuery.make(premises, unit.formula, budget)
+        # the justify query and any expansion spend from one budget
+        step_budget = obvious.Budget(budget)
+        query = obvious.ObviousnessQuery.make(premises, unit.formula)
         sub = None
-        if not obvious.is_obvious(query).is_obvious:
+        if not obvious.is_obvious(query, budget=step_budget).is_obvious:
             hint = expand.substitution_from_inference_record(unit.source)
-            sub = expand.build_subproof(name, unit.formula, premises, budget, hint)
+            sub = expand.build_subproof(name, unit.formula, premises, step_budget, hint)
         return Item(label_of[name], unit.formula, tuple(refs), sub, name)
 
     lemma_items = [justified_item(name) for name in lemma_names]
@@ -308,20 +310,14 @@ def _render(f, names):
         return "not (" + _render(body, names) + ")"
     if isinstance(f, (fol.And, fol.Or)):
         word = " & " if isinstance(f, fol.And) else " or "
-        parts = fol.flatten(f, type(f))
-        return word.join(operand(p) for p in parts)
+        return word.join(operand(p) for p in f.parts)
     if isinstance(f, fol.Implies):
         return operand(f.left) + " implies " + operand(f.right)
     if isinstance(f, fol.Iff):
         return operand(f.left) + " iff " + operand(f.right)
     if isinstance(f, (fol.Forall, fol.Exists)):
-        kind = type(f)
-        variables = []
-        body = f
-        while isinstance(body, kind):
-            variables.append(names.get(body.var, body.var))
-            body = body.body
-        joint = ",".join(variables)
+        variables, body = fol.strip_prefix(f, type(f))
+        joint = ",".join(names.get(v, v) for v in variables)
         inner = _render(body, names)
         if not isinstance(body, (fol.Atom, fol.Eq)):
             inner = "(" + inner + ")"
@@ -339,7 +335,7 @@ def _display_form(f):
     Returns (rendered matrix formula text, original-name comment or None).
     """
     closed = fol.universal_closure(f)
-    prefix, matrix = fol.strip_universal_prefix(closed)
+    prefix, matrix = fol.strip_prefix(closed)
     names = {}
     for v in prefix:
         names[v] = f"X{len(names) + 1}"
@@ -361,7 +357,7 @@ def _subproof_lines(item, indent):
     sub = item.subproof
     # the statement's variable renaming must also apply inside the proof
     closed = fol.universal_closure(item.formula)
-    prefix, _ = fol.strip_universal_prefix(closed)
+    prefix, _ = fol.strip_prefix(closed)
     names = {v: f"X{i + 1}" for i, v in enumerate(prefix)}
     lines.append(pad + "proof")
     thus_refs = []
@@ -401,25 +397,19 @@ def render_article(model) -> str:
     if model.reservations:
         out.append("reserve " + ",".join(model.reservations) + ";")
         out.append("")
-    for item in model.axiom_items:
-        out.extend(_item_lines(item))
-        out.append("")
-    for item in model.lemma_items:
+    for item in model.axiom_items + model.lemma_items:
         out.extend(_item_lines(item))
         out.append("")
     if model.theorem is None:
         return "\n".join(out).rstrip("\n") + "\n"
     theorem_text, theorem_comment = _display_form(model.theorem)
-    if model.pending:
-        if theorem_comment:
-            out.append(theorem_comment)
-        out.append("theorem")
-        out.append(theorem_text + ";")
-        out.append("::> pending proof")
-        return "\n".join(out) + "\n"
     if theorem_comment:
         out.append(theorem_comment)
     out.append("theorem")
+    if model.pending:
+        out.append(theorem_text + ";")
+        out.append("::> pending proof")
+        return "\n".join(out) + "\n"
     out.append(theorem_text)
     out.append("proof")
     out.append("  now")

@@ -36,6 +36,10 @@ class TptpSyntaxError(TranslationError):
         super().__init__(detail)
 
 
+class NestingTooDeep(TptpSyntaxError):
+    """Input nested past the parser's limit (tptp.MAX_NESTING)."""
+
+
 class UnsupportedLanguage(TranslationError):
     def __init__(self, language, line):
         self.language = language

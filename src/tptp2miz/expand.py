@@ -45,15 +45,18 @@ def substitution_from_inference_record(record) -> dict:
 
 
 def build_subproof(step_name, step_formula, parent_formulas,
-                   budget=obvious.DEFAULT_BUDGET, hint=None) -> SubProof:
+                   budget=None, hint=None) -> SubProof:
     """Instance selection turning one derivation step into a sub-proof.
 
     Raises ExpansionFailed when no selection within the search space
     works.  Parents may be used twice: the search retries with duplicated
-    parents before giving up.
+    parents before giving up.  The candidate search and every check it
+    makes spend from one obvious.Budget, by default a fresh one of
+    DEFAULT_BUDGET units.
     """
+    if budget is None:
+        budget = obvious.Budget(obvious.DEFAULT_BUDGET)
     fixed = tuple(fol.free_vars(step_formula))
-    conclusion = step_formula
 
     parents = []
     for i, p in enumerate(parent_formulas):
@@ -63,17 +66,15 @@ def build_subproof(step_name, step_formula, parent_formulas,
 
     # pool of atoms instances can be matched against
     pool = obvious.atom_infos(
-        [conclusion]
+        [step_formula]
         + [closed for _, unit, closed in parents if unit is None]
     )
     universe = {}
-    for f in [conclusion] + [c for _, _, c in parents]:
+    for f in [step_formula] + [c for _, _, c in parents]:
         universe.update(fol.keyed_ground_subterms(f))
     for v in fixed:
         universe.setdefault(fol.term_key(fol.Var(v)), fol.Var(v))
     universe = [universe[k] for k in sorted(universe)]
-
-    tracker = obvious.Budget(budget)
 
     def try_parents(active):
         universal = [(i, unit) for i, unit, _ in active if unit is not None]
@@ -81,33 +82,26 @@ def build_subproof(step_name, step_formula, parent_formulas,
 
         def leaf_check(chosen):
             premises = ground + [inst for _, inst in chosen]
-            query = ObviousnessQuery.make(
-                premises, conclusion,
-                budget=max(200, budget // 10), fixed_vars=fixed,
-            )
-            tracker.spend(50)
-            return obvious.is_obvious(query).kind is Verdict.OBVIOUS
+            query = ObviousnessQuery.make(premises, step_formula, fixed_vars=fixed)
+            verdict = obvious.is_obvious(query, budget=budget)
+            budget.spend(0)  # an Unknown for want of budget ends the search
+            return verdict.kind is Verdict.OBVIOUS
 
         def search(pos, chosen, pool_now):
             if pos == len(universal):
                 return chosen if leaf_check(chosen) else None
             index, unit = universal[pos]
             candidates = obvious.candidate_substitutions(
-                unit, pool_now, universe, tracker
+                unit, pool_now, universe, budget
             )
-            if hint:
-                preferred = {v: hint[v] for v in unit.variables if v in hint}
-                if preferred:
-                    merged = []
-                    for c in candidates:
-                        if all(
-                            fol.term_key(c[v]) == fol.term_key(t)
-                            for v, t in preferred.items()
-                        ):
-                            merged.insert(0, c)
-                        else:
-                            merged.append(c)
-                    candidates = merged
+            preferred = {v: fol.term_key(hint[v]) for v in unit.variables
+                         if hint and v in hint}
+            if preferred:
+                # candidates that agree with the hint go first, the last of them first
+                agree = [all(fol.term_key(c[v]) == k for v, k in preferred.items())
+                         for c in candidates]
+                candidates = ([c for c, a in zip(candidates, agree) if a][::-1]
+                              + [c for c, a in zip(candidates, agree) if not a])
             for subst in candidates:
                 inst = obvious.instance_formula(unit, subst)
                 result = search(pos + 1, chosen + [(index, inst)],

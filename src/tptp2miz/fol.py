@@ -3,6 +3,12 @@
 Values are immutable; every operation returns new structures.  Variables are
 kept by name so they survive into rendered output, while alpha-equivalence
 and generalized-atom identity go through a de Bruijn normal form.
+
+Conjunctions and disjunctions are flat: an And or Or holds a tuple of two
+or more operands, none of the same kind, as built by join().  A chain of
+any width is therefore one level deep, and every recursive walk below
+recurses only as deep as real nesting: negations, quantifiers, the sides
+of => and <=>, alternating connectives and terms.
 """
 
 from __future__ import annotations
@@ -61,14 +67,12 @@ class Not:
 
 @dataclass(frozen=True)
 class And:
-    left: "Formula"
-    right: "Formula"
+    parts: tuple  # two or more operands, none an And; build with join()
 
 
 @dataclass(frozen=True)
 class Or:
-    left: "Formula"
-    right: "Formula"
+    parts: tuple  # two or more operands, none an Or; build with join()
 
 
 @dataclass(frozen=True)
@@ -110,32 +114,26 @@ Formula = Union[Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists, Verum, Fal
 TRUE = Verum()
 FALSE = Falsum()
 
-_BINARY = (And, Or, Implies, Iff)
+_CHAIN = (And, Or)
+_BINARY = (Implies, Iff)
 _QUANT = (Forall, Exists)
 
 
-def big_or(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
-def flatten(f: Formula, node) -> list:
-    """Flatten a nested binary connective into its operand list."""
-    parts = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, node):
-            stack.append(g.right)
-            stack.append(g.left)
+def join(node, parts) -> Formula:
+    """The And or Or (as node says) of the parts, spliced flat: operands of
+    the same kind are inlined, one operand stands for itself, and none
+    gives TRUE for And, FALSE for Or."""
+    flat = []
+    for p in parts:
+        if type(p) is node:
+            flat.extend(p.parts)
         else:
-            parts.append(g)
-    return parts
+            flat.append(p)
+    if len(flat) > 1:
+        return node(tuple(flat))
+    if flat:
+        return flat[0]
+    return TRUE if node is And else FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +154,9 @@ def subformulas(f: Formula) -> list:
             continue
         if kind is Not:
             stack.append((g.body, bound))
+        elif kind in _CHAIN:
+            for p in reversed(g.parts):
+                stack.append((p, bound))
         elif kind in _BINARY:
             stack.append((g.right, bound))
             stack.append((g.left, bound))
@@ -221,10 +222,10 @@ def universal_closure(f: Formula) -> Formula:
     return f
 
 
-def strip_universal_prefix(f: Formula):
-    """Remove the maximal leading block of universal quantifiers."""
+def strip_prefix(f: Formula, kind=Forall):
+    """Remove the maximal leading block of quantifiers of the kind."""
     prefix = []
-    while isinstance(f, Forall):
+    while isinstance(f, kind):
         prefix.append(f.var)
         f = f.body
     return prefix, f
@@ -259,6 +260,8 @@ def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
         return Eq(subst_term(s, f.left), subst_term(s, f.right))
     if isinstance(f, Not):
         return Not(apply_substitution(s, f.body))
+    if isinstance(f, _CHAIN):
+        return type(f)(tuple([apply_substitution(s, p) for p in f.parts]))
     if isinstance(f, _BINARY):
         return type(f)(apply_substitution(s, f.left), apply_substitution(s, f.right))
     if isinstance(f, _QUANT):
@@ -309,6 +312,9 @@ def debruijn(f: Formula, env=None, depth=0) -> tuple:
         return ("eq", tuple(sides))
     if isinstance(f, Not):
         return ("not", debruijn(f.body, env, depth))
+    if isinstance(f, _CHAIN):
+        tag = type(f).__name__.lower()
+        return (tag, *[debruijn(p, env, depth) for p in f.parts])
     if isinstance(f, _BINARY):
         tag = type(f).__name__.lower()
         return (tag, debruijn(f.left, env, depth), debruijn(f.right, env, depth))
@@ -368,6 +374,8 @@ def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
         return Eq(ren_term(f.left), ren_term(f.right))
     if isinstance(f, Not):
         return Not(rename_symbols(f.body, mapping))
+    if isinstance(f, _CHAIN):
+        return type(f)(tuple([rename_symbols(p, mapping) for p in f.parts]))
     if isinstance(f, _BINARY):
         return type(f)(
             rename_symbols(f.left, mapping), rename_symbols(f.right, mapping)

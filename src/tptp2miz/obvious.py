@@ -127,16 +127,13 @@ def _nnf(f, positive=True):
     if isinstance(f, fol.Not):
         return _nnf(f.body, not positive)
     if isinstance(f, fol.Implies):
-        return _nnf(fol.Or(fol.Not(f.left), f.right), positive)
+        return _nnf(fol.join(fol.Or, (fol.Not(f.left), f.right)), positive)
     if isinstance(f, fol.Iff):
-        both = fol.And(fol.Implies(f.left, f.right), fol.Implies(f.right, f.left))
-        return _nnf(both, positive)
-    if isinstance(f, fol.And):
-        node = fol.And if positive else fol.Or
-        return node(_nnf(f.left, positive), _nnf(f.right, positive))
-    if isinstance(f, fol.Or):
-        node = fol.Or if positive else fol.And
-        return node(_nnf(f.left, positive), _nnf(f.right, positive))
+        both = (fol.Implies(f.left, f.right), fol.Implies(f.right, f.left))
+        return _nnf(fol.join(fol.And, both), positive)
+    if isinstance(f, (fol.And, fol.Or)):
+        node = type(f) if positive else (fol.Or if type(f) is fol.And else fol.And)
+        return fol.join(node, [_nnf(p, positive) for p in f.parts])
     if isinstance(f, fol.Verum):
         return fol.TRUE if positive else fol.FALSE
     if isinstance(f, fol.Falsum):
@@ -155,12 +152,15 @@ def _clausify(f, registry):
         if isinstance(g, fol.Falsum):
             return [()]
         if isinstance(g, fol.And):
-            return cnf(g.left) + cnf(g.right)
+            return [c for p in g.parts for c in cnf(p)]
         if isinstance(g, fol.Or):
-            left, right = cnf(g.left), cnf(g.right)
-            if len(left) * len(right) > _MAX_CLAUSES:
-                raise _TooHard()
-            return [a + b for a in left for b in right]
+            product = cnf(g.parts[0])
+            for p in g.parts[1:]:
+                clauses = cnf(p)
+                if len(product) * len(clauses) > _MAX_CLAUSES:
+                    raise _TooHard()
+                product = [a + b for a in product for b in clauses]
+            return product
         if isinstance(g, fol.Not):
             return [((registry.atom_key(g.body), False),)]
         return [((registry.atom_key(g), True),)]
@@ -307,20 +307,12 @@ def _evaluate(f, view, registry):
         if isinstance(g, fol.Not):
             inner = ev(g.body)
             return None if inner is None else not inner
-        if isinstance(g, fol.And):
-            a, b = ev(g.left), ev(g.right)
-            if a is False or b is False:
-                return False
-            if a is True and b is True:
-                return True
-            return None
-        if isinstance(g, fol.Or):
-            a, b = ev(g.left), ev(g.right)
-            if a is True or b is True:
-                return True
-            if a is False and b is False:
-                return False
-            return None
+        if isinstance(g, (fol.And, fol.Or)):
+            values = [ev(p) for p in g.parts]
+            decisive = isinstance(g, fol.Or)  # one True decides an Or, one False an And
+            if decisive in values:
+                return decisive
+            return None if None in values else not decisive
         if isinstance(g, fol.Eq):
             if view.cc.term_class(g.left) == view.cc.term_class(g.right):
                 return True
@@ -366,25 +358,25 @@ def _dpll_branches(clauses, budget):
             if not changed:
                 return clauses_left
 
-    def search(assignment, clauses_left):
+    # depth first, True before False, on an explicit stack: a decision
+    # path is as long as the clause set has atoms
+    stack = [({}, list(clauses))]
+    while stack:
+        assignment, clauses_left = stack.pop()
         budget.spend()
         clauses_left = propagate(assignment, clauses_left)
         if clauses_left is None:
-            return
+            continue
         if not clauses_left:
-            branches.append(dict(assignment))
+            branches.append(assignment)
             if len(branches) > _MAX_BRANCHES:
                 raise _TooHard()
-            return
+            continue
         key = next(
             k for k, _ in clauses_left[0] if assignment.get(k) is None
         )
-        for value in (True, False):
-            trial = dict(assignment)
-            trial[key] = value
-            search(trial, list(clauses_left))
-
-    search({}, list(clauses))
+        for value in (False, True):
+            stack.append(({**assignment, key: value}, clauses_left))
     return branches
 
 
@@ -401,7 +393,7 @@ class UniversalUnit:
 
 def universal_unit(closed):
     """The closed formula's universal prefix and matrix; None when it has none."""
-    variables, matrix = fol.strip_universal_prefix(closed)
+    variables, matrix = fol.strip_prefix(closed)
     if not variables:
         return None
     return UniversalUnit(fol.debruijn(closed), tuple(variables), matrix)
@@ -421,11 +413,7 @@ def _derived_units(branch, registry):
             if unit is not None:
                 units.append(unit)
         elif not value and isinstance(formula, fol.Exists):
-            variables = []
-            body = formula
-            while isinstance(body, fol.Exists):
-                variables.append(body.var)
-                body = body.body
+            variables, body = fol.strip_prefix(formula, fol.Exists)
             units.append(
                 UniversalUnit(
                     ("neg",) + fol.debruijn(formula), tuple(variables), fol.Not(body)
@@ -649,7 +637,7 @@ class _Problem:
         self.premise_units = [p.unit for p in prepared]  # None for ground premises
 
         conclusion = fol.universal_closure(_fix_formula(conclusion, fixed))
-        goal_vars, matrix = fol.strip_universal_prefix(conclusion)
+        goal_vars, matrix = fol.strip_prefix(conclusion)
         consts = _goal_constants(len(goal_vars))
         self.goal_matrix = fol.apply_substitution(
             dict(zip(goal_vars, consts)), matrix
@@ -784,20 +772,19 @@ class _Problem:
 
 def _as_literal(f):
     """(polarity, atom) when the formula is a single literal, else None."""
-    if isinstance(f, fol.Not):
-        inner = _as_literal(f.body)
-        if inner is not None and inner[0]:
-            return (False, inner[1])
-        return None
+    if isinstance(f, fol.Not) and isinstance(f.body, (fol.Atom, fol.Eq)):
+        return (False, f.body)
     if isinstance(f, (fol.Atom, fol.Eq)):
         return (True, f)
     return None
 
 
-def is_obvious(query: ObviousnessQuery, memo=None) -> ObviousnessVerdict:
+def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVerdict:
     """The query's verdict; a PremiseMemo shares premise preparation between
-    queries and changes no verdict."""
-    budget = Budget(query.budget)
+    queries and changes no verdict.  A Budget, when given, is spent from
+    in place of a fresh one of query.budget units."""
+    if budget is None:
+        budget = Budget(query.budget)
     try:
         problem = _Problem(
             query.premises, query.conclusion, query.fixed_vars, budget, memo
@@ -908,9 +895,9 @@ def brute_force_entails(premises, conclusion, domain_size, cap=_DEFAULT_MODEL_CA
         if isinstance(f, fol.Not):
             return not eval_formula(f.body, interp, env)
         if isinstance(f, fol.And):
-            return eval_formula(f.left, interp, env) and eval_formula(f.right, interp, env)
+            return all(eval_formula(p, interp, env) for p in f.parts)
         if isinstance(f, fol.Or):
-            return eval_formula(f.left, interp, env) or eval_formula(f.right, interp, env)
+            return any(eval_formula(p, interp, env) for p in f.parts)
         if isinstance(f, fol.Implies):
             return (not eval_formula(f.left, interp, env)) or eval_formula(
                 f.right, interp, env

@@ -13,6 +13,7 @@ from .errors import (
     IncludeCycle,
     IncludeNotFound,
     IoError,
+    NestingTooDeep,
     TptpSyntaxError,
     UnsupportedLanguage,
 )
@@ -123,12 +124,20 @@ def quote_atom(name: str) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Deepest nesting the parser accepts.  One level is a `~`, a quantified
+# variable, a parenthesis, a term's argument list, or an annotation list,
+# argument list or parent annotation.  Later stages recurse over nesting;
+# this bound keeps them within the default recursion limit, with room for a
+# checker instance whose terms are twice as deep as the input's.
+MAX_NESTING = 128
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0  # open nesting levels; an error ends the parse, so none closes on raise
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -152,6 +161,15 @@ class _Parser:
     def at(self, value) -> bool:
         tok = self.peek()
         return tok.kind != "eof" and tok.value == value
+
+    def descend(self) -> Token:
+        """Consume the token that opens one more nesting level, failing
+        past MAX_NESTING; the caller closes the level with `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            message = f"input nests deeper than {MAX_NESTING} levels"
+            raise NestingTooDeep(message, *_line_column(self.text, self.peek().pos))
+        return self.next()
 
     # -- top level ----------------------------------------------------------
 
@@ -230,7 +248,15 @@ class _Parser:
 
     # -- fof formulas -------------------------------------------------------
 
-    _NONASSOC = {"=>", "<=", "<=>", "<~>", "~|", "~&"}
+    # the non-associative binary connectives, each as a builder of its node
+    _NONASSOC = {
+        "=>": fol.Implies,
+        "<=": lambda left, right: fol.Implies(right, left),
+        "<=>": fol.Iff,
+        "<~>": lambda left, right: fol.Not(fol.Iff(left, right)),
+        "~|": lambda left, right: fol.Not(fol.join(fol.Or, (left, right))),
+        "~&": lambda left, right: fol.Not(fol.join(fol.And, (left, right))),
+    }
 
     def parse_fof_formula(self) -> "fol.Formula":
         left = self.parse_unitary()
@@ -243,28 +269,14 @@ class _Parser:
                 parts.append(self.parse_unitary())
             if self.peek().value in ("&", "|") or self.peek().value in self._NONASSOC:
                 self.error("binary connectives cannot be mixed without parentheses")
-            node = fol.And if op == "&" else fol.Or
-            out = parts[0]
-            for p in parts[1:]:
-                out = node(out, p)
-            return out
+            return fol.join(fol.And if op == "&" else fol.Or, parts)
         if tok.value in self._NONASSOC:
-            op = self.next().value
+            build = self._NONASSOC[self.next().value]
             right = self.parse_unitary()
             nxt = self.peek()
             if nxt.value in ("&", "|") or nxt.value in self._NONASSOC:
                 self.error("binary connectives are non-associative; add parentheses")
-            if op == "=>":
-                return fol.Implies(left, right)
-            if op == "<=":
-                return fol.Implies(right, left)
-            if op == "<=>":
-                return fol.Iff(left, right)
-            if op == "<~>":
-                return fol.Not(fol.Iff(left, right))
-            if op == "~|":
-                return fol.Not(fol.Or(left, right))
-            return fol.Not(fol.And(left, right))
+            return build(left, right)
         return left
 
     def parse_unitary(self) -> "fol.Formula":
@@ -277,7 +289,7 @@ class _Parser:
                 v = self.peek()
                 if v.kind != "upper":
                     self.error("expected a variable", expected=("upper word",))
-                names.append(self.next().value)
+                names.append(self.descend().value)
                 if self.at(","):
                     self.next()
                 else:
@@ -285,17 +297,21 @@ class _Parser:
             self.expect("]")
             self.expect(":")
             body = self.parse_unitary()
+            self.depth -= len(names)
             node = fol.Forall if quant == "!" else fol.Exists
             for v in reversed(names):
                 body = node(v, body)
             return body
         if tok.value == "~":
-            self.next()
-            return fol.Not(self.parse_unitary())
+            self.descend()
+            body = self.parse_unitary()
+            self.depth -= 1
+            return fol.Not(body)
         if tok.value == "(":
-            self.next()
+            self.descend()
             inner = self.parse_fof_formula()
             self.expect(")")
+            self.depth -= 1
             return inner
         return self.parse_atomic()
 
@@ -330,12 +346,13 @@ class _Parser:
                 name = _unquote(name)
             args = ()
             if self.at("("):
-                self.next()
+                self.descend()
                 got = [self.parse_term()]
                 while self.at(","):
                     self.next()
                     got.append(self.parse_term())
                 self.expect(")")
+                self.depth -= 1
                 args = tuple(got)
             return fol.App(name, args)
         self.error("expected a term", expected=("variable", "functor"))
@@ -355,14 +372,14 @@ class _Parser:
         while self.at("|"):
             self.next()
             parts.append(self._parse_cnf_literal())
-        if len(parts) == 1:
-            return parts[0]
-        return fol.big_or(parts)
+        return fol.join(fol.Or, parts)
 
     def _parse_cnf_literal(self) -> "fol.Formula":
         if self.at("~"):
-            self.next()
-            return fol.Not(self._parse_cnf_literal())
+            self.descend()
+            body = self._parse_cnf_literal()
+            self.depth -= 1
+            return fol.Not(body)
         return self.parse_atomic()
 
     # -- sources ------------------------------------------------------------
@@ -382,32 +399,35 @@ class _Parser:
         """Parse a general annotation term into nested python structures."""
         tok = self.peek()
         if tok.value == "[":
-            self.next()
+            self.descend()
             items = []
             while not self.at("]"):
                 items.append(self.parse_annotation_term())
                 if self.at(","):
                     self.next()
             self.expect("]")
+            self.depth -= 1
             return items
         if tok.kind in ("lower", "quoted", "dollar", "number", "upper"):
             name = self.next().value
             if tok.kind == "quoted":
                 name = _unquote(name)
             if self.at("("):
-                self.next()
+                self.descend()
                 args = []
                 while not self.at(")"):
                     args.append(self.parse_annotation_term())
                     if self.at(","):
                         self.next()
                 self.expect(")")
+                self.depth -= 1
                 out = (name, args)
             else:
                 out = name
             if self.at(":"):  # parent annotation, e.g. name : [bind(...)]
-                self.next()
-                return (":", [out, self.parse_annotation_term()])
+                self.descend()
+                out = (":", [out, self.parse_annotation_term()])
+                self.depth -= 1
             return out
         self.error("expected an annotation term")
 
@@ -613,20 +633,15 @@ def format_formula(f: "fol.Formula") -> str:
         return "~ " + format_formula(f.body)
     if isinstance(f, (fol.And, fol.Or)):
         op = " & " if isinstance(f, fol.And) else " | "
-        parts = fol.flatten(f, type(f))
-        return "(" + op.join(format_formula(p) for p in parts) + ")"
+        return "(" + op.join(format_formula(p) for p in f.parts) + ")"
     if isinstance(f, fol.Implies):
         return f"({format_formula(f.left)} => {format_formula(f.right)})"
     if isinstance(f, fol.Iff):
         return f"({format_formula(f.left)} <=> {format_formula(f.right)})"
     if isinstance(f, (fol.Forall, fol.Exists)):
-        node = type(f)
         mark = "!" if isinstance(f, fol.Forall) else "?"
-        names = []
-        while isinstance(f, node):
-            names.append(f.var)
-            f = f.body
-        return f"{mark} [{','.join(names)}] : {format_formula(f)}"
+        names, body = fol.strip_prefix(f, type(f))
+        return f"{mark} [{','.join(names)}] : {format_formula(body)}"
     if isinstance(f, fol.Verum):
         return "$true"
     return "$false"

@@ -34,7 +34,7 @@ def random_literal(rng, variables):
 
 def random_clause_formula(rng, variables, width=3):
     lits = [random_literal(rng, variables) for _ in range(rng.randint(1, width))]
-    return fol.big_or(lits)
+    return fol.join(fol.Or, lits)
 
 
 def random_quantified(rng, max_vars=2):
@@ -55,10 +55,10 @@ def random_formula(rng, variables=(), depth=2):
         return fol.Not(random_formula(rng, variables, depth - 1))
     if kind in (1, 2):
         node = fol.And if kind == 1 else fol.Or
-        return node(
+        return fol.join(node, (
             random_formula(rng, variables, depth - 1),
             random_formula(rng, variables, depth - 1),
-        )
+        ))
     if kind == 3:
         return fol.Implies(
             random_formula(rng, variables, depth - 1),

@@ -124,7 +124,7 @@ class TestCriterion4Skolemization:
             "Y" in fol.free_vars(l) for l in lits
         ):
             lits.append(fol.Atom("p", (fol.Var("Y"),)))
-        matrix = fol.big_or(lits)
+        matrix = fol.join(fol.Or, lits)
         parent = fol.Exists("Y", matrix)
         for v in reversed(univ):
             parent = fol.Forall(v, parent)

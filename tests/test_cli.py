@@ -121,7 +121,7 @@ class TestProblemMode:
 
 
 class TestWideInputs:
-    """Units deeper than the recursion limit as left-nested formulas."""
+    """Units wider than the recursion limit."""
 
     WIDE = 5000
 

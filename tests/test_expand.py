@@ -1,6 +1,6 @@
 import pytest
 
-from tptp2miz import expand, fol, obvious, tptp
+from tptp2miz import article, cli, derivation, expand, fol, obvious, tptp
 from tptp2miz.errors import ExpansionFailed
 from tptp2miz.obvious import ObviousnessQuery
 
@@ -14,7 +14,7 @@ def verify_subproof(sp, parent_formulas):
     plus the ground parents, with the sub-proof's variables fixed."""
     ground = [
         p for p in parent_formulas
-        if not fol.strip_universal_prefix(fol.universal_closure(p))[0]
+        if not fol.strip_prefix(fol.universal_closure(p))[0]
     ]
     premises = ground + [s.formula for s in sp.instances]
     q = ObviousnessQuery.make(
@@ -96,3 +96,55 @@ class TestRecordBindings:
         assert (
             expand.substitution_from_inference_record(tptp.FileSource("x")) == {}
         )
+
+
+class TestOneBudgetPerStep:
+    """build_article gives each step one Budget of --budget units: the
+    step's justification query and its expansion both spend from it."""
+
+    # s1 needs two instances of ax1, so only a sub-proof justifies it
+    DERIVATION = (
+        "fof(ax1, axiom, ![X]: (p(X) => p(f(X))), file('x.p', ax1)).\n"
+        "fof(ax2, axiom, p(c), file('x.p', ax2)).\n"
+        "fof(goal, conjecture, p(f(f(c))), file('x.p', goal)).\n"
+        "fof(neg, negated_conjecture, ~ p(f(f(c))), "
+        "inference(assume_negation, [status(cth)], [goal])).\n"
+        "fof(s1, plain, p(f(f(c))), inference(r, [status(thm)], [ax1, ax2])).\n"
+        "fof(s2, plain, $false, inference(r, [status(thm)], [s1, neg])).\n"
+    )
+
+    def step_budgets(self, monkeypatch):
+        """The Budgets made while the article is built at the default
+        budget, and the number of steps justified."""
+        made = []
+        init = obvious.Budget.__init__
+
+        def recording_init(self, limit):
+            init(self, limit)
+            made.append(self)
+
+        monkeypatch.setattr(obvious.Budget, "__init__", recording_init)
+        graph = derivation.build_graph(tptp.parse_problem(self.DERIVATION))
+        model, _ = article.build_article(graph)
+        assert [item.subproof is not None for item in model.all_steps()] == [True]
+        return made, len(model.all_steps())
+
+    def test_one_budget_bounds_each_step(self, monkeypatch):
+        made, steps = self.step_budgets(monkeypatch)
+        assert len(made) == steps
+        assert all(b.limit == obvious.DEFAULT_BUDGET for b in made)
+        assert all(0 < b.used <= b.limit for b in made)
+
+    def test_too_small_a_budget_fails_the_step(self, monkeypatch, tmp_path, capsys):
+        made, _ = self.step_budgets(monkeypatch)
+        need = max(b.used for b in made)
+        path = tmp_path / "in.out"
+        path.write_text(self.DERIVATION)
+        for budget in (need, need - 1):
+            code = cli.main(["derivation", str(path), "-o", str(tmp_path),
+                             "--no-compress", "--budget", str(budget)])
+            err = capsys.readouterr().err
+            if budget == need:
+                assert code == 0, err
+            else:
+                assert code == 2 and err.startswith("error: ExpansionFailed: ")

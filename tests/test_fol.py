@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tptp2miz import fol
+from tptp2miz import fol, obvious, tptp
 from tptp2miz.errors import ArityConflict, KindConflict
 
 import helpers
@@ -21,7 +21,7 @@ p_c = fol.Atom("p", (C("c"),))
 
 class TestFreeVars:
     def test_first_occurrence_order(self):
-        f = fol.Or(fol.Atom("q", (V("B"), V("A"))), fol.Atom("p", (V("A"),)))
+        f = fol.join(fol.Or, (fol.Atom("q", (V("B"), V("A"))), fol.Atom("p", (V("A"),))))
         assert fol.free_vars(f) == ["B", "A"]
 
     def test_bound_not_free(self):
@@ -29,7 +29,7 @@ class TestFreeVars:
         assert fol.free_vars(f) == ["Y"]
 
     def test_shadowing(self):
-        f = fol.And(p_x, fol.Exists("X", p_x))
+        f = fol.join(fol.And, (p_x, fol.Exists("X", p_x)))
         assert fol.free_vars(f) == ["X"]
 
 
@@ -37,7 +37,7 @@ class TestClosure:
     def test_closure_then_strip_is_identity_on_matrix(self):
         f = fol.Atom("r", (V("X"), V("Y")))
         closed = fol.universal_closure(f)
-        variables, matrix = fol.strip_universal_prefix(closed)
+        variables, matrix = fol.strip_prefix(closed)
         assert variables == ["X", "Y"]
         assert matrix == f
 
@@ -78,7 +78,9 @@ class TestSubstitution:
                 return fol.Eq(fol.subst_term(sub, g.left), fol.subst_term(sub, g.right))
             if isinstance(g, fol.Not):
                 return fol.Not(naive(g.body))
-            if isinstance(g, (fol.And, fol.Or, fol.Implies, fol.Iff)):
+            if isinstance(g, (fol.And, fol.Or)):
+                return fol.join(type(g), [naive(p) for p in g.parts])
+            if isinstance(g, (fol.Implies, fol.Iff)):
                 return type(g)(naive(g.left), naive(g.right))
             if isinstance(g, (fol.Forall, fol.Exists)):
                 inner = {k: v for k, v in sub.items() if k != g.var}
@@ -125,7 +127,7 @@ class TestAlphaEquivalence:
 
 class TestSignature:
     def test_collect_sorted(self):
-        f = fol.And(fol.Atom("p", (fol.App("f", (C("a"),)),)), p_c)
+        f = fol.join(fol.And, (fol.Atom("p", (fol.App("f", (C("a"),)),)), p_c))
         sig = fol.collect_signature([f])
         assert [(s.name, s.kind, s.arity) for s in sig] == [
             ("a", "function", 0),
@@ -135,7 +137,7 @@ class TestSignature:
         ]
 
     def test_arity_conflict(self):
-        f = fol.And(p_c, fol.Atom("p", (C("c"), C("c"))))
+        f = fol.join(fol.And, (p_c, fol.Atom("p", (C("c"), C("c")))))
         with pytest.raises(ArityConflict):
             fol.collect_signature([f])
 
@@ -180,12 +182,12 @@ class TestSubformulas:
     def test_pre_order_with_bound_sets(self):
         q_xy = fol.Atom("q", (V("X"), V("Y")))
         inner = fol.Exists("Y", fol.Not(q_xy))
-        f = fol.Or(fol.Forall("X", fol.And(p_x, inner)), p_c)
+        f = fol.join(fol.Or, (fol.Forall("X", fol.join(fol.And, (p_x, inner))), p_c))
         none, x, xy = frozenset(), frozenset({"X"}), frozenset({"X", "Y"})
         assert fol.subformulas(f) == [
             (f, none),
-            (f.left, none),
-            (f.left.body, x),
+            (f.parts[0], none),
+            (f.parts[0].body, x),
             (p_x, x),
             (inner, x),
             (inner.body, xy),
@@ -195,23 +197,55 @@ class TestSubformulas:
 
 
 class TestWideFormulas:
-    """Left-nested chains deeper than the recursion limit."""
+    """Chains wider than the recursion limit."""
 
     def test_free_vars_first_occurrence(self):
         names = [f"X{(i * 7) % WIDE}" for i in range(WIDE)]
-        chain = fol.big_or(fol.Atom("p", (V(n), V("X0"))) for n in names)
+        chain = fol.join(fol.Or, (fol.Atom("p", (V(n), V("X0"))) for n in names))
         assert fol.free_vars(chain) == names
 
     def test_formula_symbols_in_order(self):
-        chain = fol.big_or(fol.Atom(f"p{i}", (C(f"c{i}"),)) for i in range(WIDE))
+        chain = fol.join(fol.Or, (fol.Atom(f"p{i}", (C(f"c{i}"),)) for i in range(WIDE)))
         expected = []
         for i in range(WIDE):
             expected += [(f"p{i}", "predicate", 1), (f"c{i}", "function", 0)]
         assert list(fol.formula_symbols(chain)) == expected
 
-    def test_flatten_in_order(self):
-        atoms = [fol.Atom(f"p{i}") for i in range(WIDE)]
-        chain = atoms[0]
-        for a in atoms[1:]:
-            chain = fol.And(chain, a)
-        assert fol.flatten(chain, fol.And) == atoms
+
+def assert_flat(f):
+    for g, _ in fol.subformulas(f):
+        if isinstance(g, (fol.And, fol.Or)):
+            assert len(g.parts) >= 2
+            assert not any(type(p) is type(g) for p in g.parts)
+
+
+class TestFlatChains:
+    """No construction path yields an And or Or with an operand of its kind."""
+
+    def test_join(self):
+        p, q, r = (fol.Atom(n) for n in "pqr")
+        assert fol.join(fol.Or, []) is fol.FALSE
+        assert fol.join(fol.And, []) is fol.TRUE
+        assert fol.join(fol.And, [p]) is p
+        inner = fol.join(fol.Or, [q, r])
+        assert fol.join(fol.Or, [p, inner]) == fol.Or((p, q, r))
+        assert fol.join(fol.And, [p, inner]) == fol.And((p, inner))
+
+    def test_parser_splices_parenthesized_chains(self):
+        f = tptp.parse_problem("fof(a, axiom, (p | (q | r)) | (s & (t & u))).")[0].formula
+        p, q, r, s, t, u = (fol.Atom(n) for n in "pqrstu")
+        assert f == fol.Or((p, q, r, fol.And((s, t, u))))
+        g = tptp.parse_problem("fof(a, axiom, (p | q) ~| r).")[0].formula
+        assert g == fol.Not(fol.Or((p, q, r)))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_formulas(self, seed):
+        rng = helpers.make_rng(seed)
+        f = helpers.random_formula(rng, ["X"], depth=4)
+        assert_flat(f)
+        assert_flat(obvious._nnf(f))
+        assert_flat(obvious._nnf(fol.Not(f)))
+        text = tptp.serialize([tptp.AnnotatedFormula("u", "fof", "axiom", f)])
+        assert_flat(tptp.parse_problem(text)[0].formula)
+        assert_flat(helpers.random_clause_formula(rng, ["X"], width=6))

@@ -1,0 +1,240 @@
+"""Deep and wide inputs end in a documented exit code in every mode.
+
+The parser accepts at most tptp.MAX_NESTING levels of nesting and answers
+deeper input with `error: NestingTooDeep` (exit 2).  Width costs no depth:
+a clause of any length is one flat Or.  These tests run at the default
+recursion limit.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tptp2miz import cli
+from tptp2miz.tptp import MAX_NESTING
+
+MODES = ("problem", "check-obvious", "derivation")
+
+
+def run(tmp_path, capsys, mode, text, *options):
+    path = tmp_path / "in.p"
+    path.write_text(text)
+    argv = [mode, str(path), *options]
+    if mode != "check-obvious":
+        argv += ["-o", str(tmp_path / "out")]
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+def units(mode, formula, records=0):
+    """An input for the mode that states the formula at its own depth:
+    premise and conclusion for problem and check-obvious, and in a
+    derivation an axiom that the closing step cites.  The closing step's
+    source nests `records` more inference records, two levels each (the
+    record and its parent list) below the two of its own."""
+    if mode != "derivation":
+        return f"fof(ax, axiom, {formula}).\nfof(goal, conjecture, {formula}).\n"
+    source = "pc"
+    for i in range(records):
+        source = f"inference(r{i}, [], [{source}])"
+    return (
+        "fof(goal, conjecture, p(c), file('x.p', goal)).\n"
+        "fof(neg, negated_conjecture, ~ p(c), "
+        "inference(assume_negation, [status(cth)], [goal])).\n"
+        f"fof(ax, axiom, {formula}, file('x.p', ax)).\n"
+        "fof(pc, axiom, p(c), file('x.p', pc)).\n"
+        "fof(f, plain, $false, inference(resolution, [status(thm)], "
+        f"[neg, ax, {source}])).\n"
+    )
+
+
+def term(depth, inner="c"):
+    return "f(" * depth + inner + ")" * depth
+
+
+# Formulas `depth` levels deep: each `~`, parenthesis, quantified variable
+# and argument list is one level, and the atom p(c) has one of its own.
+SHAPES = {
+    "negations": lambda depth: "~ " * (depth - 1) + "p(c)",
+    "parentheses": lambda depth: "(" * (depth - 1) + "p(c)" + ")" * (depth - 1),
+    "implications": lambda depth: (
+        "".join(f"(q{i}(c) => " for i in range(depth - 1)) + "p(c)" + ")" * (depth - 1)
+    ),
+    "term": lambda depth: f"p({term(depth - 1)})",
+    "variables": lambda depth: (
+        "![" + ",".join(f"X{i}" for i in range(depth - 1)) + "]: p(X0)"
+    ),
+}
+
+
+def assert_too_deep(code, err):
+    assert code == 2
+    assert err.startswith("error: NestingTooDeep: ")
+    assert "Traceback" not in err
+
+
+class TestAtTheLimit:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_accepted(self, tmp_path, capsys, mode, shape):
+        formula = SHAPES[shape](MAX_NESTING)
+        assert run(tmp_path, capsys, mode, units(mode, formula))[0] == 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_one_deeper_rejected(self, tmp_path, capsys, mode, shape):
+        formula = SHAPES[shape](MAX_NESTING + 1)
+        assert_too_deep(*run(tmp_path, capsys, mode, units(mode, formula)))
+
+    def test_nested_sources(self, tmp_path, capsys):
+        records = (MAX_NESTING - 2) // 2
+        text = units("derivation", "p(c)", records)
+        assert run(tmp_path, capsys, "derivation", text)[0] == 0
+        text = units("derivation", "p(c)", records + 1)
+        assert_too_deep(*run(tmp_path, capsys, "derivation", text))
+
+    def test_instance_twice_as_deep(self, tmp_path, capsys):
+        # Step s1 instantiates ax1 at the depth-n ground term t = f^n(c)
+        # and ax2 at f^n(t), a term twice as deep as any the input states.
+        # Both instances are compound, so only a sub-proof, which states
+        # them, can justify s1.
+        n = MAX_NESTING - 3
+        t = term(n)
+        text = (
+            f"fof(goal, conjecture, r({t}), file('x.p', goal)).\n"
+            f"fof(neg, negated_conjecture, ~ r({t}), "
+            "inference(assume_negation, [status(cth)], [goal])).\n"
+            f"fof(ax1, axiom, ![X]: (p({term(n, 'X')}) => r(X)), file('x.p', ax1)).\n"
+            "fof(ax2, axiom, ![Z]: (s(Z) & p(Z)), file('x.p', ax2)).\n"
+            f"fof(s1, plain, r({t}), inference(resolution, [status(thm)], "
+            "[ax1, ax2])).\n"
+            "fof(f, plain, $false, inference(resolution, [status(thm)], [s1, neg])).\n"
+        )
+        assert run(tmp_path, capsys, "derivation", text)[0] == 0
+        code, err = run(tmp_path, capsys, "derivation", text, "--no-compress")
+        assert code == 0, err
+        miz = (tmp_path / "out" / "in.miz").read_text()
+        assert "p " + "(f " * (2 * n) + "c" in miz
+
+
+class TestProbes:
+    """Inputs far past the limit, each of which used to raise RecursionError."""
+
+    PROBES = {
+        "3000 negations": SHAPES["negations"](3000),
+        "1500 parentheses": SHAPES["parentheses"](1500),
+        "1200 implications": SHAPES["implications"](1200),
+        "400-deep term": SHAPES["term"](401),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_rejected(self, tmp_path, capsys, mode, probe):
+        text = units(mode, self.PROBES[probe])
+        assert_too_deep(*run(tmp_path, capsys, mode, text))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_600_nested_sources_rejected(self, tmp_path, capsys, mode):
+        text = units("derivation", "p(c)", 600)
+        assert_too_deep(*run(tmp_path, capsys, mode, text))
+
+
+class TestWideClauses:
+    WIDE = 1000
+
+    def test_check_obvious(self, tmp_path, capsys):
+        clause = " | ".join(
+            f"{'~' if i % 2 else ''}p{i}(X)" for i in range(self.WIDE)
+        )
+        text = f"cnf(a, axiom, ({clause})).\ncnf(b, axiom, ({clause})).\n"
+        code, err = run(tmp_path, capsys, "check-obvious", text)
+        assert code in (0, 1, 3)
+        assert "Traceback" not in err
+
+    def test_two_clauses_with_a_long_decision_path(self, tmp_path, capsys):
+        # every decision sets one more atom true, a path 1000 decisions long
+        pos = " | ".join(f"p{i}(c)" for i in range(self.WIDE))
+        neg = " | ".join(f"~p{i}(c)" for i in range(self.WIDE))
+        text = f"cnf(a, axiom, ({pos})).\ncnf(b, axiom, ({neg})).\ncnf(g, axiom, q(c)).\n"
+        assert run(tmp_path, capsys, "check-obvious", text)[0] in (0, 1, 3)
+
+    def test_derivation_cites_wide_clause(self, tmp_path, capsys):
+        # goal, its negation, the wide clause, the facts that cut it down
+        # to the goal, the resolvent, and $false
+        qs = [f"q{i % 10}(c)" for i in range(1, self.WIDE)]
+        facts = " & ".join(f"~ q{i}(c)" for i in range(10))
+        text = (
+            "fof(goal, conjecture, p(c), file('x.p', goal)).\n"
+            "fof(neg, negated_conjecture, ~ p(c), "
+            "inference(assume_negation, [status(cth)], [goal])).\n"
+            f"cnf(wide, axiom, (p(c) | {' | '.join(qs)}), file('x.p', wide)).\n"
+            f"fof(facts, axiom, ({facts}), file('x.p', facts)).\n"
+            "cnf(res, plain, p(c), inference(resolution, [status(thm)], "
+            "[wide, facts])).\n"
+            "cnf(f, plain, $false, inference(resolution, [status(thm)], [res, neg])).\n"
+        )
+        code, err = run(tmp_path, capsys, "derivation", text)
+        assert code == 0, err
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+def _wrap(formula, layer):
+    kind, i = layer
+    if kind == "not":
+        return "~ " + formula
+    if kind == "paren":
+        return f"({formula})"
+    if kind == "implies":
+        return f"(q{i}(c) => {formula})"
+    if kind == "implied":
+        return f"({formula} => q{i}(c))"
+    if kind == "and":
+        return f"({formula} & q{i}(c))"
+    if kind == "or":
+        return f"(q{i}(c) | {formula})"
+    return f"![X{i}]: {formula}"
+
+
+_LAYER = st.tuples(
+    st.sampled_from(["not", "paren", "implies", "implied", "and", "or", "forall"]),
+    st.integers(0, 3),
+)
+
+
+@st.composite
+def nested_formulas(draw):
+    """Layers of connectives around an atom with a nested term and a wide
+    clause beside it, deep enough to fall on either side of the limit."""
+    depth = draw(st.integers(0, MAX_NESTING + 8))
+    layers = draw(st.lists(_LAYER, min_size=0, max_size=depth))
+    width = draw(st.integers(1, 300))
+    atom = f"p({term(depth - len(layers))})"
+    formula = "(" + " | ".join([atom] + [f"r{i}(c)" for i in range(width - 1)]) + ")"
+    for layer in layers:
+        formula = _wrap(formula, layer)
+    return formula
+
+
+_TOKENS = [
+    "fof(", "cnf(", "a", "axiom", "conjecture", ",", ")", "(", "~", "&", "|",
+    "=>", "<=", "!", "?", "[", "]", ":", "X", "p", "f(", "c", "=", "!=", ".",
+    "$false", "$true", "inference(", "file(", "'x'", "%", "\n",
+]
+
+
+class TestFuzz:
+    @given(nested_formulas(), st.sampled_from(MODES), st.integers(0, 80))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_nested(self, tmp_path, capsys, formula, mode, records):
+        code, err = run(tmp_path, capsys, mode, units(mode, formula, records))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=60), st.sampled_from(MODES))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_token_soup(self, tmp_path, capsys, tokens, mode):
+        code, err = run(tmp_path, capsys, mode, " ".join(tokens))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
