@@ -160,7 +160,9 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
                             model.diffuse.contradiction_refs = refs
                         else:
                             citer.refs = refs
-                        citers.add(citer, refs)
+                        # the citer's refs lost the victim and gained the
+                        # victim's refs, which are all it can newly cite
+                        citers.add(citer, victim.refs)
                     report.removed_labels.append(victim.label)
                     changed = True
             if removed:

@@ -120,14 +120,5 @@ class NoConjecture(TranslationError):
         )
 
 
-class SignatureTooLarge(TranslationError):
-    def __init__(self, count, cap):
-        self.count = count
-        self.cap = cap
-        super().__init__(
-            f"model enumeration would need {count} interpretations (cap {cap})"
-        )
-
-
 class IoError(TranslationError):
     pass

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from . import fol, obvious
 from .errors import ExpansionFailed
 from .obvious import ObviousnessQuery, Verdict
-from .tptp import InferenceRecord
+from .tptp import MAX_NESTING, InferenceRecord
+
+# The deepest term an instance may hold: a term as deep as the parser allows
+# in a pattern that deep.  Instances of instances could nest without bound.
+MAX_INSTANCE_DEPTH = 2 * MAX_NESTING
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,12 @@ def _labels():
     for size in itertools.count(1):
         for combo in itertools.product("ABCDEFGHIJKLMNOPQRSTUVWXYZ", repeat=size):
             yield "".join(combo)
+
+
+def _term_depth(f):
+    """The depth of the deepest term in the formula."""
+    return max((t.depth for g, _ in fol.subformulas(f) for t in fol.atom_terms(g)),
+               default=0)
 
 
 def substitution_from_inference_record(record) -> dict:
@@ -73,7 +83,7 @@ def build_subproof(step_name, step_formula, parent_formulas,
     for f in [step_formula] + [c for _, _, c in parents]:
         universe.update(fol.keyed_ground_subterms(f))
     for v in fixed:
-        universe.setdefault(fol.term_key(fol.Var(v)), fol.Var(v))
+        universe.setdefault(fol.Var(v).key, fol.Var(v))
     universe = [universe[k] for k in sorted(universe)]
 
     def try_parents(active):
@@ -94,16 +104,18 @@ def build_subproof(step_name, step_formula, parent_formulas,
             candidates = obvious.candidate_substitutions(
                 unit, pool_now, universe, budget
             )
-            preferred = {v: fol.term_key(hint[v]) for v in unit.variables
+            preferred = {v: hint[v].key for v in unit.variables
                          if hint and v in hint}
             if preferred:
                 # candidates that agree with the hint go first, the last of them first
-                agree = [all(fol.term_key(c[v]) == k for v, k in preferred.items())
+                agree = [all(c[v].key == k for v, k in preferred.items())
                          for c in candidates]
                 candidates = ([c for c, a in zip(candidates, agree) if a][::-1]
                               + [c for c, a in zip(candidates, agree) if not a])
             for subst in candidates:
                 inst = obvious.instance_formula(unit, subst)
+                if _term_depth(inst) > MAX_INSTANCE_DEPTH:
+                    continue
                 result = search(pos + 1, chosen + [(index, inst)],
                                 pool_now + obvious.atom_infos([inst]))
                 if result is not None:

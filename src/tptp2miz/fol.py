@@ -13,27 +13,52 @@ of => and <=>, alternating connectives and terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ArityConflict, KindConflict
 
 # ---------------------------------------------------------------------------
 # Terms
+#
+# A term carries its key (see term_key) and its depth, the number of nested
+# argument lists, both built from its arguments' when it is made.  So no
+# term is ever walked to key it, however deep it is.
+
+_set = object.__setattr__  # how a frozen dataclass sets its own fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     name: str
+    key: tuple = field(repr=False, compare=False)
+    depth = 0
+
+    def __init__(self, name):
+        _set(self, "name", name)
+        _set(self, "key", ("f", name))
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class App:
     name: str
-    args: tuple = ()
+    args: tuple
+    key: tuple = field(repr=False, compare=False)
+    depth: int = field(repr=False, compare=False)
+
+    def __init__(self, name, args=()):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        keys, depth = [], -1
+        for a in args:
+            keys.append(a.key)
+            if a.depth > depth:
+                depth = a.depth
+        _set(self, "key", ("a", name, tuple(keys)))
+        _set(self, "depth", depth + 1)
 
     def __repr__(self):
         if not self.args:
@@ -48,63 +73,63 @@ Term = Union[Var, App]
 # Formulas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     pred: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     parts: tuple  # two or more operands, none an And; build with join()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     parts: tuple  # two or more operands, none an Or; build with join()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verum:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Falsum:
     pass
 
@@ -165,7 +190,7 @@ def subformulas(f: Formula) -> list:
     return out
 
 
-def _atom_terms(f: Formula) -> tuple:
+def atom_terms(f: Formula) -> tuple:
     """The argument terms of an atom or equation; () for other formulas."""
     if isinstance(f, Atom):
         return f.args
@@ -186,7 +211,7 @@ def free_vars(f: Formula) -> list:
     """Free variables in first-occurrence (left-to-right) order."""
     seen = {}
     for g, bound in subformulas(f):
-        for t in _atom_terms(g):
+        for t in atom_terms(g):
             for v in term_vars(t):
                 if v not in bound:
                     seen[v] = None
@@ -206,7 +231,7 @@ def formula_symbols(f: Formula) -> list:
     for g, _ in subformulas(f):
         if isinstance(g, Atom):
             out.append((g.pred, "predicate", len(g.args)))
-        for t in _atom_terms(g):
+        for t in atom_terms(g):
             for name, arity in term_functions(t):
                 out.append((name, "function", arity))
     return out
@@ -289,6 +314,8 @@ def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
 
 
 def _norm_term(t: Term, env) -> tuple:
+    if not env:
+        return t.key
     if isinstance(t, Var):
         if t.name in env:
             return ("b", env[t.name])
@@ -298,7 +325,7 @@ def _norm_term(t: Term, env) -> tuple:
 
 def term_key(t: Term) -> tuple:
     """Hashable identity of a term; its variables count as free names."""
-    return _norm_term(t, {})
+    return t.key
 
 
 def debruijn(f: Formula, env=None, depth=0) -> tuple:
@@ -397,10 +424,10 @@ def keyed_ground_subterms(f: Formula) -> dict:
             if not walk_term(a):
                 ground = False
         if ground:
-            found.setdefault(term_key(t), t)
+            found.setdefault(t.key, t)
         return ground
 
     for g, _ in subformulas(f):
-        for t in _atom_terms(g):
+        for t in atom_terms(g):
             walk_term(t)
     return found

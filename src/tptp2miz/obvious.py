@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import fol
-from .errors import SignatureTooLarge
 
 DEFAULT_BUDGET = 10000
 
 _MAX_CLAUSES = 512
 _MAX_BRANCHES = 256
 _MAX_CANDIDATES = 64
+_MAX_FILL_UNIVERSE = 16  # residual variables range over universes this small
 _FILL = fol.App(".z")  # designated constant for residual variables
 
 
@@ -94,12 +94,12 @@ class _Registry:
     atoms: dict = field(default_factory=dict)  # key -> info tuple
 
     def pred(self, name, args):
-        key = ("p", name, tuple(fol.term_key(a) for a in args))
+        key = ("p", name, tuple([a.key for a in args]))
         self.atoms.setdefault(key, ("pred", name, tuple(args)))
         return key
 
     def eq(self, left, right):
-        lk, rk = fol.term_key(left), fol.term_key(right)
+        lk, rk = left.key, right.key
         if rk < lk:
             left, right = right, left
             lk, rk = rk, lk
@@ -122,24 +122,43 @@ class _Registry:
         raise ValueError(f"not an atom: {f!r}")
 
 
-def _nnf(f, positive=True):
-    """Negation normal form over generalized atoms (quantifiers opaque)."""
-    if isinstance(f, fol.Not):
-        return _nnf(f.body, not positive)
-    if isinstance(f, fol.Implies):
-        return _nnf(fol.join(fol.Or, (fol.Not(f.left), f.right)), positive)
-    if isinstance(f, fol.Iff):
-        both = (fol.Implies(f.left, f.right), fol.Implies(f.right, f.left))
-        return _nnf(fol.join(fol.And, both), positive)
-    if isinstance(f, (fol.And, fol.Or)):
-        node = type(f) if positive else (fol.Or if type(f) is fol.And else fol.And)
-        return fol.join(node, [_nnf(p, positive) for p in f.parts])
-    if isinstance(f, fol.Verum):
-        return fol.TRUE if positive else fol.FALSE
-    if isinstance(f, fol.Falsum):
-        return fol.FALSE if positive else fol.TRUE
-    # atoms and quantified subformulas
-    return f if positive else fol.Not(f)
+_CONNECTIVES = (fol.And, fol.Or, fol.Implies, fol.Iff)
+
+
+def _nnf(f):
+    """Negation normal form over generalized atoms (quantifiers opaque).
+    Each connective is rewritten once per polarity in a call, so the two
+    copies of each side of an <=> share one result, and nested <=> costs
+    linear time."""
+    memo = {}  # (id(node), polarity) -> (node, result); the node keeps its id
+
+    def nnf(g, positive):
+        kind = type(g)
+        if kind is fol.Not:
+            return nnf(g.body, not positive)
+        if kind is fol.Verum or kind is fol.Falsum:
+            return fol.TRUE if positive == (kind is fol.Verum) else fol.FALSE
+        if kind not in _CONNECTIVES:  # atoms and quantified subformulas
+            return g if positive else fol.Not(g)
+        hit = memo.get((id(g), positive))
+        if hit is not None:
+            return hit[1]
+        if kind is fol.And or kind is fol.Or:
+            node = kind if positive else (fol.Or if kind is fol.And else fol.And)
+            out = fol.join(node, [nnf(p, positive) for p in g.parts])
+        else:  # A => B is ~A | B, and A <=> B is (A => B) & (B => A)
+            sides = [(g.left, g.right)]
+            if kind is fol.Iff:
+                sides.append((g.right, g.left))
+            node = fol.Or if positive else fol.And
+            out = fol.join(fol.And if positive else fol.Or, [
+                fol.join(node, (nnf(a, not positive), nnf(b, positive)))
+                for a, b in sides
+            ])
+        memo[(id(g), positive)] = (g, out)
+        return out
+
+    return nnf(f, True)
 
 
 def _clausify(f, registry):
@@ -194,7 +213,7 @@ class _Congruence:
         self._congruence_fixpoint()
 
     def _add(self, t):
-        key = fol.term_key(t)
+        key = t.key
         if key not in self.terms:
             self.terms[key] = t
             self.parent[key] = key
@@ -224,7 +243,7 @@ class _Congruence:
             for key, t in self.terms.items():
                 if not isinstance(t, fol.App) or not t.args:
                     continue
-                sig = (t.name, tuple(self.find(fol.term_key(a)) for a in t.args))
+                sig = (t.name, tuple([self.find(a.key) for a in t.args]))
                 other = sigs.get(sig)
                 if other is None:
                     sigs[sig] = key
@@ -235,7 +254,7 @@ class _Congruence:
         self.signatures = sigs
 
     def term_class(self, t):
-        key = fol.term_key(t)
+        key = t.key
         if key not in self.parent:
             # unseen term: classes of compound terms follow argument classes
             if isinstance(t, fol.App) and t.args:
@@ -253,17 +272,28 @@ class _BranchView:
 
     values: dict  # canonical atom key -> bool
     cc: _Congruence
-    evaluated: dict = field(default_factory=dict)  # _Commitment -> _evaluate result
+    canonical: dict  # atom key -> its canonical key, filled as atoms are read
+    falsified: dict = field(default_factory=dict)  # _Commitment -> bool
+
+    def value(self, key, registry):
+        """The atom's truth value on the view, None when it has none."""
+        canon = self.canonical.get(key)
+        if canon is None:
+            canon = self.canonical[key] = _canonical(key, registry, self.cc)
+        return True if canon == _REFL else self.values.get(canon)
+
+
+_REFL = ("e", "refl")
 
 
 def _canonical(key, registry, cc):
     info = registry.atoms[key]
     if info[0] == "pred":
-        return ("p", info[1], tuple(cc.term_class(a) for a in info[2]))
+        return ("p", info[1], tuple([cc.term_class(a) for a in info[2]]))
     if info[0] == "eq":
         a, b = cc.term_class(info[1]), cc.term_class(info[2])
         if a == b:
-            return ("e", "refl")
+            return _REFL
         return ("e", tuple(sorted((a, b))))
     return key
 
@@ -284,42 +314,52 @@ def _make_branch_view(assignment, registry):
             terms.extend(info[2])
     cc = _Congruence(terms, equations)
     values = {}
+    canonical = {}
     for key, value in assignment.items():
-        canon = _canonical(key, registry, cc)
-        if canon == ("e", "refl"):
+        canon = canonical[key] = _canonical(key, registry, cc)
+        if canon == _REFL:
             if not value:
                 return None
             continue
         if values.setdefault(canon, value) != value:
             return None
-    return _BranchView(values, cc)
+    return _BranchView(values, cc, canonical)
 
 
-def _evaluate(f, view, registry):
-    """Three-valued evaluation of a ground generalized-atom formula."""
-    f = _nnf(f)
+def _compile(f, registry):
+    """A ground generalized-atom formula's NNF with registry keys at the
+    leaves: ("lit", atom key, polarity), ("and", parts), ("or", parts),
+    ("true",) or ("false",).  Shared NNF nodes stay shared."""
+    memo = {}  # id(NNF And or Or) -> compiled node; the NNF holds the nodes
 
-    def ev(g):
-        if isinstance(g, fol.Verum):
-            return True
-        if isinstance(g, fol.Falsum):
-            return False
-        if isinstance(g, fol.Not):
-            inner = ev(g.body)
-            return None if inner is None else not inner
-        if isinstance(g, (fol.And, fol.Or)):
-            values = [ev(p) for p in g.parts]
-            decisive = isinstance(g, fol.Or)  # one True decides an Or, one False an And
-            if decisive in values:
-                return decisive
-            return None if None in values else not decisive
-        if isinstance(g, fol.Eq):
-            if view.cc.term_class(g.left) == view.cc.term_class(g.right):
-                return True
-        key = registry.atom_key(g)
-        return view.values.get(_canonical(key, registry, view.cc))
+    def comp(g):
+        kind = type(g)
+        if kind is fol.And or kind is fol.Or:
+            out = memo.get(id(g))
+            if out is None:
+                out = memo[id(g)] = ("and" if kind is fol.And else "or",
+                                     [comp(p) for p in g.parts])
+            return out
+        if kind is fol.Verum or kind is fol.Falsum:
+            return ("true",) if kind is fol.Verum else ("false",)
+        if kind is fol.Not:
+            return ("lit", registry.atom_key(g.body), False)
+        return ("lit", registry.atom_key(g), True)
 
-    return ev(f)
+    return comp(_nnf(f))
+
+
+def _falsified(node, view, registry):
+    """Whether a compiled formula is false on the view, where an atom with
+    no value is not: three-valued evaluation, asked only for False."""
+    tag = node[0]
+    if tag == "lit":
+        return view.value(node[1], registry) is (not node[2])
+    if tag == "and":
+        return any(_falsified(p, view, registry) for p in node[1])
+    if tag == "or":
+        return all(_falsified(p, view, registry) for p in node[1])
+    return tag == "false"
 
 
 # ---------------------------------------------------------------------------
@@ -331,36 +371,40 @@ def _dpll_branches(clauses, budget):
     branches = []
 
     def propagate(assignment, clauses_left):
+        value = assignment.get
         while True:
             changed = False
             remaining = []
             for clause in clauses_left:
-                satisfied = False
-                unassigned = []
+                free = 0  # unassigned literals; the last one is (free_key, free_pol)
                 for key, pol in clause:
-                    val = assignment.get(key)
+                    val = value(key)
                     if val is None:
-                        unassigned.append((key, pol))
+                        free += 1
+                        free_key, free_pol = key, pol
                     elif val == pol:
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not unassigned:
-                    return None
-                if len(unassigned) == 1:
-                    key, pol = unassigned[0]
-                    assignment[key] = pol
-                    changed = True
+                        break  # satisfied
                 else:
-                    remaining.append(clause)
+                    if not free:
+                        return None
+                    if free == 1:
+                        assignment[free_key] = free_pol
+                        changed = True
+                    else:
+                        remaining.append(clause)
             clauses_left = remaining
             if not changed:
                 return clauses_left
 
+    # Unit clauses hold on every branch, so they are assigned before the
+    # first scan, which then skips them; root propagation reaches one
+    # fixpoint in any order.  A unit that contradicts another stays, for
+    # that scan to find false.
+    root = {}
+    rest = [c for c in clauses if len(c) != 1 or root.setdefault(*c[0]) != c[0][1]]
     # depth first, True before False, on an explicit stack: a decision
     # path is as long as the clause set has atoms
-    stack = [({}, list(clauses))]
+    stack = [(root, rest)]
     while stack:
         assignment, clauses_left = stack.pop()
         budget.spend()
@@ -447,7 +491,7 @@ def _match_term(pattern, ground, variables, subst):
             if bound is None:
                 subst[pattern.name] = ground
                 return True
-            return fol.term_key(bound) == fol.term_key(ground)
+            return bound.key == ground.key
         return isinstance(ground, fol.Var) and ground.name == pattern.name
     if isinstance(ground, fol.Var) or pattern.name != ground.name:
         return False
@@ -501,7 +545,7 @@ def candidate_substitutions(unit, atom_infos, universe, budget):
         seen = set()
         kept = []
         for p in extended:
-            sig = tuple(sorted((k, fol.term_key(v)) for k, v in p.items()))
+            sig = tuple(sorted((k, v.key) for k, v in p.items()))
             if sig not in seen:
                 seen.add(sig)
                 kept.append(p)
@@ -511,7 +555,7 @@ def candidate_substitutions(unit, atom_infos, universe, budget):
     seen = set()
     for partial in sorted(partials, key=lambda p: -len(p)):
         residual = [v for v in unit.variables if v not in partial]
-        if residual and len(residual) <= 2 and len(universe) <= 16:
+        if residual and len(residual) <= 2 and len(universe) <= _MAX_FILL_UNIVERSE:
             fillers = itertools.product(universe, repeat=len(residual))
         elif residual:
             fillers = [tuple(_FILL for _ in residual)]
@@ -521,7 +565,7 @@ def candidate_substitutions(unit, atom_infos, universe, budget):
             budget.spend()
             subst = dict(partial)
             subst.update(dict(zip(residual, fill)))
-            sig = tuple(sorted((k, fol.term_key(v)) for k, v in subst.items()))
+            sig = tuple(sorted((k, v.key) for k, v in subst.items()))
             if sig not in seen:
                 seen.add(sig)
                 complete.append(subst)
@@ -580,8 +624,46 @@ def _prepare(premise, fixed_vars):
     return _Prepared(unit, clauses, infos, fol.keyed_ground_subterms(closed))
 
 
-class PremiseMemo:
-    """Prepared premises shared by the queries of one compress call.
+class _Merger:
+    """Merges prepared premises into one problem's clauses, atoms and
+    ground terms, keeping the last merge and its sizes after each part: the
+    next merge copies the parts it starts with and merges the rest.  The
+    problem adds to what it is given; the sizes mark where the parts end."""
+
+    def __init__(self):
+        self.merged = 0  # parts merged rather than copied
+        self._drop()
+
+    def _drop(self):
+        self._parts = []
+        self._sizes = []  # (clauses, atoms, ground terms) after each part
+        self._last = ([], {}, {})
+
+    def merge(self, parts):
+        last = self._parts
+        n = 0
+        while n < len(parts) and n < len(last) and parts[n] is last[n]:
+            n += 1
+        sizes = self._sizes[:n]
+        nc, na, nt = sizes[-1] if sizes else (0, 0, 0)
+        clauses, atoms, terms = self._last
+        clauses = clauses[:nc]
+        atoms = dict(itertools.islice(atoms.items(), na))
+        terms = dict(itertools.islice(terms.items(), nt))
+        for part in parts[n:]:
+            clauses.extend(part.clauses)
+            for key, info in part.infos.items():
+                atoms.setdefault(key, info)
+            terms.update(part.ground_terms)
+            sizes.append((len(clauses), len(atoms), len(terms)))
+        self.merged += len(parts) - n
+        self._parts, self._sizes, self._last = parts, sizes, (clauses, atoms, terms)
+        return clauses, atoms, terms
+
+
+class PremiseMemo(_Merger):
+    """Prepared premises shared by the queries of one compress call, and
+    the last query's merge of them.
 
     Entries are keyed by the premise object's identity and hold that
     object, so no key can be reused while the memo lives.  Use it as a
@@ -589,6 +671,7 @@ class PremiseMemo:
     """
 
     def __init__(self):
+        super().__init__()
         self._entries = {}  # (id(premise), fixed_vars) -> (premise, _Prepared or None)
 
     def __len__(self):
@@ -599,6 +682,7 @@ class PremiseMemo:
 
     def __exit__(self, *exc_info):
         self._entries.clear()
+        self._drop()
 
     def prepare(self, premise, fixed_vars):
         key = (id(premise), fixed_vars)
@@ -623,13 +707,12 @@ class _Commitment:
 
     unit: UniversalUnit
     subst: dict
-    instance: "fol.Formula"
     literal: tuple  # (atom key, polarity) when the instance is a literal, else None
+    compiled: tuple  # the instance compiled for _falsified when it is not a literal
 
 
 class _Problem:
     def __init__(self, premises, conclusion, fixed_vars, budget, memo=None):
-        self.registry = _Registry()
         self.budget = budget
         fixed = tuple(fixed_vars)
         prepare = _prepare if memo is None else memo.prepare
@@ -648,18 +731,17 @@ class _Problem:
         # names the bound variables of alpha-variant quantified atoms.
         parts = [p for p in prepared if p.unit is not None]
         parts += [p for p in prepared if p.unit is None]
-        atoms = self.registry.atoms
-        self.clauses = []
-        found = {}
-        for part in parts:
-            self.clauses.extend(part.clauses)
-            for key, info in part.infos.items():
-                atoms.setdefault(key, info)
-            found.update(part.ground_terms)
+        merger = _Merger() if memo is None else memo
+        self.clauses, atoms, found = merger.merge(parts)
+        self.registry = _Registry(atoms)
         self.clauses.extend(_clausify(fol.Not(self.goal_matrix), self.registry))
         found.update(fol.keyed_ground_subterms(self.goal_matrix))
-        found.setdefault(fol.term_key(_FILL), _FILL)
-        self.universe = [found[k] for k in sorted(found)]
+        found.setdefault(_FILL.key, _FILL)
+        # Only a universe small enough to fill residual variables from is
+        # read in order, so only such a one is sorted: deep keys compare slowly.
+        self.universe = ([found[k] for k in sorted(found)]
+                         if len(found) <= _MAX_FILL_UNIVERSE else list(found.values()))
+        self._commitments = {}  # (id(unit), substitution keys) -> _Commitment
 
     # -- closure search ------------------------------------------------------
     #
@@ -681,12 +763,21 @@ class _Problem:
         return self.branches
 
     def _commit(self, unit, subst):
-        """A commitment to one instance of a unit, with the instance formula
-        and, when it is a single literal, its (atom key, polarity)."""
-        inst = instance_formula(unit, subst)
-        lit = _as_literal(inst)
-        literal = None if lit is None else (self.registry.atom_key(lit[1]), lit[0])
-        return _Commitment(unit, subst, inst, literal)
+        """The commitment to one instance of a unit, made once per unit
+        object and substitution: its (atom key, polarity) when the instance
+        is a literal, else the instance compiled.  It holds the unit."""
+        key = (id(unit), tuple(sorted([(v, t.key) for v, t in subst.items()])))
+        commitment = self._commitments.get(key)
+        if commitment is None:
+            inst = instance_formula(unit, subst)
+            lit = _as_literal(inst)
+            if lit is None:
+                commitment = _Commitment(unit, subst, None, _compile(inst, self.registry))
+            else:
+                literal = (self.registry.atom_key(lit[1]), lit[0])
+                commitment = _Commitment(unit, subst, literal, None)
+            self._commitments[key] = commitment
+        return commitment
 
     def solve(self):
         open_branches = self._open_branches(
@@ -726,10 +817,10 @@ class _Problem:
         # A literal instance is part of the view, so it cannot be false there.
         for c in commitments.values():
             if c.literal is None:
-                value = view.evaluated.get(c, _UNSEEN)
-                if value is _UNSEEN:
-                    value = view.evaluated[c] = _evaluate(c.instance, view, self.registry)
-                if value is False:
+                false = view.falsified.get(c)
+                if false is None:
+                    false = view.falsified[c] = _falsified(c.compiled, view, self.registry)
+                if false:
                     return True
         return False
 
@@ -840,88 +931,3 @@ def replay(query: ObviousnessQuery, verdict: ObviousnessVerdict) -> bool:
         problem._branch_closed(index, commitments)
         for index in range(len(problem.branches))
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force entailment oracle
-
-_DEFAULT_MODEL_CAP = 4_000_000
-
-
-def brute_force_entails(premises, conclusion, domain_size, cap=_DEFAULT_MODEL_CAP):
-    """True iff every interpretation of the given finite domain size that
-    satisfies all premises also satisfies the conclusion (exhaustive)."""
-    if domain_size < 1:
-        raise ValueError("domain_size must be >= 1")
-    premises = [fol.universal_closure(p) for p in premises]
-    conclusion = fol.universal_closure(conclusion)
-    symbols = fol.collect_signature(premises + [conclusion])
-    n = domain_size
-
-    total = 1
-    for s in symbols:
-        cells = n ** s.arity
-        total *= (n ** cells) if s.kind == "function" else (2 ** cells)
-        if total > cap:
-            raise SignatureTooLarge(total, cap)
-
-    domain = range(n)
-    funcs = [s for s in symbols if s.kind == "function"]
-    preds = [s for s in symbols if s.kind == "predicate"]
-
-    def tables(symbol_list, values):
-        spaces = []
-        for s in symbol_list:
-            points = list(itertools.product(domain, repeat=s.arity))
-            spaces.append(
-                [dict(zip(points, combo)) for combo in itertools.product(values, repeat=len(points))]
-            )
-        return itertools.product(*spaces)
-
-    def eval_term(t, interp, env):
-        if isinstance(t, fol.Var):
-            return env[t.name]
-        return interp[(t.name, len(t.args))][
-            tuple(eval_term(a, interp, env) for a in t.args)
-        ]
-
-    def eval_formula(f, interp, env):
-        if isinstance(f, fol.Atom):
-            return interp[(f.pred, len(f.args))][
-                tuple(eval_term(a, interp, env) for a in f.args)
-            ]
-        if isinstance(f, fol.Eq):
-            return eval_term(f.left, interp, env) == eval_term(f.right, interp, env)
-        if isinstance(f, fol.Not):
-            return not eval_formula(f.body, interp, env)
-        if isinstance(f, fol.And):
-            return all(eval_formula(p, interp, env) for p in f.parts)
-        if isinstance(f, fol.Or):
-            return any(eval_formula(p, interp, env) for p in f.parts)
-        if isinstance(f, fol.Implies):
-            return (not eval_formula(f.left, interp, env)) or eval_formula(
-                f.right, interp, env
-            )
-        if isinstance(f, fol.Iff):
-            return eval_formula(f.left, interp, env) == eval_formula(f.right, interp, env)
-        if isinstance(f, fol.Forall):
-            return all(
-                eval_formula(f.body, interp, {**env, f.var: d}) for d in domain
-            )
-        if isinstance(f, fol.Exists):
-            return any(
-                eval_formula(f.body, interp, {**env, f.var: d}) for d in domain
-            )
-        return isinstance(f, fol.Verum)
-
-    for func_tables in tables(funcs, list(domain)):
-        for pred_tables in tables(preds, [False, True]):
-            interp = {}
-            for s, table in zip(funcs, func_tables):
-                interp[(s.name, s.arity)] = table
-            for s, table in zip(preds, pred_tables):
-                interp[(s.name, s.arity)] = table
-            if all(eval_formula(p, interp, {}) for p in premises):
-                if not eval_formula(conclusion, interp, {}):
-                    return False
-    return True

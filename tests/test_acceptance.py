@@ -10,6 +10,7 @@ from tptp2miz.errors import MultipleSkolemsUnsupported, TranslationError
 from tptp2miz.obvious import ObviousnessQuery, Verdict
 
 import helpers
+import oracle
 from conftest import FIXTURES
 
 PROBLEM = os.path.join(FIXTURES, "puz001+1.p")
@@ -78,7 +79,7 @@ class TestCriterion2CheckerExample:
         ok = v1.kind is Verdict.NOT_OBVIOUS and v2.kind is Verdict.OBVIOUS
         # the NotObvious query is still a valid entailment
         for n in (1, 2, 3):
-            ok &= obvious.brute_force_entails(
+            ok &= oracle.brute_force_entails(
                 list(formula_level.premises), formula_level.conclusion, n
             )
         ok &= (time.perf_counter() - started) < 1.0
@@ -101,7 +102,7 @@ class TestCriterion3Soundness:
             checked += 1
             if verdict.is_obvious:
                 for n in (1, 2, 3):
-                    if not obvious.brute_force_entails(premises, conclusion, n):
+                    if not oracle.brute_force_entails(premises, conclusion, n):
                         counterexamples += 1
                         break
         ok = checked >= 500 and counterexamples == 0
@@ -160,7 +161,7 @@ class TestCriterion4Skolemization:
                 if kind == "function"
             )
             for n in (1, 2, 3):
-                ok &= obvious.brute_force_entails([parent, axiom], conclusion, n)
+                ok &= oracle.brute_force_entails([parent, axiom], conclusion, n)
         ok &= produced >= 100
         # two fresh symbols in one step must be rejected
         units = [

@@ -174,8 +174,53 @@ class TestGroundSubterms:
         assert fol.keyed_ground_subterms(f) == {}
 
 
-# A chain as wide as this one is deeper than the default recursion limit.
+# A chain as wide, or a term as deep, as this is past the default recursion limit.
 WIDE = 5000
+
+
+def recursive_key(t):
+    """The key a term carries, computed by walking it."""
+    if isinstance(t, fol.Var):
+        return ("f", t.name)
+    return ("a", t.name, tuple(recursive_key(a) for a in t.args))
+
+
+def recursive_depth(t):
+    if isinstance(t, fol.Var) or not t.args:
+        return 0
+    return 1 + max(recursive_depth(a) for a in t.args)
+
+
+def random_nested_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return helpers.random_term(rng, ["X", "Y"])
+    args = tuple(random_nested_term(rng, depth - 1) for _ in range(rng.randint(1, 2)))
+    return fol.App(rng.choice(["f", "g"]), args)
+
+
+class TestKeyedTerms:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_carried_key_is_the_recursive_key(self, seed):
+        rng = helpers.make_rng(seed)
+        t = random_nested_term(rng, 5)
+        assert t.key == recursive_key(t) == fol.term_key(t)
+        # under a binder the key is computed again, here to the same value
+        assert fol._norm_term(t, {"Unbound": 0}) == t.key
+        assert t.depth == recursive_depth(t)
+        u = random_nested_term(rng, 5)
+        assert (t.key == u.key) == (t == u)
+
+    def test_deep_term_keyed_without_recursion(self):
+        t = C("c")
+        for _ in range(WIDE):
+            t = fol.App("f", (t,))
+        assert t.depth == WIDE
+        key = t.key
+        for _ in range(WIDE):
+            assert key[:2] == ("a", "f")
+            key = key[2][0]
+        assert key == ("a", "c", ())
 
 
 class TestSubformulas:

@@ -6,10 +6,12 @@ a clause of any length is one flat Or.  These tests run at the default
 recursion limit.
 """
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tptp2miz import cli
+from tptp2miz import cli, obvious, tptp
 from tptp2miz.tptp import MAX_NESTING
 
 MODES = ("problem", "check-obvious", "derivation")
@@ -114,6 +116,63 @@ class TestAtTheLimit:
         assert code == 0, err
         miz = (tmp_path / "out" / "in.miz").read_text()
         assert "p " + "(f " * (2 * n) + "c" in miz
+
+
+class TestInstancesOfInstances:
+    def test_stop_at_the_instance_depth_limit(self, tmp_path, capsys):
+        # Each instance of ax1 or ax2 adds q-atoms 120 levels deeper than
+        # its own term, and the next copy is matched against them, so the
+        # search would build deeper and deeper terms.  Past
+        # expand.MAX_INSTANCE_DEPTH it skips a candidate, and the step,
+        # which does not follow, ends in ExpansionFailed.
+        axiom = f"![X]: (~ q(X) | q({term(120, 'X')}))"
+        text = (
+            "fof(goal, conjecture, p(c), file('x.p', goal)).\n"
+            "fof(neg, negated_conjecture, ~ p(c), "
+            "inference(assume_negation, [status(cth)], [goal])).\n"
+            f"fof(ax1, axiom, {axiom}, file('x.p', ax1)).\n"
+            f"fof(ax2, axiom, {axiom}, file('x.p', ax2)).\n"
+            f"fof(h, axiom, ~ q({term(100)}), file('x.p', h)).\n"
+            "fof(pq, axiom, (p(c) | q(c)), file('x.p', pq)).\n"
+            "fof(s1, plain, ~ q(c), inference(resolution, [status(thm)], "
+            "[ax1, ax2, h])).\n"
+            "fof(f, plain, $false, inference(resolution, [status(thm)], "
+            "[neg, pq, s1])).\n"
+        )
+        code, err = run(tmp_path, capsys, "derivation", text)
+        assert code == 2
+        assert err.startswith("error: ExpansionFailed: ")
+        assert "Traceback" not in err
+
+
+class TestNestedIff:
+    """Each side of an <=> occurs twice in its normal form, so nested <=>
+    doubles per level unless each (node, polarity) is rewritten once."""
+
+    @staticmethod
+    def nested(levels):
+        formula = "p0(c)"
+        for i in range(1, levels):
+            formula = f"(p{i}(c) <=> {formula})"
+        return formula
+
+    def test_normal_form_shares_subformulas(self):
+        f = tptp.parse_problem(f"fof(a, axiom, {self.nested(40)}).")[0].formula
+        seen = {}  # id -> node: the distinct nodes of the normal form
+        stack = [obvious._nnf(f)]
+        while stack:
+            g = stack.pop()
+            if id(g) not in seen:
+                seen[id(g)] = g
+                stack.extend(getattr(g, "parts", ()))
+        # as a tree the normal form has about 2^40 nodes
+        assert len(seen) < 10 * 40
+
+    def test_forty_levels_end_unknown(self, tmp_path, capsys):
+        text = units("check-obvious", self.nested(40))
+        started = time.perf_counter()
+        assert run(tmp_path, capsys, "check-obvious", text)[0] == 3
+        assert time.perf_counter() - started < 30
 
 
 class TestProbes:

@@ -1,5 +1,6 @@
 """The premise memo: it changes no verdict, it lives for one compress
-call, and it keeps compression from preparing a premise more than once."""
+call, and it keeps compression from preparing a premise more than once or
+merging again the premises a query shares with the one before it."""
 
 import os
 
@@ -93,8 +94,11 @@ def fixture_graph():
 
 def assert_used_and_emptied(made, count):
     assert len(made) == count
-    assert all(m.peak > 0 for m in made)
+    assert all(m.peak > 0 and m.merged > 0 for m in made)
     assert all(len(m) == 0 for m in made)
+    # the last query's merge is dropped with the prepared premises
+    assert all(not m._parts and not m._sizes and m._last == ([], {}, {})
+               for m in made)
 
 
 class TestLifetime:
@@ -119,11 +123,12 @@ class TestLifetime:
         memo = obvious.PremiseMemo()
         with pytest.raises(RuntimeError):
             with memo:
-                memo.prepare(F("![X]:p(X)"), ())
-                memo.prepare(F("q(c)"), ())
-                assert len(memo) == 2
+                parts = [memo.prepare(F("![X]:p(X)"), ()), memo.prepare(F("q(c)"), ())]
+                memo.merge(parts)
+                assert len(memo) == 2 and memo._parts
                 raise RuntimeError()
         assert len(memo) == 0
+        assert not memo._parts and memo._last == ([], {}, {})
 
     def test_raising_call(self, memos):
         # r(c) does not follow from p(c), so the step cannot be expanded
@@ -140,9 +145,10 @@ class TestLifetime:
         assert_used_and_emptied(memos, 0)
 
 
-def ground_chain(n):
+def ground_chain(n, previous_first=True):
     """A TSTP refutation: p0(c) and n implications p(i-1)(c) => pi(c)
-    derive pn(c) step by step, against the conjecture's negation."""
+    derive pn(c) step by step, against the conjecture's negation.  Step i
+    cites the step before it and then axiom i, or the other way round."""
     lines = ["fof(a0, axiom, p0(c), file('chain.p', a0))."]
     lines += [f"fof(a{i}, axiom, (p{i - 1}(c) => p{i}(c)), file('chain.p', a{i}))."
               for i in range(1, n + 1)]
@@ -151,8 +157,9 @@ def ground_chain(n):
                  " inference(assume_negation,[status(cth)],[goal])).")
     previous = "a0"
     for i in range(1, n + 1):
+        parents = f"{previous}, a{i}" if previous_first else f"a{i}, {previous}"
         lines.append(f"cnf(s{i}, plain, p{i}(c),"
-                     f" inference(resolution,[status(thm)],[{previous}, a{i}])).")
+                     f" inference(resolution,[status(thm)],[{parents}])).")
         previous = f"s{i}"
     lines.append("cnf(f, plain, $false,"
                  f" inference(resolution,[status(thm)],[{previous}, neg])).")
@@ -160,8 +167,9 @@ def ground_chain(n):
 
 
 class TestComplexityGuard:
-    """Counts, not timings: compression prepares each premise formula once
-    and builds its formula index once."""
+    """Counts, not timings: compression prepares each premise formula once,
+    builds its formula index once, and merges premises a query shares with
+    the one before it once."""
 
     def test_ground_chain(self, monkeypatch):
         units = tptp.parse_problem(ground_chain(200))
@@ -194,3 +202,65 @@ class TestComplexityGuard:
         # every query clausifies its goal once; the rest are premises
         assert counts["clausify"] - counts["queries"] <= len(premises)
         assert counts["index"] == 1
+
+    # Deleting step i replaces its label in the closing query by its refs,
+    # in place.  Each query merges only the premises past the longest start
+    # it shares with the query before it.
+
+    @pytest.mark.parametrize("previous_first", [True, False])
+    def test_merges_only_the_delta(self, merges, previous_first):
+        compress_chain(200, previous_first)
+        assert merges
+        assert all(merged == parts - shared for parts, shared, merged in merges)
+
+    def test_linear_when_steps_cite_their_axiom_first(self, merges):
+        # Step i cites (a_i, s_(i-1)), so the closing query grows by a_i in
+        # front of the step that replaces s_i and keeps its start.  It
+        # reaches 202 premises, yet the compression merges 3 per step.
+        # Citing (s_(i-1), a_i) puts each change at the start, and the
+        # merge stays quadratic on that chain (CHANGES.md).
+        compress_chain(200, previous_first=False)
+        assert max(parts for parts, _, _ in merges) > 200
+        assert sum(merged for _, _, merged in merges) <= 4 * 200
+
+    @pytest.mark.parametrize("previous_first", [True, False])
+    def test_same_article_without_the_memo(self, monkeypatch, previous_first):
+        shared = compress_chain(30, previous_first)
+        original = obvious._Problem.__init__
+
+        def alone(self, premises, conclusion, fixed_vars, budget, memo=None):
+            original(self, premises, conclusion, fixed_vars, budget)
+
+        monkeypatch.setattr(obvious._Problem, "__init__", alone)
+        unshared = compress_chain(30, previous_first)
+        assert article.render_article(shared) == article.render_article(unshared)
+
+
+def compress_chain(n, previous_first):
+    units = tptp.parse_problem(ground_chain(n, previous_first))
+    model, manifest = article.build_article(derivation.build_graph(units))
+    out, report = compress.compress(model, manifest)
+    assert report.steps_after == 0
+    return out
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """Each premise merge as (parts, parts it shares with the start of the
+    previous merge, parts it merged rather than copied)."""
+    made = []
+    original = obvious.PremiseMemo.merge
+    last = []
+
+    def merge(self, parts):
+        shared = 0
+        while shared < min(len(parts), len(last)) and parts[shared] is last[shared]:
+            shared += 1
+        before = self.merged
+        out = original(self, parts)
+        made.append((len(parts), shared, self.merged - before))
+        last[:] = parts
+        return out
+
+    monkeypatch.setattr(obvious.PremiseMemo, "merge", merge)
+    return made

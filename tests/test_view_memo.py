@@ -1,6 +1,8 @@
-"""The branch-view memo: within one query, each branch view is built once
-per distinct assignment, and the article does not change."""
+"""The per-query memos: within one query, each branch view is built once
+per distinct assignment, each instance is made and compiled once, and the
+article does not change."""
 
+import collections
 import os
 
 from tptp2miz import article, compress, derivation, obvious, tptp
@@ -46,5 +48,46 @@ def test_fixture_builds_each_view_once(monkeypatch):
     assert open_branches
     # without the memo this fixture builds 4,154 views for 187 assignments
     assert builds[0] <= len(distinct) + len(open_branches)
+    with open(os.path.join(FIXTURES, "puz001+1.miz"), encoding="utf-8") as handle:
+        assert article.render_article(out) == handle.read()
+
+
+def test_fixture_compiles_each_instance_once(monkeypatch):
+    units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
+    model, manifest = article.build_article(derivation.build_graph(units))
+
+    original_is_obvious = obvious.is_obvious
+    original_instance = obvious.instance_formula
+    original_nnf = obvious._nnf
+    query = [0]
+    made = collections.Counter()  # (query, unit, substitution) -> instances made
+    compiled = collections.Counter()  # the same -> normal forms of the instance
+    instances = {}  # id -> (instance, (query, unit, substitution))
+
+    def is_obvious(q, *args, **kwargs):
+        query[0] += 1
+        return original_is_obvious(q, *args, **kwargs)
+
+    def instance_formula(unit, subst):
+        inst = original_instance(unit, subst)
+        triple = (query[0], id(unit), tuple(sorted((v, t.key) for v, t in subst.items())))
+        made[triple] += 1
+        instances[id(inst)] = (inst, triple)
+        return inst
+
+    def nnf(f):
+        hit = instances.get(id(f))
+        if hit is not None and hit[0] is f:
+            compiled[hit[1]] += 1
+        return original_nnf(f)
+
+    monkeypatch.setattr(obvious, "is_obvious", is_obvious)
+    monkeypatch.setattr(obvious, "instance_formula", instance_formula)
+    monkeypatch.setattr(obvious, "_nnf", nnf)
+    out, _ = compress.compress(model, manifest)
+
+    assert made and compiled
+    assert max(made.values()) == 1
+    assert max(compiled.values()) == 1
     with open(os.path.join(FIXTURES, "puz001+1.miz"), encoding="utf-8") as handle:
         assert article.render_article(out) == handle.read()
