@@ -157,7 +157,10 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     def justified_item(name):
         unit = graph.nodes[name]
         refs = [label_of[p] for p in graph.parents[name]]
-        premises = [graph.nodes[p].formula for p in graph.parents[name]]
+        # each premise is what its label states: a cited conjecture's label
+        # is the assumption's, which states the conjecture's negation
+        premises = [assumption if r == assumption_label else graph.nodes[p].formula
+                    for r, p in zip(refs, graph.parents[name])]
         henkin = henkins.get(name)
         if henkin is not None:
             refs.append(f"SKOLEM:def {henkin[0]}")

@@ -97,9 +97,9 @@ def build_subproof(step_name, step_formula, parent_formulas,
             budget.spend(0)  # an Unknown for want of budget ends the search
             return verdict.kind is Verdict.OBVIOUS
 
-        def search(pos, chosen, pool_now):
-            if pos == len(universal):
-                return chosen if leaf_check(chosen) else None
+        def choices(pos, pool_now):
+            """Instances of the pos-th universal parent in search order, each
+            with the pool its successors match against."""
             index, unit = universal[pos]
             candidates = obvious.candidate_substitutions(
                 unit, pool_now, universe, budget
@@ -116,13 +116,27 @@ def build_subproof(step_name, step_formula, parent_formulas,
                 inst = obvious.instance_formula(unit, subst)
                 if _term_depth(inst) > MAX_INSTANCE_DEPTH:
                     continue
-                result = search(pos + 1, chosen + [(index, inst)],
-                                pool_now + obvious.atom_infos([inst]))
-                if result is not None:
-                    return result
-            return None
+                yield (index, inst), pool_now + obvious.atom_infos([inst])
 
-        return search(0, [], list(pool))
+        # depth first, one instance generator per universal parent chosen
+        # for, on an explicit stack: a path is as long as the parent list
+        stack = []
+        chosen, pool_now = [], list(pool)
+        while True:
+            if len(chosen) == len(universal):
+                if leaf_check(chosen):
+                    return chosen
+            else:
+                stack.append(choices(len(chosen), pool_now))
+            while stack:
+                step = next(stack[-1], None)
+                if step is not None:
+                    break
+                stack.pop()
+            else:
+                return None
+            choice, pool_now = step
+            chosen = chosen[:len(stack) - 1] + [choice]
 
     try:
         chosen = try_parents(parents)

@@ -595,75 +595,40 @@ def instance_formula(unit, subst):
 
 @dataclass(slots=True)
 class _Prepared:
-    """One premise closed and split on its own, ready to join a problem.
+    """One premise closed and split on its own, its atoms registered.
     Shared by the queries of a memo, so never modified."""
 
     unit: object  # UniversalUnit, or None when the premise is ground
     clauses: list
-    infos: dict  # atom key -> registry info, in registration order
     ground_terms: dict  # term key -> term
 
 
-def _prepare(premise, fixed_vars):
+def _prepare(premise, fixed_vars, registry):
     """Close a premise over all but the fixed variables and split it: a
     universal premise into its unit and one opaque atom, a ground one into
-    its clauses.  Depends on nothing but its arguments and spends no
-    budget; raises _TooHard on a clause blow-up."""
+    its clauses, registering their atoms.  Spends no budget; raises
+    _TooHard on a clause blow-up."""
     closed = fol.universal_closure(_fix_formula(premise, fixed_vars))
     unit = universal_unit(closed)
     if unit is None:
-        registry = _Registry()
         clauses = _clausify(closed, registry)
-        infos = registry.atoms
     else:
         # The whole closed premise also participates as an opaque fact.  Its
         # unit key is the de Bruijn form that _Registry.quant keys it by.
         key = ("q", unit.key)
+        registry.atoms.setdefault(key, ("quant", closed))
         clauses = [((key, True),)]
-        infos = {key: ("quant", closed)}
-    return _Prepared(unit, clauses, infos, fol.keyed_ground_subterms(closed))
+    return _Prepared(unit, clauses, fol.keyed_ground_subterms(closed))
 
 
-class _Merger:
-    """Merges prepared premises into one problem's clauses, atoms and
-    ground terms, keeping the last merge and its sizes after each part: the
-    next merge copies the parts it starts with and merges the rest.  The
-    problem adds to what it is given; the sizes mark where the parts end."""
-
-    def __init__(self):
-        self.merged = 0  # parts merged rather than copied
-        self._drop()
-
-    def _drop(self):
-        self._parts = []
-        self._sizes = []  # (clauses, atoms, ground terms) after each part
-        self._last = ([], {}, {})
-
-    def merge(self, parts):
-        last = self._parts
-        n = 0
-        while n < len(parts) and n < len(last) and parts[n] is last[n]:
-            n += 1
-        sizes = self._sizes[:n]
-        nc, na, nt = sizes[-1] if sizes else (0, 0, 0)
-        clauses, atoms, terms = self._last
-        clauses = clauses[:nc]
-        atoms = dict(itertools.islice(atoms.items(), na))
-        terms = dict(itertools.islice(terms.items(), nt))
-        for part in parts[n:]:
-            clauses.extend(part.clauses)
-            for key, info in part.infos.items():
-                atoms.setdefault(key, info)
-            terms.update(part.ground_terms)
-            sizes.append((len(clauses), len(atoms), len(terms)))
-        self.merged += len(parts) - n
-        self._parts, self._sizes, self._last = parts, sizes, (clauses, atoms, terms)
-        return clauses, atoms, terms
-
-
-class PremiseMemo(_Merger):
+class PremiseMemo:
     """Prepared premises shared by the queries of one compress call, and
-    the last query's merge of them.
+    the one atom registry that their atoms and the queries' own go to.
+    It can serve every query because an atom's key fixes all that is read
+    of it: predicate atoms and equations are ground, and alpha-variant
+    quantified atoms differ only in bound-variable names, which candidate
+    generation reads by position (a premise's unit shadows the derived
+    unit of its key).
 
     Entries are keyed by the premise object's identity and hold that
     object, so no key can be reused while the memo lives.  Use it as a
@@ -671,7 +636,7 @@ class PremiseMemo(_Merger):
     """
 
     def __init__(self):
-        super().__init__()
+        self.registry = _Registry()
         self._entries = {}  # (id(premise), fixed_vars) -> (premise, _Prepared or None)
 
     def __len__(self):
@@ -682,14 +647,14 @@ class PremiseMemo(_Merger):
 
     def __exit__(self, *exc_info):
         self._entries.clear()
-        self._drop()
+        self.registry = _Registry()
 
     def prepare(self, premise, fixed_vars):
         key = (id(premise), fixed_vars)
         entry = self._entries.get(key)
         if entry is None:
             try:
-                prepared = _prepare(premise, fixed_vars)
+                prepared = _prepare(premise, fixed_vars, self.registry)
             except _TooHard:
                 prepared = None  # every query citing it is too hard
             entry = self._entries[key] = (premise, prepared)
@@ -712,12 +677,12 @@ class _Commitment:
 
 
 class _Problem:
-    def __init__(self, premises, conclusion, fixed_vars, budget, memo=None):
+    def __init__(self, premises, conclusion, fixed_vars, budget, memo):
         self.budget = budget
         fixed = tuple(fixed_vars)
-        prepare = _prepare if memo is None else memo.prepare
-        prepared = [prepare(p, fixed) for p in premises]
+        prepared = [memo.prepare(p, fixed) for p in premises]
         self.premise_units = [p.unit for p in prepared]  # None for ground premises
+        self.unit_count = len(prepared) - self.premise_units.count(None)
 
         conclusion = fol.universal_closure(_fix_formula(conclusion, fixed))
         goal_vars, matrix = fol.strip_prefix(conclusion)
@@ -726,19 +691,23 @@ class _Problem:
             dict(zip(goal_vars, consts)), matrix
         )
 
-        # Universal premises register first, then ground premises, then the
-        # goal.  The registry keeps the first info of a key, and that info
-        # names the bound variables of alpha-variant quantified atoms.
-        parts = [p for p in prepared if p.unit is not None]
-        parts += [p for p in prepared if p.unit is None]
-        merger = _Merger() if memo is None else memo
-        self.clauses, atoms, found = merger.merge(parts)
-        self.registry = _Registry(atoms)
-        self.clauses.extend(_clausify(fol.Not(self.goal_matrix), self.registry))
-        found.update(fol.keyed_ground_subterms(self.goal_matrix))
-        found.setdefault(_FILL.key, _FILL)
+        # The case split reads universal premises' clauses first, then
+        # ground premises', then the goal's.
+        self.registry = memo.registry
+        self.clauses = [c for p in prepared if p.unit is not None for c in p.clauses]
+        self.clauses += [c for p in prepared if p.unit is None for c in p.clauses]
+        self.clauses += _clausify(fol.Not(self.goal_matrix), self.registry)
         # Only a universe small enough to fill residual variables from is
-        # read in order, so only such a one is sorted: deep keys compare slowly.
+        # read, in order, so only such a one is gathered whole and sorted:
+        # past the bound only its size is read.
+        found = {}
+        for p in prepared:
+            found.update(p.ground_terms)
+            if len(found) > _MAX_FILL_UNIVERSE:
+                break
+        else:
+            found.update(fol.keyed_ground_subterms(self.goal_matrix))
+        found.setdefault(_FILL.key, _FILL)
         self.universe = ([found[k] for k in sorted(found)]
                          if len(found) <= _MAX_FILL_UNIVERSE else list(found.values()))
         self._commitments = {}  # (id(unit), substitution keys) -> _Commitment
@@ -783,20 +752,17 @@ class _Problem:
         open_branches = self._open_branches(
             _dpll_branches(self.clauses, self.budget)
         )
-        if not open_branches:
-            return {}
         units_by_key = {}
         for unit in self.premise_units:
             if unit is not None:
                 units_by_key.setdefault(unit.key, unit)
-        per_branch_units = []
+        per_branch_units = []  # per branch: its units by key, in search order
         for branch in open_branches:
             available = dict(units_by_key)
             for unit in _derived_units(branch, self.registry):
                 available.setdefault(unit.key, unit)
-            per_branch_units.append(available)
-
-        return self._close_all(per_branch_units, 0, {})
+            per_branch_units.append({k: available[k] for k in sorted(available, key=repr)})
+        return self._close_all(per_branch_units)
 
     def _branch_closed(self, index, commitments):
         literals = frozenset(
@@ -824,17 +790,35 @@ class _Problem:
                     return True
         return False
 
-    def _close_all(self, per_branch_units, index, commitments):
-        if index == len(self.branches):
-            return commitments
-        self.budget.spend()
-        if self._branch_closed(index, commitments):
-            return self._close_all(per_branch_units, index + 1, commitments)
-        available = per_branch_units[index]
-        if len(commitments) >= len(available) + len(
-            [u for u in self.premise_units if u is not None]
-        ):
-            return None
+    def _close_all(self, per_branch_units):
+        """Commitments that close every branch, or None: depth first over
+        commitment sets, on an explicit stack of their extensions, so a
+        search as deep as its commitments costs no recursion."""
+        stack = []
+        index, commitments = 0, {}
+        while True:
+            while index < len(self.branches):
+                self.budget.spend()
+                if not self._branch_closed(index, commitments):
+                    break
+                index += 1
+            else:
+                return commitments
+            available = per_branch_units[index]
+            if len(commitments) < len(available) + self.unit_count:
+                stack.append((index, self._extensions(index, commitments, available)))
+            while stack:
+                index, extensions = stack[-1]
+                commitments = next(extensions, None)
+                if commitments is not None:
+                    break
+                stack.pop()
+            else:
+                return None
+
+    def _extensions(self, index, commitments, available):
+        """The commitment sets that extend the given one by one instance,
+        in search order, each keeping the branch open only by literals."""
         assignment = dict(self.branches[index])
         for c in commitments.values():
             if c.literal is not None:
@@ -844,10 +828,9 @@ class _Problem:
             for k in sorted(assignment, key=repr)
             if self.registry.atoms[k][0] in ("pred", "eq")
         ]
-        for key in sorted(available, key=repr):
+        for key, unit in available.items():
             if key in commitments:
                 continue
-            unit = available[key]
             for subst in candidate_substitutions(
                 unit, atom_infos, self.universe, self.budget
             ):
@@ -855,10 +838,7 @@ class _Problem:
                 trial[key] = commitment = self._commit(unit, subst)
                 if commitment.literal is None and not self._branch_closed(index, trial):
                     continue
-                result = self._close_all(per_branch_units, index, trial)
-                if result is not None:
-                    return result
-        return None
+                yield trial
 
 
 def _as_literal(f):
@@ -877,9 +857,8 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
     if budget is None:
         budget = Budget(query.budget)
     try:
-        problem = _Problem(
-            query.premises, query.conclusion, query.fixed_vars, budget, memo
-        )
+        problem = _Problem(query.premises, query.conclusion, query.fixed_vars,
+                           budget, PremiseMemo() if memo is None else memo)
         commitments = problem.solve()
     except BudgetExceeded:
         return UNKNOWN
@@ -906,7 +885,8 @@ def replay(query: ObviousnessQuery, verdict: ObviousnessVerdict) -> bool:
         return False
     budget = Budget(query.budget)
     try:
-        problem = _Problem(query.premises, query.conclusion, query.fixed_vars, budget)
+        problem = _Problem(query.premises, query.conclusion, query.fixed_vars,
+                           budget, PremiseMemo())
         branches = _dpll_branches(problem.clauses, budget)
     except (BudgetExceeded, _TooHard):
         return False

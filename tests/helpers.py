@@ -113,3 +113,16 @@ def random_article(rng):
         skolem_defs=[],
     )
     return model, manifest
+
+
+# A refutation whose step s1 cites the conjecture p(c) itself.  The article
+# cites the assumption `not p c` in its place, from which q(c) does not
+# follow, so no sound article justifies s1 as written.
+CONJECTURE_CITED = (
+    "fof(ax, axiom, ![X]: (p(X) => q(X)), file('x.p', ax)).\n"
+    "fof(goal, conjecture, p(c), file('x.p', goal)).\n"
+    "fof(neg, negated_conjecture, ~ p(c), "
+    "inference(assume_negation, [status(cth)], [goal])).\n"
+    "fof(s1, plain, q(c), inference(resolution, [status(thm)], [ax, goal])).\n"
+    "fof(f, plain, $false, inference(resolution, [status(thm)], [s1, neg])).\n"
+)

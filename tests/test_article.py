@@ -3,8 +3,9 @@ import os
 import pytest
 
 from tptp2miz import article, derivation, fol, obvious, tptp
-from tptp2miz.errors import DuplicateName, NoConjecture
+from tptp2miz.errors import DuplicateName, ExpansionFailed, NoConjecture
 
+import helpers
 from conftest import FIXTURES
 
 
@@ -105,6 +106,13 @@ class TestBuildArticle:
         graph = derivation.build_graph(units)
         with pytest.raises(NoConjecture):
             article.build_article(graph)
+
+    def test_cited_conjecture_is_its_negation(self):
+        # s1 is justified from what its citations state in the article:
+        # the axiom and the assumption not p(c), which do not give q(c)
+        units = tptp.parse_problem(helpers.CONJECTURE_CITED)
+        with pytest.raises(ExpansionFailed):
+            article.build_article(derivation.build_graph(units))
 
     def test_designated_conjecture(self):
         units = tptp.parse_problem(

@@ -235,6 +235,63 @@ class TestWideClauses:
         assert code == 0, err
 
 
+class TestLongSearches:
+    """Searches that choose one instance per universal premise or parent
+    keep their path on an explicit stack, so its length costs no recursion.
+    Each input below used to raise RecursionError."""
+
+    N = 1000
+
+    @staticmethod
+    def universal_parents(n):
+        """n axioms ![X]: q<i>(X), whose keys sort before ![X]: r(X), so
+        the checker commits to an instance of each before the one that
+        refutes ~ r(c)."""
+        return (
+            "fof(goal, conjecture, r(c), file('x.p', goal)).\n"
+            "fof(neg, negated_conjecture, ~ r(c), "
+            "inference(assume_negation, [status(cth)], [goal])).\n"
+            + "".join(f"fof(q{i}, axiom, ![X]: q{i}(X), file('x.p', q{i})).\n"
+                      for i in range(n))
+            + "fof(r, axiom, ![X]: r(X), file('x.p', r)).\n"
+        )
+
+    @staticmethod
+    def step(parents):
+        return (
+            "fof(s1, plain, r(c), inference(resolution, [status(thm)], "
+            f"[{', '.join(parents)}])).\n"
+            "fof(f, plain, $false, inference(resolution, [status(thm)], [s1, neg])).\n"
+        )
+
+    def test_check_obvious_commits_to_every_premise(self, tmp_path, capsys):
+        text = "".join(f"fof(q{i}, axiom, ![X]: q{i}(X)).\n" for i in range(self.N))
+        text += "fof(r, axiom, ![X]: r(X)).\nfof(g, conjecture, r(c)).\n"
+        code, err = run(tmp_path, capsys, "check-obvious", text, "--budget", "3000000")
+        assert code == 0, err  # Obvious
+
+    def test_justify_query_commits_to_every_parent(self, tmp_path, capsys):
+        parents = [f"q{i}" for i in range(self.N)] + ["r"]
+        text = self.universal_parents(self.N) + self.step(parents)
+        code, err = run(tmp_path, capsys, "derivation", text,
+                        "--budget", "100000000", "--no-compress")
+        assert code == 0, err
+
+    def test_expansion_chooses_for_every_parent(self, tmp_path, capsys):
+        # The cited blow-up makes every query Unknown at once, so the
+        # expander chooses an instance for each universal parent, twice
+        # over on its doubled retry, before it gives up.
+        blowup = " | ".join(f"(b{i}(c) & d{i}(c))" for i in range(10))
+        parents = [f"q{i}" for i in range(self.N)] + ["r", "h"]
+        text = (self.universal_parents(self.N)
+                + f"fof(h, axiom, {blowup}, file('x.p', h)).\n"
+                + self.step(parents))
+        code, err = run(tmp_path, capsys, "derivation", text, "--budget", "100000000")
+        assert code == 2
+        assert err.startswith("error: ExpansionFailed: ")
+        assert "Traceback" not in err
+
+
 # -- fuzzing -------------------------------------------------------------------
 
 def _wrap(formula, layer):

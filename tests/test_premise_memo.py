@@ -1,7 +1,8 @@
 """The premise memo: it changes no verdict, it lives for one compress
-call, and it keeps compression from preparing a premise more than once or
-merging again the premises a query shares with the one before it."""
+call, and it keeps compression from preparing a premise more than once,
+with one atom registry for every query of the call."""
 
+import collections
 import os
 
 import pytest
@@ -68,14 +69,19 @@ class TestVerdictsUnchanged:
 
 @pytest.fixture
 def memos(monkeypatch):
-    """Every PremiseMemo made while the test runs, with its largest size."""
+    """Every PremiseMemo opened in a `with` block while the test runs, with
+    its largest size.  A query without a memo makes a throwaway one, which
+    is never opened."""
     made = []
 
     class Recording(obvious.PremiseMemo):
         def __init__(self):
             super().__init__()
             self.peak = 0
+
+        def __enter__(self):
             made.append(self)
+            return super().__enter__()
 
         def prepare(self, premise, fixed_vars):
             try:
@@ -94,16 +100,14 @@ def fixture_graph():
 
 def assert_used_and_emptied(made, count):
     assert len(made) == count
-    assert all(m.peak > 0 and m.merged > 0 for m in made)
-    assert all(len(m) == 0 for m in made)
-    # the last query's merge is dropped with the prepared premises
-    assert all(not m._parts and not m._sizes and m._last == ([], {}, {})
-               for m in made)
+    assert all(m.peak > 0 for m in made)
+    # the registry is dropped with the prepared premises
+    assert all(len(m) == 0 and not m.registry.atoms for m in made)
 
 
 class TestLifetime:
     def test_build_article(self, memos):
-        # justify queries cite parents no other step cites: no memo
+        # justify queries cite parents no other step cites: no shared memo
         article.build_article(fixture_graph())
         assert_used_and_emptied(memos, 0)
 
@@ -123,12 +127,12 @@ class TestLifetime:
         memo = obvious.PremiseMemo()
         with pytest.raises(RuntimeError):
             with memo:
-                parts = [memo.prepare(F("![X]:p(X)"), ()), memo.prepare(F("q(c)"), ())]
-                memo.merge(parts)
-                assert len(memo) == 2 and memo._parts
+                memo.prepare(F("![X]:p(X)"), ())
+                memo.prepare(F("q(c)"), ())
+                assert len(memo) == 2 and len(memo.registry.atoms) == 2
                 raise RuntimeError()
         assert len(memo) == 0
-        assert not memo._parts and memo._last == ([], {}, {})
+        assert not memo.registry.atoms
 
     def test_raising_call(self, memos):
         # r(c) does not follow from p(c), so the step cannot be expanded
@@ -168,8 +172,8 @@ def ground_chain(n, previous_first=True):
 
 class TestComplexityGuard:
     """Counts, not timings: compression prepares each premise formula once,
-    builds its formula index once, and merges premises a query shares with
-    the one before it once."""
+    builds its formula index once, and every query of the call registers
+    atoms in its memo's one registry."""
 
     def test_ground_chain(self, monkeypatch):
         units = tptp.parse_problem(ground_chain(200))
@@ -203,25 +207,49 @@ class TestComplexityGuard:
         assert counts["clausify"] - counts["queries"] <= len(premises)
         assert counts["index"] == 1
 
-    # Deleting step i replaces its label in the closing query by its refs,
-    # in place.  Each query merges only the premises past the longest start
-    # it shares with the query before it.
-
     @pytest.mark.parametrize("previous_first", [True, False])
-    def test_merges_only_the_delta(self, merges, previous_first):
-        compress_chain(200, previous_first)
-        assert merges
-        assert all(merged == parts - shared for parts, shared, merged in merges)
+    def test_one_registry_and_one_clausify_per_premise(self, monkeypatch,
+                                                       previous_first):
+        # Deleting step i replaces its label in the closing query by its
+        # refs, so consecutive queries share all but a few premises, first
+        # or last depending on the citation order.
+        units = tptp.parse_problem(ground_chain(200, previous_first))
+        model, manifest = article.build_article(derivation.build_graph(units))
 
-    def test_linear_when_steps_cite_their_axiom_first(self, merges):
-        # Step i cites (a_i, s_(i-1)), so the closing query grows by a_i in
-        # front of the step that replaces s_i and keeps its start.  It
-        # reaches 202 premises, yet the compression merges 3 per step.
-        # Citing (s_(i-1), a_i) puts each change at the start, and the
-        # merge stays quadratic on that chain (CHANGES.md).
-        compress_chain(200, previous_first=False)
-        assert max(parts for parts, _, _ in merges) > 200
-        assert sum(merged for _, _, merged in merges) <= 4 * 200
+        registries = []  # per query: (its registry, its memo's registry)
+        prepared = collections.Counter()  # id(premise) -> _prepare calls
+        kept = []  # the prepared premises, so no id is reused
+        clausified = [0]
+        original_init = obvious._Problem.__init__
+        original_prepare = obvious._prepare
+        original_clausify = obvious._clausify
+
+        def init(self, premises, conclusion, fixed_vars, budget, memo=None):
+            original_init(self, premises, conclusion, fixed_vars, budget, memo)
+            registries.append((self.registry, getattr(memo, "registry", None)))
+
+        def prepare(premise, *args):
+            prepared[id(premise)] += 1
+            kept.append(premise)
+            return original_prepare(premise, *args)
+
+        def clausify(*args):
+            clausified[0] += 1
+            return original_clausify(*args)
+
+        monkeypatch.setattr(obvious._Problem, "__init__", init)
+        monkeypatch.setattr(obvious, "_prepare", prepare)
+        monkeypatch.setattr(obvious, "_clausify", clausify)
+        out, report = compress.compress(model, manifest)
+
+        assert report.steps_before == 200 and report.steps_after == 0
+        assert len(registries) >= 200
+        assert all(mine is theirs for mine, theirs in registries)
+        assert len({id(mine) for mine, _ in registries}) == 1
+        # Every premise of the chain is ground.  Each query clausifies its
+        # goal, and each premise is clausified once, when it is prepared.
+        assert set(prepared.values()) == {1}
+        assert clausified[0] == len(registries) + len(prepared)
 
     @pytest.mark.parametrize("previous_first", [True, False])
     def test_same_article_without_the_memo(self, monkeypatch, previous_first):
@@ -229,7 +257,8 @@ class TestComplexityGuard:
         original = obvious._Problem.__init__
 
         def alone(self, premises, conclusion, fixed_vars, budget, memo=None):
-            original(self, premises, conclusion, fixed_vars, budget)
+            original(self, premises, conclusion, fixed_vars, budget,
+                     obvious.PremiseMemo())
 
         monkeypatch.setattr(obvious._Problem, "__init__", alone)
         unshared = compress_chain(30, previous_first)
@@ -242,25 +271,3 @@ def compress_chain(n, previous_first):
     out, report = compress.compress(model, manifest)
     assert report.steps_after == 0
     return out
-
-
-@pytest.fixture
-def merges(monkeypatch):
-    """Each premise merge as (parts, parts it shares with the start of the
-    previous merge, parts it merged rather than copied)."""
-    made = []
-    original = obvious.PremiseMemo.merge
-    last = []
-
-    def merge(self, parts):
-        shared = 0
-        while shared < min(len(parts), len(last)) and parts[shared] is last[shared]:
-            shared += 1
-        before = self.merged
-        out = original(self, parts)
-        made.append((len(parts), shared, self.merged - before))
-        last[:] = parts
-        return out
-
-    monkeypatch.setattr(obvious.PremiseMemo, "merge", merge)
-    return made
