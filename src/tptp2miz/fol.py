@@ -389,16 +389,10 @@ def collect_signature(formulas: Iterable[Formula]) -> list:
 
 def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename function/predicate symbols throughout a formula."""
-
-    def ren_term(t):
-        if isinstance(t, Var):
-            return t
-        return App(mapping.get(t.name, t.name), tuple(ren_term(a) for a in t.args))
-
     if isinstance(f, Atom):
-        return Atom(mapping.get(f.pred, f.pred), tuple(ren_term(t) for t in f.args))
+        return Atom(mapping.get(f.pred, f.pred), tuple(_rename_term(t, mapping) for t in f.args))
     if isinstance(f, Eq):
-        return Eq(ren_term(f.left), ren_term(f.right))
+        return Eq(_rename_term(f.left, mapping), _rename_term(f.right, mapping))
     if isinstance(f, Not):
         return Not(rename_symbols(f.body, mapping))
     if isinstance(f, _CHAIN):
@@ -412,22 +406,29 @@ def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
     return f
 
 
+def _rename_term(t, mapping):
+    if isinstance(t, Var):
+        return t
+    return App(mapping.get(t.name, t.name), tuple(_rename_term(a, mapping) for a in t.args))
+
+
 def keyed_ground_subterms(f: Formula) -> dict:
     """term_key -> term for every ground term occurring in a formula."""
     found = {}
-
-    def walk_term(t):
-        ground = True
-        if isinstance(t, Var):
-            return False
-        for a in t.args:
-            if not walk_term(a):
-                ground = False
-        if ground:
-            found.setdefault(t.key, t)
-        return ground
-
     for g, _ in subformulas(f):
         for t in atom_terms(g):
-            walk_term(t)
+            _add_ground_subterms(t, found)
     return found
+
+
+def _add_ground_subterms(t, found) -> bool:
+    """Add t's ground subterms to found by key; whether t is ground."""
+    if isinstance(t, Var):
+        return False
+    ground = True
+    for a in t.args:
+        if not _add_ground_subterms(a, found):
+            ground = False
+    if ground:
+        found.setdefault(t.key, t)
+    return ground

@@ -130,62 +130,42 @@ def _nnf(f):
     Each connective is rewritten once per polarity in a call, so the two
     copies of each side of an <=> share one result, and nested <=> costs
     linear time."""
-    memo = {}  # (id(node), polarity) -> (node, result); the node keeps its id
+    return _nnf_node(f, True, {})
 
-    def nnf(g, positive):
-        kind = type(g)
-        if kind is fol.Not:
-            return nnf(g.body, not positive)
-        if kind is fol.Verum or kind is fol.Falsum:
-            return fol.TRUE if positive == (kind is fol.Verum) else fol.FALSE
-        if kind not in _CONNECTIVES:  # atoms and quantified subformulas
-            return g if positive else fol.Not(g)
-        hit = memo.get((id(g), positive))
-        if hit is not None:
-            return hit[1]
-        if kind is fol.And or kind is fol.Or:
-            node = kind if positive else (fol.Or if kind is fol.And else fol.And)
-            out = fol.join(node, [nnf(p, positive) for p in g.parts])
-        else:  # A => B is ~A | B, and A <=> B is (A => B) & (B => A)
-            sides = [(g.left, g.right)]
-            if kind is fol.Iff:
-                sides.append((g.right, g.left))
-            node = fol.Or if positive else fol.And
-            out = fol.join(fol.And if positive else fol.Or, [
-                fol.join(node, (nnf(a, not positive), nnf(b, positive)))
-                for a, b in sides
-            ])
-        memo[(id(g), positive)] = (g, out)
-        return out
 
-    return nnf(f, True)
+def _nnf_node(g, positive, memo):
+    """`g` or its negation in NNF; memo maps (id(node), polarity) to
+    (node, result), and the node keeps its id."""
+    kind = type(g)
+    if kind is fol.Not:
+        return _nnf_node(g.body, not positive, memo)
+    if kind is fol.Verum or kind is fol.Falsum:
+        return fol.TRUE if positive == (kind is fol.Verum) else fol.FALSE
+    if kind not in _CONNECTIVES:  # atoms and quantified subformulas
+        return g if positive else fol.Not(g)
+    hit = memo.get((id(g), positive))
+    if hit is not None:
+        return hit[1]
+    if kind is fol.And or kind is fol.Or:
+        node = kind if positive else (fol.Or if kind is fol.And else fol.And)
+        out = fol.join(node, [_nnf_node(p, positive, memo) for p in g.parts])
+    else:  # A => B is ~A | B, and A <=> B is (A => B) & (B => A)
+        sides = [(g.left, g.right)]
+        if kind is fol.Iff:
+            sides.append((g.right, g.left))
+        node = fol.Or if positive else fol.And
+        out = fol.join(fol.And if positive else fol.Or, [
+            fol.join(node, (_nnf_node(a, not positive, memo), _nnf_node(b, positive, memo)))
+            for a, b in sides
+        ])
+    memo[(id(g), positive)] = (g, out)
+    return out
 
 
 def _clausify(f, registry):
     """CNF clauses (tuples of (atom_key, polarity)) of an NNF input."""
-    f = _nnf(f)
-
-    def cnf(g):
-        if isinstance(g, fol.Verum):
-            return []
-        if isinstance(g, fol.Falsum):
-            return [()]
-        if isinstance(g, fol.And):
-            return [c for p in g.parts for c in cnf(p)]
-        if isinstance(g, fol.Or):
-            product = cnf(g.parts[0])
-            for p in g.parts[1:]:
-                clauses = cnf(p)
-                if len(product) * len(clauses) > _MAX_CLAUSES:
-                    raise _TooHard()
-                product = [a + b for a in product for b in clauses]
-            return product
-        if isinstance(g, fol.Not):
-            return [((registry.atom_key(g.body), False),)]
-        return [((registry.atom_key(g), True),)]
-
     out = []
-    for clause in cnf(f):
+    for clause in _cnf(_nnf(f), registry):
         lits = tuple(sorted(set(clause)))
         if any((k, not v) in lits for k, v in lits):
             continue  # tautology
@@ -193,6 +173,27 @@ def _clausify(f, registry):
     if len(out) > _MAX_CLAUSES:
         raise _TooHard()
     return out
+
+
+def _cnf(g, registry):
+    """_clausify's clauses of the NNF `g`, tautologies and duplicates kept."""
+    if isinstance(g, fol.Verum):
+        return []
+    if isinstance(g, fol.Falsum):
+        return [()]
+    if isinstance(g, fol.And):
+        return [c for p in g.parts for c in _cnf(p, registry)]
+    if isinstance(g, fol.Or):
+        product = _cnf(g.parts[0], registry)
+        for p in g.parts[1:]:
+            clauses = _cnf(p, registry)
+            if len(product) * len(clauses) > _MAX_CLAUSES:
+                raise _TooHard()
+            product = [a + b for a in product for b in clauses]
+        return product
+    if isinstance(g, fol.Not):
+        return [((registry.atom_key(g.body), False),)]
+    return [((registry.atom_key(g), True),)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +331,23 @@ def _compile(f, registry):
     """A ground generalized-atom formula's NNF with registry keys at the
     leaves: ("lit", atom key, polarity), ("and", parts), ("or", parts),
     ("true",) or ("false",).  Shared NNF nodes stay shared."""
-    memo = {}  # id(NNF And or Or) -> compiled node; the NNF holds the nodes
+    return _compile_node(_nnf(f), registry, {})
 
-    def comp(g):
-        kind = type(g)
-        if kind is fol.And or kind is fol.Or:
-            out = memo.get(id(g))
-            if out is None:
-                out = memo[id(g)] = ("and" if kind is fol.And else "or",
-                                     [comp(p) for p in g.parts])
-            return out
-        if kind is fol.Verum or kind is fol.Falsum:
-            return ("true",) if kind is fol.Verum else ("false",)
-        if kind is fol.Not:
-            return ("lit", registry.atom_key(g.body), False)
-        return ("lit", registry.atom_key(g), True)
 
-    return comp(_nnf(f))
+def _compile_node(g, registry, memo):
+    """memo maps id(NNF And or Or) to its compiled node; the NNF holds the nodes."""
+    kind = type(g)
+    if kind is fol.And or kind is fol.Or:
+        out = memo.get(id(g))
+        if out is None:
+            out = memo[id(g)] = ("and" if kind is fol.And else "or",
+                                 [_compile_node(p, registry, memo) for p in g.parts])
+        return out
+    if kind is fol.Verum or kind is fol.Falsum:
+        return ("true",) if kind is fol.Verum else ("false",)
+    if kind is fol.Not:
+        return ("lit", registry.atom_key(g.body), False)
+    return ("lit", registry.atom_key(g), True)
 
 
 def _falsified(node, view, registry):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import fol
 from .errors import (
@@ -66,45 +67,54 @@ class AnnotatedFormula:
 # ---------------------------------------------------------------------------
 # Lexer
 
+# One match per token: the skip group passes whitespace and comments, and
+# group 1 captures the token.  Since group 1 matches at every offset (any
+# character, or the end), the skip never backtracks and findall returns the
+# whole stream.  The first '' is the end of input (a text that ends in
+# whitespace or a comment gets a second).
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*|\#[^\n]*|/\*.*?\*/)
-  | (?P<quoted>'(?:[^'\\]|\\.)*')
-  | (?P<dollar>\$[a-z][a-zA-Z0-9_]*)
-  | (?P<lower>[a-z][a-zA-Z0-9_]*)
-  | (?P<upper>[A-Z][a-zA-Z0-9_]*)
-  | (?P<number>[+-]?\d+(?:\.\d+)?)
-  | (?P<op><=>|<~>|=>|<=|!=|~\||~&|[!?~&|=:(),.\[\]<>*])
-  | (?P<bad>.)
+    (?:\s+|%[^\n]*|\#[^\n]*|/\*.*?\*/)*
+    ( '(?:[^'\\]|\\.)*'
+    | \$[a-z][a-zA-Z0-9_]*
+    | [a-zA-Z][a-zA-Z0-9_]*
+    | [+-]?\d+(?:\.\d+)?
+    | <=>|<~>|=>|<=|!=|~\||~&
+    | .
+    | \Z
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+_OPS = frozenset("!?~&|=:(),.[]<>*")  # the one-character operators
+_LETTERS = frozenset(c for c in map(chr, range(128)) if c.isalpha())  # ASCII
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    pos: int  # offset of the token's first character in the text
+# A token's kind follows from its first character: a sign or a digit that
+# no entry names starts a number.
+_KINDS = {"": "eof", "'": "quoted", "$": "dollar", **dict.fromkeys(_OPS, "op")}
+_KINDS.update((c, "lower" if c.islower() else "upper") for c in _LETTERS)
 
 
-def tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "bad":
-            raise TptpSyntaxError(
-                f"unexpected character {m.group()!r}", *_line_column(text, m.start())
-            )
-        tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
+def _kind(token: str) -> str:
+    return _KINDS.get(token[:1], "number")
+
+
+def tokenize(text: str) -> list:
+    """The token values of the text; the first '' ends the input."""
+    tokens = _TOKEN_RE.findall(text)
+    # a one-character token that no other alternative of the pattern takes
+    bad = {t for t in set(tokens)
+           if len(t) == 1 and t not in _OPS and t not in _LETTERS and not t.isdecimal()}
+    if bad:
+        i = next(i for i, t in enumerate(tokens) if t in bad)
+        raise TptpSyntaxError(f"unexpected character {tokens[i]!r}", *_position(text, i))
     return tokens
 
 
-def _line_column(text: str, pos: int):
-    """1-based line and column of an offset in the text."""
+def _position(text: str, index: int):
+    """1-based line and column of the index-th token of the text."""
+    pos = next(itertools.islice(_TOKEN_RE.finditer(text), index, None)).start(1)
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
@@ -133,114 +143,109 @@ MAX_NESTING = 128
 
 
 class _Parser:
+    """Recursive descent over the token values; an error re-scans the text
+    for the position of the token it stopped at."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0  # open nesting levels; an error ends the parse, so none closes on raise
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok:
             self.i += 1
         return tok
 
     def error(self, message, expected=()):
-        tok = self.peek()
-        raise TptpSyntaxError(message, *_line_column(self.text, tok.pos), expected)
+        raise TptpSyntaxError(message, *_position(self.text, self.i), expected)
 
     def expect(self, value):
-        tok = self.peek()
-        if tok.value != value or tok.kind == "eof":
-            self.error(f"got {tok.value!r}", expected=(repr(value),))
-        return self.next()
+        if not self.accept(value):
+            self.error(f"got {self.peek()!r}", expected=(repr(value),))
 
     def at(self, value) -> bool:
-        tok = self.peek()
-        return tok.kind != "eof" and tok.value == value
+        return self.tokens[self.i] == value
 
-    def descend(self) -> Token:
+    def accept(self, value) -> bool:
+        """Whether the next token is value, consuming it if so."""
+        found = self.tokens[self.i] == value
+        self.i += found
+        return found
+
+    def descend(self) -> str:
         """Consume the token that opens one more nesting level, failing
         past MAX_NESTING; the caller closes the level with `self.depth -= 1`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             message = f"input nests deeper than {MAX_NESTING} levels"
-            raise NestingTooDeep(message, *_line_column(self.text, self.peek().pos))
+            raise NestingTooDeep(message, *_position(self.text, self.i))
         return self.next()
 
     # -- top level ----------------------------------------------------------
 
     def parse_units(self):
-        """Yield ('unit', AnnotatedFormula) and ('include', path, names) items."""
+        """The list of ('unit', AnnotatedFormula) and ('include', path, names) items."""
         items = []
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.value == "include":
+        while tok := self.peek():
+            if tok == "include":
                 items.append(self.parse_include())
-            elif tok.value in ("fof", "cnf"):
+            elif tok in ("fof", "cnf"):
                 items.append(("unit", self.parse_unit()))
-            elif tok.value in ("tff", "thf", "tcf", "tpi"):
-                line, _ = _line_column(self.text, tok.pos)
-                raise UnsupportedLanguage(tok.value, line)
+            elif tok in ("tff", "thf", "tcf", "tpi"):
+                raise UnsupportedLanguage(tok, _position(self.text, self.i)[0])
             else:
-                self.error(f"got {tok.value!r}", expected=("'fof'", "'cnf'", "'include'"))
+                self.error(f"got {tok!r}", expected=("'fof'", "'cnf'", "'include'"))
         return items
 
     def parse_include(self):
         self.expect("include")
         self.expect("(")
-        tok = self.peek()
-        if tok.kind != "quoted":
+        if _kind(self.peek()) != "quoted":
             self.error("include path must be quoted", expected=("quoted atom",))
-        path = _unquote(self.next().value)
+        path = _unquote(self.next())
         names = None
-        if self.at(","):
-            self.next()
+        if self.accept(","):
             self.expect("[")
             names = []
             while not self.at("]"):
                 names.append(self.parse_name())
-                if self.at(","):
-                    self.next()
+                self.accept(",")
             self.expect("]")
         self.expect(")")
         self.expect(".")
         return ("include", path, names)
 
     def parse_name(self) -> str:
-        tok = self.peek()
-        if tok.kind in ("lower", "number"):
-            return self.next().value
-        if tok.kind == "quoted":
-            return _unquote(self.next().value)
+        kind = _kind(self.peek())
+        if kind in ("lower", "number"):
+            return self.next()
+        if kind == "quoted":
+            return _unquote(self.next())
         self.error("expected a unit name", expected=("lower word", "quoted atom"))
 
     def parse_unit(self) -> AnnotatedFormula:
-        lang = self.next().value
+        lang = self.next()
         self.expect("(")
         name = self.parse_name()
         self.expect(",")
-        role_tok = self.peek()
-        if role_tok.kind != "lower" or role_tok.value not in ROLES:
-            self.error(
-                f"unknown role {role_tok.value!r}",
-                expected=tuple(sorted(ROLES)),
-            )
-        role = self.next().value
+        role = self.peek()
+        if role not in ROLES:
+            self.error(f"unknown role {role!r}", expected=tuple(sorted(ROLES)))
+        self.next()
         self.expect(",")
         if lang == "fof":
             formula = self.parse_fof_formula()
         else:
             formula = self.parse_cnf_formula()
         source = None
-        if self.at(","):
-            self.next()
+        if self.accept(","):
             source = self.parse_source()
-            if self.at(","):  # optional useful_info, discarded
-                self.next()
+            if self.accept(","):  # optional useful_info, discarded
                 self.parse_annotation_term()
         self.expect(")")
         self.expect(".")
@@ -260,39 +265,34 @@ class _Parser:
 
     def parse_fof_formula(self) -> "fol.Formula":
         left = self.parse_unitary()
-        tok = self.peek()
-        if tok.value in ("&", "|"):
-            op = tok.value
+        op = self.peek()
+        if op in ("&", "|"):
             parts = [left]
-            while self.at(op):
-                self.next()
+            while self.accept(op):
                 parts.append(self.parse_unitary())
-            if self.peek().value in ("&", "|") or self.peek().value in self._NONASSOC:
+            if self.peek() in ("&", "|") or self.peek() in self._NONASSOC:
                 self.error("binary connectives cannot be mixed without parentheses")
             return fol.join(fol.And if op == "&" else fol.Or, parts)
-        if tok.value in self._NONASSOC:
-            build = self._NONASSOC[self.next().value]
+        if op in self._NONASSOC:
+            build = self._NONASSOC[self.next()]
             right = self.parse_unitary()
             nxt = self.peek()
-            if nxt.value in ("&", "|") or nxt.value in self._NONASSOC:
+            if nxt in ("&", "|") or nxt in self._NONASSOC:
                 self.error("binary connectives are non-associative; add parentheses")
             return build(left, right)
         return left
 
     def parse_unitary(self) -> "fol.Formula":
         tok = self.peek()
-        if tok.value in ("!", "?"):
-            quant = self.next().value
+        if tok in ("!", "?"):
+            quant = self.next()
             self.expect("[")
             names = []
             while True:
-                v = self.peek()
-                if v.kind != "upper":
+                if _kind(self.peek()) != "upper":
                     self.error("expected a variable", expected=("upper word",))
-                names.append(self.descend().value)
-                if self.at(","):
-                    self.next()
-                else:
+                names.append(self.descend())
+                if not self.accept(","):
                     break
             self.expect("]")
             self.expect(":")
@@ -302,12 +302,12 @@ class _Parser:
             for v in reversed(names):
                 body = node(v, body)
             return body
-        if tok.value == "~":
+        if tok == "~":
             self.descend()
             body = self.parse_unitary()
             self.depth -= 1
             return fol.Not(body)
-        if tok.value == "(":
+        if tok == "(":
             self.descend()
             inner = self.parse_fof_formula()
             self.expect(")")
@@ -317,19 +317,19 @@ class _Parser:
 
     def parse_atomic(self) -> "fol.Formula":
         tok = self.peek()
-        if tok.kind == "dollar":
+        if _kind(tok) == "dollar":
             self.next()
-            if tok.value == "$true":
+            if tok == "$true":
                 return fol.TRUE
-            if tok.value == "$false":
+            if tok == "$false":
                 return fol.FALSE
-            self.error(f"unsupported defined symbol {tok.value!r}")
+            self.error(f"unsupported defined symbol {tok!r}")
         term = self.parse_term()
         nxt = self.peek()
-        if nxt.value == "=":
+        if nxt == "=":
             self.next()
             return fol.Eq(term, self.parse_term())
-        if nxt.value == "!=":
+        if nxt == "!=":
             self.next()
             return fol.Not(fol.Eq(term, self.parse_term()))
         if isinstance(term, fol.Var):
@@ -337,19 +337,19 @@ class _Parser:
         return fol.Atom(term.name, term.args)
 
     def parse_term(self) -> "fol.Term":
-        tok = self.peek()
-        if tok.kind == "upper":
-            return fol.Var(self.next().value)
-        if tok.kind in ("lower", "quoted", "number"):
-            name = self.next().value
-            if tok.kind == "quoted":
+        name = self.peek()
+        kind = _kind(name)
+        if kind == "upper":
+            return fol.Var(self.next())
+        if kind in ("lower", "quoted", "number"):
+            self.next()
+            if kind == "quoted":
                 name = _unquote(name)
             args = ()
             if self.at("("):
                 self.descend()
                 got = [self.parse_term()]
-                while self.at(","):
-                    self.next()
+                while self.accept(","):
                     got.append(self.parse_term())
                 self.expect(")")
                 self.depth -= 1
@@ -360,8 +360,7 @@ class _Parser:
     # -- cnf formulas -------------------------------------------------------
 
     def parse_cnf_formula(self) -> "fol.Formula":
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             inner = self._parse_disjunction()
             self.expect(")")
             return inner
@@ -369,8 +368,7 @@ class _Parser:
 
     def _parse_disjunction(self) -> "fol.Formula":
         parts = [self._parse_cnf_literal()]
-        while self.at("|"):
-            self.next()
+        while self.accept("|"):
             parts.append(self._parse_cnf_literal())
         return fol.join(fol.Or, parts)
 
@@ -397,28 +395,27 @@ class _Parser:
 
     def parse_annotation_term(self):
         """Parse a general annotation term into nested python structures."""
-        tok = self.peek()
-        if tok.value == "[":
+        name = self.peek()
+        if name == "[":
             self.descend()
             items = []
             while not self.at("]"):
                 items.append(self.parse_annotation_term())
-                if self.at(","):
-                    self.next()
+                self.accept(",")
             self.expect("]")
             self.depth -= 1
             return items
-        if tok.kind in ("lower", "quoted", "dollar", "number", "upper"):
-            name = self.next().value
-            if tok.kind == "quoted":
+        kind = _kind(name)
+        if kind not in ("op", "eof"):
+            self.next()
+            if kind == "quoted":
                 name = _unquote(name)
             if self.at("("):
                 self.descend()
                 args = []
                 while not self.at(")"):
                     args.append(self.parse_annotation_term())
-                    if self.at(","):
-                        self.next()
+                    self.accept(",")
                 self.expect(")")
                 self.depth -= 1
                 out = (name, args)
@@ -574,27 +571,28 @@ def _read_file(path):
 def parse_problem(text: str, base_dir=None, include_dirs=()) -> list:
     """Parse TPTP problem or TSTP derivation text: fof/cnf units with their
     sources interpreted, includes resolved and filtered by name."""
+    return _parse_including(text, base_dir, include_dirs, ())
 
-    def parse(text, base_dir, including):
-        units = []
-        for item in _Parser(text).parse_units():
-            if item[0] == "unit":
-                units.append(item[1])
-                continue
-            _, path, names = item
-            resolved = _resolve_include(path, base_dir, include_dirs)
-            real = os.path.realpath(resolved)
-            if real in including:
-                raise IncludeCycle(path, including)
-            sub = parse(_read_file(resolved), os.path.dirname(resolved),
-                        including + (real,))
-            if names is not None:
-                wanted = set(names)
-                sub = [u for u in sub if u.name in wanted]
-            units.extend(sub)
-        return units
 
-    return parse(text, base_dir, ())
+def _parse_including(text, base_dir, include_dirs, including):
+    """parse_problem inside the includes whose real paths are `including`."""
+    units = []
+    for item in _Parser(text).parse_units():
+        if item[0] == "unit":
+            units.append(item[1])
+            continue
+        _, path, names = item
+        resolved = _resolve_include(path, base_dir, include_dirs)
+        real = os.path.realpath(resolved)
+        if real in including:
+            raise IncludeCycle(path, including)
+        sub = _parse_including(_read_file(resolved), os.path.dirname(resolved),
+                               include_dirs, including + (real,))
+        if names is not None:
+            wanted = set(names)
+            sub = [u for u in sub if u.name in wanted]
+        units.extend(sub)
+    return units
 
 
 def parse_problem_file(path, include_dirs=()):

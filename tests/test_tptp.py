@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tptp2miz import fol, tptp
 from tptp2miz.errors import (
     IncludeNotFound,
+    NestingTooDeep,
     TptpSyntaxError,
     UnsupportedLanguage,
 )
@@ -86,8 +87,12 @@ class TestErrors:
     def test_syntax_error_has_position(self):
         with pytest.raises(TptpSyntaxError) as info:
             tptp.parse_problem("fof(a, axiom, p(c)")
-        assert info.value.line == 1
-        assert info.value.column > 0
+        assert (info.value.line, info.value.column) == (1, 19)
+
+    def test_end_of_input_after_a_newline(self):
+        with pytest.raises(TptpSyntaxError) as info:
+            tptp.parse_problem("fof(a, axiom,\n  p(c) &\n")
+        assert (info.value.line, info.value.column) == (3, 1)
 
     def test_syntax_error_position_on_a_later_line(self):
         text = "% header\nfof(a, axiom, p(c)).\n\n  fof(b, axiom, q(c) & ).\n"
@@ -99,6 +104,29 @@ class TestErrors:
         with pytest.raises(TptpSyntaxError) as info:
             tptp.parse_problem("fof(a, axiom, p(c)).\n/* open\n*/ fof(b, axiom, @).\n")
         assert (info.value.line, info.value.column) == (3, 18)
+
+    def test_bad_character_right_after_a_block_comment(self):
+        text = "fof(a, axiom, p(c)).\n/* a\n  block */@ fof(b, axiom, q(c)).\n"
+        with pytest.raises(TptpSyntaxError) as info:
+            tptp.parse_problem(text)
+        assert (info.value.line, info.value.column) == (3, 11)
+        assert str(info.value) == "unexpected character '@' at line 3, column 11"
+
+    def test_unsupported_language_line(self):
+        text = "% c\nfof(a, axiom, p(c)).\n\n  tff(a, type, p: $i > $o)."
+        with pytest.raises(UnsupportedLanguage) as info:
+            tptp.parse_problem(text)
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize("formula", [
+        "~ " * tptp.MAX_NESTING + "p(c)",
+        "p(" + "f(" * tptp.MAX_NESTING + "c" + ")" * tptp.MAX_NESTING + ")",
+    ])
+    def test_nesting_too_deep_position(self, formula):
+        # the opening of level MAX_NESTING + 1 is the argument list's `(`
+        with pytest.raises(NestingTooDeep) as info:
+            tptp.parse_problem("fof(a, axiom,\n  " + formula + ").")
+        assert (info.value.line, info.value.column) == (2, 2 * tptp.MAX_NESTING + 4)
 
     def test_unsupported_language(self):
         with pytest.raises(UnsupportedLanguage):
