@@ -7,11 +7,20 @@ proof is a diffuse reasoning block refuting the negated conjecture.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 from . import derivation, expand, fol, obvious, skolem, tptp
 from .derivation import StepClass
-from .errors import DuplicateName, NoConjecture
+from .errors import DuplicateName, NoConjecture, NoRefutation, UnsupportedSymbol
+
+# Symbol names are rendered verbatim, so they must be TPTP lower words or
+# numerals, and none of the words the rendering itself writes.
+_SYMBOL_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*|[0-9]+")
+_RENDERED_WORDS = frozenset((
+    "reserve theorem proof now assume thus hence thesis end by contradiction "
+    "not or implies iff for holds ex st").split())
 
 
 @dataclass
@@ -99,6 +108,9 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     else:
         raise NoConjecture()
 
+    if graph.sink is None or not graph.parents[graph.sink]:
+        raise NoRefutation()
+
     if neg_nodes:
         assumption_node = neg_nodes[0]
         assumption = graph.nodes[assumption_node].formula
@@ -177,25 +189,26 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     lemma_items = [justified_item(name) for name in lemma_names]
     inner_items = [justified_item(name) for name in inner_names]
 
-    if graph.sink is not None:
-        contradiction_refs = tuple(label_of[p] for p in graph.parents[graph.sink])
-    else:
-        contradiction_refs = tuple()
-
+    contradiction_refs = tuple(label_of[p] for p in graph.parents[graph.sink])
     diffuse = DiffuseBlock(assumption_label, assumption, inner_items, contradiction_refs)
 
     model = ArticleModel((), axiom_items, lemma_items, theorem, diffuse)
-    _rename_skolems(model, henkins, skolem_symbols)
+    _rename_skolems(model, henkins, skolem_symbols, graph)
     model.reservations = _reservations(model)
     manifest = _build_manifest(model, henkins)
     return model, manifest
 
 
-def _rename_skolems(model, henkins, skolem_symbols):
-    """Fresh prover symbols become skolem1, skolem2, ... in topological order."""
-    mapping = {s.name: f"skolem{i}" for i, s in enumerate(skolem_symbols, start=1)}
-    if not mapping:
+def _rename_skolems(model, henkins, skolem_symbols, graph):
+    """Fresh prover symbols become skolem1, skolem2, ... in topological
+    order, skipping the names that the derivation's other symbols have."""
+    if not skolem_symbols:
         return
+    fresh = {s.name for s in skolem_symbols}
+    taken = {name for unit in graph.nodes.values()
+             for name, _, _ in fol.formula_symbols(unit.formula)} - fresh
+    free = (f"skolem{i}" for i in itertools.count(1) if f"skolem{i}" not in taken)
+    mapping = {s.name: next(free) for s in skolem_symbols}
 
     def fix(f):
         return fol.rename_symbols(f, mapping)
@@ -247,6 +260,9 @@ def _reservations(model):
 def _build_manifest(model, henkins):
     skolem_defs = [axiom for _, axiom in sorted(henkins.values())]
     symbols = fol.collect_signature(_model_formulas(model) + skolem_defs)
+    for s in symbols:
+        if s.name in _RENDERED_WORDS or not _SYMBOL_NAME.fullmatch(s.name):
+            raise UnsupportedSymbol(s.name)
     return EnvironmentManifest(
         functions=[(s.name, s.arity) for s in symbols if s.kind == "function"],
         predicates=[(s.name, s.arity) for s in symbols if s.kind == "predicate"],
@@ -366,7 +382,7 @@ def _subproof_lines(item, indent):
     thus_refs = []
     instantiated = set()
     for step in sub.instances:
-        ref = item.refs[step.parent_index] if step.parent_index < len(item.refs) else "?"
+        ref = item.refs[step.parent_index]
         lines.append(
             pad + "  " + step.label + ": " + _render(step.formula, names) + " by " + ref + ";"
         )
@@ -472,60 +488,3 @@ def parse_manifest(text: str) -> EnvironmentManifest:
         else:
             raise ValueError(f"unrecognized manifest line: {line!r}")
     return EnvironmentManifest(functions, predicates, axioms, skolem_defs)
-
-
-# ---------------------------------------------------------------------------
-# Article scanner: referential integrity of our own concrete syntax
-
-import re as _re
-
-_ITEM_RE = _re.compile(r"^(?:assume )?(Ax\d+|S\d+|[A-Z]{1,2}\d*):")
-_BY_RE = _re.compile(r"by ([^;]+);")
-
-
-def scan_article(text):
-    """(label, refs) pairs in order of appearance, honoring proof scopes."""
-    results = []
-    scopes = [set()]
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("::") or not line:
-            continue
-        if line == "proof" or line.startswith("now"):
-            scopes.append(set())
-            continue
-        if line.startswith("end;"):
-            scopes.pop()
-            continue
-        label = None
-        m = _ITEM_RE.match(line)
-        if m:
-            label = m.group(1)
-        refs = ()
-        b = _BY_RE.search(line)
-        if b:
-            refs = tuple(r.strip() for r in b.group(1).split(","))
-        if label or refs:
-            results.append((label, refs, tuple(frozenset(s) for s in scopes)))
-        if label:
-            scopes[-1].add(label)
-    return results
-
-
-def check_references(article_text, manifest: EnvironmentManifest):
-    """Every citation resolves to an earlier label or a manifest external."""
-    problems = []
-    axiom_count = len(manifest.axioms)
-    skolem_count = len(manifest.skolem_defs)
-    for label, refs, scopes in scan_article(article_text):
-        visible = set().union(*scopes) if scopes else set()
-        for ref in refs:
-            if ref.startswith("AXIOMS:"):
-                if not (1 <= int(ref.split(":")[1]) <= axiom_count):
-                    problems.append((label, ref))
-            elif ref.startswith("SKOLEM:def "):
-                if not (1 <= int(ref.split("def ")[1]) <= skolem_count):
-                    problems.append((label, ref))
-            elif ref not in visible:
-                problems.append((label, ref))
-    return problems

@@ -142,8 +142,8 @@ def _run_check(args):
         raise IoError("no units in input")
     premises = [u.formula for u in units[:-1]]
     conclusion = units[-1].formula
-    query = obvious.ObviousnessQuery.make(premises, conclusion, args.budget)
-    verdict = obvious.is_obvious(query)
+    query = obvious.ObviousnessQuery.make(premises, conclusion)
+    verdict = obvious.is_obvious(query, budget=obvious.Budget(args.budget))
     print(verdict.kind.value)
     if args.verbose:
         for index, chosen in enumerate(verdict.selection, 1):

@@ -114,8 +114,8 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
     with obvious.PremiseMemo() as memo:
         def checker(refs, conclusion):
             premises = [index[r] for r in refs if r in index]
-            q = obvious.ObviousnessQuery.make(premises, conclusion, budget)
-            return obvious.is_obvious(q, memo).is_obvious
+            q = obvious.ObviousnessQuery.make(premises, conclusion)
+            return obvious.is_obvious(q, memo, obvious.Budget(budget)).is_obvious
 
         changed = True
         while changed:

@@ -109,7 +109,7 @@ def _find_cycle(g, stuck):
     while True:
         nxt = next(p for p in g.parents[node] if p in stuck)
         if nxt in seen:
-            return path[path.index(nxt):] + [nxt] if nxt in path else [nxt, nxt]
+            return path[path.index(nxt):] + [nxt]
         path.append(nxt)
         seen.add(nxt)
         node = nxt

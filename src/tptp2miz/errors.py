@@ -120,5 +120,21 @@ class NoConjecture(TranslationError):
         )
 
 
+class NoRefutation(TranslationError):
+    def __init__(self):
+        super().__init__(
+            "derivation has no refutation: no $false step that cites a parent"
+        )
+
+
+class UnsupportedSymbol(TranslationError):
+    def __init__(self, name):
+        self.name = name
+        super().__init__(
+            f"symbol {name!r} cannot be written to the article: expected a "
+            "lower-case word or a numeral that the article syntax does not use"
+        )
+
+
 class IoError(TranslationError):
     pass

@@ -75,7 +75,7 @@ def build_subproof(step_name, step_formula, parent_formulas,
         parents.append((i, unit, closed))
 
     # pool of atoms instances can be matched against
-    pool = obvious.atom_infos(
+    pool = obvious.distinct_atoms(
         [step_formula]
         + [closed for _, unit, closed in parents if unit is None]
     )
@@ -116,7 +116,7 @@ def build_subproof(step_name, step_formula, parent_formulas,
                 inst = obvious.instance_formula(unit, subst)
                 if _term_depth(inst) > MAX_INSTANCE_DEPTH:
                     continue
-                yield (index, inst), pool_now + obvious.atom_infos([inst])
+                yield (index, inst), pool_now + obvious.distinct_atoms([inst])
 
         # depth first, one instance generator per universal parent chosen
         # for, on an explicit stack: a path is as long as the parent list

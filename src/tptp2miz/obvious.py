@@ -41,19 +41,18 @@ class Verdict(Enum):
 class ObviousnessQuery:
     premises: tuple
     conclusion: "fol.Formula"
-    budget: int = DEFAULT_BUDGET
     fixed_vars: tuple = ()
 
     @staticmethod
-    def make(premises, conclusion, budget=DEFAULT_BUDGET, fixed_vars=()):
-        return ObviousnessQuery(tuple(premises), conclusion, budget, tuple(fixed_vars))
+    def make(premises, conclusion, fixed_vars=()):
+        return ObviousnessQuery(tuple(premises), conclusion, tuple(fixed_vars))
 
 
 @dataclass(frozen=True)
 class ObviousnessVerdict:
     kind: Verdict
     selection: tuple = ()  # per-premise {var: Term}, aligned with query.premises
-    commitments: tuple = ()  # internal: ((unit_key, subst_items), ...) for replay
+    commitments: tuple = ()  # ((unit key, substitution items), ...) that close the branches
 
     @property
     def is_obvious(self):
@@ -91,35 +90,24 @@ class Budget:
 
 @dataclass
 class _Registry:
-    atoms: dict = field(default_factory=dict)  # key -> info tuple
-
-    def pred(self, name, args):
-        key = ("p", name, tuple([a.key for a in args]))
-        self.atoms.setdefault(key, ("pred", name, tuple(args)))
-        return key
-
-    def eq(self, left, right):
-        lk, rk = left.key, right.key
-        if rk < lk:
-            left, right = right, left
-            lk, rk = rk, lk
-        key = ("e", (lk, rk))
-        self.atoms.setdefault(key, ("eq", left, right))
-        return key
-
-    def quant(self, formula):
-        key = ("q", fol.debruijn(formula))
-        self.atoms.setdefault(key, ("quant", formula))
-        return key
+    # key -> the atom: an Atom, an Eq with its sides in key order, or a
+    # quantified formula, the first of its alpha-variants registered
+    atoms: dict = field(default_factory=dict)
 
     def atom_key(self, f):
         if isinstance(f, fol.Atom):
-            return self.pred(f.pred, f.args)
-        if isinstance(f, fol.Eq):
-            return self.eq(f.left, f.right)
-        if isinstance(f, (fol.Forall, fol.Exists)):
-            return self.quant(f)
-        raise ValueError(f"not an atom: {f!r}")
+            key = ("p", f.pred, tuple([a.key for a in f.args]))
+        elif isinstance(f, fol.Eq):
+            lk, rk = f.left.key, f.right.key
+            key = ("e", (lk, rk) if lk <= rk else (rk, lk))
+            if rk < lk and key not in self.atoms:
+                f = fol.Eq(f.right, f.left)
+        elif isinstance(f, (fol.Forall, fol.Exists)):
+            key = ("q", fol.debruijn(f))
+        else:
+            raise ValueError(f"not an atom: {f!r}")
+        self.atoms.setdefault(key, f)
+        return key
 
 
 _CONNECTIVES = (fol.And, fol.Or, fol.Implies, fol.Iff)
@@ -288,11 +276,11 @@ _REFL = ("e", "refl")
 
 
 def _canonical(key, registry, cc):
-    info = registry.atoms[key]
-    if info[0] == "pred":
-        return ("p", info[1], tuple([cc.term_class(a) for a in info[2]]))
-    if info[0] == "eq":
-        a, b = cc.term_class(info[1]), cc.term_class(info[2])
+    atom = registry.atoms[key]
+    if isinstance(atom, fol.Atom):
+        return ("p", atom.pred, tuple([cc.term_class(a) for a in atom.args]))
+    if isinstance(atom, fol.Eq):
+        a, b = cc.term_class(atom.left), cc.term_class(atom.right)
         if a == b:
             return _REFL
         return ("e", tuple(sorted((a, b))))
@@ -306,13 +294,13 @@ def _make_branch_view(assignment, registry):
     equations = []
     terms = []
     for key, value in assignment.items():
-        info = registry.atoms[key]
-        if info[0] == "eq":
-            terms.extend((info[1], info[2]))
+        atom = registry.atoms[key]
+        if isinstance(atom, fol.Eq):
+            terms.extend((atom.left, atom.right))
             if value:
-                equations.append((info[1], info[2]))
-        elif info[0] == "pred":
-            terms.extend(info[2])
+                equations.append((atom.left, atom.right))
+        elif isinstance(atom, fol.Atom):
+            terms.extend(atom.args)
     cc = _Congruence(terms, equations)
     values = {}
     canonical = {}
@@ -449,10 +437,7 @@ def _derived_units(branch, registry):
     units = []
     for key in sorted(branch, key=repr):
         value = branch[key]
-        info = registry.atoms.get(key)
-        if info is None or info[0] != "quant":
-            continue
-        formula = info[1]
+        formula = registry.atoms[key]
         if value and isinstance(formula, fol.Forall):
             unit = universal_unit(formula)
             if unit is not None:
@@ -476,8 +461,9 @@ def matrix_atoms(matrix):
     ]
 
 
-def atom_infos(formulas):
-    """Distinct matrix atoms of the formulas as registry infos, in order."""
+def distinct_atoms(formulas):
+    """Distinct matrix atoms of the formulas, in order, equations with
+    their sides in key order."""
     registry = _Registry()
     for f in formulas:
         for atom in matrix_atoms(f):
@@ -504,31 +490,29 @@ def _match_term(pattern, ground, variables, subst):
     )
 
 
-def _match_atom(pattern, ground_info, variables, subst):
+def _match_atom(pattern, ground, variables, subst):
+    """The substitution extended so that the pattern matches the ground
+    atom, or None; an equation may match either way round."""
     if isinstance(pattern, fol.Atom):
-        if ground_info[0] != "pred" or ground_info[1] != pattern.pred:
-            return None
-        if len(ground_info[2]) != len(pattern.args):
+        if (not isinstance(ground, fol.Atom) or ground.pred != pattern.pred
+                or len(ground.args) != len(pattern.args)):
             return None
         trial = dict(subst)
-        for p, g in zip(pattern.args, ground_info[2]):
+        for p, g in zip(pattern.args, ground.args):
             if not _match_term(p, g, variables, trial):
                 return None
         return trial
-    if isinstance(pattern, fol.Eq):
-        if ground_info[0] != "eq":
-            return None
-        for left, right in ((ground_info[1], ground_info[2]), (ground_info[2], ground_info[1])):
+    if isinstance(pattern, fol.Eq) and isinstance(ground, fol.Eq):
+        for left, right in ((ground.left, ground.right), (ground.right, ground.left)):
             trial = dict(subst)
             if _match_term(pattern.left, left, variables, trial) and _match_term(
                 pattern.right, right, variables, trial
             ):
                 return trial
-        return None
     return None
 
 
-def candidate_substitutions(unit, atom_infos, universe, budget):
+def candidate_substitutions(unit, atoms, universe, budget):
     """Instance candidates for one universal unit, deterministically ordered."""
     variables = set(unit.variables)
     patterns = matrix_atoms(unit.matrix)
@@ -537,9 +521,9 @@ def candidate_substitutions(unit, atom_infos, universe, budget):
         extended = []
         for partial in partials:
             extended.append(partial)
-            for info in atom_infos:
+            for atom in atoms:
                 budget.spend()
-                trial = _match_atom(pattern, info, variables, partial)
+                trial = _match_atom(pattern, atom, variables, partial)
                 if trial is not None:
                     extended.append(trial)
         # dedup, keep deterministic order, cap growth
@@ -584,9 +568,8 @@ def _goal_constants(n):
 
 
 def _fix_formula(f, fixed_vars):
-    closed = f
     mapping = {v: fol.App(f".x_{v}") for v in fixed_vars}
-    return fol.apply_substitution(mapping, closed)
+    return fol.apply_substitution(mapping, f)
 
 
 def instance_formula(unit, subst):
@@ -615,9 +598,9 @@ def _prepare(premise, fixed_vars, registry):
         clauses = _clausify(closed, registry)
     else:
         # The whole closed premise also participates as an opaque fact.  Its
-        # unit key is the de Bruijn form that _Registry.quant keys it by.
+        # unit key is the de Bruijn form that _Registry.atom_key keys it by.
         key = ("q", unit.key)
-        registry.atoms.setdefault(key, ("quant", closed))
+        registry.atoms.setdefault(key, closed)
         clauses = [((key, True),)]
     return _Prepared(unit, clauses, fol.keyed_ground_subterms(closed))
 
@@ -717,20 +700,8 @@ class _Problem:
     #
     # A query's branch views are memoized by (open branch index, literal set
     # of the committed instances): the view depends on nothing else.  The
-    # memo is made by _open_branches and dies with the problem, so nothing
-    # outlives one query.
-
-    def _open_branches(self, branches):
-        """Keep the branches that congruence does not close, seeding the
-        view memo with their views."""
-        self.branches = []
-        self._views = {}  # (branch index, literal set) -> _BranchView or None
-        for branch in branches:
-            view = _make_branch_view(branch, self.registry)
-            if view is not None:
-                self._views[(len(self.branches), frozenset())] = view
-                self.branches.append(branch)
-        return self.branches
+    # memo is made by solve and dies with the problem, so nothing outlives
+    # one query.
 
     def _commit(self, unit, subst):
         """The commitment to one instance of a unit, made once per unit
@@ -750,15 +721,21 @@ class _Problem:
         return commitment
 
     def solve(self):
-        open_branches = self._open_branches(
-            _dpll_branches(self.clauses, self.budget)
-        )
+        # keep the branches that congruence does not close, seeding the view
+        # memo with their views
+        self.branches = []
+        self._views = {}  # (branch index, literal set) -> _BranchView or None
+        for branch in _dpll_branches(self.clauses, self.budget):
+            view = _make_branch_view(branch, self.registry)
+            if view is not None:
+                self._views[(len(self.branches), frozenset())] = view
+                self.branches.append(branch)
         units_by_key = {}
         for unit in self.premise_units:
             if unit is not None:
                 units_by_key.setdefault(unit.key, unit)
         per_branch_units = []  # per branch: its units by key, in search order
-        for branch in open_branches:
+        for branch in self.branches:
             available = dict(units_by_key)
             for unit in _derived_units(branch, self.registry):
                 available.setdefault(unit.key, unit)
@@ -824,17 +801,12 @@ class _Problem:
         for c in commitments.values():
             if c.literal is not None:
                 assignment.setdefault(*c.literal)
-        atom_infos = [
-            self.registry.atoms[k]
-            for k in sorted(assignment, key=repr)
-            if self.registry.atoms[k][0] in ("pred", "eq")
-        ]
+        atoms = [self.registry.atoms[k] for k in sorted(assignment, key=repr)]
+        atoms = [a for a in atoms if isinstance(a, (fol.Atom, fol.Eq))]
         for key, unit in available.items():
             if key in commitments:
                 continue
-            for subst in candidate_substitutions(
-                unit, atom_infos, self.universe, self.budget
-            ):
+            for subst in candidate_substitutions(unit, atoms, self.universe, self.budget):
                 trial = dict(commitments)
                 trial[key] = commitment = self._commit(unit, subst)
                 if commitment.literal is None and not self._branch_closed(index, trial):
@@ -853,10 +825,10 @@ def _as_literal(f):
 
 def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVerdict:
     """The query's verdict; a PremiseMemo shares premise preparation between
-    queries and changes no verdict.  A Budget, when given, is spent from
-    in place of a fresh one of query.budget units."""
+    queries and changes no verdict.  The search spends from the given Budget,
+    or else from a fresh one of DEFAULT_BUDGET units."""
     if budget is None:
-        budget = Budget(query.budget)
+        budget = Budget(DEFAULT_BUDGET)
     try:
         problem = _Problem(query.premises, query.conclusion, query.fixed_vars,
                            budget, PremiseMemo() if memo is None else memo)
@@ -878,37 +850,3 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
         (key, tuple(sorted(c.subst.items()))) for key, c in commitments.items()
     )
     return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed)
-
-
-def replay(query: ObviousnessQuery, verdict: ObviousnessVerdict) -> bool:
-    """Re-check an Obvious verdict using only its recorded selection."""
-    if not verdict.is_obvious:
-        return False
-    budget = Budget(query.budget)
-    try:
-        problem = _Problem(query.premises, query.conclusion, query.fixed_vars,
-                           budget, PremiseMemo())
-        branches = _dpll_branches(problem.clauses, budget)
-    except (BudgetExceeded, _TooHard):
-        return False
-    units_by_key = {u.key: u for u in problem.premise_units if u is not None}
-    commitments = {}
-    for key, subst_items in verdict.commitments:
-        unit = units_by_key.get(key)
-        if unit is None:
-            # derived unit: rebuild from any branch where it is available
-            for branch in branches:
-                for cand in _derived_units(branch, problem.registry):
-                    if cand.key == key:
-                        unit = cand
-                        break
-                if unit is not None:
-                    break
-        if unit is None:
-            return False
-        commitments[key] = problem._commit(unit, dict(subst_items))
-    problem._open_branches(branches)
-    return all(
-        problem._branch_closed(index, commitments)
-        for index in range(len(problem.branches))
-    )

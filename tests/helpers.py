@@ -1,8 +1,26 @@
 """Shared generators and oracles for the test suite."""
 
+import importlib.util
+import os
 import random
+import sys
 
-from tptp2miz import fol
+from tptp2miz import article, compress, fol, obvious
+
+MIZCHECK = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "mizcheck.py")
+
+
+def _load_mizcheck():
+    """The benchmark's independent checker, which shares no code with the
+    translator: loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("bench_mizcheck", MIZCHECK)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+mizcheck = _load_mizcheck()
 
 CONSTS = ["a", "b"]
 UNARY_PREDS = ["p"]
@@ -126,3 +144,29 @@ CONJECTURE_CITED = (
     "fof(s1, plain, q(c), inference(resolution, [status(thm)], [ax, goal])).\n"
     "fof(f, plain, $false, inference(resolution, [status(thm)], [s1, neg])).\n"
 )
+
+
+def mizcheck_problems(model, manifest):
+    """What mizcheck finds wrong with the rendered article and manifest: a
+    citation that does not resolve, or a plain `by` step with a countermodel
+    of size 1 or 2."""
+    return mizcheck.check_article(article.render_article(model),
+                                  article.render_manifest(manifest)).problems
+
+
+def recheck(model, manifest):
+    """What is wrong with an article, empty when nothing is: mizcheck's
+    problems, and each plain step that the translator's own checker does not
+    find obvious from its citations."""
+    problems = mizcheck_problems(model, manifest)
+    index = compress._formula_index(model, manifest)
+    steps = [(item.label, item.refs, item.formula)
+             for item in model.all_steps() if item.subproof is None]
+    if model.diffuse.contradiction_refs:
+        steps.append(("thus", model.diffuse.contradiction_refs, fol.FALSE))
+    for label, refs, conclusion in steps:
+        premises = [index[r] for r in refs if r in index]
+        query = obvious.ObviousnessQuery.make(premises, conclusion)
+        if not obvious.is_obvious(query).is_obvious:
+            problems.append(f"{label} is not obvious from its citations")
+    return problems

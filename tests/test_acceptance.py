@@ -97,7 +97,7 @@ class TestCriterion3Soundness:
             ]
             conclusion = helpers.random_quantified(rng)
             verdict = obvious.is_obvious(
-                ObviousnessQuery.make(premises, conclusion, budget=2000)
+                ObviousnessQuery.make(premises, conclusion), budget=obvious.Budget(2000)
             )
             checked += 1
             if verdict.is_obvious:
@@ -183,29 +183,6 @@ class TestCriterion4Skolemization:
 
 
 class TestCriterion5Compression:
-    @staticmethod
-    def recheck(model, manifest):
-        if article.check_references(article.render_article(model), manifest):
-            return False
-        index = compress._formula_index(model, manifest)
-        for item in model.all_steps():
-            if item.subproof is not None:
-                continue
-            premises = [index[r] for r in item.refs if r in index]
-            if not obvious.is_obvious(
-                ObviousnessQuery.make(premises, item.formula)
-            ).is_obvious:
-                return False
-        if model.diffuse.contradiction_refs:
-            premises = [
-                index[r] for r in model.diffuse.contradiction_refs if r in index
-            ]
-            if not obvious.is_obvious(
-                ObviousnessQuery.make(premises, fol.FALSE)
-            ).is_obvious:
-                return False
-        return True
-
     def test_fixed_point(self):
         ok = True
         units = tptp.parse_derivation_file(DERIVATION)
@@ -216,7 +193,7 @@ class TestCriterion5Compression:
         again, rep2 = compress.compress(out, manifest)
         ok &= rep2.removed_labels == []
         ok &= article.render_article(out) == article.render_article(again)
-        ok &= self.recheck(out, manifest)
+        ok &= helpers.recheck(out, manifest) == []
         for seed in range(50):
             rng = helpers.make_rng(seed + 40_000)
             model, manifest = helpers.random_article(rng)
@@ -224,7 +201,7 @@ class TestCriterion5Compression:
             ok &= rep.passes <= max(1, rep.steps_before)
             again, rep2 = compress.compress(out, manifest)
             ok &= rep2.removed_labels == []
-            ok &= self.recheck(out, manifest)
+            ok &= helpers.recheck(out, manifest) == []
         report(5, "compression fixed point", ok)
 
 
@@ -247,7 +224,7 @@ class TestCriterion6StructuralInvariants:
         model, manifest = article.build_article(graph)
         model, _ = compress.compress(model, manifest)
         text = article.render_article(model)
-        ok &= article.check_references(text, manifest) == []
+        ok &= helpers.mizcheck_problems(model, manifest) == []
 
         model2, manifest2 = article.build_article(
             derivation.build_graph(tptp.parse_derivation_file(DERIVATION))
@@ -260,7 +237,7 @@ class TestCriterion6StructuralInvariants:
         pm1 = article.translate_problem(punits)
         pm2 = article.translate_problem(tptp.parse_problem_file(PROBLEM))
         ok &= article.render_article(pm1[0]) == article.render_article(pm2[0])
-        ok &= article.check_references(article.render_article(pm1[0]), pm1[1]) == []
+        ok &= helpers.mizcheck_problems(*pm1) == []
         report(6, "structural invariants", ok)
 
 

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from tptp2miz import article, derivation, fol, obvious, tptp
+from tptp2miz import article, derivation, fol, tptp
 from tptp2miz.errors import DuplicateName, ExpansionFailed, NoConjecture
 
 import helpers
@@ -79,24 +79,7 @@ class TestBuildArticle:
         assert kept.label not in model.diffuse.contradiction_refs
 
     def test_every_step_is_obvious_from_citations(self):
-        model, manifest = fixture_article()
-        index = {}
-        for item in model.axiom_items + model.all_steps():
-            index[item.label] = item.formula
-        index[model.diffuse.assumption_label] = model.diffuse.assumption
-        for n, f in enumerate(manifest.skolem_defs, start=1):
-            index[f"SKOLEM:def {n}"] = f
-        for item in model.all_steps():
-            if item.subproof is not None:
-                continue
-            premises = [index[r] for r in item.refs if r in index]
-            q = obvious.ObviousnessQuery.make(premises, item.formula)
-            assert obvious.is_obvious(q).is_obvious, item.label
-        premises = [
-            index[r] for r in model.diffuse.contradiction_refs if r in index
-        ]
-        q = obvious.ObviousnessQuery.make(premises, fol.FALSE)
-        assert obvious.is_obvious(q).is_obvious
+        assert helpers.recheck(*fixture_article()) == []
 
     def test_no_conjecture_raises(self):
         units = tptp.parse_problem(
@@ -113,6 +96,27 @@ class TestBuildArticle:
         units = tptp.parse_problem(helpers.CONJECTURE_CITED)
         with pytest.raises(ExpansionFailed):
             article.build_article(derivation.build_graph(units))
+
+    def test_skolem_names_skip_the_problem_symbols(self):
+        # the problem has a constant skolem1, so esk1_0 becomes skolem2
+        units = tptp.parse_problem(
+            "fof(a1, axiom, ?[X]: p(X)).\n"
+            "fof(a2, axiom, ![X]: (p(X) => q(X))).\n"
+            "fof(a3, axiom, ~ p(skolem1)).\n"
+            "fof(g, conjecture, ?[X]: q(X)).\n"
+            "fof(n, negated_conjecture, ~ ?[X]: q(X), "
+            "inference(assume_negation, [status(cth)], [g])).\n"
+            "fof(s1, plain, p(esk1_0), inference(skolemize, [status(esa)], [a1])).\n"
+            "fof(s2, plain, q(esk1_0), inference(mp, [status(thm)], [s1, a2])).\n"
+            "fof(f, plain, $false, inference(r, [status(thm)], [s2, n])).\n"
+        )
+        model, manifest = article.build_article(derivation.build_graph(units))
+        assert manifest.functions == [("skolem1", 0), ("skolem2", 0)]
+        assert fol.alpha_equivalent(manifest.skolem_defs[0], F("(?[X]: p(X)) => p(skolem2)"))
+        text = article.render_article(model)
+        assert "Ax3: not p skolem1 by AXIOMS:3;" in text
+        assert "S1: p skolem2 by Ax1,SKOLEM:def 1;" in text
+        assert helpers.recheck(model, manifest) == []
 
     def test_designated_conjecture(self):
         units = tptp.parse_problem(
@@ -160,7 +164,7 @@ class TestRendering:
 
     def test_no_unresolved_references(self):
         model, manifest = fixture_article()
-        assert article.check_references(article.render_article(model), manifest) == []
+        assert helpers.mizcheck_problems(model, manifest) == []
 
 
 class TestManifest:

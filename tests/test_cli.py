@@ -270,3 +270,65 @@ class TestNumericOptions:
         )
         assert code == 0
         assert "compression:" in err
+
+
+def refutation(literal):
+    """A derivation refuting the literal's negation with the literal itself."""
+    return (
+        f"fof(a, axiom, {literal}).\n"
+        f"fof(g, conjecture, {literal}).\n"
+        f"fof(n, negated_conjecture, ~ {literal}, "
+        "inference(assume_negation, [status(cth)], [g])).\n"
+        "fof(f, plain, $false, inference(r, [status(thm)], [a, n])).\n"
+    )
+
+
+class TestUnwritableArticles:
+    """Inputs whose article could only be wrong end in exit 2, before any
+    file is written."""
+
+    NO_REFUTATION = {
+        "no_false_step": (
+            "fof(a, axiom, p(c)).\nfof(g, conjecture, p(c)).\n"
+            "fof(n, negated_conjecture, ~ p(c), "
+            "inference(assume_negation, [status(cth)], [g])).\n"
+        ),
+        "false_step_cites_nothing": (
+            "fof(a, axiom, $false).\nfof(g, conjecture, p(c)).\n"
+            "fof(f, plain, $false, inference(rw, [status(thm)], [a])).\n"
+        ),
+    }
+    # literals naming a symbol the rendering would misread
+    SYMBOLS = ["p('X1')", "contradiction(c)", "for(c)", "or(c)", "'p q'('c d')"]
+
+    def translate(self, tmp_path, capsys, text, *argv):
+        path = tmp_path / "in.p"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, argv[0], str(path), "-o", str(out), *argv[1:])
+        assert "Traceback" not in err
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("options", [[], ["--no-compress"]])
+    @pytest.mark.parametrize("case", sorted(NO_REFUTATION))
+    def test_no_refutation(self, case, options, tmp_path, capsys):
+        code, err = self.translate(tmp_path, capsys, self.NO_REFUTATION[case],
+                                   "derivation", *options)
+        assert code == 2
+        assert err.startswith("error: NoRefutation:")
+
+    @pytest.mark.parametrize("options", [[], ["--no-compress"]])
+    @pytest.mark.parametrize("literal", SYMBOLS)
+    def test_symbol_in_derivation(self, literal, options, tmp_path, capsys):
+        code, err = self.translate(tmp_path, capsys, refutation(literal),
+                                   "derivation", *options)
+        assert code == 2
+        assert err.startswith("error: UnsupportedSymbol:")
+
+    @pytest.mark.parametrize("literal", SYMBOLS)
+    def test_symbol_in_problem(self, literal, tmp_path, capsys):
+        text = f"fof(a, axiom, {literal}).\nfof(g, conjecture, ![X]: p(X)).\n"
+        code, err = self.translate(tmp_path, capsys, text, "problem")
+        assert code == 2
+        assert err.startswith("error: UnsupportedSymbol:")

@@ -1,6 +1,6 @@
 import os
 
-from tptp2miz import article, compress, derivation, fol, obvious, tptp
+from tptp2miz import article, compress, derivation, fol, tptp
 
 import helpers
 from conftest import FIXTURES
@@ -14,24 +14,6 @@ def fixture_article():
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
     graph = derivation.build_graph(units)
     return article.build_article(graph)
-
-
-def recheck(model, manifest):
-    """Obviousness + referential integrity over the whole article."""
-    assert article.check_references(article.render_article(model), manifest) == []
-    index = compress._formula_index(model, manifest)
-    for item in model.all_steps():
-        if item.subproof is not None:
-            continue
-        premises = [index[r] for r in item.refs if r in index]
-        q = obvious.ObviousnessQuery.make(premises, item.formula)
-        assert obvious.is_obvious(q).is_obvious, item.label
-    if model.diffuse.contradiction_refs:
-        premises = [
-            index[r] for r in model.diffuse.contradiction_refs if r in index
-        ]
-        q = obvious.ObviousnessQuery.make(premises, fol.FALSE)
-        assert obvious.is_obvious(q).is_obvious
 
 
 class TestInline:
@@ -75,7 +57,7 @@ class TestChainExample:
         assert out.diffuse.contradiction_refs == ("Ax1", "S1")
         assert report.steps_before == 2
         assert report.steps_after == 0
-        recheck(out, manifest)
+        assert helpers.recheck(out, manifest) == []
 
 
 class TestFixtureCompression:
@@ -87,7 +69,7 @@ class TestFixtureCompression:
         assert report.steps_after == len(out.all_steps())
         assert report.steps_after <= before
         assert report.passes <= before + 1
-        recheck(out, manifest)
+        assert helpers.recheck(out, manifest) == []
 
     def test_idempotent(self):
         model, manifest = fixture_article()
@@ -111,7 +93,7 @@ class TestFixtureCompression:
         model, manifest = fixture_article()
         out, report = compress.compress(model, manifest, max_passes=1)
         assert report.passes == 1
-        recheck(out, manifest)
+        assert helpers.recheck(out, manifest) == []
 
 
 class TestRandomArticles:
@@ -126,5 +108,5 @@ class TestRandomArticles:
             again, report2 = compress.compress(out, manifest)
             if report2.removed_labels:
                 failures.append(seed)
-            recheck(out, manifest)
+            assert helpers.recheck(out, manifest) == []
         assert failures == []

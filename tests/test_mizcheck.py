@@ -3,9 +3,7 @@ every citation resolves, and every plain `by` step holds in all models of
 size 1 and 2.  bench/mizcheck.py shares no code with the translator; it is
 loaded by path and only read."""
 
-import importlib.util
 import os
-import sys
 
 import pytest
 
@@ -13,19 +11,7 @@ from tptp2miz import cli
 
 import helpers
 from conftest import FIXTURES
-
-MIZCHECK = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "mizcheck.py")
-
-
-def _load_mizcheck():
-    spec = importlib.util.spec_from_file_location("bench_mizcheck", MIZCHECK)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-mizcheck = _load_mizcheck()
+from helpers import mizcheck
 
 # mode: (command line before "-o", plain `by` steps checked in its article)
 MODES = {

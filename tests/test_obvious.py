@@ -112,40 +112,18 @@ class TestCongruence:
 
 class TestBudget:
     def test_tiny_budget_gives_unknown(self):
-        q = query(
-            ["![X]:(p(X)=>q(X))", "p(c)"], "q(c)", budget=1
-        )
-        assert is_obvious(q).kind is Verdict.UNKNOWN
+        q = query(["![X]:(p(X)=>q(X))", "p(c)"], "q(c)")
+        assert is_obvious(q, budget=obvious.Budget(1)).kind is Verdict.UNKNOWN
 
     def test_budget_monotone(self):
         # growing the budget can only move Unknown toward a real verdict
-        base = query(["![X]:(p(X)=>q(X))", "p(c)"], "q(c)")
+        q = query(["![X]:(p(X)=>q(X))", "p(c)"], "q(c)")
         seen = []
         for budget in (1, 10, 100, 10_000):
-            q = ObviousnessQuery.make(base.premises, base.conclusion, budget)
-            seen.append(is_obvious(q).kind)
+            seen.append(is_obvious(q, budget=obvious.Budget(budget)).kind)
         settled = [k for k in seen if k is not Verdict.UNKNOWN]
         assert settled and all(k == settled[0] for k in settled)
         assert seen[-1] is Verdict.OBVIOUS
-
-
-class TestReplay:
-    def test_replay_confirms_obvious(self):
-        q = query(["![X]:(p(X)=>q(X))", "p(c)"], "q(c)")
-        v = is_obvious(q)
-        assert obvious.replay(q, v)
-
-    def test_replay_rejects_forged_selection(self):
-        q = query(["![X]:(p(X)=>q(X))", "p(c)"], "q(c)")
-        v = is_obvious(q)
-        forged = obvious.ObviousnessVerdict(
-            Verdict.OBVIOUS,
-            v.selection,
-            tuple(
-                (key, (("X", fol.App("zzz")),)) for key, _ in v.commitments
-            ),
-        )
-        assert not obvious.replay(q, forged)
 
 
 class TestBruteForce:
@@ -178,8 +156,8 @@ class TestSoundnessSample:
             helpers.random_quantified(rng) for _ in range(rng.randint(1, 3))
         ]
         conclusion = helpers.random_quantified(rng)
-        q = ObviousnessQuery.make(premises, conclusion, budget=2000)
-        verdict = is_obvious(q)
+        q = ObviousnessQuery.make(premises, conclusion)
+        verdict = is_obvious(q, budget=obvious.Budget(2000))
         if verdict.is_obvious:
             for n in (1, 2, 3):
                 assert oracle.brute_force_entails(premises, conclusion, n)

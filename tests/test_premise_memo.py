@@ -33,12 +33,17 @@ class TestVerdictsUnchanged:
                 helpers.random_quantified(rng) for _ in range(rng.randint(1, 3))
             ]
             conclusion = helpers.random_quantified(rng)
-            queries.append(ObviousnessQuery.make(premises, conclusion, budget=2000))
-        alone = [answer(obvious.is_obvious(q)) for q in queries]
+            queries.append(ObviousnessQuery.make(premises, conclusion))
+
+        def answers(memo=None):
+            return [answer(obvious.is_obvious(q, memo, obvious.Budget(2000)))
+                    for q in queries]
+
+        alone = answers()
         with obvious.PremiseMemo() as memo:
-            first = [answer(obvious.is_obvious(q, memo)) for q in queries]
+            first = answers(memo)
             # the second round finds every premise prepared already
-            second = [answer(obvious.is_obvious(q, memo)) for q in queries]
+            second = answers(memo)
         assert first == alone
         assert second == alone
 

@@ -18,12 +18,13 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "verdicts-500.txt")
 
 
 def sample_queries():
-    """The acceptance gate's soundness sample: same seeds, same budget."""
+    """The acceptance gate's soundness sample, same seeds; each query is
+    asked with the gate's budget of 2000."""
     for seed in range(500):
         rng = helpers.make_rng(seed)
         premises = [helpers.random_quantified(rng) for _ in range(rng.randint(1, 3))]
         conclusion = helpers.random_quantified(rng)
-        yield seed, ObviousnessQuery.make(premises, conclusion, budget=2000)
+        yield seed, ObviousnessQuery.make(premises, conclusion)
 
 
 def describe(seed, verdict):
@@ -39,7 +40,8 @@ def describe(seed, verdict):
 
 
 def verdict_lines():
-    return [describe(seed, obvious.is_obvious(q)) for seed, q in sample_queries()]
+    return [describe(seed, obvious.is_obvious(q, budget=obvious.Budget(2000)))
+            for seed, q in sample_queries()]
 
 
 def test_sample_matches_golden():
