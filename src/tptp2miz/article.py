@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import derivation, expand, fol, obvious, skolem, tptp
 from .derivation import StepClass
-from .errors import DuplicateName, NoConjecture, NoRefutation, UnsupportedSymbol
+from .errors import (DuplicateName, ExpansionFailed, NoConjecture, NoRefutation,
+                     UnsupportedSymbol)
 
 # Symbol names are rendered verbatim, so they must be TPTP lower words or
 # numerals, and none of the words the rendering itself writes.
@@ -166,13 +167,18 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
             skolem_symbols.append(symbol)
 
-    def justified_item(name):
-        unit = graph.nodes[name]
+    def citations(name):
+        """The labels a step cites and the premises they state: a cited
+        conjecture's label is the assumption's, which states the
+        conjecture's negation."""
         refs = [label_of[p] for p in graph.parents[name]]
-        # each premise is what its label states: a cited conjecture's label
-        # is the assumption's, which states the conjecture's negation
         premises = [assumption if r == assumption_label else graph.nodes[p].formula
                     for r, p in zip(refs, graph.parents[name])]
+        return refs, premises
+
+    def justified_item(name):
+        unit = graph.nodes[name]
+        refs, premises = citations(name)
         henkin = henkins.get(name)
         if henkin is not None:
             refs.append(f"SKOLEM:def {henkin[0]}")
@@ -189,8 +195,12 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     lemma_items = [justified_item(name) for name in lemma_names]
     inner_items = [justified_item(name) for name in inner_names]
 
-    contradiction_refs = tuple(label_of[p] for p in graph.parents[graph.sink])
-    diffuse = DiffuseBlock(assumption_label, assumption, inner_items, contradiction_refs)
+    # the closing step has no sub-proof form, so it must be obvious as cited
+    refs, premises = citations(graph.sink)
+    query = obvious.ObviousnessQuery.make(premises, fol.FALSE)
+    if not obvious.is_obvious(query, budget=obvious.Budget(budget)).is_obvious:
+        raise ExpansionFailed(graph.sink)
+    diffuse = DiffuseBlock(assumption_label, assumption, inner_items, tuple(refs))
 
     model = ArticleModel((), axiom_items, lemma_items, theorem, diffuse)
     _rename_skolems(model, henkins, skolem_symbols, graph)
@@ -231,15 +241,6 @@ def _rename_skolems(model, henkins, skolem_symbols, graph):
         henkins[name] = (n, fix(axiom))
 
 
-def _formula_var_count(f):
-    """Variables a formula's display form names: its free variables, which
-    the closure binds, plus one per quantifier."""
-    quantifiers = sum(
-        isinstance(g, (fol.Forall, fol.Exists)) for g, _ in fol.subformulas(f)
-    )
-    return len(fol.free_vars(f)) + quantifiers
-
-
 def _model_formulas(model):
     """Every formula the article states; problem mode may lack a theorem."""
     formulas = [item.formula for item in model.axiom_items + model.all_steps()]
@@ -253,7 +254,9 @@ def _model_formulas(model):
 
 
 def _reservations(model):
-    most = max(map(_formula_var_count, _model_formulas(model)), default=0)
+    # a display form names each free variable, which the closure binds, and
+    # one variable per quantifier
+    most = max((len(f.free) + len(f.binders) for f in _model_formulas(model)), default=0)
     return tuple(f"X{i}" for i in range(1, most + 1))
 
 
@@ -348,20 +351,25 @@ def _render(f, names):
     return "contradiction"
 
 
+def _closure_prefix(f):
+    """The variables of the universal closure's leading Foralls, and the
+    matrix under them, read off f without closing it."""
+    prefix, matrix = fol.strip_prefix(f)
+    return list(f.free) + prefix, matrix
+
+
 def _display_form(f):
     """Strip the universal closure and rename variables to X1, X2, ...
 
     Returns (rendered matrix formula text, original-name comment or None).
     """
-    closed = fol.universal_closure(f)
-    prefix, matrix = fol.strip_prefix(closed)
+    prefix, matrix = _closure_prefix(f)
     names = {}
     for v in prefix:
         names[v] = f"X{len(names) + 1}"
-
-    for g, _ in fol.subformulas(matrix):
-        if isinstance(g, (fol.Forall, fol.Exists)) and g.var not in names:
-            names[g.var] = f"X{len(names) + 1}"
+    for v in matrix.binders:
+        if v not in names:
+            names[v] = f"X{len(names) + 1}"
     text = _render(matrix, names)
     renamed = [(old, new) for old, new in names.items() if old != new]
     comment = None
@@ -375,8 +383,7 @@ def _subproof_lines(item, indent):
     lines = []
     sub = item.subproof
     # the statement's variable renaming must also apply inside the proof
-    closed = fol.universal_closure(item.formula)
-    prefix, _ = fol.strip_prefix(closed)
+    prefix, _ = _closure_prefix(item.formula)
     names = {v: f"X{i + 1}" for i, v in enumerate(prefix)}
     lines.append(pad + "proof")
     thus_refs = []

@@ -66,7 +66,7 @@ def build_subproof(step_name, step_formula, parent_formulas,
     """
     if budget is None:
         budget = obvious.Budget(obvious.DEFAULT_BUDGET)
-    fixed = tuple(fol.free_vars(step_formula))
+    fixed = step_formula.free
 
     parents = []
     for i, p in enumerate(parent_formulas):

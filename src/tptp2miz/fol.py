@@ -14,6 +14,7 @@ of => and <=>, alternating connectives and terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ArityConflict, KindConflict
@@ -21,22 +22,36 @@ from .errors import ArityConflict, KindConflict
 # ---------------------------------------------------------------------------
 # Terms
 #
-# A term carries its key (see term_key) and its depth, the number of nested
-# argument lists, both built from its arguments' when it is made.  So no
-# term is ever walked to key it, however deep it is.
+# A term carries its key, its depth (the number of nested argument lists)
+# and its variable names, all built from its arguments' when it is made.
+# So no term is ever walked to key it, however deep it is.
 
 _set = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
+def _free_of(parts):
+    """The free names of the parts, each once, in first-occurrence order:
+    (), or the one part's own tuple when only one part has any."""
+    free = ()
+    for p in parts:
+        if p.free:
+            if free:
+                return tuple(dict.fromkeys(chain.from_iterable(q.free for q in parts)))
+            free = p.free
+    return free
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class Var:
     name: str
     key: tuple = field(repr=False, compare=False)
+    free: tuple = field(repr=False, compare=False)
     depth = 0
 
     def __init__(self, name):
         _set(self, "name", name)
         _set(self, "key", ("f", name))
+        _set(self, "free", (name,))
 
     def __repr__(self):
         return self.name
@@ -48,6 +63,7 @@ class App:
     args: tuple
     key: tuple = field(repr=False, compare=False)
     depth: int = field(repr=False, compare=False)
+    free: tuple = field(repr=False, compare=False)
 
     def __init__(self, name, args=()):
         _set(self, "name", name)
@@ -59,6 +75,7 @@ class App:
                 depth = a.depth
         _set(self, "key", ("a", name, tuple(keys)))
         _set(self, "depth", depth + 1)
+        _set(self, "free", _free_of(args))
 
     def __repr__(self):
         if not self.args:
@@ -71,67 +88,175 @@ Term = Union[Var, App]
 
 # ---------------------------------------------------------------------------
 # Formulas
+#
+# A formula carries two facts: free, its free variable names in
+# first-occurrence order, and binders, the names its quantifiers bind in
+# pre-order, one per quantifier.  Neither takes part in equality, hashing or
+# repr, and nodes without any share ().  A connective builds its facts from
+# its parts' when it is made.  A quantifier builds its own when they are
+# first read, from the first node below its chain of quantifiers that has
+# them: so closing a formula over n variables costs n, not the n * n that
+# each of the n Foralls holding its own tuples would.
 
 
-@dataclass(frozen=True, slots=True)
+def _gather(node, parts):
+    """Set a connective's facts from its operands'."""
+    _set(node, "free", _free_of(parts))
+    binders = ()
+    for p in parts:
+        if p.binders:
+            if binders:
+                binders = tuple(chain.from_iterable(q.binders for q in parts))
+                break
+            binders = p.binders
+    _set(node, "binders", binders)
+
+
+def _chain_facts(node):
+    """A quantifier's (free, binders), built and kept on first read."""
+    variables, g = [], node
+    while type(g) in _QUANT and g.facts is None:
+        variables.append(g.var)
+        g = g.body
+    free = g.free
+    bound = set(variables).intersection(free)
+    if bound:
+        free = tuple(v for v in free if v not in bound)
+    facts = (free, tuple(variables) + g.binders)
+    _set(node, "facts", facts)
+    return facts
+
+
+def _quantifier_free(node):
+    return (node.facts or _chain_facts(node))[0]
+
+
+def _quantifier_binders(node):
+    return (node.facts or _chain_facts(node))[1]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Atom:
     pred: str
-    args: tuple = ()
+    args: tuple
+    free: tuple = field(repr=False, compare=False)
+    binders = ()
+
+    def __init__(self, pred, args=()):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+        _set(self, "free", _free_of(args))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Eq:
     left: Term
     right: Term
+    free: tuple = field(repr=False, compare=False)
+    binders = ()
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "free", _free_of((left, right)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Not:
     body: "Formula"
+    free: tuple = field(repr=False, compare=False)
+    binders: tuple = field(repr=False, compare=False)
+
+    def __init__(self, body):
+        _set(self, "body", body)
+        _set(self, "free", body.free)
+        _set(self, "binders", body.binders)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class And:
     parts: tuple  # two or more operands, none an And; build with join()
+    free: tuple = field(repr=False, compare=False)
+    binders: tuple = field(repr=False, compare=False)
+
+    def __init__(self, parts):
+        _set(self, "parts", parts)
+        _gather(self, parts)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Or:
     parts: tuple  # two or more operands, none an Or; build with join()
+    free: tuple = field(repr=False, compare=False)
+    binders: tuple = field(repr=False, compare=False)
+
+    def __init__(self, parts):
+        _set(self, "parts", parts)
+        _gather(self, parts)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Implies:
     left: "Formula"
     right: "Formula"
+    free: tuple = field(repr=False, compare=False)
+    binders: tuple = field(repr=False, compare=False)
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _gather(self, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Iff:
     left: "Formula"
     right: "Formula"
+    free: tuple = field(repr=False, compare=False)
+    binders: tuple = field(repr=False, compare=False)
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _gather(self, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Forall:
     var: str
     body: "Formula"
+    facts: tuple = field(repr=False, compare=False)  # (free, binders), or None
+    free = property(_quantifier_free)
+    binders = property(_quantifier_binders)
+
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "facts", None)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Exists:
     var: str
     body: "Formula"
+    facts: tuple = field(repr=False, compare=False)  # (free, binders), or None
+    free = property(_quantifier_free)
+    binders = property(_quantifier_binders)
+
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "facts", None)
 
 
 @dataclass(frozen=True, slots=True)
 class Verum:
-    pass
+    free = binders = ()
 
 
 @dataclass(frozen=True, slots=True)
 class Falsum:
-    pass
+    free = binders = ()
 
 
 Formula = Union[Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists, Verum, Falsum]
@@ -199,25 +324,6 @@ def atom_terms(f: Formula) -> tuple:
     return ()
 
 
-def term_vars(t: Term) -> Iterator[str]:
-    if isinstance(t, Var):
-        yield t.name
-    else:
-        for a in t.args:
-            yield from term_vars(a)
-
-
-def free_vars(f: Formula) -> list:
-    """Free variables in first-occurrence (left-to-right) order."""
-    seen = {}
-    for g, bound in subformulas(f):
-        for t in atom_terms(g):
-            for v in term_vars(t):
-                if v not in bound:
-                    seen[v] = None
-    return list(seen)
-
-
 def term_functions(t: Term) -> Iterator[tuple]:
     if isinstance(t, App):
         yield (t.name, len(t.args))
@@ -242,7 +348,8 @@ def formula_symbols(f: Formula) -> list:
 
 
 def universal_closure(f: Formula) -> Formula:
-    for v in reversed(free_vars(f)):
+    """f under a Forall for each free variable; a closed f itself."""
+    for v in reversed(f.free):
         f = Forall(v, f)
     return f
 
@@ -290,18 +397,15 @@ def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
     if isinstance(f, _BINARY):
         return type(f)(apply_substitution(s, f.left), apply_substitution(s, f.right))
     if isinstance(f, _QUANT):
-        relevant = {k: v for k, v in s.items() if k != f.var}
-        if relevant:
-            body_free = set(free_vars(f.body))
-            relevant = {k: v for k, v in relevant.items() if k in body_free}
+        relevant = {k: v for k, v in s.items() if k in f.free}
         if not relevant:
             return f
         range_vars = set()
         for t in relevant.values():
-            range_vars.update(term_vars(t))
+            range_vars.update(t.free)
         var, body = f.var, f.body
         if var in range_vars:
-            avoid = range_vars | body_free | set(relevant)
+            avoid = range_vars | set(body.free) | set(relevant)
             new = fresh_var(avoid, base=var)
             body = apply_substitution({var: Var(new)}, body)
             var = new
@@ -321,11 +425,6 @@ def _norm_term(t: Term, env) -> tuple:
             return ("b", env[t.name])
         return ("f", t.name)
     return ("a", t.name, tuple(_norm_term(a, env) for a in t.args))
-
-
-def term_key(t: Term) -> tuple:
-    """Hashable identity of a term; its variables count as free names."""
-    return t.key
 
 
 def debruijn(f: Formula, env=None, depth=0) -> tuple:
@@ -413,7 +512,7 @@ def _rename_term(t, mapping):
 
 
 def keyed_ground_subterms(f: Formula) -> dict:
-    """term_key -> term for every ground term occurring in a formula."""
+    """Key -> term for every ground term occurring in a formula."""
     found = {}
     for g, _ in subformulas(f):
         for t in atom_terms(g):

@@ -681,20 +681,28 @@ class _Problem:
         self.clauses = [c for p in prepared if p.unit is not None for c in p.clauses]
         self.clauses += [c for p in prepared if p.unit is None for c in p.clauses]
         self.clauses += _clausify(fol.Not(self.goal_matrix), self.registry)
-        # Only a universe small enough to fill residual variables from is
-        # read, in order, so only such a one is gathered whole and sorted:
-        # past the bound only its size is read.
-        found = {}
-        for p in prepared:
-            found.update(p.ground_terms)
-            if len(found) > _MAX_FILL_UNIVERSE:
-                break
-        else:
-            found.update(fol.keyed_ground_subterms(self.goal_matrix))
-        found.setdefault(_FILL.key, _FILL)
-        self.universe = ([found[k] for k in sorted(found)]
-                         if len(found) <= _MAX_FILL_UNIVERSE else list(found.values()))
+        self._prepared = prepared
+        self._universe = None  # gathered when the instance search first asks
         self._commitments = {}  # (id(unit), substitution keys) -> _Commitment
+
+    def _fill_universe(self):
+        """The ground terms residual variables are filled from.  Only a
+        universe small enough to fill from is read, in order, so only such a
+        one is gathered whole and sorted: past the bound only its size is
+        read."""
+        if self._universe is None:
+            found = {}
+            for p in self._prepared:
+                found.update(p.ground_terms)
+                if len(found) > _MAX_FILL_UNIVERSE:
+                    break
+            else:
+                found.update(fol.keyed_ground_subterms(self.goal_matrix))
+            found.setdefault(_FILL.key, _FILL)
+            self._universe = ([found[k] for k in sorted(found)]
+                              if len(found) <= _MAX_FILL_UNIVERSE
+                              else list(found.values()))
+        return self._universe
 
     # -- closure search ------------------------------------------------------
     #
@@ -806,7 +814,8 @@ class _Problem:
         for key, unit in available.items():
             if key in commitments:
                 continue
-            for subst in candidate_substitutions(unit, atoms, self.universe, self.budget):
+            universe = self._fill_universe()
+            for subst in candidate_substitutions(unit, atoms, universe, self.budget):
                 trial = dict(commitments)
                 trial[key] = commitment = self._commit(unit, subst)
                 if commitment.literal is None and not self._branch_closed(index, trial):

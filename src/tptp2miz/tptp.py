@@ -151,6 +151,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0  # open nesting levels; an error ends the parse, so none closes on raise
+        self.leaves = {}  # token -> the variable or constant it names, made once per text
 
     def peek(self) -> str:
         return self.tokens[self.i]
@@ -324,7 +325,15 @@ class _Parser:
             if tok == "$false":
                 return fol.FALSE
             self.error(f"unsupported defined symbol {tok!r}")
-        term = self.parse_term()
+        if _kind(tok) == "upper":
+            term = self.parse_term()
+        else:
+            # an atom is made from its functor and arguments: only the side
+            # of an equation is a term
+            name, args = self.parse_functor()
+            if self.peek() not in ("=", "!="):
+                return fol.Atom(name, args)
+            term = fol.App(name, args)
         nxt = self.peek()
         if nxt == "=":
             self.next()
@@ -332,30 +341,43 @@ class _Parser:
         if nxt == "!=":
             self.next()
             return fol.Not(fol.Eq(term, self.parse_term()))
-        if isinstance(term, fol.Var):
-            self.error("a bare variable is not a formula")
-        return fol.Atom(term.name, term.args)
+        self.error("a bare variable is not a formula")
 
     def parse_term(self) -> "fol.Term":
+        tok = self.peek()
+        if _kind(tok) == "upper":
+            self.next()
+            return self.leaf(tok, fol.Var, tok)
+        name, args = self.parse_functor()
+        if args:
+            return fol.App(name, args)
+        return self.leaf(tok, fol.App, name)
+
+    def leaf(self, tok, make, name):
+        """The one variable or constant that tok names in this text."""
+        term = self.leaves.get(tok)
+        if term is None:
+            term = self.leaves[tok] = make(name)
+        return term
+
+    def parse_functor(self):
+        """A functor and its argument terms, as (name, args)."""
         name = self.peek()
         kind = _kind(name)
-        if kind == "upper":
-            return fol.Var(self.next())
-        if kind in ("lower", "quoted", "number"):
-            self.next()
-            if kind == "quoted":
-                name = _unquote(name)
-            args = ()
-            if self.at("("):
-                self.descend()
-                got = [self.parse_term()]
-                while self.accept(","):
-                    got.append(self.parse_term())
-                self.expect(")")
-                self.depth -= 1
-                args = tuple(got)
-            return fol.App(name, args)
-        self.error("expected a term", expected=("variable", "functor"))
+        if kind not in ("lower", "quoted", "number"):
+            self.error("expected a term", expected=("variable", "functor"))
+        self.next()
+        if kind == "quoted":
+            name = _unquote(name)
+        if not self.at("("):
+            return name, ()
+        self.descend()
+        got = [self.parse_term()]
+        while self.accept(","):
+            got.append(self.parse_term())
+        self.expect(")")
+        self.depth -= 1
+        return name, tuple(got)
 
     # -- cnf formulas -------------------------------------------------------
 

@@ -122,7 +122,7 @@ class TestCriterion4Skolemization:
             atom = fol.Atom("p", (rng.choice(terms),))
             lits.append(fol.Not(atom) if rng.random() < 0.5 else atom)
         if not any(
-            "Y" in fol.free_vars(l) for l in lits
+            "Y" in l.free for l in lits
         ):
             lits.append(fol.Atom("p", (fol.Var("Y"),)))
         matrix = fol.join(fol.Or, lits)
@@ -153,7 +153,7 @@ class TestCriterion4Skolemization:
             symbol = skolem.validate_single_skolem("sk", graph)
             axiom = skolem.make_henkin_axiom("sk", graph)
             produced += 1
-            ok &= fol.free_vars(axiom) == []
+            ok &= axiom.free == ()
             ok &= symbol.name == "esk"
             ok &= any(
                 name == "esk"

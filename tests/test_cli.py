@@ -319,6 +319,19 @@ class TestUnwritableArticles:
         assert err.startswith("error: NoRefutation:")
 
     @pytest.mark.parametrize("options", [[], ["--no-compress"]])
+    def test_closing_step_not_obvious(self, options, tmp_path, capsys):
+        # $false cites only p(c), which contradicts nothing
+        text = (
+            "fof(a, axiom, p(c)).\nfof(g, conjecture, q(c)).\n"
+            "fof(n, negated_conjecture, ~ q(c), "
+            "inference(assume_negation, [status(cth)], [g])).\n"
+            "fof(f, plain, $false, inference(r, [status(thm)], [a])).\n"
+        )
+        code, err = self.translate(tmp_path, capsys, text, "derivation", *options)
+        assert code == 2
+        assert err.startswith("error: ExpansionFailed:") and "'f'" in err
+
+    @pytest.mark.parametrize("options", [[], ["--no-compress"]])
     @pytest.mark.parametrize("literal", SYMBOLS)
     def test_symbol_in_derivation(self, literal, options, tmp_path, capsys):
         code, err = self.translate(tmp_path, capsys, refutation(literal),

@@ -100,7 +100,8 @@ class TestRecordBindings:
 
 class TestOneBudgetPerStep:
     """build_article gives each step one Budget of --budget units: the
-    step's justification query and its expansion both spend from it."""
+    step's justification query and its expansion both spend from it.  The
+    closing step's query gets one too."""
 
     # s1 needs two instances of ax1, so only a sub-proof justifies it
     DERIVATION = (
@@ -115,7 +116,7 @@ class TestOneBudgetPerStep:
 
     def step_budgets(self, monkeypatch):
         """The Budgets made while the article is built at the default
-        budget, and the number of steps justified."""
+        budget, and the number of steps justified, the closing one included."""
         made = []
         init = obvious.Budget.__init__
 
@@ -127,7 +128,7 @@ class TestOneBudgetPerStep:
         graph = derivation.build_graph(tptp.parse_problem(self.DERIVATION))
         model, _ = article.build_article(graph)
         assert [item.subproof is not None for item in model.all_steps()] == [True]
-        return made, len(model.all_steps())
+        return made, len(model.all_steps()) + 1
 
     def test_one_budget_bounds_each_step(self, monkeypatch):
         made, steps = self.step_budgets(monkeypatch)

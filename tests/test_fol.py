@@ -22,15 +22,15 @@ p_c = fol.Atom("p", (C("c"),))
 class TestFreeVars:
     def test_first_occurrence_order(self):
         f = fol.join(fol.Or, (fol.Atom("q", (V("B"), V("A"))), fol.Atom("p", (V("A"),))))
-        assert fol.free_vars(f) == ["B", "A"]
+        assert f.free == ("B", "A")
 
     def test_bound_not_free(self):
         f = fol.Forall("X", fol.Atom("q", (V("X"), V("Y"))))
-        assert fol.free_vars(f) == ["Y"]
+        assert f.free == ("Y",)
 
     def test_shadowing(self):
         f = fol.join(fol.And, (p_x, fol.Exists("X", p_x)))
-        assert fol.free_vars(f) == ["X"]
+        assert f.free == ("X",)
 
 
 class TestClosure:
@@ -60,7 +60,7 @@ class TestSubstitution:
         out = fol.apply_substitution({"Y": V("X")}, f)
         assert isinstance(out, fol.Forall)
         assert out.var != "X"
-        assert fol.free_vars(out) == ["X"]
+        assert out.free == ("X",)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -165,9 +165,9 @@ class TestGroundSubterms:
         f = fol.Atom("p", (fol.App("f", (C("a"), C("b"))),))
         found = fol.keyed_ground_subterms(f)
         assert list(found.items()) == list(fol.keyed_ground_subterms(f).items())
-        assert {fol.term_key(t): t for t in found.values()} == found
-        assert found[fol.term_key(C("a"))] == C("a")
-        assert fol.term_key(fol.App("f", (C("a"), C("b")))) in found
+        assert {t.key: t for t in found.values()} == found
+        assert found[C("a").key] == C("a")
+        assert fol.App("f", (C("a"), C("b"))).key in found
 
     def test_open_terms_excluded(self):
         f = fol.Atom("p", (fol.App("f", (V("X"),)),))
@@ -204,7 +204,7 @@ class TestKeyedTerms:
     def test_carried_key_is_the_recursive_key(self, seed):
         rng = helpers.make_rng(seed)
         t = random_nested_term(rng, 5)
-        assert t.key == recursive_key(t) == fol.term_key(t)
+        assert t.key == recursive_key(t)
         # under a binder the key is computed again, here to the same value
         assert fol._norm_term(t, {"Unbound": 0}) == t.key
         assert t.depth == recursive_depth(t)
@@ -247,7 +247,7 @@ class TestWideFormulas:
     def test_free_vars_first_occurrence(self):
         names = [f"X{(i * 7) % WIDE}" for i in range(WIDE)]
         chain = fol.join(fol.Or, (fol.Atom("p", (V(n), V("X0"))) for n in names))
-        assert fol.free_vars(chain) == names
+        assert chain.free == tuple(names)
 
     def test_formula_symbols_in_order(self):
         chain = fol.join(fol.Or, (fol.Atom(f"p{i}", (C(f"c{i}"),)) for i in range(WIDE)))
@@ -294,3 +294,139 @@ class TestFlatChains:
         text = tptp.serialize([tptp.AnnotatedFormula("u", "fof", "axiom", f)])
         assert_flat(tptp.parse_problem(text)[0].formula)
         assert_flat(helpers.random_clause_formula(rng, ["X"], width=6))
+
+
+# Formulas over few names, so that quantifiers shadow and repeat names.
+NAMES = ("X", "Y", "Z")
+terms = st.recursive(
+    st.one_of(st.sampled_from(NAMES).map(fol.Var), st.sampled_from(("a", "b")).map(fol.App)),
+    lambda sub: st.builds(fol.App, st.sampled_from(("f", "g")),
+                          st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    max_leaves=6,
+)
+atoms = st.one_of(
+    st.builds(fol.Atom, st.sampled_from(("p", "q")), st.lists(terms, max_size=3).map(tuple)),
+    st.builds(fol.Eq, terms, terms),
+    st.sampled_from((fol.TRUE, fol.FALSE)),
+)
+formulas = st.recursive(
+    atoms,
+    lambda sub: st.one_of(
+        st.builds(fol.Not, sub),
+        st.builds(fol.join, st.sampled_from((fol.And, fol.Or)),
+                  st.lists(sub, min_size=2, max_size=3)),
+        st.builds(lambda node, a, b: node(a, b), st.sampled_from((fol.Implies, fol.Iff)), sub, sub),
+        st.builds(lambda node, v, b: node(v, b), st.sampled_from((fol.Forall, fol.Exists)),
+                  st.sampled_from(NAMES), sub),
+    ),
+    max_leaves=10,
+)
+
+
+def walked_facts(f):
+    """(free, binders) of a formula by a walk over it: its free variable
+    names in first-occurrence order, and one name per quantifier in pre-order."""
+    free, binders = {}, []
+
+    def term(t, bound):
+        if isinstance(t, fol.Var):
+            if t.name not in bound:
+                free.setdefault(t.name)
+        else:
+            for a in t.args:
+                term(a, bound)
+
+    def walk(g, bound):
+        if isinstance(g, (fol.Atom, fol.Eq)):
+            for t in fol.atom_terms(g):
+                term(t, bound)
+        elif isinstance(g, fol.Not):
+            walk(g.body, bound)
+        elif isinstance(g, (fol.And, fol.Or)):
+            for p in g.parts:
+                walk(p, bound)
+        elif isinstance(g, (fol.Implies, fol.Iff)):
+            walk(g.left, bound)
+            walk(g.right, bound)
+        elif isinstance(g, (fol.Forall, fol.Exists)):
+            binders.append(g.var)
+            walk(g.body, bound | {g.var})
+
+    walk(f, frozenset())
+    return tuple(free), tuple(binders)
+
+
+def assert_facts_walked(f):
+    """Every subformula's and term's carried facts are the walked ones, read
+    top-down here and bottom-up in a rebuilt copy, whose quantifiers have
+    built none yet."""
+    copy = fol.rename_symbols(f, {})
+    for g in [g for g, _ in fol.subformulas(f)] + [g for g, _ in fol.subformulas(copy)][::-1]:
+        assert (g.free, g.binders) == walked_facts(g)
+        for t in fol.atom_terms(g):
+            assert t.free == walked_facts(fol.Atom("p", (t,)))[0]
+
+
+class TestCarriedFacts:
+    @given(formulas)
+    @settings(max_examples=300, deadline=None)
+    def test_facts_are_the_walked_ones(self, f):
+        assert_facts_walked(f)
+
+    @given(formulas)
+    @settings(max_examples=200, deadline=None)
+    def test_closure_of_a_closed_formula_is_itself(self, f):
+        closed = fol.universal_closure(f)
+        assert closed.free == ()
+        assert fol.universal_closure(closed) is closed
+        if not f.free:
+            assert closed is f
+        # the closure's prefix is f's free variables, then f's own leading Foralls
+        variables, matrix = fol.strip_prefix(f)
+        assert fol.strip_prefix(closed) == (list(f.free) + variables, matrix)
+
+    @given(formulas)
+    @settings(max_examples=200, deadline=None)
+    def test_equality_hashing_and_repr_ignore_the_facts(self, f):
+        copy = fol.rename_symbols(f, {})  # equal, its quantifiers' facts not yet built
+        facts = (f.free, f.binders)
+        assert copy == f and hash(copy) == hash(f) and repr(copy) == repr(f)
+        assert (copy.free, copy.binders) == facts
+        assert copy == f and hash(copy) == hash(f) and repr(copy) == repr(f)
+        for text in (repr(f), repr(fol.App("f", (fol.Var("X"),)))):
+            assert "free" not in text and "binders" not in text
+            assert "facts" not in text and "key" not in text
+
+    @given(formulas, st.sampled_from((fol.Forall, fol.Exists)))
+    @settings(max_examples=200, deadline=None)
+    def test_facts_after_a_capture_avoiding_rename(self, body, node):
+        f = node("X", body)
+        # Y := f(X) below a binder of X: the binder must be renamed
+        out = fol.apply_substitution({"Y": fol.App("f", (V("X"),))}, f)
+        if "Y" in f.free:
+            assert out.var != "X"
+            assert "X" in out.free and "Y" not in out.free
+        else:
+            assert out is f
+        assert_facts_walked(out)
+
+    @given(formulas)
+    @settings(max_examples=100, deadline=None)
+    def test_facts_after_rename_symbols(self, f):
+        out = fol.rename_symbols(f, {"p": "q", "f": "h", "a": "c"})
+        assert (out.free, out.binders) == (f.free, f.binders)
+        assert_facts_walked(out)
+
+    def test_ground_and_quantifier_free_nodes_share_the_empty_tuple(self):
+        f = fol.join(fol.And, (p_c, fol.Not(fol.Eq(C("a"), C("b")))))
+        empty = ()
+        assert f.free is empty and f.binders is empty
+        assert C("c").free is empty and p_c.binders is empty
+
+    def test_closing_wide_formulas_builds_only_the_outer_facts(self):
+        names = [f"X{i}" for i in range(WIDE)]
+        chain = fol.join(fol.Or, (fol.Atom("p", (V(n),)) for n in names))
+        closed = fol.universal_closure(chain)
+        assert closed.free == () and closed.binders == tuple(names)
+        assert closed.body.facts is None  # the Foralls between build nothing
+        assert fol.universal_closure(closed) is closed

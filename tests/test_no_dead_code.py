@@ -14,7 +14,6 @@ KEPT = {
     "tptp.serialize",  # writes units back as TPTP text
     "article.parse_manifest",  # reads an .env file back
     "fol.alpha_equivalent",
-    "fol.term_key",
 }
 
 

@@ -68,7 +68,7 @@ class TestHenkinAxiom:
         g = graph_of(F("![X]:?[Y]:~hates(X,Y)"), F("![X]:~hates(X,esk2_1(X))"))
         axiom = skolem.make_henkin_axiom("sk", g)
         assert isinstance(axiom, fol.Implies)
-        assert fol.free_vars(axiom) == []
+        assert axiom.free == ()
         assert fol.alpha_equivalent(axiom.left, F("![X]:?[Y]:~hates(X,Y)"))
         assert fol.alpha_equivalent(axiom.right, F("![X]:~hates(X,esk2_1(X))"))
 
@@ -87,7 +87,7 @@ class TestJustifyAll:
         model, manifest = article.build_article(derivation.build_graph(units))
         assert len(manifest.skolem_defs) == 2
         for axiom in manifest.skolem_defs:
-            assert fol.free_vars(axiom) == []
+            assert axiom.free == ()
         # esk1_0 and esk2_1 become skolem1 and skolem2, numbered in step order
         assert ("skolem1", 0) in manifest.functions
         assert ("skolem2", 1) in manifest.functions
