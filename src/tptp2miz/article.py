@@ -83,11 +83,10 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     classes = derivation.classify_all(graph)
     depends = derivation.mark_conjecture_dependence(graph, classes)
     used = derivation.mark_used(graph)
-    order = derivation.topological_order(graph)
     base_sig = derivation.original_signature(graph)
 
-    conj_nodes = [n for n in order if classes[n] is StepClass.CONJECTURE]
-    neg_nodes = [n for n in order if classes[n] is StepClass.NEGATED_CONJECTURE]
+    conj_nodes = [n for n in graph.order if classes[n] is StepClass.CONJECTURE]
+    neg_nodes = [n for n in graph.order if classes[n] is StepClass.NEGATED_CONJECTURE]
 
     if conjecture is not None:
         # user-designated refuted assumption: the theorem is its negation
@@ -122,7 +121,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     # axiom items: file-sourced non-conjecture units, topological order
     axiom_items = []
     axiom_label_of = {}
-    for name in order:
+    for name in graph.order:
         if classes[name] is StepClass.AXIOM:
             i = len(axiom_items) + 1
             label = f"Ax{i}"
@@ -133,7 +132,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
 
     skip_classes = (StepClass.AXIOM, StepClass.CONJECTURE)
     derived = []
-    for name in order:
+    for name in graph.order:
         if classes[name] in skip_classes:
             continue
         if name == assumption_node or name == graph.sink:
@@ -338,10 +337,9 @@ def _render(f, names):
     if isinstance(f, fol.Iff):
         return operand(f.left) + " iff " + operand(f.right)
     if isinstance(f, (fol.Forall, fol.Exists)):
-        variables, body = fol.strip_prefix(f, type(f))
-        joint = ",".join(names.get(v, v) for v in variables)
-        inner = _render(body, names)
-        if not isinstance(body, (fol.Atom, fol.Eq)):
+        joint = ",".join(names.get(v, v) for v in f.vars)
+        inner = _render(f.body, names)
+        if not isinstance(f.body, (fol.Atom, fol.Eq)):
             inner = "(" + inner + ")"
         if isinstance(f, fol.Forall):
             return "for " + joint + " holds " + inner
@@ -354,8 +352,9 @@ def _render(f, names):
 def _closure_prefix(f):
     """The variables of the universal closure's leading Foralls, and the
     matrix under them, read off f without closing it."""
-    prefix, matrix = fol.strip_prefix(f)
-    return list(f.free) + prefix, matrix
+    if isinstance(f, fol.Forall):
+        return f.free + f.vars, f.body
+    return f.free, f
 
 
 def _display_form(f):
@@ -485,7 +484,7 @@ def parse_manifest(text: str) -> EnvironmentManifest:
         if kind in ("func", "pred"):
             name, arity = rest.rsplit(" ", 1)
             if name.startswith("'"):
-                name = name[1:-1].replace("\\'", "'").replace("\\\\", "\\")
+                name = tptp._unquote(name)
             entry = (name, int(arity))
             (functions if kind == "func" else predicates).append(entry)
         elif kind in ("axiom", "skolemdef"):

@@ -42,6 +42,7 @@ class DerivationGraph:
     children: dict  # name -> list of child names
     order_index: dict  # name -> position in the input file
     sink: str | None  # first falsum node in topological order, if any
+    order: list  # every name, parents first, as topological_order gives them
 
 
 def _parent_names(unit: AnnotatedFormula):
@@ -68,9 +69,9 @@ def build_graph(units) -> DerivationGraph:
         for p in ps:
             children[p].append(u.name)
     order_index = {u.name: i for i, u in enumerate(units)}
-    graph = DerivationGraph(nodes, parents, children, order_index, None)
-    order = topological_order(graph)  # raises CycleDetected on cycles
-    for name in order:
+    graph = DerivationGraph(nodes, parents, children, order_index, None, [])
+    graph.order = topological_order(graph)  # raises CycleDetected on cycles
+    for name in graph.order:
         if isinstance(nodes[name].formula, fol.Falsum):
             graph.sink = name
             break
@@ -186,7 +187,7 @@ def mark_conjecture_dependence(g: DerivationGraph, classes=None) -> dict:
     if classes is None:
         classes = classify_all(g)
     depends = {}
-    for name in topological_order(g):
+    for name in g.order:
         own = classes[name] in (StepClass.CONJECTURE, StepClass.NEGATED_CONJECTURE)
         depends[name] = own or any(depends[p] for p in g.parents[name])
     return depends

@@ -426,10 +426,9 @@ class UniversalUnit:
 
 def universal_unit(closed):
     """The closed formula's universal prefix and matrix; None when it has none."""
-    variables, matrix = fol.strip_prefix(closed)
-    if not variables:
+    if not isinstance(closed, fol.Forall):
         return None
-    return UniversalUnit(fol.debruijn(closed), tuple(variables), matrix)
+    return UniversalUnit(fol.debruijn(closed), closed.vars, closed.body)
 
 
 def _derived_units(branch, registry):
@@ -443,10 +442,9 @@ def _derived_units(branch, registry):
             if unit is not None:
                 units.append(unit)
         elif not value and isinstance(formula, fol.Exists):
-            variables, body = fol.strip_prefix(formula, fol.Exists)
             units.append(
                 UniversalUnit(
-                    ("neg",) + fol.debruijn(formula), tuple(variables), fol.Not(body)
+                    ("neg",) + fol.debruijn(formula), formula.vars, fol.Not(formula.body)
                 )
             )
     return units
@@ -668,12 +666,11 @@ class _Problem:
         self.premise_units = [p.unit for p in prepared]  # None for ground premises
         self.unit_count = len(prepared) - self.premise_units.count(None)
 
-        conclusion = fol.universal_closure(_fix_formula(conclusion, fixed))
-        goal_vars, matrix = fol.strip_prefix(conclusion)
-        consts = _goal_constants(len(goal_vars))
-        self.goal_matrix = fol.apply_substitution(
-            dict(zip(goal_vars, consts)), matrix
-        )
+        goal = fol.universal_closure(_fix_formula(conclusion, fixed))
+        self.goal_matrix = goal
+        if isinstance(goal, fol.Forall):
+            consts = _goal_constants(len(goal.vars))
+            self.goal_matrix = fol.apply_substitution(dict(zip(goal.vars, consts)), goal.body)
 
         # The case split reads universal premises' clauses first, then
         # ground premises', then the goal's.

@@ -300,9 +300,7 @@ class _Parser:
             body = self.parse_unitary()
             self.depth -= len(names)
             node = fol.Forall if quant == "!" else fol.Exists
-            for v in reversed(names):
-                body = node(v, body)
-            return body
+            return node(tuple(names), body)
         if tok == "~":
             self.descend()
             body = self.parse_unitary()
@@ -660,8 +658,7 @@ def format_formula(f: "fol.Formula") -> str:
         return f"({format_formula(f.left)} <=> {format_formula(f.right)})"
     if isinstance(f, (fol.Forall, fol.Exists)):
         mark = "!" if isinstance(f, fol.Forall) else "?"
-        names, body = fol.strip_prefix(f, type(f))
-        return f"{mark} [{','.join(names)}] : {format_formula(body)}"
+        return f"{mark} [{','.join(f.vars)}] : {format_formula(f.body)}"
     if isinstance(f, fol.Verum):
         return "$true"
     return "$false"

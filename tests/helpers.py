@@ -58,9 +58,7 @@ def random_clause_formula(rng, variables, width=3):
 def random_quantified(rng, max_vars=2):
     names = ["X", "Y"][: rng.randint(0, max_vars)]
     body = random_clause_formula(rng, names)
-    for v in reversed(names):
-        body = fol.Forall(v, body)
-    return body
+    return fol.Forall(tuple(names), body) if names else body
 
 
 def random_formula(rng, variables=(), depth=2):
@@ -84,7 +82,7 @@ def random_formula(rng, variables=(), depth=2):
         )
     fresh = fol.fresh_var(set(variables))
     node = fol.Forall if kind == 4 else fol.Exists
-    return node(fresh, random_formula(rng, variables + [fresh], depth - 1))
+    return node((fresh,), random_formula(rng, variables + [fresh], depth - 1))
 
 
 def make_rng(seed):

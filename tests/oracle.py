@@ -53,9 +53,13 @@ def _compile(f, domain):
         left, right = _compile(f.left, domain), _compile(f.right, domain)
         return lambda interp, env: left(interp, env) == right(interp, env)
     if isinstance(f, (fol.Forall, fol.Exists)):
-        var, body = f.var, _compile(f.body, domain)
+        variables, body = f.vars, _compile(f.body, domain)
         test = all if isinstance(f, fol.Forall) else any
-        return lambda interp, env: test(body(interp, {**env, var: d}) for d in domain)
+        # a later repeat of a name shadows an earlier one, as dict() keeps the last
+        return lambda interp, env: test(
+            body(interp, {**env, **dict(zip(variables, values))})
+            for values in itertools.product(domain, repeat=len(variables))
+        )
     value = isinstance(f, fol.Verum)
     return lambda interp, env: value
 

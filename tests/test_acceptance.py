@@ -126,13 +126,13 @@ class TestCriterion4Skolemization:
         ):
             lits.append(fol.Atom("p", (fol.Var("Y"),)))
         matrix = fol.join(fol.Or, lits)
-        parent = fol.Exists("Y", matrix)
+        parent = fol.Exists(("Y",), matrix)
         for v in reversed(univ):
-            parent = fol.Forall(v, parent)
+            parent = fol.Forall((v,), parent)
         witness = fol.App("esk", tuple(fol.Var(v) for v in univ))
         conclusion = fol.apply_substitution({"Y": witness}, matrix)
         for v in reversed(univ):
-            conclusion = fol.Forall(v, conclusion)
+            conclusion = fol.Forall((v,), conclusion)
         units = [
             tptp.AnnotatedFormula(
                 "par", "fof", "axiom", parent, tptp.FileSource("par", "x.p")

@@ -3,7 +3,7 @@ import os
 import networkx as nx
 import pytest
 
-from tptp2miz import derivation, fol, tptp
+from tptp2miz import article, derivation, fol, tptp
 from tptp2miz.derivation import StepClass
 from tptp2miz.errors import CycleDetected, DuplicateName, MissingParent
 
@@ -75,6 +75,17 @@ class TestTopologicalOrder:
         g = derivation.build_graph([unit("b", P_C), unit("a", Q_C)])
         assert derivation.topological_order(g) == ["b", "a"]
 
+    def test_one_sort_per_derivation_run(self, monkeypatch):
+        # the graph keeps the order it was checked for cycles with
+        sorts = []
+        sort = derivation.topological_order
+        monkeypatch.setattr(derivation, "topological_order",
+                            lambda g: sorts.append(g) or sort(g))
+        g = load_fixture_graph()
+        assert g.order == sort(g)
+        article.build_article(g)
+        assert sorts == [g]
+
 
 class TestClassification:
     def test_fixture_classes(self):
@@ -93,7 +104,7 @@ class TestClassification:
     def test_structural_skolem_test_overrides_rule_name(self):
         # a step labeled as plain rewriting that smuggles in a fresh
         # function symbol is still a skolemization
-        exists = fol.Exists("Y", fol.Atom("p", (fol.Var("Y"),)))
+        exists = fol.Exists(("Y",), fol.Atom("p", (fol.Var("Y"),)))
         skolemized = fol.Atom("p", (fol.App("esk9"),))
         g = derivation.build_graph(
             [

@@ -14,7 +14,7 @@ def verify_subproof(sp, parent_formulas):
     plus the ground parents, with the sub-proof's variables fixed."""
     ground = [
         p for p in parent_formulas
-        if not fol.strip_prefix(fol.universal_closure(p))[0]
+        if not isinstance(fol.universal_closure(p), fol.Forall)
     ]
     premises = ground + [s.formula for s in sp.instances]
     q = ObviousnessQuery.make(

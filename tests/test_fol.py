@@ -25,11 +25,11 @@ class TestFreeVars:
         assert f.free == ("B", "A")
 
     def test_bound_not_free(self):
-        f = fol.Forall("X", fol.Atom("q", (V("X"), V("Y"))))
+        f = fol.Forall(("X",), fol.Atom("q", (V("X"), V("Y"))))
         assert f.free == ("Y",)
 
     def test_shadowing(self):
-        f = fol.join(fol.And, (p_x, fol.Exists("X", p_x)))
+        f = fol.join(fol.And, (p_x, fol.Exists(("X",), p_x)))
         assert f.free == ("X",)
 
 
@@ -37,9 +37,8 @@ class TestClosure:
     def test_closure_then_strip_is_identity_on_matrix(self):
         f = fol.Atom("r", (V("X"), V("Y")))
         closed = fol.universal_closure(f)
-        variables, matrix = fol.strip_prefix(closed)
-        assert variables == ["X", "Y"]
-        assert matrix == f
+        assert closed.vars == ("X", "Y")
+        assert closed.body == f
 
     def test_closed_formula_unchanged(self):
         assert fol.universal_closure(p_c) == p_c
@@ -51,15 +50,15 @@ class TestSubstitution:
         assert out == p_c
 
     def test_bound_variable_untouched(self):
-        f = fol.Forall("X", p_x)
+        f = fol.Forall(("X",), p_x)
         assert fol.apply_substitution({"X": C("c")}, f) == f
 
     def test_capture_avoided(self):
         # substituting Y:=X below a binder for X must rename the binder
-        f = fol.Forall("X", fol.Atom("q", (V("X"), V("Y"))))
+        f = fol.Forall(("X",), fol.Atom("q", (V("X"), V("Y"))))
         out = fol.apply_substitution({"Y": V("X")}, f)
         assert isinstance(out, fol.Forall)
-        assert out.var != "X"
+        assert out.vars != ("X",)
         assert out.free == ("X",)
 
     @given(st.integers(0, 10_000))
@@ -83,13 +82,13 @@ class TestSubstitution:
             if isinstance(g, (fol.Implies, fol.Iff)):
                 return type(g)(naive(g.left), naive(g.right))
             if isinstance(g, (fol.Forall, fol.Exists)):
-                inner = {k: v for k, v in sub.items() if k != g.var}
+                inner = {k: v for k, v in sub.items() if k not in g.vars}
                 if inner == sub:
-                    return type(g)(g.var, naive(g.body))
+                    return type(g)(g.vars, naive(g.body))
                 saved = dict(sub)
                 sub.clear()
                 sub.update(inner)
-                out = type(g)(g.var, naive(g.body))
+                out = type(g)(g.vars, naive(g.body))
                 sub.clear()
                 sub.update(saved)
                 return out
@@ -100,13 +99,13 @@ class TestSubstitution:
 
 class TestAlphaEquivalence:
     def test_renamed_binders(self):
-        f = fol.Forall("X", fol.Exists("Y", fol.Atom("r", (V("X"), V("Y")))))
-        g = fol.Forall("A", fol.Exists("B", fol.Atom("r", (V("A"), V("B")))))
+        f = fol.Forall(("X",), fol.Exists(("Y",), fol.Atom("r", (V("X"), V("Y")))))
+        g = fol.Forall(("A",), fol.Exists(("B",), fol.Atom("r", (V("A"), V("B")))))
         assert fol.alpha_equivalent(f, g)
 
     def test_different_structure(self):
-        f = fol.Forall("X", p_x)
-        g = fol.Exists("X", p_x)
+        f = fol.Forall(("X",), p_x)
+        g = fol.Exists(("X",), p_x)
         assert not fol.alpha_equivalent(f, g)
 
     def test_equality_orientation_ignored(self):
@@ -153,10 +152,10 @@ class TestSignature:
 
 class TestRenameSymbols:
     def test_functions_renamed_variables_kept(self):
-        f = fol.Forall("X", fol.Atom("p", (fol.App("esk1", (V("X"),)),)))
+        f = fol.Forall(("X",), fol.Atom("p", (fol.App("esk1", (V("X"),)),)))
         out = fol.rename_symbols(f, {"esk1": "skolem1"})
         assert out == fol.Forall(
-            "X", fol.Atom("p", (fol.App("skolem1", (V("X"),)),))
+            ("X",), fol.Atom("p", (fol.App("skolem1", (V("X"),)),))
         )
 
 
@@ -226,8 +225,8 @@ class TestKeyedTerms:
 class TestSubformulas:
     def test_pre_order_with_bound_sets(self):
         q_xy = fol.Atom("q", (V("X"), V("Y")))
-        inner = fol.Exists("Y", fol.Not(q_xy))
-        f = fol.join(fol.Or, (fol.Forall("X", fol.join(fol.And, (p_x, inner))), p_c))
+        inner = fol.Exists(("Y",), fol.Not(q_xy))
+        f = fol.join(fol.Or, (fol.Forall(("X",), fol.join(fol.And, (p_x, inner))), p_c))
         none, x, xy = frozenset(), frozenset({"X"}), frozenset({"X", "Y"})
         assert fol.subformulas(f) == [
             (f, none),
@@ -317,7 +316,7 @@ formulas = st.recursive(
                   st.lists(sub, min_size=2, max_size=3)),
         st.builds(lambda node, a, b: node(a, b), st.sampled_from((fol.Implies, fol.Iff)), sub, sub),
         st.builds(lambda node, v, b: node(v, b), st.sampled_from((fol.Forall, fol.Exists)),
-                  st.sampled_from(NAMES), sub),
+                  st.lists(st.sampled_from(NAMES), min_size=1, max_size=3).map(tuple), sub),
     ),
     max_leaves=10,
 )
@@ -325,7 +324,7 @@ formulas = st.recursive(
 
 def walked_facts(f):
     """(free, binders) of a formula by a walk over it: its free variable
-    names in first-occurrence order, and one name per quantifier in pre-order."""
+    names in first-occurrence order, and each quantifier's names in pre-order."""
     free, binders = {}, []
 
     def term(t, bound):
@@ -349,8 +348,8 @@ def walked_facts(f):
             walk(g.left, bound)
             walk(g.right, bound)
         elif isinstance(g, (fol.Forall, fol.Exists)):
-            binders.append(g.var)
-            walk(g.body, bound | {g.var})
+            binders.extend(g.vars)
+            walk(g.body, bound.union(g.vars))
 
     walk(f, frozenset())
     return tuple(free), tuple(binders)
@@ -358,8 +357,7 @@ def walked_facts(f):
 
 def assert_facts_walked(f):
     """Every subformula's and term's carried facts are the walked ones, read
-    top-down here and bottom-up in a rebuilt copy, whose quantifiers have
-    built none yet."""
+    top-down here and bottom-up in a rebuilt copy."""
     copy = fol.rename_symbols(f, {})
     for g in [g for g, _ in fol.subformulas(f)] + [g for g, _ in fol.subformulas(copy)][::-1]:
         assert (g.free, g.binders) == walked_facts(g)
@@ -381,14 +379,16 @@ class TestCarriedFacts:
         assert fol.universal_closure(closed) is closed
         if not f.free:
             assert closed is f
-        # the closure's prefix is f's free variables, then f's own leading Foralls
-        variables, matrix = fol.strip_prefix(f)
-        assert fol.strip_prefix(closed) == (list(f.free) + variables, matrix)
+        # one block binds f's free variables, then the names of f's own Forall
+        if f.free:
+            own = f.vars if isinstance(f, fol.Forall) else ()
+            assert closed.vars == f.free + own
+            assert closed.body == (f.body if own else f)
 
     @given(formulas)
     @settings(max_examples=200, deadline=None)
     def test_equality_hashing_and_repr_ignore_the_facts(self, f):
-        copy = fol.rename_symbols(f, {})  # equal, its quantifiers' facts not yet built
+        copy = fol.rename_symbols(f, {})  # equal, but built anew
         facts = (f.free, f.binders)
         assert copy == f and hash(copy) == hash(f) and repr(copy) == repr(f)
         assert (copy.free, copy.binders) == facts
@@ -400,11 +400,11 @@ class TestCarriedFacts:
     @given(formulas, st.sampled_from((fol.Forall, fol.Exists)))
     @settings(max_examples=200, deadline=None)
     def test_facts_after_a_capture_avoiding_rename(self, body, node):
-        f = node("X", body)
+        f = node(("X",), body)
         # Y := f(X) below a binder of X: the binder must be renamed
         out = fol.apply_substitution({"Y": fol.App("f", (V("X"),))}, f)
         if "Y" in f.free:
-            assert out.var != "X"
+            assert out.vars[0] != "X"
             assert "X" in out.free and "Y" not in out.free
         else:
             assert out is f
@@ -423,10 +423,10 @@ class TestCarriedFacts:
         assert f.free is empty and f.binders is empty
         assert C("c").free is empty and p_c.binders is empty
 
-    def test_closing_wide_formulas_builds_only_the_outer_facts(self):
+    def test_closing_a_wide_formula_builds_one_node(self):
         names = [f"X{i}" for i in range(WIDE)]
         chain = fol.join(fol.Or, (fol.Atom("p", (V(n),)) for n in names))
         closed = fol.universal_closure(chain)
+        assert closed.vars == tuple(names) and closed.body is chain
         assert closed.free == () and closed.binders == tuple(names)
-        assert closed.body.facts is None  # the Foralls between build nothing
         assert fol.universal_closure(closed) is closed
