@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import derivation, expand, fol, obvious, skolem, tptp
 from .derivation import StepClass
 from .errors import (DuplicateName, ExpansionFailed, NoConjecture, NoRefutation,
-                     UnsupportedSymbol)
+                     UnsupportedDefinition, UnsupportedSymbol)
 
 # Symbol names are rendered verbatim, so they must be TPTP lower words or
 # numerals, and none of the words the rendering itself writes.
@@ -118,11 +118,15 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
         assumption_node = None
         assumption = fol.Not(theorem)
 
-    # axiom items: file-sourced non-conjecture units, topological order
+    # axiom items: file-sourced non-conjecture units, topological order.  A
+    # unit the prover introduced is no axiom of the problem, so stating it
+    # as one could prove anything.
     axiom_items = []
     axiom_label_of = {}
     for name in graph.order:
         if classes[name] is StepClass.AXIOM:
+            if isinstance(graph.nodes[name].source, tptp.IntroducedSource):
+                raise UnsupportedDefinition(name)
             i = len(axiom_items) + 1
             label = f"Ax{i}"
             axiom_label_of[name] = label

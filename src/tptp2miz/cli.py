@@ -73,7 +73,8 @@ def _build_parser():
     p.add_argument("--budget", type=_at_least(1), default=obvious.DEFAULT_BUDGET)
     p.add_argument("--axiom-dir", action="append", default=[])
     p.add_argument("--verbose", action="store_true",
-                   help="print the instance chosen for each premise")
+                   help="print why the verdict was reached, or the instance "
+                   "chosen for each premise")
     return parser
 
 
@@ -146,6 +147,8 @@ def _run_check(args):
     verdict = obvious.is_obvious(query, budget=obvious.Budget(args.budget))
     print(verdict.kind.value)
     if args.verbose:
+        if verdict.reason:
+            print(f"reason: {verdict.reason}")
         for index, chosen in enumerate(verdict.selection, 1):
             instance = ", ".join(f"{var}: {term!r}" for var, term in chosen.items())
             print(f"{index} {{{instance}}}" if chosen else f"{index} -")

@@ -136,5 +136,14 @@ class UnsupportedSymbol(TranslationError):
         )
 
 
+class UnsupportedDefinition(TranslationError):
+    def __init__(self, name):
+        self.name = name
+        super().__init__(
+            f"unit {name!r} has an introduced(...) source: the article would "
+            "state it as an axiom, and definitions are not supported"
+        )
+
+
 class IoError(TranslationError):
     pass

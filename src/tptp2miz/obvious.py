@@ -12,6 +12,13 @@ literal (which then acts as a known fact) or must be outright falsified by
 a branch.  This keeps the rule aligned with the multi-premise checker it
 models: formula-level resolution steps that need propositional chaining
 through a disjunctive instance are rejected as non-obvious.
+
+Before the instance search, a check on predicate symbols alone
+(`_no_closing_instance`) settles the queries in which some open branch
+cannot be closed by any instances, such as a resolution step between two
+non-unit clauses.  It is exact: it answers NotObvious only where the
+search would find nothing.  Every verdict carries the reason it was
+reached (`ObviousnessVerdict.reason`).
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from . import fol
 
@@ -53,14 +61,15 @@ class ObviousnessVerdict:
     kind: Verdict
     selection: tuple = ()  # per-premise {var: Term}, aligned with query.premises
     commitments: tuple = ()  # ((unit key, substitution items), ...) that close the branches
+    # Why the verdict was reached: "" for Obvious; for NotObvious
+    # "no-closing-instance" (settled before the instance search) or
+    # "search-exhausted"; for Unknown "budget", or the explosion guard that
+    # fired, "clauses" or "branches".
+    reason: str = ""
 
     @property
     def is_obvious(self):
         return self.kind is Verdict.OBVIOUS
-
-
-NOT_OBVIOUS = ObviousnessVerdict(Verdict.NOT_OBVIOUS)
-UNKNOWN = ObviousnessVerdict(Verdict.UNKNOWN)
 
 
 class BudgetExceeded(Exception):
@@ -68,7 +77,12 @@ class BudgetExceeded(Exception):
 
 
 class _TooHard(Exception):
-    """Structure outside the supported fragment (explosion guards)."""
+    """Structure outside the supported fragment: `guard` names the explosion
+    guard that fired, "clauses" or "branches"."""
+
+    def __init__(self, guard):
+        super().__init__(guard)
+        self.guard = guard
 
 
 class Budget:
@@ -159,7 +173,7 @@ def _clausify(f, registry):
             continue  # tautology
         out.append(lits)
     if len(out) > _MAX_CLAUSES:
-        raise _TooHard()
+        raise _TooHard("clauses")
     return out
 
 
@@ -176,7 +190,7 @@ def _cnf(g, registry):
         for p in g.parts[1:]:
             clauses = _cnf(p, registry)
             if len(product) * len(clauses) > _MAX_CLAUSES:
-                raise _TooHard()
+                raise _TooHard("clauses")
             product = [a + b for a in product for b in clauses]
         return product
     if isinstance(g, fol.Not):
@@ -403,7 +417,7 @@ def _dpll_branches(clauses, budget):
         if not clauses_left:
             branches.append(assignment)
             if len(branches) > _MAX_BRANCHES:
-                raise _TooHard()
+                raise _TooHard("branches")
             continue
         key = next(
             k for k, _ in clauses_left[0] if assignment.get(k) is None
@@ -431,22 +445,23 @@ def universal_unit(closed):
     return UniversalUnit(fol.debruijn(closed), closed.vars, closed.body)
 
 
-def _derived_units(branch, registry):
-    """Universal facts implied by a branch's opaque quantified atoms."""
-    units = []
-    for key in sorted(branch, key=repr):
-        value = branch[key]
+def _derived_units(branch, registry, known):
+    """Universal facts implied by a branch's opaque quantified atoms, by
+    unit key, leaving out the keys in `known`.  A quantified atom's registry
+    key holds its de Bruijn form, which is the key of a true Forall's unit."""
+    units = {}
+    for key, value in branch.items():
+        if key[0] != "q":
+            continue
         formula = registry.atoms[key]
         if value and isinstance(formula, fol.Forall):
-            unit = universal_unit(formula)
-            if unit is not None:
-                units.append(unit)
+            unit_key, matrix = key[1], formula.body
         elif not value and isinstance(formula, fol.Exists):
-            units.append(
-                UniversalUnit(
-                    ("neg",) + fol.debruijn(formula), formula.vars, fol.Not(formula.body)
-                )
-            )
+            unit_key, matrix = ("neg",) + key[1], fol.Not(formula.body)
+        else:
+            continue
+        if unit_key not in known:
+            units[unit_key] = UniversalUnit(unit_key, formula.vars, matrix)
     return units
 
 
@@ -619,7 +634,7 @@ class PremiseMemo:
 
     def __init__(self):
         self.registry = _Registry()
-        self._entries = {}  # (id(premise), fixed_vars) -> (premise, _Prepared or None)
+        self._entries = {}  # (id(premise), fixed_vars) -> (premise, _Prepared or guard)
 
     def __len__(self):
         return len(self._entries)
@@ -637,11 +652,11 @@ class PremiseMemo:
         if entry is None:
             try:
                 prepared = _prepare(premise, fixed_vars, self.registry)
-            except _TooHard:
-                prepared = None  # every query citing it is too hard
+            except _TooHard as exc:
+                prepared = exc.guard  # every query citing it is too hard
             entry = self._entries[key] = (premise, prepared)
-        if entry[1] is None:
-            raise _TooHard()
+        if isinstance(entry[1], str):
+            raise _TooHard(entry[1])
         return entry[1]
 
 
@@ -726,6 +741,9 @@ class _Problem:
         return commitment
 
     def solve(self):
+        """Commitments that close every open branch, or the reason that there
+        are none: "no-closing-instance" when _no_closing_instance settles it
+        before the search, else "search-exhausted"."""
         # keep the branches that congruence does not close, seeding the view
         # memo with their views
         self.branches = []
@@ -735,17 +753,26 @@ class _Problem:
             if view is not None:
                 self._views[(len(self.branches), frozenset())] = view
                 self.branches.append(branch)
+        if not self.branches:
+            return {}  # the case split and congruence closed every branch
         units_by_key = {}
         for unit in self.premise_units:
             if unit is not None:
                 units_by_key.setdefault(unit.key, unit)
+        derived = [_derived_units(branch, self.registry, units_by_key)
+                   for branch in self.branches]
+        every_unit = dict(units_by_key)
+        for units in derived:
+            every_unit.update(units)
+        if _no_closing_instance(self.branches, every_unit.values()):
+            return "no-closing-instance"
         per_branch_units = []  # per branch: its units by key, in search order
-        for branch in self.branches:
-            available = dict(units_by_key)
-            for unit in _derived_units(branch, self.registry):
-                available.setdefault(unit.key, unit)
+        for units in derived:
+            available = {**units_by_key, **units}
             per_branch_units.append({k: available[k] for k in sorted(available, key=repr)})
-        return self._close_all(per_branch_units)
+        self._branch_atoms = [None] * len(self.branches)  # each sorted once, by _atoms
+        found = self._close_all(per_branch_units)
+        return "search-exhausted" if found is None else found
 
     def _branch_closed(self, index, commitments):
         literals = frozenset(
@@ -799,15 +826,31 @@ class _Problem:
             else:
                 return None
 
+    def _atoms(self, index, commitments):
+        """The atoms and equations of the branch and of the committed
+        literals, in the order of their keys' reprs.  The branch's are
+        sorted once, and the literals' merged in."""
+        branch = self.branches[index]
+        ordered = self._branch_atoms[index]
+        if ordered is None:
+            atoms = self.registry.atoms
+            ordered = self._branch_atoms[index] = [
+                (text, atoms[key])
+                for text, key in sorted([(repr(key), key) for key in branch], key=_FIRST)
+                if isinstance(atoms[key], (fol.Atom, fol.Eq))
+            ]
+        extra = {c.literal[0] for c in commitments.values()
+                 if c.literal is not None and c.literal[0] not in branch}
+        if extra:
+            # the branch's part is one sorted run, which the sort keeps whole
+            ordered = sorted(ordered + [(repr(key), self.registry.atoms[key]) for key in extra],
+                             key=_FIRST)
+        return [atom for _, atom in ordered]
+
     def _extensions(self, index, commitments, available):
         """The commitment sets that extend the given one by one instance,
         in search order, each keeping the branch open only by literals."""
-        assignment = dict(self.branches[index])
-        for c in commitments.values():
-            if c.literal is not None:
-                assignment.setdefault(*c.literal)
-        atoms = [self.registry.atoms[k] for k in sorted(assignment, key=repr)]
-        atoms = [a for a in atoms if isinstance(a, (fol.Atom, fol.Eq))]
+        atoms = self._atoms(index, commitments)
         for key, unit in available.items():
             if key in commitments:
                 continue
@@ -818,6 +861,74 @@ class _Problem:
                 if commitment.literal is None and not self._branch_closed(index, trial):
                     continue
                 yield trial
+
+
+_FIRST = itemgetter(0)
+
+
+def _no_closing_instance(branches, units):
+    """Whether some open branch stays open whatever instances of the units
+    are committed: a check on predicate symbols alone, made before the
+    instance search and exact for it.
+
+    A branch closes when a committed literal clashes with its view, or
+    when a committed non-literal instance is false on the view.  The view
+    holds the branch's atoms and the committed literals' atoms, and
+    canonicalization keeps predicate symbols.  So, with the literal units'
+    (head, polarity) pairs added to the branch's, a literal instance can
+    clash only with a pair of its head and the other polarity, and a
+    non-literal instance can be false only where its unit's matrix is
+    falsifiable by heads: a literal leaf needs its head with the other
+    polarity, a negated equation may hold by congruence, an Or needs every
+    part and an And one part.  A head is ("p", predicate), "e" for
+    equations or "q" for every quantified atom, as a registry key starts.
+    An equation literal unit could merge any terms, so it turns the check
+    off."""
+    added = set()  # (head, polarity) of every literal unit
+    matrices = []  # the NNF matrices of the other units
+    for unit in units:
+        literal = _as_literal(unit.matrix)
+        if literal is None:
+            matrices.append(_nnf(unit.matrix))
+        elif isinstance(literal[1], fol.Eq):
+            return False
+        else:
+            added.add((("p", literal[1].pred), literal[0]))
+    for branch in branches:
+        present = {(key[:2] if key[0] == "p" else key[0], value)
+                   for key, value in branch.items()}
+        present |= added
+        if any((head, not pol) in present for head, pol in added):
+            continue
+        memo = {}  # id(NNF And or Or) -> falsifiable, so nested <=> stays linear
+        if not any(_falsifiable(m, present, memo) for m in matrices):
+            return True
+    return False
+
+
+def _falsifiable(g, present, memo):
+    """Whether the NNF formula can be false on a view whose atoms have the
+    (head, value) pairs in `present`."""
+    kind = type(g)
+    if kind is fol.And or kind is fol.Or:
+        out = memo.get(id(g))
+        if out is None:
+            test = any if kind is fol.And else all
+            out = memo[id(g)] = test(_falsifiable(p, present, memo) for p in g.parts)
+        return out
+    if kind is fol.Verum or kind is fol.Falsum:
+        return kind is fol.Falsum
+    positive = kind is not fol.Not
+    atom = g if positive else g.body
+    if isinstance(atom, fol.Atom):
+        head = ("p", atom.pred)
+    elif isinstance(atom, fol.Eq):
+        if not positive:
+            return True  # its sides may be congruent
+        head = "e"
+    else:
+        head = "q"
+    return (head, not positive) in present
 
 
 def _as_literal(f):
@@ -840,11 +951,11 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
                            budget, PremiseMemo() if memo is None else memo)
         commitments = problem.solve()
     except BudgetExceeded:
-        return UNKNOWN
-    except _TooHard:
-        return UNKNOWN
-    if commitments is None:
-        return NOT_OBVIOUS
+        return ObviousnessVerdict(Verdict.UNKNOWN, reason="budget")
+    except _TooHard as exc:
+        return ObviousnessVerdict(Verdict.UNKNOWN, reason=exc.guard)
+    if isinstance(commitments, str):
+        return ObviousnessVerdict(Verdict.NOT_OBVIOUS, reason=commitments)
     selection = []
     for unit in problem.premise_units:
         if unit is None or unit.key not in commitments:

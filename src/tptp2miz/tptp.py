@@ -48,6 +48,14 @@ class UnknownSource:
 
 
 @dataclass(frozen=True)
+class IntroducedSource:
+    """An `introduced(...)` source: a unit the prover made up, such as a
+    definition of a fresh symbol."""
+
+    text: str
+
+
+@dataclass(frozen=True)
 class InferenceRecord:
     rule: str
     parents: tuple
@@ -465,6 +473,8 @@ def _interpret_source(term):
             return UnknownSource(repr(term))
         if head == "inference":
             return _interpret_inference(term)
+        if head == "introduced":
+            return IntroducedSource(repr(term))
     return UnknownSource(repr(term))
 
 

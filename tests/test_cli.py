@@ -233,14 +233,48 @@ class TestCheckObviousMode:
         assert code == 0
         assert out.splitlines() == ["Obvious", "1 {X: c}", "2 -"]
 
-    def test_verbose_not_obvious_prints_the_verdict_alone(self, tmp_path, capsys):
+    # one query per reason a verdict that is not Obvious gives
+    REASONS = {
+        "no-closing-instance": (
+            "fof(p1, axiom, ![X]: (~ p(X) | q(X))).\n"
+            "fof(p2, axiom, ![X]: (~ q(X) | r(X))).\n"
+            "fof(c1, conjecture, ![X]: (~ p(X) | r(X))).\n", [], 1),
+        "search-exhausted": (
+            "fof(p1, axiom, ![X]: (p(X) => p(f(X)))).\n"
+            "fof(p2, axiom, p(c)).\n"
+            "fof(c1, conjecture, p(f(f(c)))).\n", [], 1),
+        "budget": (
+            "fof(p1, axiom, ![X]: (p(X) => q(X))).\n"
+            "fof(p2, axiom, p(c)).\n"
+            "fof(c1, conjecture, q(c)).\n", ["--budget", "1"], 3),
+        # ten two-atom conjunctions in a disjunction: 1024 clauses
+        "clauses": (
+            "fof(p1, axiom, " + " | ".join(f"(p{i}(c) & q{i}(c))" for i in range(10))
+            + ").\nfof(c1, conjecture, r(c)).\n", [], 3),
+        # nine two-atom disjunctions: 512 branches
+        "branches": (
+            "".join(f"fof(p{i}, axiom, p{i}(c) | q{i}(c)).\n" for i in range(9))
+            + "fof(c1, conjecture, r(c)).\n", ["--budget", "100000"], 3),
+    }
+
+    def test_verbose_not_obvious_prints_the_verdict_and_its_reason(self, tmp_path, capsys):
         path = self.write(
             tmp_path,
             "fof(p1, axiom, p(c)).\nfof(c1, conjecture, q(c)).\n",
         )
         code, out, _ = run(capsys, "check-obvious", path, "--verbose")
         assert code == 1
-        assert out.splitlines() == ["NotObvious"]
+        assert out.splitlines() == ["NotObvious", "reason: no-closing-instance"]
+
+    @pytest.mark.parametrize("reason", sorted(REASONS))
+    def test_verbose_prints_each_reason(self, reason, tmp_path, capsys):
+        text, options, exit_code = self.REASONS[reason]
+        path = self.write(tmp_path, text)
+        code, out, _ = run(capsys, "check-obvious", path, "--verbose", *options)
+        assert code == exit_code
+        assert out.splitlines()[1:] == [f"reason: {reason}"]
+        code, out, _ = run(capsys, "check-obvious", path, *options)
+        assert out.splitlines() == [out.split()[0]]  # the reason only with --verbose
 
 
 class TestNumericOptions:
@@ -330,6 +364,20 @@ class TestUnwritableArticles:
         code, err = self.translate(tmp_path, capsys, text, "derivation", *options)
         assert code == 2
         assert err.startswith("error: ExpansionFailed:") and "'f'" in err
+
+    @pytest.mark.parametrize("options", [[], ["--no-compress"]])
+    def test_introduced_unit(self, options, tmp_path, capsys):
+        # stated as an axiom, the invented r(c) would prove the conjecture
+        text = (
+            "fof(d1, plain, r(c), introduced(definition)).\n"
+            "fof(g, conjecture, r(c)).\n"
+            "fof(n, negated_conjecture, ~ r(c), "
+            "inference(assume_negation, [status(cth)], [g])).\n"
+            "fof(f, plain, $false, inference(rw, [status(thm)], [d1, n])).\n"
+        )
+        code, err = self.translate(tmp_path, capsys, text, "derivation", *options)
+        assert code == 2
+        assert err.startswith("error: UnsupportedDefinition:") and "'d1'" in err
 
     @pytest.mark.parametrize("options", [[], ["--no-compress"]])
     @pytest.mark.parametrize("literal", SYMBOLS)

@@ -71,6 +71,13 @@ class TestVerdictsUnchanged:
             assert obvious.is_obvious(q, memo).kind is Verdict.UNKNOWN
             assert obvious.is_obvious(q, memo).kind is Verdict.UNKNOWN
 
+    def test_memo_keeps_the_guard_that_fired(self):
+        blowup = F(" | ".join(f"(p{i}(c) & q{i}(c))" for i in range(10)))
+        q = ObviousnessQuery.make([blowup, F("r(c)")], F("r(c)"))
+        assert obvious.is_obvious(q).reason == "clauses"
+        with obvious.PremiseMemo() as memo:
+            assert [obvious.is_obvious(q, memo).reason for _ in range(2)] == ["clauses"] * 2
+
 
 @pytest.fixture
 def memos(monkeypatch):

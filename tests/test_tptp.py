@@ -203,6 +203,11 @@ class TestSources:
         assert u.source.parents == ("c_0_1",)
         assert dict(u.source.bindings)["X1"] == fol.App("f", (fol.App("a"),))
 
+    def test_introduced_source_is_recognized(self, recwarn):
+        u = parse1("fof(d, plain, r(c), introduced(definition)).")
+        assert isinstance(u.source, tptp.IntroducedSource)
+        assert not recwarn.list
+
     def test_unknown_source_warns_not_fails(self):
         with pytest.warns(tptp.TptpWarning):
             u = parse1("fof(a, axiom, p(c), creator(esoteric)).")
