@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from . import derivation, expand, fol, obvious, skolem, tptp
 from .derivation import StepClass
@@ -24,29 +23,32 @@ _RENDERED_WORDS = frozenset((
     "not or implies iff for holds ex st").split())
 
 
-@dataclass
-class Item:
-    label: str
-    formula: "fol.Formula"
-    refs: tuple = ()  # labels and external refs, citation order
-    subproof: object = None  # expand.SubProof when the step needed one
-    source_name: str = ""  # derivation step this item came from
+class Item(fol.MutableRecord):
+    __slots__ = _fields = ("label", "formula", "refs", "subproof", "source_name")
+
+    def __init__(self, label, formula, refs=(), subproof=None, source_name=""):
+        self.label, self.formula = label, formula
+        self.refs = refs  # labels and external refs, citation order
+        self.subproof = subproof  # expand.SubProof when the step needed one
+        self.source_name = source_name  # derivation step this item came from
 
 
-@dataclass
-class DiffuseBlock:
-    assumption_label: str
-    assumption: "fol.Formula"
-    inner_steps: list
-    contradiction_refs: tuple
+class DiffuseBlock(fol.MutableRecord):
+    __slots__ = _fields = ("assumption_label", "assumption", "inner_steps",
+                           "contradiction_refs")
+
+    def __init__(self, assumption_label, assumption, inner_steps, contradiction_refs):
+        self.assumption_label, self.assumption = assumption_label, assumption
+        self.inner_steps, self.contradiction_refs = inner_steps, contradiction_refs
 
 
-@dataclass
-class EnvironmentManifest:
-    functions: list  # (name, arity)
-    predicates: list
-    axioms: list  # closed formulas, AXIOMS:<i> numbering from 1
-    skolem_defs: list  # closed formulas, SKOLEM:def <n> numbering from 1
+class EnvironmentManifest(fol.MutableRecord):
+    __slots__ = _fields = ("functions", "predicates", "axioms", "skolem_defs")
+
+    def __init__(self, functions, predicates, axioms, skolem_defs):
+        self.functions, self.predicates = functions, predicates  # (name, arity)
+        self.axioms = axioms  # closed formulas, AXIOMS:<i> numbering from 1
+        self.skolem_defs = skolem_defs  # closed formulas, SKOLEM:def <n> numbering from 1
 
     def __eq__(self, other):
         if not isinstance(other, EnvironmentManifest):
@@ -61,14 +63,15 @@ class EnvironmentManifest:
         )
 
 
-@dataclass
-class ArticleModel:
-    reservations: tuple
-    axiom_items: list
-    lemma_items: list
-    theorem: "fol.Formula"
-    diffuse: DiffuseBlock
-    pending: bool = False  # problem mode: theorem stated without proof
+class ArticleModel(fol.MutableRecord):
+    __slots__ = _fields = ("reservations", "axiom_items", "lemma_items", "theorem",
+                           "diffuse", "pending")
+
+    def __init__(self, reservations, axiom_items, lemma_items, theorem, diffuse,
+                 pending=False):
+        self.reservations, self.axiom_items = reservations, axiom_items
+        self.lemma_items, self.theorem, self.diffuse = lemma_items, theorem, diffuse
+        self.pending = pending  # problem mode: theorem stated without proof
 
     def all_steps(self):
         return list(self.lemma_items) + list(self.diffuse.inner_steps)

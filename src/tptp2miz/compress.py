@@ -8,19 +8,19 @@ accepted deletion strictly shrinks the article, so this terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import fol, obvious
 from .article import ArticleModel
 
 
-@dataclass
-class CompressionReport:
-    passes: int = 0
-    steps_before: int = 0
-    steps_after: int = 0
-    removed_labels: list = field(default_factory=list)
-    collapsed_subproofs: list = field(default_factory=list)
+class CompressionReport(fol.MutableRecord):
+    __slots__ = _fields = ("passes", "steps_before", "steps_after",
+                           "removed_labels", "collapsed_subproofs")
+
+    def __init__(self, passes=0, steps_before=0, steps_after=0,
+                 removed_labels=None, collapsed_subproofs=None):
+        self.passes, self.steps_before, self.steps_after = passes, steps_before, steps_after
+        self.removed_labels = [] if removed_labels is None else removed_labels
+        self.collapsed_subproofs = [] if collapsed_subproofs is None else collapsed_subproofs
 
     def summary(self):
         return (
@@ -33,11 +33,16 @@ class CompressionReport:
 def _clone(model: ArticleModel) -> ArticleModel:
     """Copy the model down to its items, which compression edits in place."""
     def items(src):
-        return [replace(i) for i in src]
+        return [_replace(i) for i in src]
 
-    diffuse = replace(model.diffuse, inner_steps=items(model.diffuse.inner_steps))
-    return replace(model, axiom_items=items(model.axiom_items),
-                   lemma_items=items(model.lemma_items), diffuse=diffuse)
+    diffuse = _replace(model.diffuse, inner_steps=items(model.diffuse.inner_steps))
+    return _replace(model, axiom_items=items(model.axiom_items),
+                    lemma_items=items(model.lemma_items), diffuse=diffuse)
+
+
+def _replace(record, **changes):
+    """A copy of an article record with the named fields changed."""
+    return type(record)(*[changes.get(f, getattr(record, f)) for f in record._fields])
 
 
 def _formula_index(model, manifest):

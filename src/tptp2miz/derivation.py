@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import fol
@@ -35,14 +34,16 @@ CLAUSIFICATION_RULES = {
 }
 
 
-@dataclass
-class DerivationGraph:
-    nodes: dict  # name -> AnnotatedFormula, in input order
-    parents: dict  # name -> tuple of parent names
-    children: dict  # name -> list of child names
-    order_index: dict  # name -> position in the input file
-    sink: str | None  # first falsum node in topological order, if any
-    order: list  # every name, parents first, as topological_order gives them
+class DerivationGraph(fol.MutableRecord):
+    __slots__ = _fields = ("nodes", "parents", "children", "order_index", "sink", "order")
+
+    def __init__(self, nodes, parents, children, order_index, sink, order):
+        self.nodes = nodes  # name -> AnnotatedFormula, in input order
+        self.parents = parents  # name -> tuple of parent names
+        self.children = children  # name -> list of child names
+        self.order_index = order_index  # name -> position in the input file
+        self.sink = sink  # first falsum node in topological order, if any
+        self.order = order  # every name, parents first, as topological_order gives them
 
 
 def _parent_names(unit: AnnotatedFormula):

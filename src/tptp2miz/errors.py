@@ -145,5 +145,13 @@ class UnsupportedDefinition(TranslationError):
         )
 
 
+class TooManyVariables(TranslationError):
+    """A universal premise binding more variables than tptp.MAX_NESTING."""
+
+    def __init__(self, count, limit):
+        self.count = count
+        super().__init__(f"a premise binds {count} variables, more than {limit}")
+
+
 class IoError(TranslationError):
     pass

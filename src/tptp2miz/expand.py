@@ -9,10 +9,10 @@ follows by an obvious inference from the instances alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import fol, obvious
 from .errors import ExpansionFailed
+from .fol import _set
 from .obvious import ObviousnessQuery, Verdict
 from .tptp import MAX_NESTING, InferenceRecord
 
@@ -21,18 +21,22 @@ from .tptp import MAX_NESTING, InferenceRecord
 MAX_INSTANCE_DEPTH = 2 * MAX_NESTING
 
 
-@dataclass(frozen=True)
-class InstanceStep:
-    label: str
-    parent_index: int  # into the step's parent list
-    formula: "fol.Formula"  # instantiated matrix, fixed variables free
+class InstanceStep(fol.Record):
+    __slots__ = _fields = ("label", "parent_index", "formula")
+
+    def __init__(self, label, parent_index, formula):
+        _set(self, "label", label)
+        _set(self, "parent_index", parent_index)  # into the step's parent list
+        _set(self, "formula", formula)  # instantiated matrix, fixed variables free
 
 
-@dataclass(frozen=True)
-class SubProof:
-    fixed_variables: tuple
-    instances: tuple  # InstanceStep, in citation order
-    conclusion: "fol.Formula"
+class SubProof(fol.Record):
+    __slots__ = _fields = ("fixed_variables", "instances", "conclusion")
+
+    def __init__(self, fixed_variables, instances, conclusion):
+        _set(self, "fixed_variables", fixed_variables)
+        _set(self, "instances", instances)  # InstanceStep, in citation order
+        _set(self, "conclusion", conclusion)
 
 
 def _labels():

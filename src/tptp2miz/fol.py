@@ -16,11 +16,54 @@ alternating connectives and terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Union
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ArityConflict, KindConflict
+
+_set = object.__setattr__  # how a constructor sets a frozen record's slots
+
+
+class Record:
+    """A value compared, hashed and shown by its fields: the slots that its
+    class names in `_fields`, in constructor order.  Other slots hold facts
+    built from the fields, which take no part.  A record is frozen: its
+    constructor sets its slots with _set, and assignment raises."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class MutableRecord(Record):
+    """A record whose fields may be assigned, and so has no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -29,26 +72,27 @@ from .errors import ArityConflict, KindConflict
 # and its variable names, all built from its arguments' when it is made.
 # So no term is ever walked to key it, however deep it is.
 
-_set = object.__setattr__  # how a frozen dataclass sets its own fields
-
 
 def _free_of(parts):
     """The free names of the parts, each once, in first-occurrence order:
     (), or the one part's own tuple when only one part has any."""
-    free = ()
+    free = seen = ()
     for p in parts:
-        if p.free:
-            if free:
-                return tuple(dict.fromkeys(chain.from_iterable(q.free for q in parts)))
+        if p.free and not free:
             free = p.free
-    return free
+        elif p.free:
+            if not seen:
+                seen, free = set(free), list(free)
+            for v in p.free:
+                if v not in seen:
+                    seen.add(v)
+                    free.append(v)
+    return tuple(free) if seen else free
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Var:
-    name: str
-    key: tuple = field(repr=False, compare=False)
-    free: tuple = field(repr=False, compare=False)
+class Var(Record):
+    __slots__ = ("name", "key", "free")
+    _fields = ("name",)
     depth = 0
 
     def __init__(self, name):
@@ -60,13 +104,9 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class App:
-    name: str
-    args: tuple
-    key: tuple = field(repr=False, compare=False)
-    depth: int = field(repr=False, compare=False)
-    free: tuple = field(repr=False, compare=False)
+class App(Record):
+    __slots__ = ("name", "args", "key", "depth", "free")
+    _fields = ("name", "args")
 
     def __init__(self, name, args=()):
         _set(self, "name", name)
@@ -86,7 +126,7 @@ class App:
         return f"{self.name}({','.join(map(repr, self.args))})"
 
 
-Term = Union[Var, App]
+Term = (Var, App)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +146,7 @@ def _gather(node, parts):
     for p in parts:
         if p.binders:
             if binders:
-                binders = tuple(chain.from_iterable(q.binders for q in parts))
+                binders = tuple([b for q in parts for b in q.binders])
                 break
             binders = p.binders
     _set(node, "binders", binders)
@@ -126,11 +166,9 @@ def _block(node, variables, body):
     _set(node, "body", body)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Atom:
-    pred: str
-    args: tuple
-    free: tuple = field(repr=False, compare=False)
+class Atom(Record):
+    __slots__ = ("pred", "args", "free")
+    _fields = ("pred", "args")
     binders = ()
 
     def __init__(self, pred, args=()):
@@ -139,11 +177,9 @@ class Atom:
         _set(self, "free", _free_of(args))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Eq:
-    left: Term
-    right: Term
-    free: tuple = field(repr=False, compare=False)
+class Eq(Record):
+    __slots__ = ("left", "right", "free")
+    _fields = ("left", "right")  # terms
     binders = ()
 
     def __init__(self, left, right):
@@ -152,11 +188,9 @@ class Eq:
         _set(self, "free", _free_of((left, right)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Not:
-    body: "Formula"
-    free: tuple = field(repr=False, compare=False)
-    binders: tuple = field(repr=False, compare=False)
+class Not(Record):
+    __slots__ = ("body", "free", "binders")
+    _fields = ("body",)
 
     def __init__(self, body):
         _set(self, "body", body)
@@ -164,34 +198,27 @@ class Not:
         _set(self, "binders", body.binders)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class And:
-    parts: tuple  # two or more operands, none an And; build with join()
-    free: tuple = field(repr=False, compare=False)
-    binders: tuple = field(repr=False, compare=False)
+class And(Record):
+    __slots__ = ("parts", "free", "binders")
+    _fields = ("parts",)  # two or more operands, none an And; build with join()
 
     def __init__(self, parts):
         _set(self, "parts", parts)
         _gather(self, parts)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Or:
-    parts: tuple  # two or more operands, none an Or; build with join()
-    free: tuple = field(repr=False, compare=False)
-    binders: tuple = field(repr=False, compare=False)
+class Or(Record):
+    __slots__ = ("parts", "free", "binders")
+    _fields = ("parts",)  # two or more operands, none an Or; build with join()
 
     def __init__(self, parts):
         _set(self, "parts", parts)
         _gather(self, parts)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-    free: tuple = field(repr=False, compare=False)
-    binders: tuple = field(repr=False, compare=False)
+class Implies(Record):
+    __slots__ = ("left", "right", "free", "binders")
+    _fields = ("left", "right")
 
     def __init__(self, left, right):
         _set(self, "left", left)
@@ -199,12 +226,9 @@ class Implies:
         _gather(self, (left, right))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Iff:
-    left: "Formula"
-    right: "Formula"
-    free: tuple = field(repr=False, compare=False)
-    binders: tuple = field(repr=False, compare=False)
+class Iff(Record):
+    __slots__ = ("left", "right", "free", "binders")
+    _fields = ("left", "right")
 
     def __init__(self, left, right):
         _set(self, "left", left)
@@ -212,39 +236,33 @@ class Iff:
         _gather(self, (left, right))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Forall:
-    vars: tuple  # the bound names in order, repeats kept
-    body: "Formula"  # never a Forall; the constructor merges one
-    free: tuple = field(repr=False, compare=False)
-    binders: tuple = field(repr=False, compare=False)
+class Forall(Record):
+    __slots__ = ("vars", "body", "free", "binders")
+    _fields = ("vars", "body")  # names in order, repeats kept; a body never a Forall
 
     def __init__(self, variables, body):
         _block(self, variables, body)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Exists:
-    vars: tuple  # the bound names in order, repeats kept
-    body: "Formula"  # never an Exists; the constructor merges one
-    free: tuple = field(repr=False, compare=False)
-    binders: tuple = field(repr=False, compare=False)
+class Exists(Record):
+    __slots__ = ("vars", "body", "free", "binders")
+    _fields = ("vars", "body")  # as a Forall's; a body never an Exists
 
     def __init__(self, variables, body):
         _block(self, variables, body)
 
 
-@dataclass(frozen=True, slots=True)
-class Verum:
+class Verum(Record):
+    __slots__ = ()
     free = binders = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Falsum:
+class Falsum(Record):
+    __slots__ = ()
     free = binders = ()
 
 
-Formula = Union[Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists, Verum, Falsum]
+Formula = (Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists, Verum, Falsum)
 
 TRUE = Verum()
 FALSE = Falsum()
@@ -447,11 +465,13 @@ def alpha_equivalent(f: Formula, g: Formula) -> bool:
 # Signatures
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    kind: str  # "function" | "predicate"
-    arity: int
+class Symbol(Record):
+    __slots__ = _fields = ("name", "kind", "arity")  # kind: "function" | "predicate"
+
+    def __init__(self, name, kind, arity):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "arity", arity)
 
 
 def collect_signature(formulas: Iterable[Formula]) -> list:

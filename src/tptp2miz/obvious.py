@@ -24,11 +24,13 @@ reached (`ObviousnessVerdict.reason`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
 from . import fol
+from .errors import TooManyVariables
+from .fol import _set
+from .tptp import MAX_NESTING
 
 DEFAULT_BUDGET = 10000
 
@@ -45,27 +47,30 @@ class Verdict(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class ObviousnessQuery:
-    premises: tuple
-    conclusion: "fol.Formula"
-    fixed_vars: tuple = ()
+class ObviousnessQuery(fol.Record):
+    __slots__ = _fields = ("premises", "conclusion", "fixed_vars")
+
+    def __init__(self, premises, conclusion, fixed_vars=()):
+        _set(self, "premises", premises)
+        _set(self, "conclusion", conclusion)
+        _set(self, "fixed_vars", fixed_vars)
 
     @staticmethod
     def make(premises, conclusion, fixed_vars=()):
         return ObviousnessQuery(tuple(premises), conclusion, tuple(fixed_vars))
 
 
-@dataclass(frozen=True)
-class ObviousnessVerdict:
-    kind: Verdict
-    selection: tuple = ()  # per-premise {var: Term}, aligned with query.premises
-    commitments: tuple = ()  # ((unit key, substitution items), ...) that close the branches
-    # Why the verdict was reached: "" for Obvious; for NotObvious
-    # "no-closing-instance" (settled before the instance search) or
-    # "search-exhausted"; for Unknown "budget", or the explosion guard that
-    # fired, "clauses" or "branches".
-    reason: str = ""
+class ObviousnessVerdict(fol.Record):
+    __slots__ = _fields = ("kind", "selection", "commitments", "reason")
+
+    def __init__(self, kind, selection=(), commitments=(), reason=""):
+        _set(self, "kind", kind)
+        _set(self, "selection", selection)  # per-premise {var: Term}, aligned with premises
+        _set(self, "commitments", commitments)  # ((unit key, subst items), ...) closing branches
+        # Why the verdict was reached: "" for Obvious; for NotObvious "no-closing-instance"
+        # (settled before the instance search) or "search-exhausted"; for Unknown "budget",
+        # or the explosion guard that fired, "clauses" or "branches".
+        _set(self, "reason", reason)
 
     @property
     def is_obvious(self):
@@ -102,11 +107,13 @@ class Budget:
 # Generalized atoms
 
 
-@dataclass
-class _Registry:
-    # key -> the atom: an Atom, an Eq with its sides in key order, or a
-    # quantified formula, the first of its alpha-variants registered
-    atoms: dict = field(default_factory=dict)
+class _Registry(fol.MutableRecord):
+    __slots__ = _fields = ("atoms",)
+
+    def __init__(self, atoms=None):
+        # key -> the atom: an Atom, an Eq with its sides in key order, or a
+        # quantified formula, the first of its alpha-variants registered
+        self.atoms = {} if atoms is None else atoms
 
     def atom_key(self, f):
         if isinstance(f, fol.Atom):
@@ -269,14 +276,15 @@ class _Congruence:
         return self.find(key)
 
 
-@dataclass(slots=True)
-class _BranchView:
+class _BranchView(fol.MutableRecord):
     """Branch assignment canonicalized through congruence closure."""
 
-    values: dict  # canonical atom key -> bool
-    cc: _Congruence
-    canonical: dict  # atom key -> its canonical key, filled as atoms are read
-    falsified: dict = field(default_factory=dict)  # _Commitment -> bool
+    __slots__ = _fields = ("values", "cc", "canonical", "falsified")
+
+    def __init__(self, values, cc, canonical, falsified=None):
+        self.values, self.cc = values, cc  # canonical atom key -> bool; a _Congruence
+        self.canonical = canonical  # atom key -> its canonical key, filled as atoms are read
+        self.falsified = {} if falsified is None else falsified  # _Commitment -> bool
 
     def value(self, key, registry):
         """The atom's truth value on the view, None when it has none."""
@@ -352,16 +360,19 @@ def _compile_node(g, registry, memo):
     return ("lit", registry.atom_key(g), True)
 
 
-def _falsified(node, view, registry):
+def _falsified(node, view, registry, memo):
     """Whether a compiled formula is false on the view, where an atom with
-    no value is not: three-valued evaluation, asked only for False."""
+    no value is not: three-valued evaluation, asked only for False.  memo
+    maps id(compiled and or or) to its answer, so each is read once."""
     tag = node[0]
     if tag == "lit":
         return view.value(node[1], registry) is (not node[2])
-    if tag == "and":
-        return any(_falsified(p, view, registry) for p in node[1])
-    if tag == "or":
-        return all(_falsified(p, view, registry) for p in node[1])
+    if tag == "and" or tag == "or":
+        out = memo.get(id(node))
+        if out is None:
+            test = any if tag == "and" else all
+            out = memo[id(node)] = test(_falsified(p, view, registry, memo) for p in node[1])
+        return out
     return tag == "false"
 
 
@@ -431,17 +442,22 @@ def _dpll_branches(clauses, budget):
 # Universal units and instance candidates
 
 
-@dataclass(frozen=True)
-class UniversalUnit:
-    key: tuple  # normalized closed form, identifies the unit
-    variables: tuple
-    matrix: "fol.Formula"
+class UniversalUnit(fol.Record):
+    __slots__ = _fields = ("key", "variables", "matrix")
+
+    def __init__(self, key, variables, matrix):
+        _set(self, "key", key)  # normalized closed form, identifies the unit
+        _set(self, "variables", variables)
+        _set(self, "matrix", matrix)
 
 
 def universal_unit(closed):
-    """The closed formula's universal prefix and matrix; None when it has none."""
+    """The closed formula's universal prefix and matrix, or None; its key
+    nests a level per variable, so past MAX_NESTING it raises TooManyVariables."""
     if not isinstance(closed, fol.Forall):
         return None
+    if len(closed.vars) > MAX_NESTING:
+        raise TooManyVariables(len(closed.vars), MAX_NESTING)
     return UniversalUnit(fol.debruijn(closed), closed.vars, closed.body)
 
 
@@ -590,14 +606,15 @@ def instance_formula(unit, subst):
     return fol.apply_substitution(mapping, unit.matrix)
 
 
-@dataclass(slots=True)
-class _Prepared:
+class _Prepared(fol.MutableRecord):
     """One premise closed and split on its own, its atoms registered.
     Shared by the queries of a memo, so never modified."""
 
-    unit: object  # UniversalUnit, or None when the premise is ground
-    clauses: list
-    ground_terms: dict  # term key -> term
+    __slots__ = _fields = ("unit", "clauses", "ground_terms")
+
+    def __init__(self, unit, clauses, ground_terms):
+        self.unit = unit  # UniversalUnit, or None when the premise is ground
+        self.clauses, self.ground_terms = clauses, ground_terms  # term key -> term
 
 
 def _prepare(premise, fixed_vars, registry):
@@ -663,14 +680,17 @@ class PremiseMemo:
 _UNSEEN = object()  # memo miss marker
 
 
-@dataclass(eq=False, slots=True)
-class _Commitment:
+class _Commitment(fol.MutableRecord):
     """One chosen instance; hashed by identity, as a key of view memos."""
 
-    unit: UniversalUnit
-    subst: dict
-    literal: tuple  # (atom key, polarity) when the instance is a literal, else None
-    compiled: tuple  # the instance compiled for _falsified when it is not a literal
+    __slots__ = _fields = ("unit", "subst", "literal", "compiled")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, unit, subst, literal, compiled):
+        self.unit, self.subst = unit, subst
+        self.literal = literal  # (atom key, polarity) when the instance is a literal, else None
+        self.compiled = compiled  # the instance compiled for _falsified when it is not a literal
 
 
 class _Problem:
@@ -795,7 +815,7 @@ class _Problem:
             if c.literal is None:
                 false = view.falsified.get(c)
                 if false is None:
-                    false = view.falsified[c] = _falsified(c.compiled, view, self.registry)
+                    false = view.falsified[c] = _falsified(c.compiled, view, self.registry, {})
                 if false:
                     return True
         return False

@@ -6,8 +6,6 @@ import itertools
 import os
 import re
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 from . import fol
 from .errors import (
@@ -18,6 +16,7 @@ from .errors import (
     TptpSyntaxError,
     UnsupportedLanguage,
 )
+from .fol import _set
 
 
 class TptpWarning(UserWarning):
@@ -36,40 +35,50 @@ ROLES = {
 }
 
 
-@dataclass(frozen=True)
-class FileSource:
-    origin: str
-    path: str = "unknown"
+class FileSource(fol.Record):
+    __slots__ = _fields = ("origin", "path")
+
+    def __init__(self, origin, path="unknown"):
+        _set(self, "origin", origin)
+        _set(self, "path", path)
 
 
-@dataclass(frozen=True)
-class UnknownSource:
-    text: str = ""
+class UnknownSource(fol.Record):
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text=""):
+        _set(self, "text", text)
 
 
-@dataclass(frozen=True)
-class IntroducedSource:
+class IntroducedSource(fol.Record):
     """An `introduced(...)` source: a unit the prover made up, such as a
     definition of a fresh symbol."""
 
-    text: str
+    __slots__ = _fields = ("text",)
+
+    def __init__(self, text):
+        _set(self, "text", text)
 
 
-@dataclass(frozen=True)
-class InferenceRecord:
-    rule: str
-    parents: tuple
-    status: Optional[str] = None
-    bindings: tuple = ()  # ((var, Term), ...) when the record carries bind() info
+class InferenceRecord(fol.Record):
+    __slots__ = _fields = ("rule", "parents", "status", "bindings")
+
+    def __init__(self, rule, parents, status=None, bindings=()):
+        _set(self, "rule", rule)
+        _set(self, "parents", parents)
+        _set(self, "status", status)
+        _set(self, "bindings", bindings)  # ((var, Term), ...) when the record has bind() info
 
 
-@dataclass(frozen=True)
-class AnnotatedFormula:
-    name: str
-    language: str  # "fof" | "cnf"
-    role: str
-    formula: "fol.Formula"
-    source: object = None
+class AnnotatedFormula(fol.Record):
+    __slots__ = _fields = ("name", "language", "role", "formula", "source")
+
+    def __init__(self, name, language, role, formula, source=None):
+        _set(self, "name", name)
+        _set(self, "language", language)  # "fof" | "cnf"
+        _set(self, "role", role)
+        _set(self, "formula", formula)
+        _set(self, "source", source)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +139,11 @@ def _unquote(s: str) -> str:
     return s[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
 
-_LOWER_WORD = re.compile(r"[a-z][a-zA-Z0-9_]*$")
+_LOWER_WORD = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
 def quote_atom(name: str) -> str:
-    if _LOWER_WORD.match(name):
+    if _LOWER_WORD.fullmatch(name):
         return name
     return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
 

@@ -11,7 +11,8 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tptp2miz import cli, obvious, tptp
+from tptp2miz import cli, fol, obvious, tptp
+from tptp2miz.errors import TooManyVariables
 from tptp2miz.tptp import MAX_NESTING
 
 MODES = ("problem", "check-obvious", "derivation")
@@ -233,6 +234,54 @@ class TestWideClauses:
         )
         code, err = run(tmp_path, capsys, "derivation", text)
         assert code == 0, err
+
+
+class TestManyVariables:
+    """A clause's closure is one Forall block, but its key nests one level
+    per variable, so a premise binding more than MAX_NESTING variables is
+    refused where the key is built.  Problem mode builds no key."""
+
+    N = 1200
+
+    @staticmethod
+    def clause(n):
+        return " | ".join(f"p(X{i})" for i in range(n))
+
+    def derivation(self, n):
+        return (
+            "fof(goal, conjecture, p(c), file('x.p', goal)).\n"
+            "fof(neg, negated_conjecture, ~ p(c), "
+            "inference(assume_negation, [status(cth)], [goal])).\n"
+            f"cnf(w, axiom, ({self.clause(n)}), file('x.p', w)).\n"
+            "cnf(s1, plain, p(c), inference(resolution, [status(thm)], [w])).\n"
+            "cnf(f, plain, $false, inference(resolution, [status(thm)], [s1, neg])).\n"
+        )
+
+    @staticmethod
+    def assert_refused(code, err, n):
+        assert code == 2
+        assert err.startswith(f"error: TooManyVariables: a premise binds {n} variables, ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("options", [(), ("--no-compress",)])
+    def test_derivation_refused(self, tmp_path, capsys, options):
+        code, err = run(tmp_path, capsys, "derivation", self.derivation(self.N), *options)
+        self.assert_refused(code, err, self.N)
+
+    def test_check_obvious_refused(self, tmp_path, capsys):
+        text = f"cnf(w, axiom, ({self.clause(self.N)})).\ncnf(g, axiom, p(c)).\n"
+        self.assert_refused(*run(tmp_path, capsys, "check-obvious", text), self.N)
+
+    def test_problem_translates(self, tmp_path, capsys):
+        code, err = run(tmp_path, capsys, "problem", self.derivation(self.N))
+        assert code == 0, err
+
+    def test_limit(self):
+        body = fol.Atom("p", (fol.Var("X0"),))
+        names = tuple(f"X{i}" for i in range(MAX_NESTING + 1))
+        assert obvious.universal_unit(fol.Forall(names[:-1], body)).variables == names[:-1]
+        with pytest.raises(TooManyVariables):
+            obvious.universal_unit(fol.Forall(names, body))
 
 
 class TestLongSearches:

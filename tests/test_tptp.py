@@ -253,6 +253,13 @@ class TestQuoting:
         assert tptp.quote_atom("strange name") == "'strange name'"
         assert tptp.quote_atom("plain_atom") == "plain_atom"
 
+    def test_name_ending_in_a_newline_roundtrips(self):
+        # `$` would match before the final newline and leave it unquoted
+        assert tptp.quote_atom("abc\n") == "'abc\n'"
+        unit = tptp.AnnotatedFormula(
+            "abc\n", "fof", "axiom", fol.Atom("q\n", (fol.App("c\n"),)))
+        assert roundtrip([unit]) == [unit]
+
     def test_quoted_roundtrip(self):
         u = parse1("fof(a, axiom, p('it''s tricky')).") if False else None
         # escape style in TPTP uses backslash

@@ -1,11 +1,13 @@
 """The per-query memos: within one query, each branch view is built once
 per distinct assignment, each instance is made and compiled once, and the
-article does not change."""
+article does not change.  Within one evaluation of a compiled instance,
+each shared node is read once."""
 
 import collections
 import os
 
 from tptp2miz import article, compress, derivation, obvious, tptp
+from tptp2miz.obvious import Verdict
 
 from conftest import FIXTURES
 
@@ -91,3 +93,53 @@ def test_fixture_compiles_each_instance_once(monkeypatch):
     assert max(compiled.values()) == 1
     with open(os.path.join(FIXTURES, "puz001+1.miz"), encoding="utf-8") as handle:
         assert article.render_article(out) == handle.read()
+
+
+def nested_iff_query(n):
+    """![X]: with n nested <=> over p0(X) ... pn(X), facts p1(c) ... pn(c)
+    and ~p0(d), and an unrelated conclusion: the search commits to the
+    non-literal instance at c and evaluates it on each branch."""
+    matrix = "p0(X)"
+    for i in range(1, n + 1):
+        matrix = f"({matrix} <=> p{i}(X))"
+    facts = "".join(f"fof(f{i}, axiom, p{i}(c)).\n" for i in range(1, n + 1))
+    units = tptp.parse_problem(f"fof(ax, axiom, ![X]: {matrix}).\n{facts}"
+                               "fof(nd, axiom, ~p0(d)).\nfof(g, conjecture, q(c)).\n")
+    return obvious.ObviousnessQuery.make([u.formula for u in units[:-1]], units[-1].formula)
+
+
+class _Forgetful(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def falsified_calls(monkeypatch, n, memo=True):
+    """The verdict on nested_iff_query(n) and the calls of _falsified it
+    made; without the memo, each call forgets what it read."""
+    original = obvious._falsified
+    calls = [0]
+
+    def counted(node, view, registry, seen):
+        calls[0] += 1
+        return original(node, view, registry, seen if memo else _Forgetful())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(obvious, "_falsified", counted)
+        verdict = obvious.is_obvious(nested_iff_query(n), budget=obvious.Budget(10**6))
+    return verdict, calls[0]
+
+
+def test_nested_iff_instance_is_evaluated_in_linear_time(monkeypatch):
+    # the answer equals the evaluation without the memo, which reads the
+    # nodes below each <=> twice, 2**(n/2) calls in all
+    verdict, calls = falsified_calls(monkeypatch, 10)
+    reference, reference_calls = falsified_calls(monkeypatch, 10, memo=False)
+    assert (verdict.kind, verdict.reason) == (Verdict.NOT_OBVIOUS, "search-exhausted")
+    assert verdict == reference
+    assert reference_calls > 2 * calls
+    # each doubling of the depth at most doubles the calls, up to 18
+    # levels, where the walk without the memo made over a million
+    for n in (9, 18):
+        verdict, doubled = falsified_calls(monkeypatch, 2 * n)
+        assert (verdict.kind, verdict.reason) == (Verdict.NOT_OBVIOUS, "search-exhausted")
+        assert doubled <= 2 * falsified_calls(monkeypatch, n)[1] + 20
