@@ -128,11 +128,13 @@ def _run_derivation(args):
             model, manifest, budget=args.budget, max_passes=args.max_passes
         )
         print(report.summary(), file=sys.stderr)
-        if args.verbose and report.collapsed_subproofs:
-            print(
-                "collapsed sub-proofs: " + ", ".join(report.collapsed_subproofs),
-                file=sys.stderr,
-            )
+        if args.verbose:
+            print(report.checks(), file=sys.stderr)
+            if report.collapsed_subproofs:
+                print(
+                    "collapsed sub-proofs: " + ", ".join(report.collapsed_subproofs),
+                    file=sys.stderr,
+                )
     _emit(args, model, manifest)
     return 0
 
@@ -144,11 +146,13 @@ def _run_check(args):
     premises = [u.formula for u in units[:-1]]
     conclusion = units[-1].formula
     query = obvious.ObviousnessQuery.make(premises, conclusion)
-    verdict = obvious.is_obvious(query, budget=obvious.Budget(args.budget))
+    budget = obvious.Budget(args.budget)
+    verdict = obvious.is_obvious(query, budget=budget)
     print(verdict.kind.value)
     if args.verbose:
-        if verdict.reason:
-            print(f"reason: {verdict.reason}")
+        print(f"reason: {verdict.reason}")
+        # a spend past the limit counts its unit before it raises
+        print(f"budget: {min(budget.used, budget.limit)} of {budget.limit}")
         for index, chosen in enumerate(verdict.selection, 1):
             instance = ", ".join(f"{var}: {term!r}" for var, term in chosen.items())
             print(f"{index} {{{instance}}}" if chosen else f"{index} -")

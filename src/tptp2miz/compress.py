@@ -4,6 +4,11 @@ A derived step is deleted when every step that cited it remains an
 acceptable inference after the citation is replaced by the deleted
 step's own references.  Passes repeat until nothing changes; each
 accepted deletion strictly shrinks the article, so this terminates.
+
+A citer whose refs close it by unit propagation at the root stays closed
+that way when a cited step's clauses are covered by that step's own refs'
+(`obvious.covered`), so such a deletion is settled without a query, at a
+cost in proportion to the deleted step rather than to the citer's refs.
 """
 
 from __future__ import annotations
@@ -14,19 +19,30 @@ from .article import ArticleModel
 
 class CompressionReport(fol.MutableRecord):
     __slots__ = _fields = ("passes", "steps_before", "steps_after",
-                           "removed_labels", "collapsed_subproofs")
+                           "removed_labels", "collapsed_subproofs",
+                           "queries", "premises", "settled")
 
     def __init__(self, passes=0, steps_before=0, steps_after=0,
-                 removed_labels=None, collapsed_subproofs=None):
+                 removed_labels=None, collapsed_subproofs=None,
+                 queries=0, premises=0, settled=0):
         self.passes, self.steps_before, self.steps_after = passes, steps_before, steps_after
         self.removed_labels = [] if removed_labels is None else removed_labels
         self.collapsed_subproofs = [] if collapsed_subproofs is None else collapsed_subproofs
+        # full checker queries, the premises they were given, and the
+        # deletion checks settled by propagation without one
+        self.queries, self.premises, self.settled = queries, premises, settled
 
     def summary(self):
         return (
             f"compression: {self.steps_before} -> {self.steps_after} steps "
             f"in {self.passes} pass(es), removed "
             f"[{', '.join(self.removed_labels)}]"
+        )
+
+    def checks(self):
+        return (
+            f"compression checks: {self.queries} queries over {self.premises} "
+            f"premises, {self.settled} settled by propagation"
         )
 
 
@@ -87,11 +103,11 @@ class _Citers:
             self.add(item, item.refs)
         self.add(None, model.diffuse.contradiction_refs)
 
-    def _rank(self, citer):
+    def rank_of(self, citer):
         return len(self.rank) if citer is None else self.rank[citer.label]
 
     def add(self, citer, refs):
-        rank = self._rank(citer)
+        rank = self.rank_of(citer)
         for r in refs:
             self.by_label.setdefault(r, {})[rank] = citer
 
@@ -102,9 +118,50 @@ class _Citers:
 
     def remove(self, victim):
         self.by_label.pop(victim.label, None)
-        rank = self._rank(victim)
+        rank = self.rank_of(victim)
         for r in victim.refs:
             self.by_label.get(r, {}).pop(rank, None)
+
+
+class _Checker:
+    """Compression's checker queries, counted in the report, and the citers
+    whose current refs close them by unit propagation at the root."""
+
+    def __init__(self, index, memo, budget, report):
+        self.index, self.memo, self.budget, self.report = index, memo, budget, report
+        # citer ranks; a citer's entry comes from the verdict on its refs
+        # and changes only in commit, when a deletion is accepted
+        self.propagated = set()
+
+    def query(self, refs, conclusion):
+        """The full verdict on the conclusion from the refs."""
+        premises = [self.index[r] for r in refs if r in self.index]
+        self.report.queries += 1
+        self.report.premises += len(premises)
+        q = obvious.ObviousnessQuery.make(premises, conclusion)
+        return obvious.is_obvious(q, self.memo, obvious.Budget(self.budget))
+
+    def deletion(self, rank, refs, conclusion, victim):
+        """The refs of the citer of that rank with the victim's inlined, and
+        whether they close it by propagation; None when they do not close it."""
+        refs_after = _inline(refs, victim.label, victim.refs)
+        if rank in self.propagated and obvious.covered(
+                self.memo, self.index[victim.label],
+                [self.index[r] for r in victim.refs if r in self.index]):
+            self.report.settled += 1
+            return refs_after, True
+        verdict = self.query(refs_after, conclusion)
+        if not verdict.is_obvious:
+            return None
+        return refs_after, verdict.reason == "propagation"
+
+    def commit(self, rank, propagates):
+        """Record whether the new refs of the citer of that rank, given by
+        an accepted deletion, close it by propagation."""
+        if propagates:
+            self.propagated.add(rank)
+        else:
+            self.propagated.discard(rank)
 
 
 def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
@@ -117,10 +174,7 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
     citers = _Citers(model)
 
     with obvious.PremiseMemo() as memo:
-        def checker(refs, conclusion):
-            premises = [index[r] for r in refs if r in index]
-            q = obvious.ObviousnessQuery.make(premises, conclusion)
-            return obvious.is_obvious(q, memo, obvious.Budget(budget)).is_obvious
+        checker = _Checker(index, memo, budget, report)
 
         changed = True
         while changed:
@@ -132,7 +186,8 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
             # sub-proof collapse: the step may have become obvious from the
             # original parents once surrounding steps were inlined
             for item in model.all_steps():
-                if item.subproof is not None and checker(item.refs, item.formula):
+                if (item.subproof is not None
+                        and checker.query(item.refs, item.formula).is_obvious):
                     item.subproof = None
                     report.collapsed_subproofs.append(item.label)
                     changed = True
@@ -144,27 +199,26 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
                 found = citers.of(victim.label)
                 if any(c is not None and c.subproof is not None for c in found):
                     continue  # sub-proof citations are left untouched
-                trial_refs = {}
+                trials = []  # per citer: its rank, new refs, and whether they propagate
                 for citer in found:
                     if citer is None:
-                        refs = _inline(model.diffuse.contradiction_refs,
-                                       victim.label, victim.refs)
-                        conclusion = fol.FALSE
+                        refs, conclusion = model.diffuse.contradiction_refs, fol.FALSE
                     else:
-                        refs = _inline(citer.refs, victim.label, victim.refs)
-                        conclusion = citer.formula
-                    if not checker(refs, conclusion):
+                        refs, conclusion = citer.refs, citer.formula
+                    rank = citers.rank_of(citer)
+                    trial = checker.deletion(rank, refs, conclusion, victim)
+                    if trial is None:
                         break
-                    trial_refs[id(citer)] = refs
+                    trials.append((rank, *trial))
                 else:
                     removed.add(victim.label)
                     citers.remove(victim)
-                    for citer in found:
-                        refs = trial_refs[id(citer)]
+                    for citer, (rank, refs, propagates) in zip(found, trials):
                         if citer is None:
                             model.diffuse.contradiction_refs = refs
                         else:
                             citer.refs = refs
+                        checker.commit(rank, propagates)
                         # the citer's refs lost the victim and gained the
                         # victim's refs, which are all it can newly cite
                         citers.add(citer, victim.refs)

@@ -19,6 +19,10 @@ cannot be closed by any instances, such as a resolution step between two
 non-unit clauses.  It is exact: it answers NotObvious only where the
 search would find nothing.  Every verdict carries the reason it was
 reached (`ObviousnessVerdict.reason`).
+
+A query refuted by unit propagation at the case split's root stays so
+when one premise is replaced by premises whose clauses cover its own
+(`covered`); compression settles such deletions without a query.
 """
 
 from __future__ import annotations
@@ -67,9 +71,12 @@ class ObviousnessVerdict(fol.Record):
         _set(self, "kind", kind)
         _set(self, "selection", selection)  # per-premise {var: Term}, aligned with premises
         _set(self, "commitments", commitments)  # ((unit key, subst items), ...) closing branches
-        # Why the verdict was reached: "" for Obvious; for NotObvious "no-closing-instance"
-        # (settled before the instance search) or "search-exhausted"; for Unknown "budget",
-        # or the explosion guard that fired, "clauses" or "branches".
+        # Why the verdict was reached.  For Obvious, what closed the query: "propagation"
+        # (unit propagation at the case split's root), "case-split" (the case split and
+        # congruence closed every branch) or "instances" (the instance search closed them);
+        # for NotObvious "no-closing-instance" (settled before the instance search) or
+        # "search-exhausted"; for Unknown "budget", or the explosion guard that fired,
+        # "clauses" or "branches".
         _set(self, "reason", reason)
 
     @property
@@ -380,50 +387,60 @@ def _falsified(node, view, registry, memo):
 # DPLL branch enumeration
 
 
-def _dpll_branches(clauses, budget):
-    """All satisfying leaf assignments of the clause set (before congruence)."""
-    branches = []
-
-    def propagate(assignment, clauses_left):
-        value = assignment.get
-        while True:
-            changed = False
-            remaining = []
-            for clause in clauses_left:
-                free = 0  # unassigned literals; the last one is (free_key, free_pol)
-                for key, pol in clause:
-                    val = value(key)
-                    if val is None:
-                        free += 1
-                        free_key, free_pol = key, pol
-                    elif val == pol:
-                        break  # satisfied
+def _propagate(assignment, clauses):
+    """Unit propagation: extends the assignment in place to its fixpoint and
+    returns the clauses it leaves open, or None when one becomes false."""
+    value = assignment.get
+    while True:
+        changed = False
+        remaining = []
+        for clause in clauses:
+            free = 0  # unassigned literals; the last one is (free_key, free_pol)
+            for key, pol in clause:
+                val = value(key)
+                if val is None:
+                    free += 1
+                    free_key, free_pol = key, pol
+                elif val == pol:
+                    break  # satisfied
+            else:
+                if not free:
+                    return None
+                if free == 1:
+                    assignment[free_key] = free_pol
+                    changed = True
                 else:
-                    if not free:
-                        return None
-                    if free == 1:
-                        assignment[free_key] = free_pol
-                        changed = True
-                    else:
-                        remaining.append(clause)
-            clauses_left = remaining
-            if not changed:
-                return clauses_left
+                    remaining.append(clause)
+        clauses = remaining
+        if not changed:
+            return clauses
 
-    # Unit clauses hold on every branch, so they are assigned before the
-    # first scan, which then skips them; root propagation reaches one
-    # fixpoint in any order.  A unit that contradicts another stays, for
-    # that scan to find false.
+
+def _root(clauses):
+    """The root assignment, holding the unit clauses, and the clauses left
+    for the first propagation scan.  Unit clauses hold on every branch, so
+    they are assigned before that scan, which then skips them; root
+    propagation reaches one fixpoint in any order.  A unit that contradicts
+    another stays, for that scan to find false."""
     root = {}
-    rest = [c for c in clauses if len(c) != 1 or root.setdefault(*c[0]) != c[0][1]]
+    return root, [c for c in clauses if len(c) != 1 or root.setdefault(*c[0]) != c[0][1]]
+
+
+def _dpll_branches(clauses, budget):
+    """All satisfying leaf assignments of the clause set (before congruence),
+    or None when propagation at the root finds a clause false."""
+    branches = []
+    root, rest = _root(clauses)
     # depth first, True before False, on an explicit stack: a decision
     # path is as long as the clause set has atoms
     stack = [(root, rest)]
     while stack:
         assignment, clauses_left = stack.pop()
         budget.spend()
-        clauses_left = propagate(assignment, clauses_left)
+        clauses_left = _propagate(assignment, clauses_left)
         if clauses_left is None:
+            if assignment is root:
+                return None
             continue
         if not clauses_left:
             branches.append(assignment)
@@ -436,6 +453,56 @@ def _dpll_branches(clauses, budget):
         for value in (False, True):
             stack.append(({**assignment, key: value}, clauses_left))
     return branches
+
+
+def covered(memo, victim, refs):
+    """Whether a query that unit propagation at the root refutes stays
+    refuted that way when the premise `victim` is replaced by the premises
+    `refs`, judged from the prepared clauses of the victim and of the refs
+    alone (with no fixed variables, as compression asks), whatever the
+    query's other premises and conclusion.
+
+    It holds when every ref prepares without _TooHard and either unit
+    propagation over the refs' clauses alone finds a clause false, or each
+    of the victim's clauses is a unit whose literal that propagation
+    derives, or contains a clause of a ref (is subsumed by it).
+
+    Exactness.  Unit propagation is monotone: what it derives from the
+    refs' clauses, or a conflict among them, it derives from any superset,
+    such as the new query's clauses.  A derived literal stands in for the
+    victim's unit clause.  A ref clause d inside a victim clause c stands
+    in for c: wherever c is false or unit, d is false or unit on the same
+    literal.  So root propagation on the new query derives all that it
+    derived on the old query, or meets a conflict first, and on the old
+    query it met one.  The full query would thus be Obvious by
+    "propagation", at one budget unit, as the old one was: skipping it
+    changes no verdict.
+
+    Reverse unit propagation, asking that propagation over the refs and
+    the negation of c find a conflict, is weaker, and wrong here: it shows
+    that the refs imply c, not that propagation derives c.  With refs l|a
+    and l|~a, the victim l passes it; if the query's other premises are
+    ~l|m and ~l|~m, the old query is refuted by propagation from l, but
+    the new one has no unit at its root.  It needs a case split, which
+    spends more budget and can meet the branch guard, so its verdict may
+    differ; and where it is Obvious, by "case-split", a caller that took
+    the new premises for closed by propagation would apply this rule to
+    them next on a false premise."""
+    try:
+        clauses = [c for r in refs for c in memo.prepare(r, ()).clauses]
+        victim_clauses = memo.prepare(victim, ()).clauses
+    except _TooHard:
+        return False
+    derived, rest = _root(clauses)
+    if _propagate(derived, rest) is None:
+        return True
+    for c in victim_clauses:
+        if len(c) == 1 and derived.get(c[0][0]) == c[0][1]:
+            continue
+        literals = set(c)
+        if not any(literals.issuperset(d) for d in clauses):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -761,20 +828,23 @@ class _Problem:
         return commitment
 
     def solve(self):
-        """Commitments that close every open branch, or the reason that there
-        are none: "no-closing-instance" when _no_closing_instance settles it
-        before the search, else "search-exhausted"."""
+        """The verdict's reason, with the commitments that close every open
+        branch when the query is obvious (none unless the reason is
+        "instances"), else with None."""
+        branches = _dpll_branches(self.clauses, self.budget)
+        if branches is None:
+            return "propagation", {}
         # keep the branches that congruence does not close, seeding the view
         # memo with their views
         self.branches = []
         self._views = {}  # (branch index, literal set) -> _BranchView or None
-        for branch in _dpll_branches(self.clauses, self.budget):
+        for branch in branches:
             view = _make_branch_view(branch, self.registry)
             if view is not None:
                 self._views[(len(self.branches), frozenset())] = view
                 self.branches.append(branch)
         if not self.branches:
-            return {}  # the case split and congruence closed every branch
+            return "case-split", {}
         units_by_key = {}
         for unit in self.premise_units:
             if unit is not None:
@@ -785,14 +855,14 @@ class _Problem:
         for units in derived:
             every_unit.update(units)
         if _no_closing_instance(self.branches, every_unit.values()):
-            return "no-closing-instance"
+            return "no-closing-instance", None
         per_branch_units = []  # per branch: its units by key, in search order
         for units in derived:
             available = {**units_by_key, **units}
             per_branch_units.append({k: available[k] for k in sorted(available, key=repr)})
         self._branch_atoms = [None] * len(self.branches)  # each sorted once, by _atoms
         found = self._close_all(per_branch_units)
-        return "search-exhausted" if found is None else found
+        return ("search-exhausted", None) if found is None else ("instances", found)
 
     def _branch_closed(self, index, commitments):
         literals = frozenset(
@@ -969,13 +1039,13 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
     try:
         problem = _Problem(query.premises, query.conclusion, query.fixed_vars,
                            budget, PremiseMemo() if memo is None else memo)
-        commitments = problem.solve()
+        reason, commitments = problem.solve()
     except BudgetExceeded:
         return ObviousnessVerdict(Verdict.UNKNOWN, reason="budget")
     except _TooHard as exc:
         return ObviousnessVerdict(Verdict.UNKNOWN, reason=exc.guard)
-    if isinstance(commitments, str):
-        return ObviousnessVerdict(Verdict.NOT_OBVIOUS, reason=commitments)
+    if commitments is None:
+        return ObviousnessVerdict(Verdict.NOT_OBVIOUS, reason=reason)
     selection = []
     for unit in problem.premise_units:
         if unit is None or unit.key not in commitments:
@@ -986,4 +1056,4 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
     packed = tuple(
         (key, tuple(sorted(c.subst.items()))) for key, c in commitments.items()
     )
-    return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed)
+    return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed, reason)

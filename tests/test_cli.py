@@ -6,6 +6,7 @@ import pytest
 from tptp2miz import cli
 
 from conftest import FIXTURES
+from test_premise_memo import ground_chain
 
 
 def run(capsys, *argv):
@@ -30,6 +31,18 @@ class TestDerivationMode:
         assert "skolemdef 2:" in env
         assert "compression:" in err  # report goes to stderr, not the files
         assert "compression" not in miz
+
+    def test_verbose_prints_the_compression_checks(self, tmp_path, capsys):
+        # the closing step's first query closes by propagation, and each
+        # later deletion of the 20-step chain is settled without a query
+        path = tmp_path / "chain.out"
+        path.write_text(ground_chain(20))
+        code, _, err = run(capsys, "derivation", str(path), "-o", str(tmp_path), "--verbose")
+        assert code == 0
+        assert err.splitlines()[1] == (
+            "compression checks: 1 queries over 3 premises, 19 settled by propagation")
+        code, _, err = run(capsys, "derivation", str(path), "-o", str(tmp_path))
+        assert "compression checks" not in err
 
     def test_no_compress_superset(self, tmp_path, capsys):
         code, _, _ = run(
@@ -231,30 +244,45 @@ class TestCheckObviousMode:
         )
         code, out, _ = run(capsys, "check-obvious", path, "--verbose")
         assert code == 0
-        assert out.splitlines() == ["Obvious", "1 {X: c}", "2 -"]
+        assert out.splitlines() == [
+            "Obvious", "reason: instances", "budget: 12 of 10000", "1 {X: c}", "2 -"]
 
-    # one query per reason a verdict that is not Obvious gives
+    # one query per reason a verdict gives, with the budget it spends
     REASONS = {
+        "propagation": (
+            "fof(p1, axiom, p(c)).\n"
+            "fof(p2, axiom, ~ p(c) | q(c)).\n"
+            "fof(c1, conjecture, q(c)).\n", [], 0, 1),
+        # no unit is derived at the root; congruence closes the one branch
+        "case-split": (
+            "fof(p1, axiom, a = b).\n"
+            "fof(p2, axiom, p(a)).\n"
+            "fof(c1, conjecture, p(b)).\n", [], 0, 1),
+        "instances": (
+            "fof(p1, axiom, ![X]: (p(X) => q(X))).\n"
+            "fof(p2, axiom, p(c)).\n"
+            "fof(c1, conjecture, q(c)).\n", [], 0, 12),
         "no-closing-instance": (
             "fof(p1, axiom, ![X]: (~ p(X) | q(X))).\n"
             "fof(p2, axiom, ![X]: (~ q(X) | r(X))).\n"
-            "fof(c1, conjecture, ![X]: (~ p(X) | r(X))).\n", [], 1),
+            "fof(c1, conjecture, ![X]: (~ p(X) | r(X))).\n", [], 1, 1),
         "search-exhausted": (
             "fof(p1, axiom, ![X]: (p(X) => p(f(X)))).\n"
             "fof(p2, axiom, p(c)).\n"
-            "fof(c1, conjecture, p(f(f(c)))).\n", [], 1),
+            "fof(c1, conjecture, p(f(f(c)))).\n", [], 1, 17),
+        # the spend that runs out counts 2 of 1; the count printed is capped
         "budget": (
             "fof(p1, axiom, ![X]: (p(X) => q(X))).\n"
             "fof(p2, axiom, p(c)).\n"
-            "fof(c1, conjecture, q(c)).\n", ["--budget", "1"], 3),
+            "fof(c1, conjecture, q(c)).\n", ["--budget", "1"], 3, 1),
         # ten two-atom conjunctions in a disjunction: 1024 clauses
         "clauses": (
             "fof(p1, axiom, " + " | ".join(f"(p{i}(c) & q{i}(c))" for i in range(10))
-            + ").\nfof(c1, conjecture, r(c)).\n", [], 3),
+            + ").\nfof(c1, conjecture, r(c)).\n", [], 3, 0),
         # nine two-atom disjunctions: 512 branches
         "branches": (
             "".join(f"fof(p{i}, axiom, p{i}(c) | q{i}(c)).\n" for i in range(9))
-            + "fof(c1, conjecture, r(c)).\n", ["--budget", "100000"], 3),
+            + "fof(c1, conjecture, r(c)).\n", ["--budget", "100000"], 3, 521),
     }
 
     def test_verbose_not_obvious_prints_the_verdict_and_its_reason(self, tmp_path, capsys):
@@ -264,15 +292,17 @@ class TestCheckObviousMode:
         )
         code, out, _ = run(capsys, "check-obvious", path, "--verbose")
         assert code == 1
-        assert out.splitlines() == ["NotObvious", "reason: no-closing-instance"]
+        assert out.splitlines() == [
+            "NotObvious", "reason: no-closing-instance", "budget: 1 of 10000"]
 
     @pytest.mark.parametrize("reason", sorted(REASONS))
     def test_verbose_prints_each_reason(self, reason, tmp_path, capsys):
-        text, options, exit_code = self.REASONS[reason]
+        text, options, exit_code, used = self.REASONS[reason]
+        limit = options[1] if options else "10000"
         path = self.write(tmp_path, text)
         code, out, _ = run(capsys, "check-obvious", path, "--verbose", *options)
         assert code == exit_code
-        assert out.splitlines()[1:] == [f"reason: {reason}"]
+        assert out.splitlines()[1:3] == [f"reason: {reason}", f"budget: {used} of {limit}"]
         code, out, _ = run(capsys, "check-obvious", path, *options)
         assert out.splitlines() == [out.split()[0]]  # the reason only with --verbose
 

@@ -185,7 +185,13 @@ def ground_chain(n, previous_first=True):
 class TestComplexityGuard:
     """Counts, not timings: compression prepares each premise formula once,
     builds its formula index once, and every query of the call registers
-    atoms in its memo's one registry."""
+    atoms in its memo's one registry.  Every deletion check here is a full
+    query: deletions settled by propagation would leave a ground chain one
+    query (test_propagation_skip counts those)."""
+
+    @pytest.fixture(autouse=True)
+    def full_queries(self, monkeypatch):
+        monkeypatch.setattr(obvious, "covered", lambda memo, victim, refs: False)
 
     def test_ground_chain(self, monkeypatch):
         units = tptp.parse_problem(ground_chain(200))

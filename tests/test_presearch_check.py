@@ -66,7 +66,7 @@ class TestExact:
         reasons = set()
         for _, q in sample_queries():
             reasons.add(assert_exact(monkeypatch, q).reason)
-        assert {"no-closing-instance", "search-exhausted", ""} <= reasons
+        assert {"no-closing-instance", "search-exhausted", "instances"} <= reasons
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)

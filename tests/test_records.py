@@ -78,9 +78,11 @@ RECORDS = [
      ("reservations", "axiom_items", "lemma_items", "theorem", "diffuse", "pending"),
      (("X",), [], [], P, None, True), "mutable"),
     (compress.CompressionReport,
-     "(passes=0, steps_before=0, steps_after=0, removed_labels=None, collapsed_subproofs=None)",
-     ("passes", "steps_before", "steps_after", "removed_labels", "collapsed_subproofs"),
-     (1, 5, 3, ["A1"], []), "mutable"),
+     "(passes=0, steps_before=0, steps_after=0, removed_labels=None, collapsed_subproofs=None,"
+     " queries=0, premises=0, settled=0)",
+     ("passes", "steps_before", "steps_after", "removed_labels", "collapsed_subproofs",
+      "queries", "premises", "settled"),
+     (1, 5, 3, ["A1"], [], 7, 40, 2), "mutable"),
     (derivation.DerivationGraph, "(nodes, parents, children, order_index, sink, order)",
      ("nodes", "parents", "children", "order_index", "sink", "order"),
      ({}, {}, {}, {}, None, []), "mutable"),

@@ -29,8 +29,8 @@ def test_fixture_builds_each_view_once(monkeypatch):
         return original_is_obvious(q, *args, **kwargs)
 
     def dpll_branches(clauses, budget):
-        found = original_branches(clauses, budget)
-        branches.update((query[0], frozenset(b.items())) for b in found)
+        found = original_branches(clauses, budget)  # None: refuted at the root
+        branches.update((query[0], frozenset(b.items())) for b in found or ())
         return found
 
     def make_branch_view(assignment, registry):
