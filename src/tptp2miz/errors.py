@@ -37,7 +37,8 @@ class TptpSyntaxError(TranslationError):
 
 
 class NestingTooDeep(TptpSyntaxError):
-    """Input nested past the parser's limit (tptp.MAX_NESTING)."""
+    """Input nested past the parser's limit of tptp.MAX_NESTING levels,
+    where a quantifier block of any width is one level."""
 
 
 class UnsupportedLanguage(TranslationError):
@@ -143,14 +144,6 @@ class UnsupportedDefinition(TranslationError):
             f"unit {name!r} has an introduced(...) source: the article would "
             "state it as an axiom, and definitions are not supported"
         )
-
-
-class TooManyVariables(TranslationError):
-    """A universal premise binding more variables than tptp.MAX_NESTING."""
-
-    def __init__(self, count, limit):
-        self.count = count
-        super().__init__(f"a premise binds {count} variables, more than {limit}")
 
 
 class IoError(TranslationError):

@@ -9,7 +9,8 @@ or more operands, none of the same kind, as built by join().  Quantifier
 blocks are flat too: a Forall or Exists binds a tuple of names, as TPTP's
 ![X,Y]: does, and its body is never a quantifier of the same kind, which
 the constructor merges.  A chain or block of any width is therefore one
-level deep, and every recursive walk below recurses only as deep as real
+level deep, in its de Bruijn key too, and every recursive walk below,
+capture-avoiding renaming included, recurses only as deep as real
 nesting: negations, alternating quantifiers, the sides of => and <=>,
 alternating connectives and terms.
 """
@@ -392,23 +393,50 @@ def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
         relevant = {k: v for k, v in s.items() if k in f.free}
         if not relevant:
             return f
-        range_vars = set()
-        for t in relevant.values():
-            range_vars.update(t.free)
-        kind = type(f)
-        if range_vars.isdisjoint(f.vars):
-            return kind(f.vars, apply_substitution(relevant, f.body))
-        # a bound name would capture: peel off the first and rename it as a
-        # quantifier of that one name would be, so fresh names stay as they were
-        var, rest = f.vars[0], f.vars[1:]
-        body = kind(rest, f.body) if rest else f.body
-        if var in range_vars:
-            avoid = range_vars | set(body.free) | set(relevant)
-            new = fresh_var(avoid, base=var)
-            body = apply_substitution({var: Var(new)}, body)
-            var = new
-        return kind((var,), apply_substitution(relevant, body))
+        return _rename_apart(relevant, f)
     return f
+
+
+def _rename_apart(s, f):
+    """The block f under s, whose keys are all free in f.  Names of the
+    block that the names of s's terms (its range) would capture are
+    renamed in one pass, as a chain of one-name quantifiers would rename
+    them: each name meets the substitutions of a chain, innermost first,
+    and one whose range holds it renames it to its first fresh variant
+    that avoids that range, the substitution's keys and the free names
+    of the rest of the block.  Where the rest of the block has the old
+    name free, the renaming joins the chain just inside that
+    substitution, so it can in turn rename a later name of the block
+    that it would capture."""
+    range_vars = set()
+    for t in s.values():
+        range_vars.update(t.free)
+    chain = [(s, range_vars)]  # (substitution, its range's names), innermost first
+    names = []
+    for i, name in enumerate(f.vars):
+        j = 0
+        while j < len(chain):
+            sub, names_in_range = chain[j]
+            if name in names_in_range:
+                # the free names of the rest of the block, as this substitution
+                # meets it: after the substitutions inside it
+                free = set(f.body.free).difference(f.vars[i + 1:])
+                for inner, _ in chain[:j]:
+                    hit = free.intersection(inner)
+                    free.difference_update(hit)
+                    for k in hit:
+                        free.update(inner[k].free)
+                new = fresh_var(names_in_range | free | set(sub), base=name)
+                if name in free:
+                    chain.insert(j, ({name: Var(new)}, {new}))
+                    j += 1
+                name = new
+            j += 1
+        names.append(name)
+    body = f.body
+    for sub, _ in chain:
+        body = apply_substitution(sub, body)
+    return type(f)(tuple(names), body)
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +444,27 @@ def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
 
 
 def _norm_term(t: Term, env) -> tuple:
-    if not env:
+    if not env or env.keys().isdisjoint(t.free):
         return t.key
     if isinstance(t, Var):
-        if t.name in env:
-            return ("b", env[t.name])
-        return ("f", t.name)
-    return ("a", t.name, tuple(_norm_term(a, env) for a in t.args))
+        return ("b", env[t.name])
+    return ("a", t.name, tuple([_norm_term(a, env) for a in t.args]))
 
 
 def debruijn(f: Formula, env=None, depth=0) -> tuple:
-    """Hashable normal form: bound variables as indices, equality oriented."""
+    """Hashable normal form, equal for formulas that differ only in the
+    names of bound variables.  A bound variable's key is ("b", i), where i
+    counts the names bound above it from the outermost.  An atom's key is
+    ("p", pred, args) and an equation's ("e", sides), its sides in key
+    order: the keys the checker's registry gives them.  A quantifier block
+    is one level, (tag, number of names, body)."""
     if env is None:
         env = {}
     if isinstance(f, Atom):
-        return ("atom", f.pred, tuple(_norm_term(t, env) for t in f.args))
+        return ("p", f.pred, tuple([_norm_term(t, env) for t in f.args]))
     if isinstance(f, Eq):
-        sides = sorted((_norm_term(f.left, env), _norm_term(f.right, env)))
-        return ("eq", tuple(sides))
+        left, right = _norm_term(f.left, env), _norm_term(f.right, env)
+        return ("e", (left, right) if left <= right else (right, left))
     if isinstance(f, Not):
         return ("not", debruijn(f.body, env, depth))
     if isinstance(f, _CHAIN):
@@ -443,17 +474,12 @@ def debruijn(f: Formula, env=None, depth=0) -> tuple:
         tag = type(f).__name__.lower()
         return (tag, debruijn(f.left, env, depth), debruijn(f.right, env, depth))
     if isinstance(f, _QUANT):
-        # One level per bound name, as a quantifier per name had: the
-        # checker sorts keys by repr, and verdicts-500.txt pins that repr.
         tag = "forall" if isinstance(f, Forall) else "exists"
         inner = dict(env)
         for v in f.vars:
             inner[v] = depth
             depth += 1
-        key = debruijn(f.body, inner, depth)
-        for _ in f.vars:
-            key = (tag, key)
-        return key
+        return (tag, len(f.vars), debruijn(f.body, inner, depth))
     return (type(f).__name__.lower(),)
 
 

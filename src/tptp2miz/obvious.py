@@ -29,12 +29,9 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from operator import itemgetter
 
 from . import fol
-from .errors import TooManyVariables
 from .fol import _set
-from .tptp import MAX_NESTING
 
 DEFAULT_BUDGET = 10000
 
@@ -118,23 +115,18 @@ class _Registry(fol.MutableRecord):
     __slots__ = _fields = ("atoms",)
 
     def __init__(self, atoms=None):
-        # key -> the atom: an Atom, an Eq with its sides in key order, or a
-        # quantified formula, the first of its alpha-variants registered
+        # fol.debruijn key -> the atom: an Atom, an Eq with its sides in key
+        # order, or a quantified formula, the first of its alpha-variants registered
         self.atoms = {} if atoms is None else atoms
 
     def atom_key(self, f):
-        if isinstance(f, fol.Atom):
-            key = ("p", f.pred, tuple([a.key for a in f.args]))
-        elif isinstance(f, fol.Eq):
-            lk, rk = f.left.key, f.right.key
-            key = ("e", (lk, rk) if lk <= rk else (rk, lk))
-            if rk < lk and key not in self.atoms:
-                f = fol.Eq(f.right, f.left)
-        elif isinstance(f, (fol.Forall, fol.Exists)):
-            key = ("q", fol.debruijn(f))
-        else:
+        if not isinstance(f, (fol.Atom, fol.Eq, fol.Forall, fol.Exists)):
             raise ValueError(f"not an atom: {f!r}")
-        self.atoms.setdefault(key, f)
+        key = fol.debruijn(f)
+        if key not in self.atoms:
+            if isinstance(f, fol.Eq) and key[1][0] != f.left.key:
+                f = fol.Eq(f.right, f.left)
+            self.atoms[key] = f
         return key
 
 
@@ -519,31 +511,30 @@ class UniversalUnit(fol.Record):
 
 
 def universal_unit(closed):
-    """The closed formula's universal prefix and matrix, or None; its key
-    nests a level per variable, so past MAX_NESTING it raises TooManyVariables."""
+    """The closed formula's universal prefix and matrix, or None; the
+    unit's key is the closed formula's de Bruijn key, one level deep for
+    the whole prefix, as the registry keys the formula as an atom."""
     if not isinstance(closed, fol.Forall):
         return None
-    if len(closed.vars) > MAX_NESTING:
-        raise TooManyVariables(len(closed.vars), MAX_NESTING)
     return UniversalUnit(fol.debruijn(closed), closed.vars, closed.body)
 
 
 def _derived_units(branch, registry, known):
     """Universal facts implied by a branch's opaque quantified atoms, by
-    unit key, leaving out the keys in `known`.  A quantified atom's registry
-    key holds its de Bruijn form, which is the key of a true Forall's unit."""
+    unit key in assignment order, leaving out the keys in `known`.  A true
+    Forall atom's registry key is its unit's key; a false Exists atom's
+    unit is keyed ("neg",) + its registry key."""
     units = {}
     for key, value in branch.items():
-        if key[0] != "q":
-            continue
-        formula = registry.atoms[key]
-        if value and isinstance(formula, fol.Forall):
-            unit_key, matrix = key[1], formula.body
-        elif not value and isinstance(formula, fol.Exists):
-            unit_key, matrix = ("neg",) + key[1], fol.Not(formula.body)
+        if value and key[0] == "forall":
+            unit_key = key
+        elif not value and key[0] == "exists":
+            unit_key = ("neg",) + key
         else:
             continue
         if unit_key not in known:
+            formula = registry.atoms[key]
+            matrix = formula.body if value else fol.Not(formula.body)
             units[unit_key] = UniversalUnit(unit_key, formula.vars, matrix)
     return units
 
@@ -694,11 +685,10 @@ def _prepare(premise, fixed_vars, registry):
     if unit is None:
         clauses = _clausify(closed, registry)
     else:
-        # The whole closed premise also participates as an opaque fact.  Its
-        # unit key is the de Bruijn form that _Registry.atom_key keys it by.
-        key = ("q", unit.key)
-        registry.atoms.setdefault(key, closed)
-        clauses = [((key, True),)]
+        # The whole closed premise also participates as an opaque fact,
+        # keyed by its unit's key, as _Registry.atom_key would key it.
+        registry.atoms.setdefault(unit.key, closed)
+        clauses = [((unit.key, True),)]
     return _Prepared(unit, clauses, fol.keyed_ground_subterms(closed))
 
 
@@ -709,7 +699,9 @@ class PremiseMemo:
     of it: predicate atoms and equations are ground, and alpha-variant
     quantified atoms differ only in bound-variable names, which candidate
     generation reads by position (a premise's unit shadows the derived
-    unit of its key).
+    unit of its key).  The search reads units and atoms in an order that
+    the query alone fixes: premise, assignment and commitment order, never
+    the order in which the registry met them.
 
     Entries are keyed by the premise object's identity and hold that
     object, so no key can be reused while the memo lives.  Use it as a
@@ -856,11 +848,9 @@ class _Problem:
             every_unit.update(units)
         if _no_closing_instance(self.branches, every_unit.values()):
             return "no-closing-instance", None
-        per_branch_units = []  # per branch: its units by key, in search order
-        for units in derived:
-            available = {**units_by_key, **units}
-            per_branch_units.append({k: available[k] for k in sorted(available, key=repr)})
-        self._branch_atoms = [None] * len(self.branches)  # each sorted once, by _atoms
+        # per branch, its units by key in search order: the premises' in
+        # premise order, then the branch's derived units in assignment order
+        per_branch_units = [{**units_by_key, **units} for units in derived]
         found = self._close_all(per_branch_units)
         return ("search-exhausted", None) if found is None else ("instances", found)
 
@@ -917,25 +907,14 @@ class _Problem:
                 return None
 
     def _atoms(self, index, commitments):
-        """The atoms and equations of the branch and of the committed
-        literals, in the order of their keys' reprs.  The branch's are
-        sorted once, and the literals' merged in."""
-        branch = self.branches[index]
-        ordered = self._branch_atoms[index]
-        if ordered is None:
-            atoms = self.registry.atoms
-            ordered = self._branch_atoms[index] = [
-                (text, atoms[key])
-                for text, key in sorted([(repr(key), key) for key in branch], key=_FIRST)
-                if isinstance(atoms[key], (fol.Atom, fol.Eq))
-            ]
-        extra = {c.literal[0] for c in commitments.values()
-                 if c.literal is not None and c.literal[0] not in branch}
-        if extra:
-            # the branch's part is one sorted run, which the sort keeps whole
-            ordered = sorted(ordered + [(repr(key), self.registry.atoms[key]) for key in extra],
-                             key=_FIRST)
-        return [atom for _, atom in ordered]
+        """The atoms and equations of the branch, in assignment order, then
+        those of the committed literals not on it, in commitment order."""
+        keys = dict.fromkeys(self.branches[index])
+        for c in commitments.values():
+            if c.literal is not None:
+                keys.setdefault(c.literal[0])
+        atoms = self.registry.atoms
+        return [atoms[key] for key in keys if isinstance(atoms[key], (fol.Atom, fol.Eq))]
 
     def _extensions(self, index, commitments, available):
         """The commitment sets that extend the given one by one instance,
@@ -953,9 +932,6 @@ class _Problem:
                 yield trial
 
 
-_FIRST = itemgetter(0)
-
-
 def _no_closing_instance(branches, units):
     """Whether some open branch stays open whatever instances of the units
     are committed: a check on predicate symbols alone, made before the
@@ -971,7 +947,8 @@ def _no_closing_instance(branches, units):
     falsifiable by heads: a literal leaf needs its head with the other
     polarity, a negated equation may hold by congruence, an Or needs every
     part and an And one part.  A head is ("p", predicate), "e" for
-    equations or "q" for every quantified atom, as a registry key starts.
+    equations or "q" for every quantified atom, read off the start of its
+    registry key.
     An equation literal unit could merge any terms, so it turns the check
     off."""
     added = set()  # (head, polarity) of every literal unit
@@ -985,7 +962,7 @@ def _no_closing_instance(branches, units):
         else:
             added.add((("p", literal[1].pred), literal[0]))
     for branch in branches:
-        present = {(key[:2] if key[0] == "p" else key[0], value)
+        present = {(key[:2] if key[0] == "p" else "e" if key[0] == "e" else "q", value)
                    for key, value in branch.items()}
         present |= added
         if any((head, not pol) in present for head, pol in added):

@@ -151,8 +151,8 @@ def quote_atom(name: str) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-# Deepest nesting the parser accepts.  One level is a `~`, a quantified
-# variable, a parenthesis, a term's argument list, or an annotation list,
+# Deepest nesting the parser accepts.  One level is a `~`, a quantifier
+# block, a parenthesis, a term's argument list, or an annotation list,
 # argument list or parent annotation.  Later stages recurse over nesting;
 # this bound keeps them within the default recursion limit, with room for a
 # checker instance whose terms are twice as deep as the input's.
@@ -303,19 +303,19 @@ class _Parser:
     def parse_unitary(self) -> "fol.Formula":
         tok = self.peek()
         if tok in ("!", "?"):
-            quant = self.next()
+            quant = self.descend()
             self.expect("[")
             names = []
             while True:
                 if _kind(self.peek()) != "upper":
                     self.error("expected a variable", expected=("upper word",))
-                names.append(self.descend())
+                names.append(self.next())
                 if not self.accept(","):
                     break
             self.expect("]")
             self.expect(":")
             body = self.parse_unitary()
-            self.depth -= len(names)
+            self.depth -= 1
             node = fol.Forall if quant == "!" else fol.Exists
             return node(tuple(names), body)
         if tok == "~":

@@ -197,6 +197,19 @@ def random_nested_term(rng, depth):
     return fol.App(rng.choice(["f", "g"]), args)
 
 
+def rebuilt_norm_term(t, env):
+    """fol._norm_term as it was: a term is rebuilt whenever env binds any
+    name, whether or not the term holds one.  The reference for the
+    carried-key shortcut."""
+    if not env:
+        return t.key
+    if isinstance(t, fol.Var):
+        if t.name in env:
+            return ("b", env[t.name])
+        return ("f", t.name)
+    return ("a", t.name, tuple(rebuilt_norm_term(a, env) for a in t.args))
+
+
 class TestKeyedTerms:
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -209,6 +222,13 @@ class TestKeyedTerms:
         assert t.depth == recursive_depth(t)
         u = random_nested_term(rng, 5)
         assert (t.key == u.key) == (t == u)
+
+    @given(st.integers(0, 10_000), st.dictionaries(st.sampled_from(["X", "Y", "Z"]),
+                                                   st.integers(0, 3), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_norm_term_is_the_rebuild(self, seed, env):
+        t = random_nested_term(helpers.make_rng(seed), 5)
+        assert fol._norm_term(t, env) == rebuilt_norm_term(t, env)
 
     def test_deep_term_keyed_without_recursion(self):
         t = C("c")

@@ -2,8 +2,8 @@
 (`obvious._no_closing_instance`): it settles a query NotObvious only where
 the search would find nothing, it stays off where an instance can close a
 branch through congruence or a clashing literal, and it costs linear time
-on nested <=>.  Also the search's atom order, which merges the committed
-literals into each branch's keys sorted once."""
+on nested <=>.  Also the search's atom order, which the query alone
+fixes."""
 
 import time
 
@@ -161,30 +161,47 @@ def test_nested_iff_is_shaped_in_linear_time(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
-def test_merged_atom_order_is_the_full_sort(monkeypatch):
-    """_atoms merges the committed literals into the branch's sorted keys;
-    the result is the order of sorting them all by repr."""
+def test_atom_order_is_the_query_order(monkeypatch):
+    """_atoms gives the branch's atoms in assignment order, then the atoms
+    of committed literals not on the branch, in commitment order.  That
+    order is the query's own: a memo whose registry met other queries'
+    atoms first gives the same atom lists, and the units are committed in
+    premise order."""
     original = obvious._Problem._atoms
-    merged = [0]
+    seen, merged = [], [0]
 
     def checked(self, index, commitments):
         got = original(self, index, commitments)
-        assignment = dict(self.branches[index])
+        branch = self.branches[index]
+        keys = list(branch)
         for c in commitments.values():
-            if c.literal is not None:
-                assignment.setdefault(*c.literal)
-        if len(assignment) > len(self.branches[index]):
-            merged[0] += 1
-        atoms = [self.registry.atoms[k] for k in sorted(assignment, key=repr)]
+            if c.literal is not None and c.literal[0] not in keys:
+                keys.append(c.literal[0])
+        merged[0] += len(keys) > len(branch)
+        atoms = [self.registry.atoms[k] for k in keys]
         assert got == [a for a in atoms if isinstance(a, (fol.Atom, fol.Eq))]
+        seen.append(got)
         return got
 
+    def atom_lists(queries, memo):
+        seen.clear()
+        for q in queries:
+            obvious.is_obvious(q, memo=memo, budget=obvious.Budget(2000))
+        return list(seen)
+
     monkeypatch.setattr(obvious._Problem, "_atoms", checked)
-    for _, q in sample_queries():
-        obvious.is_obvious(q, budget=obvious.Budget(2000))
-    # literals of several units, committed before the one that closes
-    q = query([f"![X]: q{i}(X)" for i in range(6)] + ["![X]: r(X)"], "r(c)")
-    assert obvious.is_obvious(q).is_obvious
+    queries = [q for _, q in sample_queries()]
+    alone = atom_lists(queries, None)  # a fresh memo per query
+    shared = obvious.PremiseMemo()
+    atom_lists(queries[::-1], shared)
+    assert atom_lists(queries, shared) == alone and alone
+    # literals of several units, committed before the one that closes, in
+    # premise order, which is not the order of the units' keys
+    names = ["s", "q0", "r1", "p2", "t", "r"]
+    q = query([f"![X]: {n}(X)" for n in names], "r(c)")
+    verdict = obvious.is_obvious(q)
+    assert verdict.is_obvious
+    assert [key[2][1] for key, _ in verdict.commitments] == names
     assert merged[0]
 
 

@@ -66,10 +66,16 @@ def closed_chain(f):
 
 
 def chain_debruijn(f, env=None, depth=0):
+    """A run of links of one kind is one level, as the block it makes."""
     env = env or {}
     if isinstance(f, Link):
         tag = "forall" if f.kind is fol.Forall else "exists"
-        return (tag, chain_debruijn(f.body, {**env, f.var: depth}, depth + 1))
+        names, body = chain_prefix(f)
+        inner = dict(env)
+        for v in names:
+            inner[v] = depth
+            depth += 1
+        return (tag, len(names), chain_debruijn(body, inner, depth))
     if isinstance(f, fol.Not):
         return ("not", chain_debruijn(f.body, env, depth))
     if isinstance(f, (fol.And, fol.Or)):
@@ -105,6 +111,44 @@ def chain_substitution(s, f):
     if isinstance(f, (fol.Implies, fol.Iff)):
         return type(f)(chain_substitution(s, f.left), chain_substitution(s, f.right))
     return fol.apply_substitution(s, f)
+
+
+def peel_substitution(s, f):
+    """fol.apply_substitution as it was before capture renaming took one
+    pass: a block that would capture is peeled one name per recursive call,
+    so a wide block recursed once per name.  Kept as the reference that the
+    one-pass renaming must agree with, fresh names included."""
+    if not s:
+        return f
+    if isinstance(f, fol.Atom):
+        return fol.Atom(f.pred, tuple(fol.subst_term(s, t) for t in f.args))
+    if isinstance(f, fol.Eq):
+        return fol.Eq(fol.subst_term(s, f.left), fol.subst_term(s, f.right))
+    if isinstance(f, fol.Not):
+        return fol.Not(peel_substitution(s, f.body))
+    if isinstance(f, (fol.And, fol.Or)):
+        return type(f)(tuple([peel_substitution(s, p) for p in f.parts]))
+    if isinstance(f, (fol.Implies, fol.Iff)):
+        return type(f)(peel_substitution(s, f.left), peel_substitution(s, f.right))
+    if isinstance(f, (fol.Forall, fol.Exists)):
+        relevant = {k: v for k, v in s.items() if k in f.free}
+        if not relevant:
+            return f
+        range_vars = set()
+        for t in relevant.values():
+            range_vars.update(t.free)
+        kind = type(f)
+        if range_vars.isdisjoint(f.vars):
+            return kind(f.vars, peel_substitution(relevant, f.body))
+        var, rest = f.vars[0], f.vars[1:]
+        body = kind(rest, f.body) if rest else f.body
+        if var in range_vars:
+            avoid = range_vars | set(body.free) | set(relevant)
+            new = fol.fresh_var(avoid, base=var)
+            body = peel_substitution({var: fol.Var(new)}, body)
+            var = new
+        return kind((var,), peel_substitution(relevant, body))
+    return f
 
 
 def chain_render(f, names):
@@ -151,30 +195,51 @@ def chain_format(f, bracket_per_link=False):
     return tptp.format_formula(f)
 
 
+def strategies(names):
+    """Terms, chain-form formulas and substitutions over the names."""
+    terms = st.recursive(
+        st.one_of(st.sampled_from(names).map(fol.Var), st.sampled_from(("a", "b")).map(fol.App)),
+        lambda sub: st.builds(fol.App, st.sampled_from(("f", "g")),
+                              st.lists(sub, min_size=1, max_size=2).map(tuple)),
+        max_leaves=4,
+    )
+    chains = st.recursive(
+        st.one_of(
+            st.builds(fol.Atom, st.sampled_from(("p", "q")), st.lists(terms, max_size=3).map(tuple)),
+            st.builds(fol.Eq, terms, terms),
+            st.sampled_from((fol.TRUE, fol.FALSE)),
+        ),
+        lambda sub: st.one_of(
+            st.builds(fol.Not, sub),
+            st.builds(fol.join, st.sampled_from((fol.And, fol.Or)),
+                      st.lists(sub, min_size=2, max_size=3)),
+            st.builds(lambda node, a, b: node(a, b),
+                      st.sampled_from((fol.Implies, fol.Iff)), sub, sub),
+            st.builds(Link, st.sampled_from((fol.Forall, fol.Exists)), st.sampled_from(names), sub),
+        ),
+        max_leaves=12,
+    )
+    return terms, chains, st.dictionaries(st.sampled_from(names), terms, max_size=2)
+
+
 # X1 is the first fresh name for X, so a rename must also avoid the body's names.
 NAMES = ("X", "Y", "X1")
-terms = st.recursive(
-    st.one_of(st.sampled_from(NAMES).map(fol.Var), st.sampled_from(("a", "b")).map(fol.App)),
-    lambda sub: st.builds(fol.App, st.sampled_from(("f", "g")),
-                          st.lists(sub, min_size=1, max_size=2).map(tuple)),
-    max_leaves=4,
+terms, chains, substitutions = strategies(NAMES)
+# X11 is the first fresh name for X1, so a rename can meet a later name of
+# its block that the renaming before it would capture, twice over.  A drawn
+# block's body has an atom of drawn names beside a drawn formula, so most
+# names it does not bind are free, and a substitution's range often holds a
+# name that it binds.
+CASCADE = ("X", "X1", "X11", "Y", "Z")
+_, cascade_chains, cascade_substitutions = strategies(CASCADE)
+capturing_blocks = st.builds(
+    lambda kind, names, free, f: kind(tuple(names), fol.join(
+        fol.And, (blocks(f), fol.Atom("p", tuple(map(fol.Var, free)))))),
+    st.sampled_from((fol.Forall, fol.Exists)),
+    st.lists(st.sampled_from(CASCADE), min_size=1, max_size=5),
+    st.lists(st.sampled_from(CASCADE), min_size=2, max_size=5),
+    cascade_chains,
 )
-chains = st.recursive(
-    st.one_of(
-        st.builds(fol.Atom, st.sampled_from(("p", "q")), st.lists(terms, max_size=3).map(tuple)),
-        st.builds(fol.Eq, terms, terms),
-        st.sampled_from((fol.TRUE, fol.FALSE)),
-    ),
-    lambda sub: st.one_of(
-        st.builds(fol.Not, sub),
-        st.builds(fol.join, st.sampled_from((fol.And, fol.Or)),
-                  st.lists(sub, min_size=2, max_size=3)),
-        st.builds(lambda node, a, b: node(a, b), st.sampled_from((fol.Implies, fol.Iff)), sub, sub),
-        st.builds(Link, st.sampled_from((fol.Forall, fol.Exists)), st.sampled_from(NAMES), sub),
-    ),
-    max_leaves=12,
-)
-substitutions = st.dictionaries(st.sampled_from(NAMES), terms, max_size=2)
 
 
 def assert_blocks_flat(f):
@@ -225,3 +290,24 @@ class TestBlocksAgainstChains:
         assert_blocks_flat(closed)
         assert fol.debruijn(closed) == chain_debruijn(closed_chain(chain_substitution(s, f)))
 
+
+    @given(capturing_blocks, cascade_substitutions)
+    @example(fol.Forall(("X", "X1"), fol.Atom("p", tuple(map(fol.Var, ("X", "X1", "Y"))))),
+             {"Y": fol.Var("X")})
+    @example(fol.Exists(("X", "X1", "X11"), fol.Atom("p", tuple(map(fol.Var, CASCADE)))),
+             {"Y": fol.Var("X")})
+    @example(fol.Forall(("X", "X1"), fol.Atom("p", tuple(map(fol.Var, ("X", "X1", "Y"))))),
+             {"Y": fol.App("f", (fol.Var("X"), fol.Var("X11")))})
+    @settings(max_examples=500, deadline=None)
+    def test_one_pass_renaming_is_the_peel(self, block, s):
+        assert fol.apply_substitution(s, block) == peel_substitution(s, block)
+
+    def test_wide_block_renamed_in_one_pass(self):
+        def block(width):
+            names = tuple(f"A{i}" for i in range(width)) + ("Z",)
+            return fol.Exists(names, fol.Atom("q", (fol.Var("Y"), fol.Var("Z"), fol.Var("A0"))))
+
+        s = {"Y": fol.Var("Z")}
+        assert fol.apply_substitution(s, block(300)) == peel_substitution(s, block(300))
+        out = fol.apply_substitution(s, block(5000))  # at the default recursion limit
+        assert out.vars[-1] == "Z1" and out.body.args == tuple(map(fol.Var, ("Z", "Z1", "A0")))
