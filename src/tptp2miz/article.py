@@ -261,8 +261,12 @@ def _model_formulas(model):
 
 def _reservations(model):
     # a display form names each free variable, which the closure binds, and
-    # one variable per quantifier
+    # one variable per quantifier; a sub-proof's instance steps add their
+    # bound names to their statement's
     most = max((len(f.free) + len(f.binders) for f in _model_formulas(model)), default=0)
+    for item in model.all_steps():
+        if item.subproof is not None:
+            most = max([most] + [len(names) for _, names in _instance_names(item)])
     return tuple(f"X{i}" for i in range(1, most + 1))
 
 
@@ -384,17 +388,27 @@ def _display_form(f):
     return text, comment
 
 
-def _subproof_lines(item, indent):
-    pad = " " * indent
-    lines = []
-    sub = item.subproof
-    # the statement's variable renaming must also apply inside the proof
+def _instance_names(item):
+    """Each instance step of the item's sub-proof, with the names it is
+    rendered with: the statement's renaming of its own variables, which
+    must also apply inside the proof, then fresh names for the instance's
+    bound variables, as _display_form names a statement's."""
     prefix, _ = _closure_prefix(item.formula)
     names = {v: f"X{i + 1}" for i, v in enumerate(prefix)}
-    lines.append(pad + "proof")
+    for step in item.subproof.instances:
+        own = dict(names)
+        for v in step.formula.binders:
+            if v not in own:
+                own[v] = f"X{len(own) + 1}"
+        yield step, own
+
+
+def _subproof_lines(item, indent):
+    pad = " " * indent
+    lines = [pad + "proof"]
     thus_refs = []
     instantiated = set()
-    for step in sub.instances:
+    for step, names in _instance_names(item):
         ref = item.refs[step.parent_index]
         lines.append(
             pad + "  " + step.label + ": " + _render(step.formula, names) + " by " + ref + ";"

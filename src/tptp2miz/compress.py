@@ -9,6 +9,9 @@ A citer whose refs close it by unit propagation at the root stays closed
 that way when a cited step's clauses are covered by that step's own refs'
 (`obvious.covered`), so such a deletion is settled without a query, at a
 cost in proportion to the deleted step rather than to the citer's refs.
+The refs are spliced in place (`_Refs`), so the deletion also edits them
+at that cost: a long chain whose steps `thus` absorbs one after another
+compresses in linear time.
 """
 
 from __future__ import annotations
@@ -88,6 +91,50 @@ def _inline(refs, label, replacement):
     return tuple(out)
 
 
+class _Refs:
+    """A step's refs while compression edits them, iterated in order.  The
+    first splice links them by label, and a splice then costs in
+    proportion to the refs it inlines; the refs are listed again only when
+    they are next iterated."""
+
+    __slots__ = ("_labels", "_next", "_prev")
+
+    def __init__(self, labels):
+        self._labels = labels  # the refs, None when a splice has changed them since
+        # label -> the following and the preceding label, None past either
+        # end; _next[None] is the first label
+        self._next = self._prev = None
+
+    def __iter__(self):
+        if self._labels is None:
+            out, label = [], self._next[None]
+            while label is not None:
+                out.append(label)
+                label = self._next[label]
+            self._labels = tuple(out)
+        return iter(self._labels)
+
+    def splice(self, label, replacement):
+        """Become _inline(refs, label, replacement); the label is cited."""
+        if self._next is None:
+            self._next, self._prev, last = {}, {}, None
+            for r in self._labels:
+                if r not in self._prev:
+                    self._next[last], self._prev[r], last = r, last, r
+            self._next[last] = None
+        nxt, prev = self._next, self._prev
+        before = prev[label]
+        for x in replacement:
+            if x not in prev:
+                nxt[before], prev[x], before = x, before, x
+        after = nxt.pop(label)
+        del prev[label]
+        nxt[before] = after
+        if after is not None:
+            prev[after] = before
+        self._labels = None
+
+
 class _Citers:
     """Who cites each label, kept up to date as refs change.
 
@@ -142,18 +189,18 @@ class _Checker:
         return obvious.is_obvious(q, self.memo, obvious.Budget(self.budget))
 
     def deletion(self, rank, refs, conclusion, victim):
-        """The refs of the citer of that rank with the victim's inlined, and
-        whether they close it by propagation; None when they do not close it."""
-        refs_after = _inline(refs, victim.label, victim.refs)
+        """Whether the refs of the citer of that rank, with the victim's
+        inlined, close it by propagation (True) or otherwise (False); None
+        when they do not close it.  The refs are left as they are."""
         if rank in self.propagated and obvious.covered(
                 self.memo, self.index[victim.label],
                 [self.index[r] for r in victim.refs if r in self.index]):
             self.report.settled += 1
-            return refs_after, True
-        verdict = self.query(refs_after, conclusion)
+            return True
+        verdict = self.query(_inline(refs, victim.label, victim.refs), conclusion)
         if not verdict.is_obvious:
             return None
-        return refs_after, verdict.reason == "propagation"
+        return verdict.reason == "propagation"
 
     def commit(self, rank, propagates):
         """Record whether the new refs of the citer of that rank, given by
@@ -168,6 +215,9 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
              max_passes=None):
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))
+    for item in model.all_steps():
+        item.refs = _Refs(item.refs)
+    model.diffuse.contradiction_refs = _Refs(model.diffuse.contradiction_refs)
     # Formulas never change and a deleted label is never cited again, so
     # one index serves the whole call.
     index = _formula_index(model, manifest)
@@ -199,25 +249,22 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
                 found = citers.of(victim.label)
                 if any(c is not None and c.subproof is not None for c in found):
                     continue  # sub-proof citations are left untouched
-                trials = []  # per citer: its rank, new refs, and whether they propagate
+                trials = []  # per citer: its refs, rank, and whether they will propagate
                 for citer in found:
                     if citer is None:
                         refs, conclusion = model.diffuse.contradiction_refs, fol.FALSE
                     else:
                         refs, conclusion = citer.refs, citer.formula
                     rank = citers.rank_of(citer)
-                    trial = checker.deletion(rank, refs, conclusion, victim)
-                    if trial is None:
+                    propagates = checker.deletion(rank, refs, conclusion, victim)
+                    if propagates is None:
                         break
-                    trials.append((rank, *trial))
+                    trials.append((refs, rank, propagates))
                 else:
                     removed.add(victim.label)
                     citers.remove(victim)
-                    for citer, (rank, refs, propagates) in zip(found, trials):
-                        if citer is None:
-                            model.diffuse.contradiction_refs = refs
-                        else:
-                            citer.refs = refs
+                    for citer, (refs, rank, propagates) in zip(found, trials):
+                        refs.splice(victim.label, victim.refs)
                         checker.commit(rank, propagates)
                         # the citer's refs lost the victim and gained the
                         # victim's refs, which are all it can newly cite
@@ -230,6 +277,9 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
                 model.diffuse.inner_steps = [i for i in model.diffuse.inner_steps
                                              if i.label not in removed]
 
+    for item in model.all_steps():
+        item.refs = tuple(item.refs)
+    model.diffuse.contradiction_refs = tuple(model.diffuse.contradiction_refs)
     report.steps_after = len(model.all_steps())
     _relabel(model)
     return model, report

@@ -17,8 +17,12 @@ Before the instance search, a check on predicate symbols alone
 (`_no_closing_instance`) settles the queries in which some open branch
 cannot be closed by any instances, such as a resolution step between two
 non-unit clauses.  It is exact: it answers NotObvious only where the
-search would find nothing.  Every verdict carries the reason it was
-reached (`ObviousnessVerdict.reason`).
+search would find nothing.  During the search, the same walk over a
+unit's matrix, on the argument classes of a branch's view
+(`_falsifiable`), skips a non-literal unit at a node where none of its
+instances can be false, before any candidate is made: the search makes
+the same commitments in the same order, at less budget.  Every verdict
+carries the reason it was reached (`ObviousnessVerdict.reason`).
 
 A query refuted by unit propagation at the case split's root stays so
 when one premise is replaced by premises whose clauses cover its own
@@ -278,12 +282,27 @@ class _Congruence:
 class _BranchView(fol.MutableRecord):
     """Branch assignment canonicalized through congruence closure."""
 
-    __slots__ = _fields = ("values", "cc", "canonical", "falsified")
+    __slots__ = ("values", "cc", "canonical", "falsified", "heads", "falsifiable")
+    _fields = ("values", "cc", "canonical", "falsified")
 
     def __init__(self, values, cc, canonical, falsified=None):
         self.values, self.cc = values, cc  # canonical atom key -> bool; a _Congruence
         self.canonical = canonical  # atom key -> its canonical key, filled as atoms are read
         self.falsified = {} if falsified is None else falsified  # _Commitment -> bool
+        self.heads = None  # _falsifiable's index of the values, built when first asked
+        self.falsifiable = {}  # _falsifiable's memo on the view
+
+    def present(self):
+        """The view as _falsifiable reads it: (heads, cc), where heads maps
+        (head, value) to the argument classes of the view's atoms of that
+        head and value, none for an equation or quantified head."""
+        if self.heads is None:
+            self.heads = heads = {}
+            for canon, value in self.values.items():
+                entries = heads.setdefault((_head(canon), value), [])
+                if canon[0] == "p":
+                    entries.append(canon[2])
+        return self.heads, self.cc
 
     def value(self, key, registry):
         """The atom's truth value on the view, None when it has none."""
@@ -294,6 +313,12 @@ class _BranchView(fol.MutableRecord):
 
 
 _REFL = ("e", "refl")
+
+
+def _head(key):
+    """The head of an atom's registry or canonical key: ("p", predicate),
+    "e" for an equation or "q" for any quantified atom."""
+    return key[:2] if key[0] == "p" else "e" if key[0] == "e" else "q"
 
 
 def _canonical(key, registry, cc):
@@ -502,12 +527,21 @@ def covered(memo, victim, refs):
 
 
 class UniversalUnit(fol.Record):
-    __slots__ = _fields = ("key", "variables", "matrix")
+    __slots__ = ("key", "variables", "matrix", "_nnf")
+    _fields = ("key", "variables", "matrix")
 
     def __init__(self, key, variables, matrix):
         _set(self, "key", key)  # normalized closed form, identifies the unit
         _set(self, "variables", variables)
         _set(self, "matrix", matrix)
+        _set(self, "_nnf", _UNSEEN)
+
+    def nnf(self):
+        """The matrix in NNF, made once, when first asked; None when the
+        matrix is a literal, as then every instance is committed as one."""
+        if self._nnf is _UNSEEN:
+            _set(self, "_nnf", None if _as_literal(self.matrix) else _nnf(self.matrix))
+        return self._nnf
 
 
 def universal_unit(closed):
@@ -854,20 +888,26 @@ class _Problem:
         found = self._close_all(per_branch_units)
         return ("search-exhausted", None) if found is None else ("instances", found)
 
-    def _branch_closed(self, index, commitments):
+    def _view(self, index, commitments):
+        """The view of the branch with the committed literals added, or
+        None when a literal contradicts the branch or another literal."""
         literals = frozenset(
             c.literal for c in commitments.values() if c.literal is not None
         )
         view = self._views.get((index, literals), _UNSEEN)
         if view is _UNSEEN:
             assignment = dict(self.branches[index])
-            view = None  # a literal contradicts the branch or another literal
+            view = None
             for key, value in literals:
                 if assignment.setdefault(key, value) != value:
                     break
             else:
                 view = _make_branch_view(assignment, self.registry)
             self._views[(index, literals)] = view
+        return view
+
+    def _branch_closed(self, index, commitments):
+        view = self._view(index, commitments)
         if view is None:
             return True
         # A literal instance is part of the view, so it cannot be false there.
@@ -918,11 +958,36 @@ class _Problem:
 
     def _extensions(self, index, commitments, available):
         """The commitment sets that extend the given one by one instance,
-        in search order, each keeping the branch open only by literals."""
-        atoms = self._atoms(index, commitments)
+        in search order, each keeping the branch open only by literals.
+
+        A non-literal unit is skipped, with no candidates made and no
+        budget spent, when _falsifiable finds that none of its instances
+        can be false on the branch's view.  Exactness.  The branch is open
+        under the given commitments, and a non-literal instance adds no
+        literal, so the extension's view is that same view, on which the
+        other commitments leave the branch open: the extension is yielded
+        only when its own instance is false there.  _falsifiable
+        over-approximates where an instance can be false, so a skipped
+        unit would have yielded nothing, and the same extensions come in
+        the same order.  The search visits the same nodes and finds the
+        same first certificate, and only the budget that the skipped
+        units' candidates cost is saved: a verdict changes only where the
+        search ran out of budget, and then to its verdict at a budget
+        that does not run out.  Literal units are never skipped: they
+        are yielded whether they close the branch or not."""
+        atoms = present = None
         for key, unit in available.items():
             if key in commitments:
                 continue
+            matrix = unit.nnf()
+            if matrix is not None:
+                if present is None:
+                    view = self._view(index, commitments)
+                    present = view.present()
+                if not _falsifiable(matrix, present, view.falsifiable):
+                    continue
+            if atoms is None:
+                atoms = self._atoms(index, commitments)
             universe = self._fill_universe()
             for subst in candidate_substitutions(unit, atoms, universe, self.budget):
                 trial = dict(commitments)
@@ -943,59 +1008,116 @@ def _no_closing_instance(branches, units):
     canonicalization keeps predicate symbols.  So, with the literal units'
     (head, polarity) pairs added to the branch's, a literal instance can
     clash only with a pair of its head and the other polarity, and a
-    non-literal instance can be false only where its unit's matrix is
-    falsifiable by heads: a literal leaf needs its head with the other
-    polarity, a negated equation may hold by congruence, an Or needs every
-    part and an And one part.  A head is ("p", predicate), "e" for
-    equations or "q" for every quantified atom, read off the start of its
-    registry key.
-    An equation literal unit could merge any terms, so it turns the check
-    off."""
-    added = set()  # (head, polarity) of every literal unit
+    non-literal instance can be false only where _falsifiable finds its
+    unit's matrix falsifiable with those pairs standing for atoms of any
+    arguments.  An equation literal unit could merge any terms, so it
+    turns the check off."""
+    added = {}  # (head, polarity) of every literal unit
     matrices = []  # the NNF matrices of the other units
     for unit in units:
-        literal = _as_literal(unit.matrix)
-        if literal is None:
-            matrices.append(_nnf(unit.matrix))
-        elif isinstance(literal[1], fol.Eq):
-            return False
-        else:
-            added.add((("p", literal[1].pred), literal[0]))
-    for branch in branches:
-        present = {(key[:2] if key[0] == "p" else "e" if key[0] == "e" else "q", value)
-                   for key, value in branch.items()}
-        present |= added
-        if any((head, not pol) in present for head, pol in added):
+        matrix = unit.nnf()
+        if matrix is not None:
+            matrices.append(matrix)
             continue
-        memo = {}  # id(NNF And or Or) -> falsifiable, so nested <=> stays linear
-        if not any(_falsifiable(m, present, memo) for m in matrices):
+        literal = _as_literal(unit.matrix)
+        if isinstance(literal[1], fol.Eq):
+            return False
+        added[(("p", literal[1].pred), literal[0])] = None
+    for branch in branches:
+        heads = {(_head(key), value): None for key, value in branch.items()}
+        heads.update(added)
+        if any((head, not pol) in heads for head, pol in added):
+            continue
+        memo = {}  # shared NNF nodes are read once, so nested <=> stays linear
+        if not any(_falsifiable(m, (heads, None), memo) for m in matrices):
             return True
     return False
 
 
+_MAX_BINDINGS = 16  # bindings a node of _falsifiable keeps before it gives up on them
+_ANY = ({},)  # _falsifiable: may be false, whatever the unit's variables stand for
+
+
 def _falsifiable(g, present, memo):
-    """Whether the NNF formula can be false on a view whose atoms have the
-    (head, value) pairs in `present`."""
+    """The bindings under which an instance of a unit's NNF matrix `g` may
+    be false on a view, as a sequence of maps from the unit's variables to
+    term classes; empty when no instance can be false there.  An
+    over-approximation, read off the view's atoms alone.
+
+    `present` is (heads, cc), as _BranchView.present gives it; the argument
+    classes of a predicate head may be None, for atoms of any arguments,
+    and then cc may be None.  memo maps id(NNF And or Or) to its answer,
+    so each shared node is read once.
+
+    An Or is false where every part is, under a joined binding; an And
+    where some part is; $true never and $false always.  A predicate
+    literal of polarity s needs an atom of its predicate with the value
+    not s, each argument matching that atom's class: a unit variable binds
+    itself to the class, consistently across the literals joined; a ground
+    argument must have it; a compound argument over unit variables may
+    have any class.  An equation needs a false equation, its negation
+    nothing, as its sides may be congruent; a quantified atom needs one of
+    the other value.  A join of more than _MAX_BINDINGS bindings may be
+    false under any."""
     kind = type(g)
     if kind is fol.And or kind is fol.Or:
         out = memo.get(id(g))
-        if out is None:
-            test = any if kind is fol.And else all
-            out = memo[id(g)] = test(_falsifiable(p, present, memo) for p in g.parts)
+        if out is not None:
+            return out
+        if kind is fol.And:  # some part false
+            out = []
+            for p in g.parts:
+                part = _falsifiable(p, present, memo)
+                if part is _ANY:
+                    out = _ANY
+                    break
+                out.extend(part)
+        else:  # every part false
+            out = _ANY
+            for p in g.parts:
+                part = _falsifiable(p, present, memo)
+                if not part or out is _ANY:
+                    out = part
+                elif part is not _ANY:
+                    out = [{**a, **b} for a in out for b in part
+                           if all(a.get(v, c) == c for v, c in b.items())]
+                if not out:
+                    break
+        if len(out) > _MAX_BINDINGS:
+            out = _ANY
+        memo[id(g)] = out
         return out
     if kind is fol.Verum or kind is fol.Falsum:
-        return kind is fol.Falsum
+        return _ANY if kind is fol.Falsum else ()
     positive = kind is not fol.Not
     atom = g if positive else g.body
-    if isinstance(atom, fol.Atom):
-        head = ("p", atom.pred)
-    elif isinstance(atom, fol.Eq):
-        if not positive:
-            return True  # its sides may be congruent
-        head = "e"
-    else:
-        head = "q"
-    return (head, not positive) in present
+    heads, cc = present
+    if type(atom) is fol.Eq:
+        return _ANY if not positive or ("e", False) in heads else ()
+    if type(atom) is not fol.Atom:
+        return _ANY if ("q", not positive) in heads else ()
+    entries = heads.get((("p", atom.pred), not positive), ())
+    if entries is None:
+        return _ANY
+    out = []
+    if entries:
+        args = atom.args
+        ground = [None if a.free else cc.term_class(a) for a in args]
+        for classes in entries:
+            if len(classes) != len(args):
+                continue
+            binding = {}
+            for arg, want, cls in zip(args, ground, classes):
+                if want is not None:
+                    if want != cls:
+                        break
+                elif type(arg) is fol.Var and binding.setdefault(arg.name, cls) != cls:
+                    break
+            else:
+                if not binding or len(out) == _MAX_BINDINGS:
+                    return _ANY
+                out.append(binding)
+    return out
 
 
 def _as_literal(f):

@@ -1,9 +1,13 @@
 import os
+import random
+
+from hypothesis import given, settings, strategies as st
 
 from tptp2miz import article, compress, derivation, fol, tptp
 
 import helpers
 from conftest import FIXTURES
+from test_corpus_digests import _bench_run
 
 
 def F(text):
@@ -33,6 +37,63 @@ class TestInline:
 
     def test_absent_label_leaves_refs_unchanged(self):
         assert compress._inline(("A", "B"), "V", ("C",)) == ("A", "B")
+
+
+class TestSplice:
+    """_Refs.splice edits refs in place into what _inline builds anew."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_splices_are_inlines(self, seed):
+        rng = helpers.make_rng(seed)
+        names = [f"L{i}" for i in range(10)]
+        expected = tuple(rng.choice(names) for _ in range(rng.randint(1, 8)))
+        refs = compress._Refs(expected)
+        while expected and rng.random() < 0.9:
+            label = rng.choice(expected)
+            replacement = tuple(x for x in (rng.choice(names) for _ in range(rng.randint(0, 4)))
+                                if x != label)
+            if rng.random() < 0.5:  # a deleted step's refs are being edited too
+                replacement = compress._Refs(replacement)
+            expected = compress._inline(expected, label, replacement)
+            refs.splice(label, replacement)
+            if rng.random() < 0.5:
+                assert tuple(refs) == expected
+        assert tuple(refs) == expected
+
+    @staticmethod
+    def ref_entries_touched(monkeypatch, n):
+        """The ref entries that compression lists, links or splices on a
+        ("ground", n) refutation, and the steps it leaves."""
+        text, _ = _bench_run().corpus.refutation(random.Random(n), "chain", [("ground", n)])
+        model, manifest = article.build_article(derivation.build_graph(tptp.parse_problem(text)))
+        touched = [0]
+        listed, spliced = compress._Refs.__iter__, compress._Refs.splice
+
+        def count_listed(self):
+            labels = tuple(listed(self))
+            touched[0] += len(labels)
+            return iter(labels)
+
+        def count_spliced(self, label, replacement):
+            if self._next is None:  # linked at its first splice
+                touched[0] += len(self._labels)
+            touched[0] += 1
+            return spliced(self, label, replacement)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(compress._Refs, "__iter__", count_listed)
+            patch.setattr(compress._Refs, "splice", count_spliced)
+            out, _ = compress.compress(model, manifest)
+        return touched[0], len(out.all_steps())
+
+    def test_long_chain_is_linear(self, monkeypatch):
+        # the closing step absorbs one deleted step after another; rebuilding
+        # its refs at each deletion touched a number of entries quadratic in n
+        small, left = self.ref_entries_touched(monkeypatch, 1000)
+        large, _ = self.ref_entries_touched(monkeypatch, 2000)
+        assert left == 0
+        assert large <= 2.1 * small
 
 
 class TestChainExample:

@@ -321,9 +321,11 @@ class TestCaptureInAWideBlock:
         code, err = run(tmp_path, capsys, mode, self.TEXT, *options)
         assert code == 0, err
         if options:
-            # without compression, s1 keeps its instance at Y := Z, Z renamed
+            # without compression, s1 keeps its instance at Y := Z, Z
+            # rendered X1 and the block's names X2, ..., X1001
             miz = (tmp_path / "out" / "in.miz").read_text()
-            assert ",A998,Z1 st q X1,Z1) by Ax2;" in miz
+            assert "  A: r X1 implies (ex X2,X3," in miz
+            assert ",X1000,X1001 st q X1,X1001) by Ax2;" in miz
 
 
 class TestLongSearches:

@@ -50,7 +50,8 @@ def exact(monkeypatch):
         before = self.report.settled
         result = original(self, rank, refs, conclusion, victim)
         if self.report.settled > before:
-            assert propagates(self, result[0], conclusion), \
+            refs_after = compress._inline(refs, victim.label, victim.refs)
+            assert propagates(self, refs_after, conclusion), \
                 f"{victim.label} settled for a citer of {refs}"
             settled.append(victim.label)
         return result

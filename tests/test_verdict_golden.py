@@ -39,8 +39,8 @@ def describe(seed, verdict):
     return f"{seed} {verdict.kind.value} | {selection or '-'} | {commitments or '-'}"
 
 
-def verdict_lines():
-    return [describe(seed, obvious.is_obvious(q, budget=obvious.Budget(2000)))
+def verdict_lines(budget=2000):
+    return [describe(seed, obvious.is_obvious(q, budget=obvious.Budget(budget)))
             for seed, q in sample_queries()]
 
 
@@ -51,6 +51,12 @@ def test_sample_matches_golden():
     assert len(got) == len(expected) == 500
     for line, want in zip(got, expected):
         assert line == want
+
+
+def test_sample_needs_no_more_budget():
+    # no query of the sample runs out of the gate's budget: each answer is
+    # the one a budget that never runs out gives
+    assert verdict_lines() == verdict_lines(10**6)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,7 @@ each shared node is read once."""
 import collections
 import os
 
-from tptp2miz import article, compress, derivation, obvious, tptp
-from tptp2miz.obvious import Verdict
+from tptp2miz import article, compress, derivation, fol, obvious, tptp
 
 from conftest import FIXTURES
 
@@ -95,17 +94,21 @@ def test_fixture_compiles_each_instance_once(monkeypatch):
         assert article.render_article(out) == handle.read()
 
 
-def nested_iff_query(n):
-    """![X]: with n nested <=> over p0(X) ... pn(X), facts p1(c) ... pn(c)
-    and ~p0(d), and an unrelated conclusion: the search commits to the
-    non-literal instance at c and evaluates it on each branch."""
-    matrix = "p0(X)"
+def nested_iff_instance(n):
+    """The instance at c of ![X]: with n nested <=> over p0(X) ... pn(X),
+    compiled, and the view of a branch with p1(c) ... pn(c) true and p0(d)
+    false, with the registry of both.  p0(c) has no value on the view, so
+    no node of the instance is false, and each <=> is read on both sides."""
+    x, c = fol.Var("X"), fol.App("c")
+    matrix = fol.Atom("p0", (x,))
     for i in range(1, n + 1):
-        matrix = f"({matrix} <=> p{i}(X))"
-    facts = "".join(f"fof(f{i}, axiom, p{i}(c)).\n" for i in range(1, n + 1))
-    units = tptp.parse_problem(f"fof(ax, axiom, ![X]: {matrix}).\n{facts}"
-                               "fof(nd, axiom, ~p0(d)).\nfof(g, conjecture, q(c)).\n")
-    return obvious.ObviousnessQuery.make([u.formula for u in units[:-1]], units[-1].formula)
+        matrix = fol.Iff(matrix, fol.Atom(f"p{i}", (x,)))
+    unit = obvious.universal_unit(fol.Forall(("X",), matrix))
+    registry = obvious._Registry()
+    compiled = obvious._compile(obvious.instance_formula(unit, {"X": c}), registry)
+    branch = {registry.atom_key(fol.Atom(f"p{i}", (c,))): True for i in range(1, n + 1)}
+    branch[registry.atom_key(fol.Atom("p0", (fol.App("d"),)))] = False
+    return compiled, obvious._make_branch_view(branch, registry), registry
 
 
 class _Forgetful(dict):
@@ -114,8 +117,10 @@ class _Forgetful(dict):
 
 
 def falsified_calls(monkeypatch, n, memo=True):
-    """The verdict on nested_iff_query(n) and the calls of _falsified it
-    made; without the memo, each call forgets what it read."""
+    """Whether nested_iff_instance(n) is false on its view, and the calls
+    of _falsified that the answer took; without the memo, each call
+    forgets what it read."""
+    compiled, view, registry = nested_iff_instance(n)
     original = obvious._falsified
     calls = [0]
 
@@ -125,21 +130,20 @@ def falsified_calls(monkeypatch, n, memo=True):
 
     with monkeypatch.context() as patch:
         patch.setattr(obvious, "_falsified", counted)
-        verdict = obvious.is_obvious(nested_iff_query(n), budget=obvious.Budget(10**6))
-    return verdict, calls[0]
+        answer = obvious._falsified(compiled, view, registry, {})
+    return answer, calls[0]
 
 
 def test_nested_iff_instance_is_evaluated_in_linear_time(monkeypatch):
     # the answer equals the evaluation without the memo, which reads the
     # nodes below each <=> twice, 2**(n/2) calls in all
-    verdict, calls = falsified_calls(monkeypatch, 10)
+    answer, calls = falsified_calls(monkeypatch, 10)
     reference, reference_calls = falsified_calls(monkeypatch, 10, memo=False)
-    assert (verdict.kind, verdict.reason) == (Verdict.NOT_OBVIOUS, "search-exhausted")
-    assert verdict == reference
+    assert answer is reference is False
     assert reference_calls > 2 * calls
     # each doubling of the depth at most doubles the calls, up to 18
     # levels, where the walk without the memo made over a million
     for n in (9, 18):
-        verdict, doubled = falsified_calls(monkeypatch, 2 * n)
-        assert (verdict.kind, verdict.reason) == (Verdict.NOT_OBVIOUS, "search-exhausted")
+        answer, doubled = falsified_calls(monkeypatch, 2 * n)
+        assert answer is False
         assert doubled <= 2 * falsified_calls(monkeypatch, n)[1] + 20
