@@ -82,11 +82,14 @@ class ArticleModel(fol.MutableRecord):
 
 
 def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
-                  conjecture=None):
-    classes = derivation.classify_all(graph)
+                  conjecture=None, memo=None):
+    """The article and manifest of a derivation.  The justify queries and
+    the closing step's share the given obvious.PremiseMemo, if any, which
+    the caller empties; sub-proof searches keep their own."""
+    base_sig = derivation.original_signature(graph)
+    classes = derivation.classify_all(graph, base_sig)
     depends = derivation.mark_conjecture_dependence(graph, classes)
     used = derivation.mark_used(graph)
-    base_sig = derivation.original_signature(graph)
 
     conj_nodes = [n for n in graph.order if classes[n] is StepClass.CONJECTURE]
     neg_nodes = [n for n in graph.order if classes[n] is StepClass.NEGATED_CONJECTURE]
@@ -193,7 +196,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
         step_budget = obvious.Budget(budget)
         query = obvious.ObviousnessQuery.make(premises, unit.formula)
         sub = None
-        if not obvious.is_obvious(query, budget=step_budget).is_obvious:
+        if not obvious.is_obvious(query, memo, step_budget).is_obvious:
             hint = expand.substitution_from_inference_record(unit.source)
             sub = expand.build_subproof(name, unit.formula, premises, step_budget, hint)
         return Item(label_of[name], unit.formula, tuple(refs), sub, name)
@@ -204,7 +207,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     # the closing step has no sub-proof form, so it must be obvious as cited
     refs, premises = citations(graph.sink)
     query = obvious.ObviousnessQuery.make(premises, fol.FALSE)
-    if not obvious.is_obvious(query, budget=obvious.Budget(budget)).is_obvious:
+    if not obvious.is_obvious(query, memo, obvious.Budget(budget)).is_obvious:
         raise ExpansionFailed(graph.sink)
     diffuse = DiffuseBlock(assumption_label, assumption, inner_items, tuple(refs))
 
@@ -217,7 +220,9 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
 
 def _rename_skolems(model, henkins, skolem_symbols, graph):
     """Fresh prover symbols become skolem1, skolem2, ... in topological
-    order, skipping the names that the derivation's other symbols have."""
+    order, skipping the names that the derivation's other symbols have.
+    A formula without one stays the very object that justification
+    cited, so a run's premise memo still knows it."""
     if not skolem_symbols:
         return
     fresh = {s.name for s in skolem_symbols}
@@ -261,9 +266,10 @@ def _model_formulas(model):
 
 def _reservations(model):
     # a display form names each free variable, which the closure binds, and
-    # one variable per quantifier; a sub-proof's instance steps add their
-    # bound names to their statement's
-    most = max((len(f.free) + len(f.binders) for f in _model_formulas(model)), default=0)
+    # each bound name once, however many quantifiers bind it; a sub-proof's
+    # instance steps add their bound names to their statement's
+    most = max((len(set(f.free).union(f.binders)) for f in _model_formulas(model)),
+               default=0)
     for item in model.all_steps():
         if item.subproof is not None:
             most = max([most] + [len(names) for _, names in _instance_names(item)])

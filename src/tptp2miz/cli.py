@@ -9,6 +9,7 @@ Modes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -117,16 +118,20 @@ def _run_problem(args):
 def _run_derivation(args):
     units = tptp.parse_derivation_file(args.input, include_dirs=args.axiom_dir)
     graph = derivation.build_graph(units)
-    model, manifest = article.build_article(
-        graph,
-        keep_unused=args.keep_unused,
-        budget=args.budget,
-        conjecture=args.conjecture,
-    )
-    if not args.no_compress:
-        model, report = compress.compress(
-            model, manifest, budget=args.budget, max_passes=args.max_passes
-        )
+    build = functools.partial(article.build_article, graph, keep_unused=args.keep_unused,
+                              budget=args.budget, conjecture=args.conjecture)
+    if args.no_compress:
+        # no later query cites a justify query's premises: each query's
+        # memo is emptied when it returns
+        model, manifest = build()
+    else:
+        # compression asks again about the formulas that justification
+        # cited, so one memo serves both phases
+        with obvious.PremiseMemo() as memo:
+            model, manifest = build(memo=memo)
+            model, report = compress.compress(
+                model, manifest, budget=args.budget, max_passes=args.max_passes, memo=memo
+            )
         print(report.summary(), file=sys.stderr)
         if args.verbose:
             print(report.checks(), file=sys.stderr)

@@ -16,6 +16,8 @@ compresses in linear time.
 
 from __future__ import annotations
 
+import contextlib
+
 from . import fol, obvious
 from .article import ArticleModel
 
@@ -212,7 +214,11 @@ class _Checker:
 
 
 def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
-             max_passes=None):
+             max_passes=None, memo=None):
+    """The compressed copy of the article, and its report.  Every query
+    shares the given obvious.PremiseMemo, which the caller empties, so no
+    formula that justification cited with it is prepared again; without
+    one, a memo lives for this call."""
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))
     for item in model.all_steps():
@@ -223,7 +229,7 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
     index = _formula_index(model, manifest)
     citers = _Citers(model)
 
-    with obvious.PremiseMemo() as memo:
+    with obvious.PremiseMemo() if memo is None else contextlib.nullcontext(memo) as memo:
         checker = _Checker(index, memo, budget, report)
 
         changed = True

@@ -138,13 +138,9 @@ def new_function_symbols(name: str, g: DerivationGraph, base_sig=None) -> list:
         for sym, kind, arity in fol.formula_symbols(g.nodes[p].formula):
             if kind == "function":
                 known.add((sym, arity))
-    fresh = []
-    for sym, kind, arity in fol.formula_symbols(g.nodes[name].formula):
-        if kind == "function" and (sym, arity) not in known:
-            entry = fol.Symbol(sym, "function", arity)
-            if entry not in fresh:
-                fresh.append(entry)
-    return fresh
+    return [fol.Symbol(sym, "function", arity)
+            for sym, kind, arity in fol.formula_symbols(g.nodes[name].formula)
+            if kind == "function" and (sym, arity) not in known]
 
 
 def classify_step(name: str, g: DerivationGraph, base_sig=None) -> StepClass:
@@ -171,8 +167,9 @@ def classify_step(name: str, g: DerivationGraph, base_sig=None) -> StepClass:
     return StepClass.INFERENCE
 
 
-def classify_all(g: DerivationGraph) -> dict:
-    base_sig = original_signature(g)
+def classify_all(g: DerivationGraph, base_sig=None) -> dict:
+    if base_sig is None:
+        base_sig = original_signature(g)
     out = {}
     for name in g.nodes:
         out[name] = classify_step(name, g, base_sig)

@@ -17,7 +17,8 @@ alternating connectives and terms.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+import operator
+from collections.abc import Iterable, Mapping
 
 from .errors import ArityConflict, KindConflict
 
@@ -328,23 +329,31 @@ def atom_terms(f: Formula) -> tuple:
     return ()
 
 
-def term_functions(t: Term) -> Iterator[tuple]:
-    if isinstance(t, App):
-        yield (t.name, len(t.args))
-        for a in t.args:
-            yield from term_functions(a)
-
-
 def formula_symbols(f: Formula) -> list:
-    """(name, kind, arity) for every symbol occurrence, in order."""
-    out = []
-    for g, _ in subformulas(f):
-        if isinstance(g, Atom):
-            out.append((g.pred, "predicate", len(g.args)))
-        for t in atom_terms(g):
-            for name, arity in term_functions(t):
-                out.append((name, "function", arity))
-    return out
+    """(name, kind, arity) for every symbol, each once, in order of first
+    occurrence: subformulas in pre-order, an atom's predicate before its
+    terms' functions, and a term's function before its arguments'."""
+    found = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Var:
+            continue
+        if kind is App:
+            found.setdefault((g.name, "function", len(g.args)))
+            stack.extend(reversed(g.args))
+        elif kind is Atom:
+            found.setdefault((g.pred, "predicate", len(g.args)))
+            stack.extend(reversed(g.args))
+        elif kind is Eq or kind in _BINARY:
+            stack.append(g.right)
+            stack.append(g.left)
+        elif kind in _CHAIN:
+            stack.extend(reversed(g.parts))
+        elif kind is Not or kind in _QUANT:
+            stack.append(g.body)
+    return list(found)
 
 
 # ---------------------------------------------------------------------------
@@ -520,28 +529,40 @@ def collect_signature(formulas: Iterable[Formula]) -> list:
 
 
 def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Rename function/predicate symbols throughout a formula."""
-    if isinstance(f, Atom):
-        return Atom(mapping.get(f.pred, f.pred), tuple(_rename_term(t, mapping) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(_rename_term(f.left, mapping), _rename_term(f.right, mapping))
-    if isinstance(f, Not):
-        return Not(rename_symbols(f.body, mapping))
-    if isinstance(f, _CHAIN):
-        return type(f)(tuple([rename_symbols(p, mapping) for p in f.parts]))
-    if isinstance(f, _BINARY):
-        return type(f)(
-            rename_symbols(f.left, mapping), rename_symbols(f.right, mapping)
-        )
-    if isinstance(f, _QUANT):
-        return type(f)(f.vars, rename_symbols(f.body, mapping))
+    """Rename function/predicate symbols throughout a formula.  A node in
+    which nothing is renamed is returned itself, not a copy."""
+    kind = type(f)
+    if kind is Atom:
+        pred, args = mapping.get(f.pred, f.pred), _renamed(f.args, _rename_term, mapping)
+        return f if pred == f.pred and args is f.args else Atom(pred, args)
+    if kind is Eq:
+        left, right = _renamed((f.left, f.right), _rename_term, mapping)
+        return f if left is f.left and right is f.right else Eq(left, right)
+    if kind is Not or kind in _QUANT:
+        body = rename_symbols(f.body, mapping)
+        if body is f.body:
+            return f
+        return Not(body) if kind is Not else kind(f.vars, body)
+    if kind in _CHAIN:
+        parts = _renamed(f.parts, rename_symbols, mapping)
+        return f if parts is f.parts else kind(parts)
+    if kind in _BINARY:
+        left, right = _renamed((f.left, f.right), rename_symbols, mapping)
+        return f if left is f.left and right is f.right else kind(left, right)
     return f
 
 
 def _rename_term(t, mapping):
-    if isinstance(t, Var):
+    if type(t) is Var:
         return t
-    return App(mapping.get(t.name, t.name), tuple(_rename_term(a, mapping) for a in t.args))
+    name, args = mapping.get(t.name, t.name), _renamed(t.args, _rename_term, mapping)
+    return t if name == t.name and args is t.args else App(name, args)
+
+
+def _renamed(items, rename, mapping):
+    """The tuple of the items renamed, or the very tuple when none changed."""
+    out = tuple([rename(x, mapping) for x in items])
+    return items if all(map(operator.is_, out, items)) else out
 
 
 def keyed_ground_subterms(f: Formula) -> dict:
@@ -553,14 +574,14 @@ def keyed_ground_subterms(f: Formula) -> dict:
     return found
 
 
-def _add_ground_subterms(t, found) -> bool:
-    """Add t's ground subterms to found by key; whether t is ground."""
-    if isinstance(t, Var):
-        return False
-    ground = True
-    for a in t.args:
-        if not _add_ground_subterms(a, found):
-            ground = False
-    if ground:
-        found.setdefault(t.key, t)
-    return ground
+def _add_ground_subterms(t, found):
+    """Add t's ground subterms to found by key.  A ground term already
+    there has its arguments there too."""
+    if not t.free:
+        if t.key not in found:
+            for a in t.args:
+                _add_ground_subterms(a, found)
+            found[t.key] = t
+    elif type(t) is App:
+        for a in t.args:
+            _add_ground_subterms(a, found)

@@ -700,13 +700,22 @@ def instance_formula(unit, subst):
 
 class _Prepared(fol.MutableRecord):
     """One premise closed and split on its own, its atoms registered.
-    Shared by the queries of a memo, so never modified."""
+    Shared by the queries of a memo, so never modified but to keep its
+    ground terms once an instance search has asked for them."""
 
-    __slots__ = _fields = ("unit", "clauses", "ground_terms")
+    __slots__ = ("unit", "clauses", "closed", "_ground_terms")
+    _fields = ("unit", "clauses", "closed")
 
-    def __init__(self, unit, clauses, ground_terms):
+    def __init__(self, unit, clauses, closed):
         self.unit = unit  # UniversalUnit, or None when the premise is ground
-        self.clauses, self.ground_terms = clauses, ground_terms  # term key -> term
+        self.clauses, self.closed = clauses, closed
+        self._ground_terms = None
+
+    def ground_terms(self):
+        """Term key -> term for every ground term of the closed premise."""
+        if self._ground_terms is None:
+            self._ground_terms = fol.keyed_ground_subterms(self.closed)
+        return self._ground_terms
 
 
 def _prepare(premise, fixed_vars, registry):
@@ -723,12 +732,13 @@ def _prepare(premise, fixed_vars, registry):
         # keyed by its unit's key, as _Registry.atom_key would key it.
         registry.atoms.setdefault(unit.key, closed)
         clauses = [((unit.key, True),)]
-    return _Prepared(unit, clauses, fol.keyed_ground_subterms(closed))
+    return _Prepared(unit, clauses, closed)
 
 
 class PremiseMemo:
-    """Prepared premises shared by the queries of one compress call, and
-    the one atom registry that their atoms and the queries' own go to.
+    """Prepared premises shared by the queries of one derivation run, from
+    justification through compression, and the one atom registry that
+    their atoms and the queries' own go to.
     It can serve every query because an atom's key fixes all that is read
     of it: predicate atoms and equations are ground, and alpha-variant
     quantified atoms differ only in bound-variable names, which candidate
@@ -811,14 +821,15 @@ class _Problem:
         self._commitments = {}  # (id(unit), substitution keys) -> _Commitment
 
     def _fill_universe(self):
-        """The ground terms residual variables are filled from.  Only a
-        universe small enough to fill from is read, in order, so only such a
-        one is gathered whole and sorted: past the bound only its size is
-        read."""
+        """The ground terms residual variables are filled from, gathered
+        from the closed premises when the instance search first asks: most
+        queries never do.  Only a universe small enough to fill from is
+        read, in order, so only such a one is gathered whole and sorted:
+        past the bound only its size is read."""
         if self._universe is None:
             found = {}
             for p in self._prepared:
-                found.update(p.ground_terms)
+                found.update(p.ground_terms())
                 if len(found) > _MAX_FILL_UNIVERSE:
                     break
             else:

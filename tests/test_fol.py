@@ -1,3 +1,5 @@
+from copy import deepcopy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +137,16 @@ class TestSignature:
             ("p", "predicate", 1),
         ]
 
+    def test_formula_symbols_each_once_in_first_occurrence_order(self):
+        f = tptp.parse_problem(
+            "fof(x, axiom, ![X]: (p(f(a), X) & (f(b) = g(X) | ~ p(a, f(a))) "
+            "& (q => ?[Y]: (f(Y) = a))))."
+        )[0].formula
+        assert fol.formula_symbols(f) == [
+            ("p", "predicate", 2), ("f", "function", 1), ("a", "function", 0),
+            ("b", "function", 0), ("g", "function", 1), ("q", "predicate", 0),
+        ]
+
     def test_arity_conflict(self):
         f = fol.join(fol.And, (p_c, fol.Atom("p", (C("c"), C("c")))))
         with pytest.raises(ArityConflict):
@@ -157,6 +169,13 @@ class TestRenameSymbols:
         assert out == fol.Forall(
             ("X",), fol.Atom("p", (fol.App("skolem1", (V("X"),)),))
         )
+
+    def test_unchanged_nodes_are_kept(self):
+        kept = fol.Exists(("Y",), fol.Eq(fol.App("g", (V("Y"),)), C("a")))
+        f = fol.Forall(("X",), fol.Implies(fol.Atom("p", (fol.App("esk1", (V("X"),)),)), kept))
+        assert fol.rename_symbols(f, {"esk1": "skolem1"}).body.right is kept
+        assert fol.rename_symbols(f, {"q": "r", "b": "c"}) is f
+        assert fol.rename_symbols(f, {}) is f
 
 
 class TestGroundSubterms:
@@ -378,7 +397,8 @@ def walked_facts(f):
 def assert_facts_walked(f):
     """Every subformula's and term's carried facts are the walked ones, read
     top-down here and bottom-up in a rebuilt copy."""
-    copy = fol.rename_symbols(f, {})
+    copy = deepcopy(f)  # every node rebuilt through its constructor
+    assert copy is not f
     for g in [g for g, _ in fol.subformulas(f)] + [g for g, _ in fol.subformulas(copy)][::-1]:
         assert (g.free, g.binders) == walked_facts(g)
         for t in fol.atom_terms(g):
@@ -408,7 +428,8 @@ class TestCarriedFacts:
     @given(formulas)
     @settings(max_examples=200, deadline=None)
     def test_equality_hashing_and_repr_ignore_the_facts(self, f):
-        copy = fol.rename_symbols(f, {})  # equal, but built anew
+        copy = deepcopy(f)  # equal, but built anew
+        assert copy is not f
         facts = (f.free, f.binders)
         assert copy == f and hash(copy) == hash(f) and repr(copy) == repr(f)
         assert (copy.free, copy.binders) == facts

@@ -6,6 +6,7 @@ a clause of any length is one flat Or, and a quantifier block of any
 width is one level.  These tests run at the default recursion limit.
 """
 
+import re
 import time
 
 import pytest
@@ -326,6 +327,19 @@ class TestCaptureInAWideBlock:
             miz = (tmp_path / "out" / "in.miz").read_text()
             assert "  A: r X1 implies (ex X2,X3," in miz
             assert ",X1000,X1001 st q X1,X1001) by Ax2;" in miz
+
+    @pytest.mark.parametrize("mode, options", [
+        ("problem", ()), ("derivation", ()), ("derivation", ("--no-compress",)),
+    ])
+    def test_reserve_line_names_only_what_the_article_uses(self, tmp_path, capsys,
+                                                           mode, options):
+        # the two blocks bind the same 1,000 names: they reserve them once
+        code, err = run(tmp_path, capsys, mode, self.TEXT, *options)
+        assert code == 0, err
+        reserve, body = (tmp_path / "out" / "in.miz").read_text().split("\n", 1)
+        used = max(int(n) for n in re.findall(r"\bX(\d+)\b", body))
+        assert used == 1001
+        assert reserve == "reserve " + ",".join(f"X{i}" for i in range(1, used + 1)) + ";"
 
 
 class TestLongSearches:

@@ -1,17 +1,22 @@
-"""The premise memo: it changes no verdict, it lives for one compress
-call, and it keeps compression from preparing a premise more than once,
-with one atom registry for every query of the call."""
+"""The premise memo: it changes no verdict, it lives for one derivation
+run, and it keeps the run from preparing a premise more than once, with
+one atom registry for every justify and compress query of the run.  With
+--no-compress no memo outlives its query."""
 
 import collections
+import contextlib
+import io
 import os
+import weakref
 
 import pytest
 
-from tptp2miz import article, cli, compress, derivation, obvious, tptp
+from tptp2miz import article, cli, compress, derivation, fol, obvious, tptp
 from tptp2miz.errors import ExpansionFailed
 from tptp2miz.obvious import ObviousnessQuery, Verdict
 
 import helpers
+import test_verdict_golden
 from conftest import FIXTURES
 
 
@@ -46,6 +51,37 @@ class TestVerdictsUnchanged:
             second = answers(memo)
         assert first == alone
         assert second == alone
+
+    def test_lazy_universe_is_the_eager_one(self):
+        # The reference gathers the ground terms of every closed premise,
+        # in premise order up to the cut-off, then the goal's, as if each
+        # premise's were gathered when it was prepared.
+        def eager(query, goal_matrix):
+            found = {}
+            for p in query.premises:
+                found.update(fol.keyed_ground_subterms(fol.universal_closure(p)))
+                if len(found) > obvious._MAX_FILL_UNIVERSE:
+                    break
+            else:
+                found.update(fol.keyed_ground_subterms(goal_matrix))
+            found.setdefault(obvious._FILL.key, obvious._FILL)
+            if len(found) <= obvious._MAX_FILL_UNIVERSE:
+                return [found[k] for k in sorted(found)]
+            return list(found.values())
+
+        # the sample's universes stay below the cut-off; one query passes it
+        queries = [q for _, q in test_verdict_golden.sample_queries()]
+        queries.append(ObviousnessQuery.make(
+            [F("![X]:q(X)")] + [F(f"p(c{i})") for i in range(20)], F("q(d)")))
+        sizes = []
+        with obvious.PremiseMemo() as memo:
+            for q in queries:
+                problem = obvious._Problem(q.premises, q.conclusion, q.fixed_vars,
+                                           obvious.Budget(2000), memo)
+                universe = problem._fill_universe()
+                assert universe == eager(q, problem.goal_matrix)
+                sizes.append(len(universe))
+        assert max(sizes[:-1]) <= obvious._MAX_FILL_UNIVERSE < sizes[-1]
 
     @pytest.mark.parametrize("left,right,conclusion", [
         ("![X]:(p(X)=>q(X))", "![Y]:(p(Y)=>q(Y))", "p(c)=>q(c)"),
@@ -117,23 +153,87 @@ def assert_used_and_emptied(made, count):
     assert all(len(m) == 0 and not m.registry.atoms for m in made)
 
 
+RAISING = (
+    # r(c) does not follow from p(c), so the step cannot be expanded
+    "fof(a1, axiom, p(c), file('x.p', a1)).\n"
+    "fof(goal, conjecture, q(c), file('x.p', goal)).\n"
+    "fof(neg, negated_conjecture, ~q(c),"
+    " inference(assume_negation,[status(cth)],[goal])).\n"
+    "cnf(bad, plain, r(c), inference(resolution,[status(thm)],[a1])).\n"
+    "cnf(f, plain, $false, inference(resolution,[status(thm)],[bad, neg])).\n"
+)
+
+
+def derivation_run(tmp_path, text, *options):
+    """cli.main on the derivation text; its exit code and stderr."""
+    path = tmp_path / "in.p"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["derivation", str(path), "-o", str(tmp_path), *options])
+    return code, err.getvalue()
+
+
 class TestLifetime:
     def test_build_article(self, memos):
-        # justify queries cite parents no other step cites: no shared memo
+        # without a run memo, each justify query has a throwaway one
         article.build_article(fixture_graph())
         assert_used_and_emptied(memos, 0)
+
+    def test_build_article_with_a_memo(self, memos):
+        # the justify queries use the memo given, and its caller empties it
+        with obvious.PremiseMemo() as memo:
+            article.build_article(fixture_graph(), memo=memo)
+            assert len(memo) > 0
+        assert_used_and_emptied(memos, 1)
 
     def test_compress(self, memos):
         model, manifest = article.build_article(fixture_graph())
         compress.compress(model, manifest)
         assert_used_and_emptied(memos, 1)
 
-    def test_cli_main(self, memos, tmp_path, capsys):
-        code = cli.main(["derivation", os.path.join(FIXTURES, "puz001+1.out"),
-                         "-o", str(tmp_path)])
-        capsys.readouterr()
+    def test_cli_main(self, memos, monkeypatch, tmp_path):
+        # one memo serves justification and compression
+        given = []  # the memo each phase was given
+        for module, name in ((article, "build_article"), (compress, "compress")):
+            def phase(*args, original=getattr(module, name), **kwargs):
+                given.append(kwargs.get("memo"))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, phase)
+        with open(os.path.join(FIXTURES, "puz001+1.out"), encoding="utf-8") as handle:
+            code, _ = derivation_run(tmp_path, handle.read())
         assert code == 0
         assert_used_and_emptied(memos, 1)
+        assert given == [memos[0], memos[0]]
+
+    @pytest.mark.parametrize("options, outlived", [(("--no-compress",), False), ((), True)])
+    def test_no_memo_outlives_its_query_without_compression(self, monkeypatch, tmp_path,
+                                                            options, outlived):
+        # With --no-compress each memo is a query's own, emptied or gone
+        # when the query returns; with compression the run memo outlives
+        # every query.
+        made = []  # weak references to every memo made
+        outliving = []  # the memos found live and not empty after a query
+
+        original_init = obvious.PremiseMemo.__init__
+        original_is_obvious = obvious.is_obvious
+
+        def init(self):
+            original_init(self)
+            made.append(weakref.ref(self))
+
+        def is_obvious(*args, **kwargs):
+            verdict = original_is_obvious(*args, **kwargs)
+            outliving.extend(m() for m in made
+                             if m() is not None and (len(m()) or m().registry.atoms))
+            return verdict
+
+        monkeypatch.setattr(obvious.PremiseMemo, "__init__", init)
+        monkeypatch.setattr(obvious, "is_obvious", is_obvious)
+        code, _ = derivation_run(tmp_path, ground_chain(20), *options)
+        assert code == 0
+        assert len(made) == (21 if options else 1)  # 20 steps and the closing one
+        assert bool(outliving) is outlived
 
     def test_emptied_on_raise(self):
         memo = obvious.PremiseMemo()
@@ -147,18 +247,14 @@ class TestLifetime:
         assert not memo.registry.atoms
 
     def test_raising_call(self, memos):
-        # r(c) does not follow from p(c), so the step cannot be expanded
-        units = tptp.parse_problem(
-            "fof(a1, axiom, p(c), file('x.p', a1)).\n"
-            "fof(goal, conjecture, q(c), file('x.p', goal)).\n"
-            "fof(neg, negated_conjecture, ~q(c),"
-            " inference(assume_negation,[status(cth)],[goal])).\n"
-            "cnf(bad, plain, r(c), inference(resolution,[status(thm)],[a1])).\n"
-            "cnf(f, plain, $false, inference(resolution,[status(thm)],[bad, neg])).\n"
-        )
         with pytest.raises(ExpansionFailed):
-            article.build_article(derivation.build_graph(units))
+            article.build_article(derivation.build_graph(tptp.parse_problem(RAISING)))
         assert_used_and_emptied(memos, 0)
+
+    def test_raising_run(self, memos, tmp_path):
+        code, err = derivation_run(tmp_path, RAISING)
+        assert code == 2 and "ExpansionFailed" in err
+        assert_used_and_emptied(memos, 1)
 
 
 def ground_chain(n, previous_first=True):
@@ -183,11 +279,11 @@ def ground_chain(n, previous_first=True):
 
 
 class TestComplexityGuard:
-    """Counts, not timings: compression prepares each premise formula once,
-    builds its formula index once, and every query of the call registers
-    atoms in its memo's one registry.  Every deletion check here is a full
-    query: deletions settled by propagation would leave a ground chain one
-    query (test_propagation_skip counts those)."""
+    """Counts, not timings: a run prepares each premise formula once,
+    compression builds its formula index once, and every query of the run
+    registers atoms in its memo's one registry.  Every deletion check here
+    is a full query: deletions settled by propagation would leave a ground
+    chain one query (test_propagation_skip counts those)."""
 
     @pytest.fixture(autouse=True)
     def full_queries(self, monkeypatch):
@@ -231,9 +327,7 @@ class TestComplexityGuard:
         # Deleting step i replaces its label in the closing query by its
         # refs, so consecutive queries share all but a few premises, first
         # or last depending on the citation order.
-        units = tptp.parse_problem(ground_chain(200, previous_first))
-        model, manifest = article.build_article(derivation.build_graph(units))
-
+        graph = derivation.build_graph(tptp.parse_problem(ground_chain(200, previous_first)))
         registries = []  # per query: (its registry, its memo's registry)
         prepared = collections.Counter()  # id(premise) -> _prepare calls
         kept = []  # the prepared premises, so no id is reused
@@ -258,10 +352,12 @@ class TestComplexityGuard:
         monkeypatch.setattr(obvious._Problem, "__init__", init)
         monkeypatch.setattr(obvious, "_prepare", prepare)
         monkeypatch.setattr(obvious, "_clausify", clausify)
-        out, report = compress.compress(model, manifest)
+        with obvious.PremiseMemo() as memo:  # the run memo, as cli opens it
+            model, manifest = article.build_article(graph, memo=memo)
+            out, report = compress.compress(model, manifest, memo=memo)
 
         assert report.steps_before == 200 and report.steps_after == 0
-        assert len(registries) >= 200
+        assert len(registries) >= 201 + 200  # justify queries, then compression's
         assert all(mine is theirs for mine, theirs in registries)
         assert len({id(mine) for mine, _ in registries}) == 1
         # Every premise of the chain is ground.  Each query clausifies its
@@ -281,6 +377,38 @@ class TestComplexityGuard:
         monkeypatch.setattr(obvious._Problem, "__init__", alone)
         unshared = compress_chain(30, previous_first)
         assert article.render_article(shared) == article.render_article(unshared)
+
+
+class TestRunMemo:
+    """Counts, not timings: with the run memo that cli opens, compression
+    prepares no premise that justification prepared."""
+
+    def test_ground_chain(self, monkeypatch, tmp_path):
+        phase = [None]
+        prepared = {"justify": [], "compress": []}  # (id(premise), fixed_vars) per call
+        kept = []  # the prepared premises, so no id is reused
+        original_prepare = obvious._prepare
+
+        def prepare(premise, fixed_vars, registry):
+            kept.append(premise)
+            prepared[phase[0]].append((id(premise), fixed_vars))
+            return original_prepare(premise, fixed_vars, registry)
+
+        for name, module, attr in (("justify", article, "build_article"),
+                                   ("compress", compress, "compress")):
+            def entering(*args, name=name, original=getattr(module, attr), **kwargs):
+                phase[0] = name
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, attr, entering)
+        monkeypatch.setattr(obvious, "_prepare", prepare)
+        code, err = derivation_run(tmp_path, ground_chain(200))
+
+        assert code == 0 and "compression: 200 -> 0 steps" in err
+        # a0..a200, s1..s200 and the assumption, each prepared once
+        assert len(prepared["justify"]) == len(set(prepared["justify"])) == 402
+        again = set(prepared["compress"]) & set(prepared["justify"])
+        assert len(again) == 0
+        assert len(prepared["compress"]) == 0  # the chain cites nothing else
 
 
 def compress_chain(n, previous_first):

@@ -55,8 +55,8 @@ RECORDS = [
      ("values", "cc", "canonical", "falsified"), ({}, None, {}, {}), "mutable"),
     (obvious.UniversalUnit, "(key, variables, matrix)", ("key", "variables", "matrix"),
      (("key",), ("X",), P), "frozen"),
-    (obvious._Prepared, "(unit, clauses, ground_terms)", ("unit", "clauses", "ground_terms"),
-     (UNIT, [], {C.key: C}), "mutable"),
+    (obvious._Prepared, "(unit, clauses, closed)", ("unit", "clauses", "closed"),
+     (UNIT, [], P), "mutable"),
     (obvious._Commitment, "(unit, subst, literal, compiled)",
      ("unit", "subst", "literal", "compiled"), (UNIT, {"X": C}, (("p",), True), None),
      "identity"),
