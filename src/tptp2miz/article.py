@@ -3,6 +3,11 @@
 An article is a flat sequence of axiom items (cited from the external
 manifest), conjecture-independent lemmas, and a single theorem whose
 proof is a diffuse reasoning block refuting the negated conjecture.
+
+Each derived step is justified by a checker query, and expanded into a
+sub-proof when that fails.  When the article is compressed, build_article
+leaves the steps `Deferred` for compress to justify as it reaches them,
+and finish_article completes the draft afterwards.
 """
 
 from __future__ import annotations
@@ -43,12 +48,16 @@ class DiffuseBlock(fol.MutableRecord):
 
 
 class EnvironmentManifest(fol.MutableRecord):
-    __slots__ = _fields = ("functions", "predicates", "axioms", "skolem_defs")
+    __slots__ = ("functions", "predicates", "axioms", "skolem_defs", "signature")
+    _fields = __slots__[:-1]
 
     def __init__(self, functions, predicates, axioms, skolem_defs):
         self.functions, self.predicates = functions, predicates  # (name, arity)
         self.axioms = axioms  # closed formulas, AXIOMS:<i> numbering from 1
         self.skolem_defs = skolem_defs  # closed formulas, SKOLEM:def <n> numbering from 1
+        # the fol.Signature of a draft, until finish_article fills in the
+        # functions and predicates
+        self.signature = None
 
     def __eq__(self, other):
         if not isinstance(other, EnvironmentManifest):
@@ -82,10 +91,15 @@ class ArticleModel(fol.MutableRecord):
 
 
 def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
-                  conjecture=None, memo=None):
+                  conjecture=None, memo=None, defer=False):
     """The article and manifest of a derivation.  The justify queries and
     the closing step's share the given obvious.PremiseMemo, if any, which
-    the caller empties; sub-proof searches keep their own."""
+    the caller empties; sub-proof searches keep their own.
+
+    With `defer`, each derived step's sub-proof is left as the draft's one
+    `Deferred`, which compress settles when it reaches the step, and the
+    reserve line and the manifest's signature are left to finish_article.
+    The closing step is still checked at once."""
     base_sig = derivation.original_signature(graph)
     classes = derivation.classify_all(graph, base_sig)
     depends = derivation.mark_conjecture_dependence(graph, classes)
@@ -175,119 +189,183 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             symbol = skolem.validate_single_skolem(name, graph, base_sig)
             henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
             skolem_symbols.append(symbol)
+    rename = _skolem_renaming(skolem_symbols, graph)
 
     def citations(name):
         """The labels a step cites and the premises they state: a cited
         conjecture's label is the assumption's, which states the
-        conjecture's negation."""
+        conjecture's negation, and a skolemization step also cites its
+        choice axiom.  The premises are the derivation's own formulas,
+        before renaming."""
         refs = [label_of[p] for p in graph.parents[name]]
         premises = [assumption if r == assumption_label else graph.nodes[p].formula
                     for r, p in zip(refs, graph.parents[name])]
-        return refs, premises
-
-    def justified_item(name):
-        unit = graph.nodes[name]
-        refs, premises = citations(name)
         henkin = henkins.get(name)
         if henkin is not None:
             refs.append(f"SKOLEM:def {henkin[0]}")
             premises.append(henkin[1])
+        return refs, premises
+
+    def justify(name):
+        """The step's sub-proof, renamed as the article is, or None when
+        its justify query is obvious; raises ExpansionFailed."""
+        unit = graph.nodes[name]
+        _, premises = citations(name)
         # the justify query and any expansion spend from one budget
         step_budget = obvious.Budget(budget)
         query = obvious.ObviousnessQuery.make(premises, unit.formula)
-        sub = None
-        if not obvious.is_obvious(query, memo, step_budget).is_obvious:
-            hint = expand.substitution_from_inference_record(unit.source)
-            sub = expand.build_subproof(name, unit.formula, premises, step_budget, hint)
-        return Item(label_of[name], unit.formula, tuple(refs), sub, name)
+        if obvious.is_obvious(query, memo, step_budget).is_obvious:
+            return None
+        hint = expand.substitution_from_inference_record(unit.source)
+        return _rename_subproof(
+            expand.build_subproof(name, unit.formula, premises, step_budget, hint), rename)
 
-    lemma_items = [justified_item(name) for name in lemma_names]
-    inner_items = [justified_item(name) for name in inner_names]
+    deferred = Deferred(lemma_names + inner_names, justify)
 
-    # the closing step has no sub-proof form, so it must be obvious as cited
+    def item(name):
+        return Item(label_of[name], rename(graph.nodes[name].formula),
+                    tuple(citations(name)[0]), deferred, name)
+
+    for i in axiom_items:
+        i.formula = rename(i.formula)
     refs, premises = citations(graph.sink)
+    diffuse = DiffuseBlock(assumption_label, rename(assumption),
+                           [item(name) for name in inner_names], tuple(refs))
+    model = ArticleModel(None, axiom_items, [item(name) for name in lemma_names],
+                         rename(theorem), diffuse)
+    manifest = _draft_manifest(model, [rename(axiom) for _, axiom in sorted(henkins.values())],
+                               graph.symbols)
+    # Formulas met later are the sub-proofs' and the skolem definitions',
+    # each walked once.
+    graph.symbols.clear()
+
+    if not defer:
+        for i in model.all_steps():
+            i.subproof = deferred.justify(i.source_name)
+    # the closing step has no sub-proof form, so it must be obvious as cited
     query = obvious.ObviousnessQuery.make(premises, fol.FALSE)
     if not obvious.is_obvious(query, memo, obvious.Budget(budget)).is_obvious:
+        deferred.justify_before(None)  # a failing step is named first
         raise ExpansionFailed(graph.sink)
-    diffuse = DiffuseBlock(assumption_label, assumption, inner_items, tuple(refs))
-
-    model = ArticleModel((), axiom_items, lemma_items, theorem, diffuse)
-    _rename_skolems(model, henkins, skolem_symbols, graph)
-    model.reservations = _reservations(model)
-    manifest = _build_manifest(model, henkins)
+    if not defer:
+        finish_article(model, manifest)
     return model, manifest
 
 
-def _rename_skolems(model, henkins, skolem_symbols, graph):
-    """Fresh prover symbols become skolem1, skolem2, ... in topological
-    order, skipping the names that the derivation's other symbols have.
-    A formula without one stays the very object that justification
-    cited, so a run's premise memo still knows it."""
+class Deferred:
+    """The sub-proof of every derived step of a draft article until its
+    justify query is asked, when compression reaches the step: one object
+    for the draft, which settles each step by its source name."""
+
+    def __init__(self, names, justify):
+        self._names = names  # the derived steps in model order
+        self._justify = justify
+        self.found = {}  # name -> its SubProof, or None when obvious as cited
+
+    def justify(self, name):
+        """The step's sub-proof as build_article finds it.  When that
+        fails, the steps before it are justified first, so the
+        ExpansionFailed raised names the first step that fails in model
+        order, as eager justification does."""
+        try:
+            self.found[name] = self._justify(name)
+        except ExpansionFailed:
+            self.justify_before(name)
+            raise
+        return self.found[name]
+
+    def obvious(self, name):
+        """Settle the step as obvious as cited, which its caller proved."""
+        self.found[name] = None
+
+    def justify_before(self, name):
+        """Justify every unsettled step before the named one, or every
+        unsettled step when the name is None."""
+        for earlier in itertools.takewhile(lambda n: n != name, self._names):
+            if earlier not in self.found:
+                self.found[earlier] = self._justify(earlier)
+
+
+def finish_article(model, manifest):
+    """Complete a draft once every step is settled: each step's sub-proof
+    as justification found it, before compression collapsed any, then the
+    reserve line and the manifest's functions and predicates over them.
+    A kind or arity conflict, or a symbol the rendering cannot write
+    (UnsupportedSymbol), is raised here, after any ExpansionFailed."""
+    for item in model.all_steps():
+        if isinstance(item.subproof, Deferred):
+            item.subproof = item.subproof.found[item.source_name]
+    model.reservations = _reservations(model)
+    manifest.signature.add(_instance_formulas(model) + manifest.skolem_defs)
+    signature, manifest.signature = manifest.signature.symbols(), None
+    for s in signature:
+        if s.name in _RENDERED_WORDS or not _SYMBOL_NAME.fullmatch(s.name):
+            raise UnsupportedSymbol(s.name)
+    manifest.functions = [(s.name, s.arity) for s in signature if s.kind == "function"]
+    manifest.predicates = [(s.name, s.arity) for s in signature if s.kind == "predicate"]
+
+
+def _draft_manifest(model, skolem_defs, walk=None):
+    """The manifest of a draft: its axioms and skolem definitions, and its
+    signature begun over the formulas the article states, before any
+    sub-proof.  `walk` is formula_symbols or the run's SymbolMemo."""
+    manifest = EnvironmentManifest(
+        None, None, [fol.universal_closure(i.formula) for i in model.axiom_items], skolem_defs)
+    manifest.signature = fol.Signature()
+    manifest.signature.add(_stated_formulas(model), walk)
+    return manifest
+
+
+def _skolem_renaming(skolem_symbols, graph):
+    """The renaming of formulas that makes fresh prover symbols skolem1,
+    skolem2, ... in topological order, skipping the names that the
+    derivation's other symbols have.  A formula without one stays the very
+    object that justification cites, so a run's premise memo still knows
+    it."""
     if not skolem_symbols:
-        return
+        return lambda f: f
     fresh = {s.name for s in skolem_symbols}
     taken = {name for unit in graph.nodes.values()
-             for name, _, _ in fol.formula_symbols(unit.formula)} - fresh
+             for name, _, _ in graph.symbols(unit.formula)} - fresh
     free = (f"skolem{i}" for i in itertools.count(1) if f"skolem{i}" not in taken)
     mapping = {s.name: next(free) for s in skolem_symbols}
-
-    def fix(f):
-        return fol.rename_symbols(f, mapping)
-
-    for item in model.axiom_items + model.all_steps():
-        item.formula = fix(item.formula)
-        if item.subproof is not None:
-            item.subproof = expand.SubProof(
-                item.subproof.fixed_variables,
-                tuple(
-                    expand.InstanceStep(s.label, s.parent_index, fix(s.formula))
-                    for s in item.subproof.instances
-                ),
-                fix(item.subproof.conclusion),
-            )
-    model.theorem = fix(model.theorem)
-    model.diffuse.assumption = fix(model.diffuse.assumption)
-    for name in henkins:
-        n, axiom = henkins[name]
-        henkins[name] = (n, fix(axiom))
+    return lambda f: fol.rename_symbols(f, mapping)
 
 
-def _model_formulas(model):
-    """Every formula the article states; problem mode may lack a theorem."""
+def _rename_subproof(sub, rename):
+    return expand.SubProof(
+        sub.fixed_variables,
+        tuple(expand.InstanceStep(s.label, s.parent_index, rename(s.formula))
+              for s in sub.instances),
+        rename(sub.conclusion),
+    )
+
+
+def _stated_formulas(model):
+    """Every formula the article states outside its sub-proofs; problem
+    mode may lack a theorem."""
     formulas = [item.formula for item in model.axiom_items + model.all_steps()]
     if model.theorem is not None:
         formulas.append(model.theorem)
     formulas.append(model.diffuse.assumption)
-    for item in model.all_steps():
-        if item.subproof is not None:
-            formulas.extend(s.formula for s in item.subproof.instances)
     return formulas
+
+
+def _instance_formulas(model):
+    return [s.formula for item in model.all_steps() if item.subproof is not None
+            for s in item.subproof.instances]
 
 
 def _reservations(model):
     # a display form names each free variable, which the closure binds, and
     # each bound name once, however many quantifiers bind it; a sub-proof's
     # instance steps add their bound names to their statement's
-    most = max((len(set(f.free).union(f.binders)) for f in _model_formulas(model)),
-               default=0)
+    most = max((len(set(f.free).union(f.binders))
+                for f in _stated_formulas(model) + _instance_formulas(model)), default=0)
     for item in model.all_steps():
         if item.subproof is not None:
             most = max([most] + [len(names) for _, names in _instance_names(item)])
     return tuple(f"X{i}" for i in range(1, most + 1))
-
-
-def _build_manifest(model, henkins):
-    skolem_defs = [axiom for _, axiom in sorted(henkins.values())]
-    symbols = fol.collect_signature(_model_formulas(model) + skolem_defs)
-    for s in symbols:
-        if s.name in _RENDERED_WORDS or not _SYMBOL_NAME.fullmatch(s.name):
-            raise UnsupportedSymbol(s.name)
-    return EnvironmentManifest(
-        functions=[(s.name, s.arity) for s in symbols if s.kind == "function"],
-        predicates=[(s.name, s.arity) for s in symbols if s.kind == "predicate"],
-        axioms=[fol.universal_closure(i.formula) for i in model.axiom_items],
-        skolem_defs=skolem_defs,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +390,9 @@ def translate_problem(units):
             )
     diffuse = DiffuseBlock("", fol.FALSE, [], ())
     model = ArticleModel((), axiom_items, [], theorem, diffuse, pending=True)
-    model.reservations = _reservations(model)
-    return model, _build_manifest(model, {})
+    manifest = _draft_manifest(model, [])
+    finish_article(model, manifest)
+    return model, manifest
 
 
 # ---------------------------------------------------------------------------

@@ -125,16 +125,20 @@ def _run_derivation(args):
         # memo is emptied when it returns
         model, manifest = build()
     else:
-        # compression asks again about the formulas that justification
-        # cited, so one memo serves both phases
+        # Compression justifies each step when it reaches it, and asks
+        # again about the formulas that justification cited, so one memo
+        # serves both phases.
         with obvious.PremiseMemo() as memo:
-            model, manifest = build(memo=memo)
+            draft, manifest = build(memo=memo, defer=True)
             model, report = compress.compress(
-                model, manifest, budget=args.budget, max_passes=args.max_passes, memo=memo
+                draft, manifest, budget=args.budget, max_passes=args.max_passes, memo=memo
             )
+        article.finish_article(draft, manifest)
+        model.reservations = draft.reservations
         print(report.summary(), file=sys.stderr)
         if args.verbose:
             print(report.checks(), file=sys.stderr)
+            print(report.justifications(), file=sys.stderr)
             if report.collapsed_subproofs:
                 print(
                     "collapsed sub-proofs: " + ", ".join(report.collapsed_subproofs),

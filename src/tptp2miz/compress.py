@@ -12,6 +12,12 @@ cost in proportion to the deleted step rather than to the citer's refs.
 The refs are spliced in place (`_Refs`), so the deletion also edits them
 at that cost: a long chain whose steps `thus` absorbs one after another
 compresses in linear time.
+
+Justification is settled here, step by step, for a draft whose steps
+build_article left `Deferred`: a step is justified when the first pass
+reaches it, and a deleted ground step whose refs cover it is settled as
+obvious with no query, since covered() proves its justify query Obvious
+(`_obvious_when_covered`).
 """
 
 from __future__ import annotations
@@ -19,23 +25,27 @@ from __future__ import annotations
 import contextlib
 
 from . import fol, obvious
-from .article import ArticleModel
+from .article import ArticleModel, Deferred
 
 
 class CompressionReport(fol.MutableRecord):
     __slots__ = _fields = ("passes", "steps_before", "steps_after",
                            "removed_labels", "collapsed_subproofs",
-                           "queries", "premises", "settled")
+                           "queries", "premises", "settled",
+                           "justified", "justify_settled")
 
     def __init__(self, passes=0, steps_before=0, steps_after=0,
                  removed_labels=None, collapsed_subproofs=None,
-                 queries=0, premises=0, settled=0):
+                 queries=0, premises=0, settled=0, justified=0, justify_settled=0):
         self.passes, self.steps_before, self.steps_after = passes, steps_before, steps_after
         self.removed_labels = [] if removed_labels is None else removed_labels
         self.collapsed_subproofs = [] if collapsed_subproofs is None else collapsed_subproofs
         # full checker queries, the premises they were given, and the
         # deletion checks settled by propagation without one
         self.queries, self.premises, self.settled = queries, premises, settled
+        # deferred steps justified by their justify query, and those settled
+        # by propagation without one
+        self.justified, self.justify_settled = justified, justify_settled
 
     def summary(self):
         return (
@@ -48,6 +58,12 @@ class CompressionReport(fol.MutableRecord):
         return (
             f"compression checks: {self.queries} queries over {self.premises} "
             f"premises, {self.settled} settled by propagation"
+        )
+
+    def justifications(self):
+        return (
+            f"deferred justification: {self.justified} justify queries, "
+            f"{self.justify_settled} settled by propagation"
         )
 
 
@@ -173,14 +189,16 @@ class _Citers:
 
 
 class _Checker:
-    """Compression's checker queries, counted in the report, and the citers
-    whose current refs close them by unit propagation at the root."""
+    """Compression's checker queries, counted in the report, the citers
+    whose current refs close them by unit propagation at the root, and the
+    settling of deferred steps."""
 
     def __init__(self, index, memo, budget, report):
         self.index, self.memo, self.budget, self.report = index, memo, budget, report
         # citer ranks; a citer's entry comes from the verdict on its refs
         # and changes only in commit, when a deletion is accepted
         self.propagated = set()
+        self._covers = None  # covers() for the victim being scanned, once asked
 
     def query(self, refs, conclusion):
         """The full verdict on the conclusion from the refs."""
@@ -190,13 +208,25 @@ class _Checker:
         q = obvious.ObviousnessQuery.make(premises, conclusion)
         return obvious.is_obvious(q, self.memo, obvious.Budget(self.budget))
 
+    def scan(self):
+        """Begin the deletion checks of the next victim."""
+        self._covers = None
+
+    def covers(self, victim):
+        """obvious.covered for the victim being scanned and its refs,
+        computed at most once per scan: the victim's refs change only when
+        a step it cites is deleted, in another victim's scan."""
+        if self._covers is None:
+            self._covers = obvious.covered(
+                self.memo, self.index[victim.label],
+                [self.index[r] for r in victim.refs if r in self.index])
+        return self._covers
+
     def deletion(self, rank, refs, conclusion, victim):
         """Whether the refs of the citer of that rank, with the victim's
         inlined, close it by propagation (True) or otherwise (False); None
         when they do not close it.  The refs are left as they are."""
-        if rank in self.propagated and obvious.covered(
-                self.memo, self.index[victim.label],
-                [self.index[r] for r in victim.refs if r in self.index]):
+        if rank in self.propagated and self.covers(victim):
             self.report.settled += 1
             return True
         verdict = self.query(_inline(refs, victim.label, victim.refs), conclusion)
@@ -212,13 +242,75 @@ class _Checker:
         else:
             self.propagated.discard(rank)
 
+    def collapse(self, item):
+        """Drop the step's sub-proof when its refs make it obvious; whether
+        it was dropped."""
+        if item.subproof is not None and self.query(item.refs, item.formula).is_obvious:
+            item.subproof = None
+            self.report.collapsed_subproofs.append(item.label)
+            return True
+        return False
+
+    def justify(self, item):
+        """Settle a deferred step by its justify query."""
+        item.subproof = item.subproof.justify(item.source_name)
+        self.report.justified += 1
+
+    def settle_deleted(self, victim):
+        """Settle the deferred victim of an accepted deletion: as obvious
+        when covers() proves its justify query Obvious, else by the query
+        and the collapse check."""
+        if _obvious_when_covered(victim.formula) and self.covers(victim):
+            victim.subproof.obvious(victim.source_name)
+            victim.subproof = None
+            self.report.justify_settled += 1
+        else:
+            self.justify(victim)
+            self.collapse(victim)
+
+
+def _obvious_when_covered(formula):
+    """Whether obvious.covered, for a step and its own refs, proves the
+    step's justify query Obvious: the step is a ground literal or clause
+    of at most obvious._MAX_CLAUSES literals.
+
+    covered means one of three things about root propagation on the refs'
+    prepared clauses: it finds a conflict, or it derives the step's single
+    clause as a unit, or a ref clause lies inside that clause (a
+    tautology has no clause, and the third case holds of none).  The
+    justify query's clauses are those same clauses (its premises are the
+    refs' formulas, before the skolem renaming, which renames symbols one
+    to one) plus the step's negated literals as unit clauses.  So its root
+    propagation finds a conflict in all three cases: by monotonicity in
+    the first; in the second the derived literal meets its negation; in
+    the third every literal of the ref clause is false (and a tautology's
+    negation holds a literal and its complement).  The query is then
+    Obvious by "propagation", at one budget unit, which `--budget` (at
+    least 1) allows; and its goal, one unit clause per literal, stays
+    within the clause guard."""
+    if formula.free:
+        return False
+    literals = formula.parts if isinstance(formula, fol.Or) else (formula,)
+    return (len(literals) <= obvious._MAX_CLAUSES
+            and all(obvious._as_literal(g) is not None for g in literals))
+
 
 def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
              max_passes=None, memo=None):
     """The compressed copy of the article, and its report.  Every query
     shares the given obvious.PremiseMemo, which the caller empties, so no
     formula that justification cited with it is prepared again; without
-    one, a memo lives for this call."""
+    one, a memo lives for this call.
+
+    A `Deferred` step of a draft is settled in the first pass, with the
+    verdicts eager justification gives; the draft keeps what justification
+    found (see article.finish_article).  A step is justified the first time
+    the deletion scan reads its sub-proof, as a citer, and then given the
+    collapse check that the pass asks first of the other steps.  Its refs
+    are still its own then: a citer is read before a deletion is spliced
+    into it.  A deleted step is settled as obvious when covered() proves
+    it so, else justified; a step no scan read, at the end of the pass (or
+    of the call, with `max_passes` 0)."""
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))
     for item in model.all_steps():
@@ -232,6 +324,14 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
     with obvious.PremiseMemo() if memo is None else contextlib.nullcontext(memo) as memo:
         checker = _Checker(index, memo, budget, report)
 
+        def subproof(item):
+            """The step's sub-proof, a deferred step settled first."""
+            nonlocal changed
+            if isinstance(item.subproof, Deferred):
+                checker.justify(item)
+                changed = checker.collapse(item) or changed
+            return item.subproof
+
         changed = True
         while changed:
             if max_passes is not None and report.passes >= max_passes:
@@ -242,10 +342,7 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
             # sub-proof collapse: the step may have become obvious from the
             # original parents once surrounding steps were inlined
             for item in model.all_steps():
-                if (item.subproof is not None
-                        and checker.query(item.refs, item.formula).is_obvious):
-                    item.subproof = None
-                    report.collapsed_subproofs.append(item.label)
+                if not isinstance(item.subproof, Deferred) and checker.collapse(item):
                     changed = True
 
             # deletion scan, reverse topological order (closest to the
@@ -253,8 +350,9 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
             removed = set()
             for victim in _steps_reverse(model):
                 found = citers.of(victim.label)
-                if any(c is not None and c.subproof is not None for c in found):
+                if any(c is not None and subproof(c) is not None for c in found):
                     continue  # sub-proof citations are left untouched
+                checker.scan()
                 trials = []  # per citer: its refs, rank, and whether they will propagate
                 for citer in found:
                     if citer is None:
@@ -267,6 +365,8 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
                         break
                     trials.append((refs, rank, propagates))
                 else:
+                    if isinstance(victim.subproof, Deferred):
+                        checker.settle_deleted(victim)
                     removed.add(victim.label)
                     citers.remove(victim)
                     for citer, (refs, rank, propagates) in zip(found, trials):
@@ -277,11 +377,20 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
                         citers.add(citer, victim.refs)
                     report.removed_labels.append(victim.label)
                     changed = True
+            for item in model.all_steps():
+                subproof(item)  # a step no scan read
+            if report.passes == 1:
+                # as if every step were collapse-checked before the scan
+                report.collapsed_subproofs.sort(key=citers.rank.get)
             if removed:
                 model.lemma_items = [i for i in model.lemma_items
                                      if i.label not in removed]
                 model.diffuse.inner_steps = [i for i in model.diffuse.inner_steps
                                              if i.label not in removed]
+
+        for item in model.all_steps():
+            if isinstance(item.subproof, Deferred):  # no pass was made
+                checker.justify(item)
 
     for item in model.all_steps():
         item.refs = tuple(item.refs)

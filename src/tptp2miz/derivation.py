@@ -35,7 +35,8 @@ CLAUSIFICATION_RULES = {
 
 
 class DerivationGraph(fol.MutableRecord):
-    __slots__ = _fields = ("nodes", "parents", "children", "order_index", "sink", "order")
+    __slots__ = ("nodes", "parents", "children", "order_index", "sink", "order", "symbols")
+    _fields = __slots__[:-1]
 
     def __init__(self, nodes, parents, children, order_index, sink, order):
         self.nodes = nodes  # name -> AnnotatedFormula, in input order
@@ -44,6 +45,8 @@ class DerivationGraph(fol.MutableRecord):
         self.order_index = order_index  # name -> position in the input file
         self.sink = sink  # first falsum node in topological order, if any
         self.order = order  # every name, parents first, as topological_order gives them
+        # fol.formula_symbols for the run: each formula object is walked once
+        self.symbols = fol.SymbolMemo()
 
 
 def _parent_names(unit: AnnotatedFormula):
@@ -122,7 +125,7 @@ def original_signature(g: DerivationGraph) -> set:
     sig = set()
     for u in g.nodes.values():
         if isinstance(u.source, FileSource):
-            for name, kind, arity in fol.formula_symbols(u.formula):
+            for name, kind, arity in g.symbols(u.formula):
                 if kind == "function":
                     sig.add((name, arity))
     return sig
@@ -135,11 +138,11 @@ def new_function_symbols(name: str, g: DerivationGraph, base_sig=None) -> list:
         base_sig = original_signature(g)
     known = set(base_sig)
     for p in g.parents[name]:
-        for sym, kind, arity in fol.formula_symbols(g.nodes[p].formula):
+        for sym, kind, arity in g.symbols(g.nodes[p].formula):
             if kind == "function":
                 known.add((sym, arity))
     return [fol.Symbol(sym, "function", arity)
-            for sym, kind, arity in fol.formula_symbols(g.nodes[name].formula)
+            for sym, kind, arity in g.symbols(g.nodes[name].formula)
             if kind == "function" and (sym, arity) not in known]
 
 

@@ -18,7 +18,7 @@ alternating connectives and terms.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .errors import ArityConflict, KindConflict
 
@@ -356,6 +356,30 @@ def formula_symbols(f: Formula) -> list:
     return list(found)
 
 
+class SymbolMemo:
+    """formula_symbols, walked once per formula object until cleared: one
+    memo serves a run, and holds each formula it has walked, so no id is
+    reused.  Each symbol is kept once, shared by the formulas that have it."""
+
+    __slots__ = ("_found", "_kept", "_symbols")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._found = {}  # id(formula) -> its formula_symbols, as a tuple
+        self._kept = []  # the formulas walked
+        self._symbols = {}  # each (name, kind, arity) met, to itself
+
+    def __call__(self, f):
+        hit = self._found.get(id(f))
+        if hit is None:
+            same = self._symbols.setdefault
+            hit = self._found[id(f)] = tuple([same(s, s) for s in formula_symbols(f)])
+            self._kept.append(f)
+        return hit
+
+
 # ---------------------------------------------------------------------------
 # Closure
 
@@ -509,23 +533,37 @@ class Symbol(Record):
         _set(self, "arity", arity)
 
 
-def collect_signature(formulas: Iterable[Formula]) -> list:
-    """Deterministic symbol inventory; rejects arity and kind conflicts."""
-    arities = {}  # (name, kind) -> arity
-    kinds = {}  # name -> kind
-    for f in formulas:
-        for name, kind, arity in formula_symbols(f):
-            prev_kind = kinds.get(name)
-            if prev_kind is not None and prev_kind != kind:
-                raise KindConflict(name)
-            kinds[name] = kind
-            prev = arities.get((name, kind))
-            if prev is not None and prev != arity:
-                raise ArityConflict(name, kind, (prev, arity))
-            arities[(name, kind)] = arity
-    symbols = [Symbol(name, kind, arity) for (name, kind), arity in arities.items()]
-    symbols.sort(key=lambda s: (s.kind, s.name))
-    return symbols
+class Signature:
+    """The symbol inventory of formulas added in order.  A kind or arity
+    conflict is kept, and `symbols()` raises the first one met, so adding
+    formulas in parts reports what one pass over them all would."""
+
+    __slots__ = ("_arities", "_kinds", "_conflict")
+
+    def __init__(self):
+        self._arities = {}  # (name, kind) -> arity
+        self._kinds = {}  # name -> kind
+        self._conflict = None
+
+    def add(self, formulas, walk=None):
+        """Add the formulas' symbols; `walk` is formula_symbols, the
+        default, or a SymbolMemo."""
+        for f in formulas:
+            for name, kind, arity in (walk or formula_symbols)(f):
+                prev_kind = self._kinds.setdefault(name, kind)
+                prev = self._arities.setdefault((name, kind), arity)
+                if self._conflict is None and prev_kind != kind:
+                    self._conflict = KindConflict(name)
+                elif self._conflict is None and prev != arity:
+                    self._conflict = ArityConflict(name, kind, (prev, arity))
+
+    def symbols(self) -> list:
+        """Deterministic symbol inventory; raises the first conflict."""
+        if self._conflict is not None:
+            raise self._conflict
+        symbols = [Symbol(name, kind, arity) for (name, kind), arity in self._arities.items()]
+        symbols.sort(key=lambda s: (s.kind, s.name))
+        return symbols
 
 
 def rename_symbols(f: Formula, mapping: Mapping[str, str]) -> Formula:

@@ -75,7 +75,9 @@ def brute_force_entails(premises, conclusion, domain_size, cap=_DEFAULT_MODEL_CA
         raise ValueError("domain_size must be >= 1")
     premises = [fol.universal_closure(p) for p in premises]
     conclusion = fol.universal_closure(conclusion)
-    symbols = fol.collect_signature(premises + [conclusion])
+    signature = fol.Signature()
+    signature.add(premises + [conclusion])
+    symbols = signature.symbols()
     n = domain_size
 
     total = 1

@@ -1,9 +1,12 @@
+import collections
+import contextlib
+import io
 import os
 
 import networkx as nx
 import pytest
 
-from tptp2miz import article, derivation, fol, tptp
+from tptp2miz import article, cli, derivation, fol, tptp
 from tptp2miz.derivation import StepClass
 from tptp2miz.errors import CycleDetected, DuplicateName, MissingParent
 
@@ -170,3 +173,29 @@ class TestNewSymbols:
     def test_no_fresh_symbols_on_ordinary_step(self):
         g = load_fixture_graph()
         assert derivation.new_function_symbols("c_0_27", g) == []
+
+
+class TestOneSymbolWalk:
+    """Counts, not timings: a run walks each formula object for its
+    symbols once, however many steps cite it and however many phases
+    (classification, skolem renaming, the manifest) read its symbols."""
+
+    @pytest.mark.parametrize("options", [[], ["--no-compress"]])
+    def test_each_formula_walked_once_per_run(self, monkeypatch, tmp_path, options):
+        walked = collections.Counter()  # id(formula) -> walks
+        kept = []  # the walked formulas, so no id is reused
+        original = fol.formula_symbols
+
+        def formula_symbols(f):
+            walked[id(f)] += 1
+            kept.append(f)
+            return original(f)
+
+        monkeypatch.setattr(fol, "formula_symbols", formula_symbols)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["derivation", os.path.join(FIXTURES, "puz001+1.out"),
+                             "-o", str(tmp_path), *options])
+        assert code == 0
+        # the fixture's 42 units and the article's renamed formulas
+        assert len(walked) > 42
+        assert set(walked.values()) == {1}

@@ -126,10 +126,16 @@ class TestAlphaEquivalence:
         )
 
 
+def collect_signature(formulas):
+    signature = fol.Signature()
+    signature.add(formulas)
+    return signature.symbols()
+
+
 class TestSignature:
     def test_collect_sorted(self):
         f = fol.join(fol.And, (fol.Atom("p", (fol.App("f", (C("a"),)),)), p_c))
-        sig = fol.collect_signature([f])
+        sig = collect_signature([f])
         assert [(s.name, s.kind, s.arity) for s in sig] == [
             ("a", "function", 0),
             ("c", "function", 0),
@@ -150,16 +156,27 @@ class TestSignature:
     def test_arity_conflict(self):
         f = fol.join(fol.And, (p_c, fol.Atom("p", (C("c"), C("c")))))
         with pytest.raises(ArityConflict):
-            fol.collect_signature([f])
+            collect_signature([f])
 
     def test_kind_conflict(self):
         f = fol.Atom("p", (fol.App("p"),))
         with pytest.raises(KindConflict):
-            fol.collect_signature([f])
+            collect_signature([f])
 
     def test_free_variables_are_not_symbols(self):
-        sig = fol.collect_signature([p_x])
+        sig = collect_signature([p_x])
         assert [(s.name, s.kind) for s in sig] == [("p", "predicate")]
+
+    def test_added_in_parts_the_first_conflict_is_raised(self):
+        # p/1, then p/2, then p as a function: one pass would stop at p/2
+        parts = [[p_c], [fol.Atom("p", (C("c"), C("c")))], [fol.Atom("q", (fol.App("p"),))]]
+        signature = fol.Signature()
+        for part in parts:
+            signature.add(part)
+        with pytest.raises(ArityConflict):
+            signature.symbols()
+        with pytest.raises(ArityConflict):
+            collect_signature([f for part in parts for f in part])
 
 
 class TestRenameSymbols:

@@ -380,8 +380,9 @@ class TestComplexityGuard:
 
 
 class TestRunMemo:
-    """Counts, not timings: with the run memo that cli opens, compression
-    prepares no premise that justification prepared."""
+    """Counts, not timings: with the run memo that cli opens, each premise
+    is prepared once over the run.  build_article asks only the closing
+    step's query; every step's justification is left to compression."""
 
     def test_ground_chain(self, monkeypatch, tmp_path):
         phase = [None]
@@ -404,11 +405,12 @@ class TestRunMemo:
         code, err = derivation_run(tmp_path, ground_chain(200))
 
         assert code == 0 and "compression: 200 -> 0 steps" in err
-        # a0..a200, s1..s200 and the assumption, each prepared once
-        assert len(prepared["justify"]) == len(set(prepared["justify"])) == 402
+        # the closing query's premises, s200 and the assumption
+        assert len(prepared["justify"]) == len(set(prepared["justify"])) == 2
+        # a0..a200 and s1..s199, each prepared once, by compression
+        assert len(prepared["compress"]) == len(set(prepared["compress"])) == 400
         again = set(prepared["compress"]) & set(prepared["justify"])
         assert len(again) == 0
-        assert len(prepared["compress"]) == 0  # the chain cites nothing else
 
 
 def compress_chain(n, previous_first):

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from tptp2miz import article, compress, derivation, tptp
+from tptp2miz import article, compress, derivation, obvious, tptp
 
 from conftest import FIXTURES
 
@@ -20,13 +20,25 @@ def derivation_pipeline():
     return article.render_article(model) + article.render_manifest(manifest)
 
 
+def deferred_pipeline():
+    """Justification deferred to compression, as cli runs it."""
+    units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
+    graph = derivation.build_graph(units)
+    with obvious.PremiseMemo() as memo:
+        draft, manifest = article.build_article(graph, memo=memo, defer=True)
+        model, _ = compress.compress(draft, manifest, memo=memo)
+    article.finish_article(draft, manifest)
+    model.reservations = draft.reservations
+    return article.render_article(model) + article.render_manifest(manifest)
+
+
 def problem_pipeline():
     units = tptp.parse_problem_file(os.path.join(FIXTURES, "puz001+1.p"))
     model, manifest = article.translate_problem(units)
     return article.render_article(model) + article.render_manifest(manifest)
 
 
-@pytest.mark.parametrize("pipeline", [derivation_pipeline, problem_pipeline])
+@pytest.mark.parametrize("pipeline", [derivation_pipeline, deferred_pipeline, problem_pipeline])
 def test_no_cycles(pipeline):
     gc.collect()
     gc.disable()
