@@ -59,18 +59,6 @@ class EnvironmentManifest(fol.MutableRecord):
         # functions and predicates
         self.signature = None
 
-    def __eq__(self, other):
-        if not isinstance(other, EnvironmentManifest):
-            return NotImplemented
-        return (
-            self.functions == other.functions
-            and self.predicates == other.predicates
-            and [fol.debruijn(a) for a in self.axioms]
-            == [fol.debruijn(a) for a in other.axioms]
-            and [fol.debruijn(a) for a in self.skolem_defs]
-            == [fol.debruijn(a) for a in other.skolem_defs]
-        )
-
 
 class ArticleModel(fol.MutableRecord):
     __slots__ = _fields = ("reservations", "axiom_items", "lemma_items", "theorem",

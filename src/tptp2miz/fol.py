@@ -403,73 +403,52 @@ def fresh_var(avoid, base="Z") -> str:
 
 
 def subst_term(s: Mapping[str, Term], t: Term) -> Term:
-    if isinstance(t, Var):
-        return s.get(t.name, t)
-    return App(t.name, tuple(subst_term(s, a) for a in t.args))
+    """t under s; a term none of whose names is a key of s is t itself."""
+    if s.keys().isdisjoint(t.free):
+        return t
+    if type(t) is Var:
+        return s[t.name]
+    return App(t.name, tuple([subst_term(s, a) for a in t.args]))
 
 
 def apply_substitution(s: Mapping[str, Term], f: Formula) -> Formula:
-    """Simultaneous, capture-avoiding substitution of free variables."""
-    if not s:
+    """Simultaneous, capture-avoiding substitution of free variables.  A
+    node none of whose free names is a key of s is returned itself, so an
+    instance shares the untouched parts of its formula."""
+    if s.keys().isdisjoint(f.free):
         return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(subst_term(s, t) for t in f.args))
-    if isinstance(f, Eq):
+    kind = type(f)
+    if kind is Atom:
+        return Atom(f.pred, tuple([subst_term(s, t) for t in f.args]))
+    if kind is Eq:
         return Eq(subst_term(s, f.left), subst_term(s, f.right))
-    if isinstance(f, Not):
+    if kind is Not:
         return Not(apply_substitution(s, f.body))
-    if isinstance(f, _CHAIN):
-        return type(f)(tuple([apply_substitution(s, p) for p in f.parts]))
-    if isinstance(f, _BINARY):
-        return type(f)(apply_substitution(s, f.left), apply_substitution(s, f.right))
-    if isinstance(f, _QUANT):
-        relevant = {k: v for k, v in s.items() if k in f.free}
-        if not relevant:
-            return f
-        return _rename_apart(relevant, f)
-    return f
+    if kind in _CHAIN:
+        return kind(tuple([apply_substitution(s, p) for p in f.parts]))
+    if kind in _BINARY:
+        return kind(apply_substitution(s, f.left), apply_substitution(s, f.right))
+    return _rename_apart({k: v for k, v in s.items() if k in f.free}, f)
 
 
 def _rename_apart(s, f):
-    """The block f under s, whose keys are all free in f.  Names of the
-    block that the names of s's terms (its range) would capture are
-    renamed in one pass, as a chain of one-name quantifiers would rename
-    them: each name meets the substitutions of a chain, innermost first,
-    and one whose range holds it renames it to its first fresh variant
-    that avoids that range, the substitution's keys and the free names
-    of the rest of the block.  Where the rest of the block has the old
-    name free, the renaming joins the chain just inside that
-    substitution, so it can in turn rename a later name of the block
-    that it would capture."""
-    range_vars = set()
+    """The block f under s, whose keys are all free in f.  Each name of the
+    block that a name of s's terms would capture is renamed, all its
+    occurrences to one fresh name that avoids the names of s's terms, the
+    body's free names, the block's names and the names chosen before it;
+    the body takes s and these renamings in one substitution."""
+    range_names = set()
     for t in s.values():
-        range_vars.update(t.free)
-    chain = [(s, range_vars)]  # (substitution, its range's names), innermost first
-    names = []
-    for i, name in enumerate(f.vars):
-        j = 0
-        while j < len(chain):
-            sub, names_in_range = chain[j]
-            if name in names_in_range:
-                # the free names of the rest of the block, as this substitution
-                # meets it: after the substitutions inside it
-                free = set(f.body.free).difference(f.vars[i + 1:])
-                for inner, _ in chain[:j]:
-                    hit = free.intersection(inner)
-                    free.difference_update(hit)
-                    for k in hit:
-                        free.update(inner[k].free)
-                new = fresh_var(names_in_range | free | set(sub), base=name)
-                if name in free:
-                    chain.insert(j, ({name: Var(new)}, {new}))
-                    j += 1
-                name = new
-            j += 1
-        names.append(name)
-    body = f.body
-    for sub, _ in chain:
-        body = apply_substitution(sub, body)
-    return type(f)(tuple(names), body)
+        range_names.update(t.free)
+    names = f.vars
+    if not range_names.isdisjoint(names):
+        s, avoid = dict(s), range_names.union(f.body.free, names)
+        for name in names:
+            if name in range_names and name not in s:
+                s[name] = Var(fresh_var(avoid, base=name))
+                avoid.add(s[name].name)
+        names = tuple([s[v].name if v in range_names else v for v in names])
+    return type(f)(names, apply_substitution(s, f.body))
 
 
 # ---------------------------------------------------------------------------

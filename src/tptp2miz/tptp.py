@@ -543,7 +543,7 @@ def _collect_binds(obj):
         if head == "bind" and len(args) == 2:
             found.append(obj)
         else:
-            found.extend(_collect_binds(list(args)))
+            found.extend(_collect_binds(args))
     return found
 
 

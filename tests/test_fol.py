@@ -63,6 +63,21 @@ class TestSubstitution:
         assert out.vars != ("X",)
         assert out.free == ("X",)
 
+    def test_untouched_nodes_are_shared(self):
+        # a node with no key of the substitution free is returned itself,
+        # so an instance keeps the very ground subterms of its matrix
+        ground = fol.App("f", (C("a"), C("b")))
+        q = fol.Atom("q", (ground,))
+        f = fol.Forall(("X",), fol.join(fol.And, (fol.Atom("p", (ground, V("X"))), q)))
+        for s in ({}, {"Y": C("c")}, {"X": C("c")}):
+            assert fol.apply_substitution(s, f) is f
+        t = fol.App("g", (V("X"), ground))
+        assert fol.subst_term({"Y": C("c")}, t) is t
+        assert fol.subst_term({"X": C("c")}, t).args[1] is ground
+        out = fol.apply_substitution({"X": C("c")}, f.body)
+        assert out == fol.join(fol.And, (fol.Atom("p", (ground, C("c"))), q))
+        assert out.parts[0].args[0] is ground and out.parts[1] is q
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_naive_subst_when_no_capture_possible(self, seed):
