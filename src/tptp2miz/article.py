@@ -12,6 +12,7 @@ and finish_article completes the draft afterwards.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 
@@ -80,9 +81,10 @@ class ArticleModel(fol.MutableRecord):
 
 def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
                   conjecture=None, memo=None, defer=False):
-    """The article and manifest of a derivation.  The justify queries and
-    the closing step's share the given obvious.PremiseMemo, if any, which
-    the caller empties; sub-proof searches keep their own.
+    """The article and manifest of a derivation.  The justify queries, the
+    sub-proof searches on them and the closing step's query share the
+    given obvious.PremiseMemo, if any, which the caller empties.  Without
+    one, each step's query and search share a memo of their own.
 
     With `defer`, each derived step's sub-proof is left as the draft's one
     `Deferred`, which compress settles when it reaches the step, and the
@@ -199,14 +201,15 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
         its justify query is obvious; raises ExpansionFailed."""
         unit = graph.nodes[name]
         _, premises = citations(name)
-        # the justify query and any expansion spend from one budget
+        # the justify query and any expansion share one budget and one memo
         step_budget = obvious.Budget(budget)
         query = obvious.ObviousnessQuery.make(premises, unit.formula)
-        if obvious.is_obvious(query, memo, step_budget).is_obvious:
-            return None
-        hint = expand.substitution_from_inference_record(unit.source)
-        return _rename_subproof(
-            expand.build_subproof(name, unit.formula, premises, step_budget, hint), rename)
+        with obvious.PremiseMemo() if memo is None else contextlib.nullcontext(memo) as shared:
+            if obvious.is_obvious(query, shared, step_budget).is_obvious:
+                return None
+            hint = expand.substitution_from_inference_record(unit.source)
+            sub = expand.build_subproof(name, unit.formula, premises, step_budget, hint, shared)
+        return _rename_subproof(sub, rename)
 
     deferred = Deferred(lemma_names + inner_names, justify)
 

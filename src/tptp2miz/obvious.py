@@ -27,6 +27,10 @@ carries the reason it was reached (`ObviousnessVerdict.reason`).
 A query refuted by unit propagation at the case split's root stays so
 when one premise is replaced by premises whose clauses cover its own
 (`covered`); compression settles such deletions without a query.
+
+When a step's query is not obvious, the instances that its sub-proof
+states are chosen on the query's own problem (`choose_instances`), each
+choice checked over its prepared premises, registry and budget.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from enum import Enum
 
 from . import fol
 from .fol import _set
+from .tptp import MAX_NESTING
 
 DEFAULT_BUDGET = 10000
 
@@ -44,6 +49,10 @@ _MAX_BRANCHES = 256
 _MAX_CANDIDATES = 64
 _MAX_FILL_UNIVERSE = 16  # residual variables range over universes this small
 _FILL = fol.App(".z")  # designated constant for residual variables
+
+# The deepest term in a sub-proof's instance: the parser's deepest term in a
+# pattern as deep.  Instances of instances could nest without bound.
+MAX_INSTANCE_DEPTH = 2 * MAX_NESTING
 
 
 class Verdict(Enum):
@@ -582,16 +591,6 @@ def matrix_atoms(matrix):
     ]
 
 
-def distinct_atoms(formulas):
-    """Distinct matrix atoms of the formulas, in order, equations with
-    their sides in key order."""
-    registry = _Registry()
-    for f in formulas:
-        for atom in matrix_atoms(f):
-            registry.atom_key(atom)
-    return list(registry.atoms.values())
-
-
 def _match_term(pattern, ground, variables, subst):
     if isinstance(pattern, fol.Var):
         if pattern.name in variables:
@@ -736,9 +735,9 @@ def _prepare(premise, fixed_vars, registry):
 
 
 class PremiseMemo:
-    """Prepared premises shared by the queries of one derivation run, from
-    justification through compression, and the one atom registry that
-    their atoms and the queries' own go to.
+    """Prepared premises shared by the queries of a derivation run, or of
+    one step without compression, and by the sub-proof searches on them,
+    and the one atom registry that their atoms and the queries' own go to.
     It can serve every query because an atom's key fixes all that is read
     of it: predicate atoms and equations are ground, and alpha-variant
     quantified atoms differ only in bound-variable names, which candidate
@@ -797,28 +796,33 @@ class _Commitment(fol.MutableRecord):
 
 
 class _Problem:
-    def __init__(self, premises, conclusion, fixed_vars, budget, memo):
-        self.budget = budget
-        fixed = tuple(fixed_vars)
-        prepared = [memo.prepare(p, fixed) for p in premises]
+    """One query: prepared premises, a goal matrix and its negation's clauses."""
+
+    def __init__(self, prepared, goal_matrix, goal_clauses, budget, registry):
+        self.budget, self.registry = budget, registry
         self.premise_units = [p.unit for p in prepared]  # None for ground premises
         self.unit_count = len(prepared) - self.premise_units.count(None)
-
-        goal = fol.universal_closure(_fix_formula(conclusion, fixed))
-        self.goal_matrix = goal
-        if isinstance(goal, fol.Forall):
-            consts = _goal_constants(len(goal.vars))
-            self.goal_matrix = fol.apply_substitution(dict(zip(goal.vars, consts)), goal.body)
-
+        self.goal_matrix, self.goal_clauses = goal_matrix, goal_clauses
         # The case split reads universal premises' clauses first, then
         # ground premises', then the goal's.
-        self.registry = memo.registry
         self.clauses = [c for p in prepared if p.unit is not None for c in p.clauses]
         self.clauses += [c for p in prepared if p.unit is None for c in p.clauses]
-        self.clauses += _clausify(fol.Not(self.goal_matrix), self.registry)
+        self.clauses += goal_clauses
         self._prepared = prepared
         self._universe = None  # gathered when the instance search first asks
         self._commitments = {}  # (id(unit), substitution keys) -> _Commitment
+
+    @classmethod
+    def of(cls, premises, conclusion, fixed_vars, budget, memo):
+        """The query's problem; goal constants fix its closure's variables in order."""
+        fixed = tuple(fixed_vars)
+        prepared = [memo.prepare(p, fixed) for p in premises]
+        goal_matrix = goal = fol.universal_closure(_fix_formula(conclusion, fixed))
+        if isinstance(goal, fol.Forall):
+            consts = _goal_constants(len(goal.vars))
+            goal_matrix = fol.apply_substitution(dict(zip(goal.vars, consts)), goal.body)
+        return cls(prepared, goal_matrix, _clausify(fol.Not(goal_matrix), memo.registry),
+                   budget, memo.registry)
 
     def _fill_universe(self):
         """The ground terms residual variables are filled from, gathered
@@ -1007,6 +1011,91 @@ class _Problem:
                     continue
                 yield trial
 
+    def choose_instances(self, conclusion, hint=None):
+        """The instances a sub-proof states: one of each universal premise,
+        else two, that make the conclusion obvious from the ground premises,
+        as (premise index, instance over the conclusion's variables) pairs,
+        or None.  The problem is the conclusion's query with no fixed
+        variables.  Candidates match the atoms of the conclusion as written
+        and of the ground premises, then of the instances chosen before;
+        residual variables fill from the ground terms sorted by key, then the
+        conclusion's variables by name.  Candidates that agree with the hint,
+        a prover's bindings, go first, the last of them first."""
+        fixed = conclusion.free
+        to_goal = dict(zip(fixed, _goal_constants(len(fixed))))
+        found = fol.keyed_ground_subterms(conclusion)
+        for p in self._prepared:
+            found.update(p.ground_terms())
+        universe = [found[k] for k in sorted(found)] + [to_goal[v] for v in sorted(fixed)]
+        stated = [] if isinstance(conclusion, fol.Forall) else [self.goal_matrix]
+        pool = self._matrix_atoms(stated + [p.closed for p in self._prepared if p.unit is None])
+        preferred = {v: fol.subst_term(to_goal, t).key for v, t in (hint or {}).items()}
+        units = [(i, p.unit) for i, p in enumerate(self._prepared) if p.unit is not None]
+        chosen = self._choose(units, pool, universe, preferred)
+        if chosen is None and units:
+            chosen = self._choose([u for u in units for _ in (0, 1)], pool, universe, preferred)
+        back = {c.key: fol.Var(v) for v, c in to_goal.items()}
+        return None if chosen is None else [
+            (i, instance_formula(unit, {v: _unfix_term(t, back) for v, t in subst.items()}))
+            for i, unit, subst, _ in chosen]
+
+    def _matrix_atoms(self, formulas):
+        """The distinct matrix atoms of the formulas, in order, as registered."""
+        keys = dict.fromkeys(self.registry.atom_key(a) for f in formulas for a in matrix_atoms(f))
+        return [self.registry.atoms[k] for k in keys]
+
+    def _choose(self, units, pool, universe, preferred):
+        """(premise index, unit, substitution, instance) per unit, closing
+        the leaf, or None: depth first, on an explicit stack of generators."""
+        def choices(index, unit, pool):  # each instance with the pool the next unit reads
+            candidates = candidate_substitutions(unit, pool, universe, self.budget)
+            hinted = {v: preferred[v] for v in unit.variables if v in preferred}
+            if hinted:
+                agree = [all(c[v].key == k for v, k in hinted.items()) for c in candidates]
+                candidates = ([c for c, a in zip(candidates, agree) if a][::-1]
+                              + [c for c, a in zip(candidates, agree) if not a])
+            for subst in candidates:
+                inst = instance_formula(unit, subst)
+                if max((t.depth for g, _ in fol.subformulas(inst) for t in fol.atom_terms(g)),
+                       default=0) <= MAX_INSTANCE_DEPTH:
+                    yield (index, unit, subst, inst), pool + self._matrix_atoms([inst])
+
+        stack, chosen = [], []
+        while True:
+            if len(chosen) == len(units):
+                if self._leaf_closes([inst for *_, inst in chosen]):
+                    return chosen
+            else:
+                stack.append(choices(*units[len(chosen)], pool))
+            while stack:
+                step = next(stack[-1], None)
+                if step is not None:
+                    break
+                stack.pop()
+            else:
+                return None
+            choice, pool = step
+            chosen = chosen[:len(stack) - 1] + [choice]
+
+    def _leaf_closes(self, instances):
+        """Whether the goal is obvious from the ground premises and the instances."""
+        prepared = [p for p in self._prepared if p.unit is None]
+        try:
+            prepared += [_prepare(inst, (), self.registry) for inst in instances]
+            leaf = _Problem(prepared, self.goal_matrix, self.goal_clauses, self.budget,
+                            self.registry)
+            return leaf.solve()[1] is not None
+        except _TooHard:
+            return False
+
+
+def _unfix_term(t, back):
+    """The term with each goal constant keyed in `back` replaced by its variable."""
+    if t.key in back or not t.args:
+        return back.get(t.key, t)
+    args = tuple([_unfix_term(a, back) for a in t.args])
+    return t if args == t.args else fol.App(t.name, args)
+
 
 def _no_closing_instance(branches, units):
     """Whether some open branch stays open whatever instances of the units
@@ -1147,8 +1236,8 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
     try:
-        problem = _Problem(query.premises, query.conclusion, query.fixed_vars,
-                           budget, PremiseMemo() if memo is None else memo)
+        problem = _Problem.of(query.premises, query.conclusion, query.fixed_vars,
+                              budget, PremiseMemo() if memo is None else memo)
         reason, commitments = problem.solve()
     except BudgetExceeded:
         return ObviousnessVerdict(Verdict.UNKNOWN, reason="budget")
@@ -1167,3 +1256,13 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
         (key, tuple(sorted(c.subst.items()))) for key, c in commitments.items()
     )
     return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed, reason)
+
+
+def choose_instances(premises, conclusion, budget, memo=None, hint=None):
+    """_Problem.choose_instances on a step's justify query, given its memo."""
+    try:
+        problem = _Problem.of(premises, conclusion, (), budget,
+                              PremiseMemo() if memo is None else memo)
+        return problem.choose_instances(conclusion, hint)
+    except (BudgetExceeded, _TooHard):
+        return None

@@ -9,6 +9,10 @@ def F(text):
     return tptp.parse_problem(f"fof(x,axiom,{text}).")[0].formula
 
 
+def C(text):
+    return tptp.parse_problem(f"cnf(x,axiom,{text}).")[0].formula
+
+
 def verify_subproof(sp, parent_formulas):
     """Postcondition: the conclusion is obvious from the chosen instances
     plus the ground parents, with the sub-proof's variables fixed."""
@@ -74,12 +78,55 @@ class TestFailure:
             expand.build_subproof("bad_step", F("q(c)"), [F("p(c)")])
         assert info.value.step_name == "bad_step"
 
+    def test_quantified_conclusion_offers_no_atoms(self):
+        # Atoms under the conclusion's own quantifier are no candidates: an
+        # instance at the constant that fixes its variable cannot be written.
+        with pytest.raises(ExpansionFailed):
+            expand.build_subproof("s", F("![X]: (p(X) | q(X))"),
+                                  [F("![Y]: (p(Y) | r(Y))"), F("![Z]: (~r(Z) | q(Z))")])
+
     def test_instances_outside_term_universe_fail(self):
         # the needed witness term appears nowhere in the step's formulas
         with pytest.raises(ExpansionFailed):
             expand.build_subproof(
                 "s", F("$false"), [F("![X]:~p(X)"), F("?[Y]:p(g(Y))")]
             )
+
+
+class TestFillUniverse:
+    """A residual variable of an instance is filled from the ground terms
+    of the step as written, then the conclusion's own variables: never
+    from the checker's designated constant, which no article can write.
+    Each step is justified as build_article justifies it, by the justify
+    query and then its expansion, spending from one budget."""
+
+    CASES = {
+        "ground-filler": (
+            ["r(X,b)|p(f(c))", "~s|~r(X2,b)", "~s|~t(Y)", "s"], "p(f(c))|~s",
+            [(0, "r(b,b)|p(f(c))"), (1, "~s|~r(b,b)"), (2, "~s|~t(b)")], 36),
+        "ground-filler-after-search": (
+            ["t(c)|s", "p(Y2)|~p(a)", "~r(X,f(Y))", "p(a)|r(f(X),b)"], "r(f(a),b)|p(f(a))",
+            [(1, "p(f(a))|~p(a)"), (2, "~r(a,f(a))"), (3, "p(a)|r(f(a),b)")], 116),
+        "conclusion-variable-last": (
+            ["r(f(a),Y)|p(X)", "q(X)|t(f(a))|~t(Y)|s", "~t(f(a))|p(Z2)|~p(b)", "t(b)"],
+            "~t(X1)|s|q(X1)|p(a)|~p(b)",
+            [(0, "r(f(a),a)|p(a)"), (1, "q(X1)|t(f(a))|~t(X1)|s"),
+             (2, "~t(f(a))|p(a)|~p(b)")], 223),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_instances_and_budget(self, case):
+        parents, conclusion, expected, used = self.CASES[case]
+        parents, conclusion = [C(p) for p in parents], C(conclusion)
+        budget = obvious.Budget(obvious.DEFAULT_BUDGET)
+        with obvious.PremiseMemo() as memo:
+            query = ObviousnessQuery.make(parents, conclusion)
+            assert not obvious.is_obvious(query, memo, budget).is_obvious
+            sp = expand.build_subproof("s", conclusion, parents, budget, memo=memo)
+        assert [(s.parent_index, tptp.format_formula(s.formula)) for s in sp.instances] == [
+            (i, tptp.format_formula(C(text))) for i, text in expected]
+        assert budget.used == used
+        verify_subproof(sp, parents)
 
 
 class TestRecordBindings:

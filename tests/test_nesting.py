@@ -130,7 +130,7 @@ class TestInstancesOfInstances:
         # Each instance of ax1 or ax2 adds q-atoms 120 levels deeper than
         # its own term, and the next copy is matched against them, so the
         # search would build deeper and deeper terms.  Past
-        # expand.MAX_INSTANCE_DEPTH it skips a candidate, and the step,
+        # obvious.MAX_INSTANCE_DEPTH it skips a candidate, and the step,
         # which does not follow, ends in ExpansionFailed.
         axiom = f"![X]: (~ q(X) | q({term(120, 'X')}))"
         text = (

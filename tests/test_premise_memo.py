@@ -1,7 +1,7 @@
 """The premise memo: it changes no verdict, it lives for one derivation
 run, and it keeps the run from preparing a premise more than once, with
-one atom registry for every justify and compress query of the run.  With
---no-compress no memo outlives its query."""
+one atom registry for every justify and compress query of the run and
+every sub-proof search.  With --no-compress no memo outlives its step."""
 
 import collections
 import contextlib
@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from tptp2miz import article, cli, compress, derivation, fol, obvious, tptp
+from tptp2miz import article, cli, compress, derivation, expand, fol, obvious, tptp
 from tptp2miz.errors import ExpansionFailed
 from tptp2miz.obvious import ObviousnessQuery, Verdict
 
@@ -76,8 +76,8 @@ class TestVerdictsUnchanged:
         sizes = []
         with obvious.PremiseMemo() as memo:
             for q in queries:
-                problem = obvious._Problem(q.premises, q.conclusion, q.fixed_vars,
-                                           obvious.Budget(2000), memo)
+                problem = obvious._Problem.of(q.premises, q.conclusion, q.fixed_vars,
+                                              obvious.Budget(2000), memo)
                 universe = problem._fill_universe()
                 assert universe == eager(q, problem.goal_matrix)
                 sizes.append(len(universe))
@@ -176,9 +176,10 @@ def derivation_run(tmp_path, text, *options):
 
 class TestLifetime:
     def test_build_article(self, memos):
-        # without a run memo, each justify query has a throwaway one
-        article.build_article(fixture_graph())
-        assert_used_and_emptied(memos, 0)
+        # without a run memo, each step's justify query and sub-proof
+        # search share one, emptied when the step is justified
+        model, _ = article.build_article(fixture_graph())
+        assert_used_and_emptied(memos, len(model.all_steps()))
 
     def test_build_article_with_a_memo(self, memos):
         # the justify queries use the memo given, and its caller empties it
@@ -189,6 +190,7 @@ class TestLifetime:
 
     def test_compress(self, memos):
         model, manifest = article.build_article(fixture_graph())
+        del memos[:]  # the steps' own
         compress.compress(model, manifest)
         assert_used_and_emptied(memos, 1)
 
@@ -209,11 +211,12 @@ class TestLifetime:
     @pytest.mark.parametrize("options, outlived", [(("--no-compress",), False), ((), True)])
     def test_no_memo_outlives_its_query_without_compression(self, monkeypatch, tmp_path,
                                                             options, outlived):
-        # With --no-compress each memo is a query's own, emptied or gone
-        # when the query returns; with compression the run memo outlives
-        # every query.
+        # With --no-compress each memo is a step's own, shared by its
+        # justify query and sub-proof search and emptied or gone before the
+        # next query; with compression the run memo outlives every query.
         made = []  # weak references to every memo made
-        outliving = []  # the memos found live and not empty after a query
+        filled = [set()]  # ids of the memos live and not empty after the last query
+        outliving = []  # the memos still live and not empty when the next query starts
 
         original_init = obvious.PremiseMemo.__init__
         original_is_obvious = obvious.is_obvious
@@ -222,10 +225,14 @@ class TestLifetime:
             original_init(self)
             made.append(weakref.ref(self))
 
+        def filled_now():
+            return {id(m()) for m in made
+                    if m() is not None and (len(m()) or m().registry.atoms)}
+
         def is_obvious(*args, **kwargs):
+            outliving.extend(filled[0] & filled_now())
             verdict = original_is_obvious(*args, **kwargs)
-            outliving.extend(m() for m in made
-                             if m() is not None and (len(m()) or m().registry.atoms))
+            filled[0] = filled_now()
             return verdict
 
         monkeypatch.setattr(obvious.PremiseMemo, "__init__", init)
@@ -247,9 +254,10 @@ class TestLifetime:
         assert not memo.registry.atoms
 
     def test_raising_call(self, memos):
+        # the failing step's memo is emptied as the failure passes
         with pytest.raises(ExpansionFailed):
             article.build_article(derivation.build_graph(tptp.parse_problem(RAISING)))
-        assert_used_and_emptied(memos, 0)
+        assert_used_and_emptied(memos, 1)
 
     def test_raising_run(self, memos, tmp_path):
         code, err = derivation_run(tmp_path, RAISING)
@@ -275,6 +283,28 @@ def ground_chain(n, previous_first=True):
         previous = f"s{i}"
     lines.append("cnf(f, plain, $false,"
                  f" inference(resolution,[status(thm)],[{previous}, neg])).")
+    return "\n".join(lines) + "\n"
+
+
+def expansion_chain(n):
+    """A TSTP refutation whose every step needs a sub-proof: step i
+    resolves q(X) | p(i-1)(X) against the non-ground ~p(i-1)(Y) | pi(Y) | ri
+    and the ground ~ri, which its justify query cannot chain through."""
+    lines = ["cnf(a0, axiom, q(X) | p0(X), file('chain.p', a0))."]
+    for i in range(1, n + 1):
+        lines.append(f"cnf(a{i}, axiom, ~p{i - 1}(Y) | p{i}(Y) | r{i}, file('chain.p', a{i})).")
+        lines.append(f"cnf(g{i}, axiom, ~r{i}, file('chain.p', g{i})).")
+    lines.append(f"cnf(h, axiom, ~p{n}(c), file('chain.p', h)).")
+    lines.append("fof(goal, conjecture, q(c), file('chain.p', goal)).")
+    lines.append("fof(neg, negated_conjecture, ~q(c),"
+                 " inference(assume_negation,[status(cth)],[goal])).")
+    previous = "a0"
+    for i in range(1, n + 1):
+        lines.append(f"cnf(s{i}, plain, q(X) | p{i}(X),"
+                     f" inference(resolution,[status(thm)],[{previous}, a{i}, g{i}])).")
+        previous = f"s{i}"
+    lines.append("cnf(f, plain, $false,"
+                 f" inference(resolution,[status(thm)],[{previous}, h, neg])).")
     return "\n".join(lines) + "\n"
 
 
@@ -332,13 +362,14 @@ class TestComplexityGuard:
         prepared = collections.Counter()  # id(premise) -> _prepare calls
         kept = []  # the prepared premises, so no id is reused
         clausified = [0]
-        original_init = obvious._Problem.__init__
+        original_of = obvious._Problem.of
         original_prepare = obvious._prepare
         original_clausify = obvious._clausify
 
-        def init(self, premises, conclusion, fixed_vars, budget, memo=None):
-            original_init(self, premises, conclusion, fixed_vars, budget, memo)
-            registries.append((self.registry, getattr(memo, "registry", None)))
+        def of(premises, conclusion, fixed_vars, budget, memo):
+            problem = original_of(premises, conclusion, fixed_vars, budget, memo)
+            registries.append((problem.registry, memo.registry))
+            return problem
 
         def prepare(premise, *args):
             prepared[id(premise)] += 1
@@ -349,7 +380,7 @@ class TestComplexityGuard:
             clausified[0] += 1
             return original_clausify(*args)
 
-        monkeypatch.setattr(obvious._Problem, "__init__", init)
+        monkeypatch.setattr(obvious._Problem, "of", staticmethod(of))
         monkeypatch.setattr(obvious, "_prepare", prepare)
         monkeypatch.setattr(obvious, "_clausify", clausify)
         with obvious.PremiseMemo() as memo:  # the run memo, as cli opens it
@@ -368,15 +399,70 @@ class TestComplexityGuard:
     @pytest.mark.parametrize("previous_first", [True, False])
     def test_same_article_without_the_memo(self, monkeypatch, previous_first):
         shared = compress_chain(30, previous_first)
-        original = obvious._Problem.__init__
+        original = obvious._Problem.of
 
-        def alone(self, premises, conclusion, fixed_vars, budget, memo=None):
-            original(self, premises, conclusion, fixed_vars, budget,
-                     obvious.PremiseMemo())
+        def alone(premises, conclusion, fixed_vars, budget, memo):
+            return original(premises, conclusion, fixed_vars, budget, obvious.PremiseMemo())
 
-        monkeypatch.setattr(obvious._Problem, "__init__", alone)
+        monkeypatch.setattr(obvious._Problem, "of", staticmethod(alone))
         unshared = compress_chain(30, previous_first)
         assert article.render_article(shared) == article.render_article(unshared)
+
+    @pytest.mark.parametrize("run_memo", [True, False])
+    def test_expanded_steps(self, monkeypatch, run_memo):
+        # Every step of the chain is expanded into a sub-proof.  Its search
+        # runs on the justify query's problem: it makes no registry, memo or
+        # query of its own, each leaf is a problem over the memo's registry,
+        # and a ground parent is clausified once, for the justify query.
+        n = 20
+        graph = derivation.build_graph(tptp.parse_problem(expansion_chain(n)))
+        grounds = [graph.nodes[f"g{i}"].formula for i in range(1, n + 1)]
+        registries = []  # the registry of every problem, leaves included
+        made = []  # the registries, memos and queries built inside build_subproof
+        inside = [False]
+        clausified = collections.Counter()  # id(formula) -> _clausify calls
+        original_init = obvious._Problem.__init__
+        original_clausify = obvious._clausify
+        original_build = expand.build_subproof
+
+        def init(self, *args):
+            original_init(self, *args)
+            registries.append(self.registry)
+
+        def clausify(f, registry):
+            clausified[id(f)] += 1
+            return original_clausify(f, registry)
+
+        def build_subproof(*args, **kwargs):
+            inside[0] = True
+            try:
+                return original_build(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        for cls in (obvious._Registry, obvious.PremiseMemo, obvious.ObviousnessQuery):
+            def counting(self, *args, cls=cls, original=cls.__init__, **kwargs):
+                if inside[0]:
+                    made.append(cls.__name__)
+                original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(obvious._Problem, "__init__", init)
+        monkeypatch.setattr(obvious, "_clausify", clausify)
+        monkeypatch.setattr(expand, "build_subproof", build_subproof)
+        if run_memo:
+            with obvious.PremiseMemo() as memo:  # the run memo, as cli opens it
+                run_registry = memo.registry
+                model, manifest = article.build_article(graph, memo=memo)
+                compress.compress(model, manifest, memo=memo)
+            assert {id(r) for r in registries} == {id(run_registry)}
+        else:
+            model, _ = article.build_article(graph)
+
+        assert [i.subproof is not None for i in model.all_steps()] == [True] * n
+        # two problems per step at least: the justify query and a leaf
+        assert len(registries) > 2 * n
+        assert made == []
+        assert [clausified[id(g)] for g in grounds] == [1] * n
 
 
 class TestRunMemo:

@@ -375,13 +375,14 @@ def test_ground_chain_counts(monkeypatch, previous_first):
     prepared = collections.Counter()  # id(premise) -> _prepare calls
     kept = []  # the prepared premises, so no id is reused
     clausified = [0]
-    original_init = obvious._Problem.__init__
+    original_of = obvious._Problem.of
     original_prepare = obvious._prepare
     original_clausify = obvious._clausify
 
-    def init(self, premises, conclusion, fixed_vars, budget, memo=None):
-        original_init(self, premises, conclusion, fixed_vars, budget, memo)
-        registries.append((self.registry, getattr(memo, "registry", None)))
+    def of(premises, conclusion, fixed_vars, budget, memo):
+        problem = original_of(premises, conclusion, fixed_vars, budget, memo)
+        registries.append((problem.registry, memo.registry))
+        return problem
 
     def prepare(premise, *args):
         prepared[id(premise)] += 1
@@ -392,7 +393,7 @@ def test_ground_chain_counts(monkeypatch, previous_first):
         clausified[0] += 1
         return original_clausify(*args)
 
-    monkeypatch.setattr(obvious._Problem, "__init__", init)
+    monkeypatch.setattr(obvious._Problem, "of", staticmethod(of))
     monkeypatch.setattr(obvious, "_prepare", prepare)
     monkeypatch.setattr(obvious, "_clausify", clausify)
     out, report = compress.compress(model, manifest)
