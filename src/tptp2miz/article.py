@@ -5,9 +5,9 @@ manifest), conjecture-independent lemmas, and a single theorem whose
 proof is a diffuse reasoning block refuting the negated conjecture.
 
 Each derived step is justified by a checker query, and expanded into a
-sub-proof when that fails.  When the article is compressed, build_article
-leaves the steps `Deferred` for compress to justify as it reaches them,
-and finish_article completes the draft afterwards.
+sub-proof when that fails.  build_article leaves the steps `Deferred`:
+compress justifies each step as it reaches it, and finish_article
+justifies any step still unsettled and completes the draft.
 """
 
 from __future__ import annotations
@@ -80,18 +80,18 @@ class ArticleModel(fol.MutableRecord):
 
 
 def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
-                  conjecture=None, memo=None, defer=False):
-    """The article and manifest of a derivation.  The justify queries, the
-    sub-proof searches on them and the closing step's query share the
-    given obvious.PremiseMemo, if any, which the caller empties.  Without
-    one, each step's query and search share a memo of their own.
-
-    With `defer`, each derived step's sub-proof is left as the draft's one
-    `Deferred`, which compress settles when it reaches the step, and the
+                  conjecture=None, memo=None):
+    """The draft article and manifest of a derivation.  Each derived step's
+    sub-proof is left as the draft's one `Deferred`, which compress settles
+    when it reaches the step and finish_article settles otherwise; the
     reserve line and the manifest's signature are left to finish_article.
-    The closing step is still checked at once."""
-    base_sig = derivation.original_signature(graph)
-    classes = derivation.classify_all(graph, base_sig)
+    Only the closing step is checked at once.
+
+    The justify queries, the sub-proof searches on them and the closing
+    step's query share the given obvious.PremiseMemo, if any, which the
+    caller empties.  Without one, each step's query and search share a
+    memo of their own."""
+    classes = derivation.classify_all(graph)
     depends = derivation.mark_conjecture_dependence(graph, classes)
     used = derivation.mark_used(graph)
 
@@ -176,7 +176,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     skolem_symbols = []
     for name in derived:
         if classes[name] is StepClass.SKOLEMIZATION:
-            symbol = skolem.validate_single_skolem(name, graph, base_sig)
+            symbol = skolem.validate_single_skolem(name, graph)
             henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
             skolem_symbols.append(symbol)
     rename = _skolem_renaming(skolem_symbols, graph)
@@ -230,23 +230,19 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     # each walked once.
     graph.symbols.clear()
 
-    if not defer:
-        for i in model.all_steps():
-            i.subproof = deferred.justify(i.source_name)
     # the closing step has no sub-proof form, so it must be obvious as cited
     query = obvious.ObviousnessQuery.make(premises, fol.FALSE)
     if not obvious.is_obvious(query, memo, obvious.Budget(budget)).is_obvious:
         deferred.justify_before(None)  # a failing step is named first
         raise ExpansionFailed(graph.sink)
-    if not defer:
-        finish_article(model, manifest)
     return model, manifest
 
 
 class Deferred:
     """The sub-proof of every derived step of a draft article until its
-    justify query is asked, when compression reaches the step: one object
-    for the draft, which settles each step by its source name."""
+    justify query is asked, when compression reaches the step or else in
+    finish_article: one object for the draft, which settles each step by
+    its source name."""
 
     def __init__(self, names, justify):
         self._names = names  # the derived steps in model order
@@ -257,7 +253,7 @@ class Deferred:
         """The step's sub-proof as build_article finds it.  When that
         fails, the steps before it are justified first, so the
         ExpansionFailed raised names the first step that fails in model
-        order, as eager justification does."""
+        order."""
         try:
             self.found[name] = self._justify(name)
         except ExpansionFailed:
@@ -278,14 +274,18 @@ class Deferred:
 
 
 def finish_article(model, manifest):
-    """Complete a draft once every step is settled: each step's sub-proof
-    as justification found it, before compression collapsed any, then the
-    reserve line and the manifest's functions and predicates over them.
-    A kind or arity conflict, or a symbol the rendering cannot write
-    (UnsupportedSymbol), is raised here, after any ExpansionFailed."""
-    for item in model.all_steps():
-        if isinstance(item.subproof, Deferred):
-            item.subproof = item.subproof.found[item.source_name]
+    """Complete a draft: justify, in model order, every step that
+    compression did not settle (all of them when there was none), then
+    give each step its sub-proof as justification found it, before
+    compression collapsed any, and the reserve line and the manifest's
+    functions and predicates over them.  A kind or arity conflict, or a
+    symbol the rendering cannot write (UnsupportedSymbol), is raised here,
+    after any ExpansionFailed."""
+    unsettled = [item for item in model.all_steps() if isinstance(item.subproof, Deferred)]
+    if unsettled:
+        unsettled[0].subproof.justify_before(None)  # the draft's one Deferred
+    for item in unsettled:
+        item.subproof = item.subproof.found[item.source_name]
     model.reservations = _reservations(model)
     manifest.signature.add(_instance_formulas(model) + manifest.skolem_defs)
     signature, manifest.signature = manifest.signature.symbols(), None

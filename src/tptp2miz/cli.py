@@ -9,7 +9,7 @@ Modes:
 from __future__ import annotations
 
 import argparse
-import functools
+import contextlib
 import os
 import sys
 
@@ -118,23 +118,20 @@ def _run_problem(args):
 def _run_derivation(args):
     units = tptp.parse_derivation_file(args.input, include_dirs=args.axiom_dir)
     graph = derivation.build_graph(units)
-    build = functools.partial(article.build_article, graph, keep_unused=args.keep_unused,
-                              budget=args.budget, conjecture=args.conjecture)
-    if args.no_compress:
-        # no later query cites a justify query's premises: each query's
-        # memo is emptied when it returns
-        model, manifest = build()
-    else:
-        # Compression justifies each step when it reaches it, and asks
-        # again about the formulas that justification cited, so one memo
-        # serves both phases.
-        with obvious.PremiseMemo() as memo:
-            draft, manifest = build(memo=memo, defer=True)
+    # Compression asks again about the formulas that justification cited,
+    # so one memo serves both; without it, no later query cites a justify
+    # query's premises, and each query's memo is emptied when it returns.
+    with contextlib.nullcontext() if args.no_compress else obvious.PremiseMemo() as memo:
+        draft, manifest = article.build_article(
+            graph, keep_unused=args.keep_unused, budget=args.budget,
+            conjecture=args.conjecture, memo=memo)
+        model = draft
+        if not args.no_compress:
             model, report = compress.compress(
-                draft, manifest, budget=args.budget, max_passes=args.max_passes, memo=memo
-            )
-        article.finish_article(draft, manifest)
-        model.reservations = draft.reservations
+                draft, manifest, budget=args.budget, max_passes=args.max_passes, memo=memo)
+    article.finish_article(draft, manifest)
+    model.reservations = draft.reservations
+    if not args.no_compress:
         print(report.summary(), file=sys.stderr)
         if args.verbose:
             print(report.checks(), file=sys.stderr)

@@ -13,16 +13,15 @@ The refs are spliced in place (`_Refs`), so the deletion also edits them
 at that cost: a long chain whose steps `thus` absorbs one after another
 compresses in linear time.
 
-Justification is settled here, step by step, for a draft whose steps
+Justification is settled here, step by step, for the draft whose steps
 build_article left `Deferred`: a step is justified when the first pass
 reaches it, and a deleted ground step whose refs cover it is settled as
 obvious with no query, since covered() proves its justify query Obvious
-(`_obvious_when_covered`).
+(`_obvious_when_covered`).  An article whose steps are settled already
+is compressed the same way.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 from . import fol, obvious
 from .article import ArticleModel, Deferred
@@ -295,22 +294,21 @@ def _obvious_when_covered(formula):
             and all(obvious._as_literal(g) is not None for g in literals))
 
 
-def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
-             max_passes=None, memo=None):
+def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
+             max_passes=None):
     """The compressed copy of the article, and its report.  Every query
     shares the given obvious.PremiseMemo, which the caller empties, so no
-    formula that justification cited with it is prepared again; without
-    one, a memo lives for this call.
+    formula that justification cited with it is prepared again.
 
     A `Deferred` step of a draft is settled in the first pass, with the
-    verdicts eager justification gives; the draft keeps what justification
-    found (see article.finish_article).  A step is justified the first time
-    the deletion scan reads its sub-proof, as a citer, and then given the
-    collapse check that the pass asks first of the other steps.  Its refs
-    are still its own then: a citer is read before a deletion is spliced
-    into it.  A deleted step is settled as obvious when covered() proves
-    it so, else justified; a step no scan read, at the end of the pass (or
-    of the call, with `max_passes` 0)."""
+    verdicts finish_article would give it; the draft keeps what
+    justification found (see article.finish_article).  A step is justified
+    the first time the deletion scan reads its sub-proof, as a citer, and
+    then given the collapse check that the pass asks first of the other
+    steps.  Its refs are still its own then: a citer is read before a
+    deletion is spliced into it.  A deleted step is settled as obvious
+    when covered() proves it so, else justified; a step no scan read, at
+    the end of the pass (or of the call, with `max_passes` 0)."""
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))
     for item in model.all_steps():
@@ -321,76 +319,75 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
     index = _formula_index(model, manifest)
     citers = _Citers(model)
 
-    with obvious.PremiseMemo() if memo is None else contextlib.nullcontext(memo) as memo:
-        checker = _Checker(index, memo, budget, report)
+    checker = _Checker(index, memo, budget, report)
 
-        def subproof(item):
-            """The step's sub-proof, a deferred step settled first."""
-            nonlocal changed
-            if isinstance(item.subproof, Deferred):
-                checker.justify(item)
-                changed = checker.collapse(item) or changed
-            return item.subproof
+    def subproof(item):
+        """The step's sub-proof, a deferred step settled first."""
+        nonlocal changed
+        if isinstance(item.subproof, Deferred):
+            checker.justify(item)
+            changed = checker.collapse(item) or changed
+        return item.subproof
 
-        changed = True
-        while changed:
-            if max_passes is not None and report.passes >= max_passes:
-                break
-            report.passes += 1
-            changed = False
+    changed = True
+    while changed:
+        if max_passes is not None and report.passes >= max_passes:
+            break
+        report.passes += 1
+        changed = False
 
-            # sub-proof collapse: the step may have become obvious from the
-            # original parents once surrounding steps were inlined
-            for item in model.all_steps():
-                if not isinstance(item.subproof, Deferred) and checker.collapse(item):
-                    changed = True
-
-            # deletion scan, reverse topological order (closest to the
-            # contradiction first)
-            removed = set()
-            for victim in _steps_reverse(model):
-                found = citers.of(victim.label)
-                if any(c is not None and subproof(c) is not None for c in found):
-                    continue  # sub-proof citations are left untouched
-                checker.scan()
-                trials = []  # per citer: its refs, rank, and whether they will propagate
-                for citer in found:
-                    if citer is None:
-                        refs, conclusion = model.diffuse.contradiction_refs, fol.FALSE
-                    else:
-                        refs, conclusion = citer.refs, citer.formula
-                    rank = citers.rank_of(citer)
-                    propagates = checker.deletion(rank, refs, conclusion, victim)
-                    if propagates is None:
-                        break
-                    trials.append((refs, rank, propagates))
-                else:
-                    if isinstance(victim.subproof, Deferred):
-                        checker.settle_deleted(victim)
-                    removed.add(victim.label)
-                    citers.remove(victim)
-                    for citer, (refs, rank, propagates) in zip(found, trials):
-                        refs.splice(victim.label, victim.refs)
-                        checker.commit(rank, propagates)
-                        # the citer's refs lost the victim and gained the
-                        # victim's refs, which are all it can newly cite
-                        citers.add(citer, victim.refs)
-                    report.removed_labels.append(victim.label)
-                    changed = True
-            for item in model.all_steps():
-                subproof(item)  # a step no scan read
-            if report.passes == 1:
-                # as if every step were collapse-checked before the scan
-                report.collapsed_subproofs.sort(key=citers.rank.get)
-            if removed:
-                model.lemma_items = [i for i in model.lemma_items
-                                     if i.label not in removed]
-                model.diffuse.inner_steps = [i for i in model.diffuse.inner_steps
-                                             if i.label not in removed]
-
+        # sub-proof collapse: the step may have become obvious from the
+        # original parents once surrounding steps were inlined
         for item in model.all_steps():
-            if isinstance(item.subproof, Deferred):  # no pass was made
-                checker.justify(item)
+            if not isinstance(item.subproof, Deferred) and checker.collapse(item):
+                changed = True
+
+        # deletion scan, reverse topological order (closest to the
+        # contradiction first)
+        removed = set()
+        for victim in model.all_steps()[::-1]:
+            found = citers.of(victim.label)
+            if any(c is not None and subproof(c) is not None for c in found):
+                continue  # sub-proof citations are left untouched
+            checker.scan()
+            trials = []  # per citer: its refs, rank, and whether they will propagate
+            for citer in found:
+                if citer is None:
+                    refs, conclusion = model.diffuse.contradiction_refs, fol.FALSE
+                else:
+                    refs, conclusion = citer.refs, citer.formula
+                rank = citers.rank_of(citer)
+                propagates = checker.deletion(rank, refs, conclusion, victim)
+                if propagates is None:
+                    break
+                trials.append((refs, rank, propagates))
+            else:
+                if isinstance(victim.subproof, Deferred):
+                    checker.settle_deleted(victim)
+                removed.add(victim.label)
+                citers.remove(victim)
+                for citer, (refs, rank, propagates) in zip(found, trials):
+                    refs.splice(victim.label, victim.refs)
+                    checker.commit(rank, propagates)
+                    # the citer's refs lost the victim and gained the
+                    # victim's refs, which are all it can newly cite
+                    citers.add(citer, victim.refs)
+                report.removed_labels.append(victim.label)
+                changed = True
+        for item in model.all_steps():
+            subproof(item)  # a step no scan read
+        if report.passes == 1:
+            # as if every step were collapse-checked before the scan
+            report.collapsed_subproofs.sort(key=citers.rank.get)
+        if removed:
+            model.lemma_items = [i for i in model.lemma_items
+                                 if i.label not in removed]
+            model.diffuse.inner_steps = [i for i in model.diffuse.inner_steps
+                                         if i.label not in removed]
+
+    for item in model.all_steps():
+        if isinstance(item.subproof, Deferred):  # no pass was made
+            checker.justify(item)
 
     for item in model.all_steps():
         item.refs = tuple(item.refs)
@@ -398,11 +395,6 @@ def compress(model: ArticleModel, manifest, budget=obvious.DEFAULT_BUDGET,
     report.steps_after = len(model.all_steps())
     _relabel(model)
     return model, report
-
-
-def _steps_reverse(model):
-    """Step items in reverse topological order of the article."""
-    return model.diffuse.inner_steps[::-1] + model.lemma_items[::-1]
 
 
 def _relabel(model):

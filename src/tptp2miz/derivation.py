@@ -35,8 +35,9 @@ CLAUSIFICATION_RULES = {
 
 
 class DerivationGraph(fol.MutableRecord):
-    __slots__ = ("nodes", "parents", "children", "order_index", "sink", "order", "symbols")
-    _fields = __slots__[:-1]
+    __slots__ = ("nodes", "parents", "children", "order_index", "sink", "order", "symbols",
+                 "base_signature")
+    _fields = __slots__[:-2]
 
     def __init__(self, nodes, parents, children, order_index, sink, order):
         self.nodes = nodes  # name -> AnnotatedFormula, in input order
@@ -47,6 +48,7 @@ class DerivationGraph(fol.MutableRecord):
         self.order = order  # every name, parents first, as topological_order gives them
         # fol.formula_symbols for the run: each formula object is walked once
         self.symbols = fol.SymbolMemo()
+        self.base_signature = None  # original_signature, which build_graph fills in
 
 
 def _parent_names(unit: AnnotatedFormula):
@@ -79,6 +81,7 @@ def build_graph(units) -> DerivationGraph:
         if isinstance(nodes[name].formula, fol.Falsum):
             graph.sink = name
             break
+    graph.base_signature = original_signature(graph)
     return graph
 
 
@@ -131,12 +134,10 @@ def original_signature(g: DerivationGraph) -> set:
     return sig
 
 
-def new_function_symbols(name: str, g: DerivationGraph, base_sig=None) -> list:
+def new_function_symbols(name: str, g: DerivationGraph) -> list:
     """Function symbols in a step's conclusion absent from its parents and
     from the original problem signature, ordered by first occurrence."""
-    if base_sig is None:
-        base_sig = original_signature(g)
-    known = set(base_sig)
+    known = set(g.base_signature)
     for p in g.parents[name]:
         for sym, kind, arity in g.symbols(g.nodes[p].formula):
             if kind == "function":
@@ -146,7 +147,7 @@ def new_function_symbols(name: str, g: DerivationGraph, base_sig=None) -> list:
             if kind == "function" and (sym, arity) not in known]
 
 
-def classify_step(name: str, g: DerivationGraph, base_sig=None) -> StepClass:
+def classify_step(name: str, g: DerivationGraph) -> StepClass:
     unit = g.nodes[name]
     if isinstance(unit.formula, fol.Falsum):
         return StepClass.FINAL_CONTRADICTION
@@ -163,19 +164,17 @@ def classify_step(name: str, g: DerivationGraph, base_sig=None) -> StepClass:
         return StepClass.NEGATED_CONJECTURE
     # The structural test overrides the rule name: any step whose conclusion
     # introduces a function symbol unseen in its parents is a skolemization.
-    if new_function_symbols(name, g, base_sig):
+    if new_function_symbols(name, g):
         return StepClass.SKOLEMIZATION
     if rule in CLAUSIFICATION_RULES and len(g.parents[name]) == 1:
         return StepClass.CLAUSIFICATION
     return StepClass.INFERENCE
 
 
-def classify_all(g: DerivationGraph, base_sig=None) -> dict:
-    if base_sig is None:
-        base_sig = original_signature(g)
+def classify_all(g: DerivationGraph) -> dict:
     out = {}
     for name in g.nodes:
-        out[name] = classify_step(name, g, base_sig)
+        out[name] = classify_step(name, g)
     # Deterministic refutations have exactly one FinalContradiction: the sink.
     for name, cls in out.items():
         if cls is StepClass.FINAL_CONTRADICTION and name != g.sink:
@@ -183,10 +182,9 @@ def classify_all(g: DerivationGraph, base_sig=None) -> dict:
     return out
 
 
-def mark_conjecture_dependence(g: DerivationGraph, classes=None) -> dict:
-    """True for the conjecture/negated-conjecture nodes and their descendants."""
-    if classes is None:
-        classes = classify_all(g)
+def mark_conjecture_dependence(g: DerivationGraph, classes) -> dict:
+    """True for the conjecture/negated-conjecture nodes and their descendants,
+    given classify_all's classes."""
     depends = {}
     for name in g.order:
         own = classes[name] in (StepClass.CONJECTURE, StepClass.NEGATED_CONJECTURE)

@@ -44,14 +44,11 @@ def substitution_from_inference_record(record) -> dict:
     return dict(record.bindings) if isinstance(record, InferenceRecord) else {}
 
 
-def build_subproof(step_name, step_formula, parent_formulas,
-                   budget=None, hint=None, memo=None) -> SubProof:
+def build_subproof(step_name, step_formula, parent_formulas, budget, hint, memo) -> SubProof:
     """The step as a sub-proof; raises ExpansionFailed when no instances
-    within the search space and the obvious.Budget (by default a fresh one)
-    make it obvious.  Given the PremiseMemo of the step's justify query, the
-    search finds the parents prepared."""
-    if budget is None:
-        budget = obvious.Budget(obvious.DEFAULT_BUDGET)
+    within the search space and the obvious.Budget make it obvious.  The
+    hint is the prover's recorded bindings.  Given the PremiseMemo of the
+    step's justify query, the search finds the parents prepared."""
     chosen = obvious.choose_instances(parent_formulas, step_formula, budget, memo, hint)
     if chosen is None:
         raise ExpansionFailed(step_name)

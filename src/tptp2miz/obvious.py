@@ -114,8 +114,8 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, n=1):
-        self.used += n
+    def spend(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceeded()
 
@@ -291,15 +291,14 @@ class _Congruence:
 class _BranchView(fol.MutableRecord):
     """Branch assignment canonicalized through congruence closure."""
 
-    __slots__ = ("values", "cc", "canonical", "falsified", "heads", "falsifiable")
-    _fields = ("values", "cc", "canonical", "falsified")
+    __slots__ = ("values", "cc", "canonical", "falsified", "heads")
+    _fields = __slots__[:-1]
 
     def __init__(self, values, cc, canonical, falsified=None):
         self.values, self.cc = values, cc  # canonical atom key -> bool; a _Congruence
         self.canonical = canonical  # atom key -> its canonical key, filled as atoms are read
         self.falsified = {} if falsified is None else falsified  # _Commitment -> bool
         self.heads = None  # _falsifiable's index of the values, built when first asked
-        self.falsifiable = {}  # _falsifiable's memo on the view
 
     def present(self):
         """The view as _falsifiable reads it: (heads, cc), where heads maps
@@ -997,9 +996,8 @@ class _Problem:
             matrix = unit.nnf()
             if matrix is not None:
                 if present is None:
-                    view = self._view(index, commitments)
-                    present = view.present()
-                if not _falsifiable(matrix, present, view.falsifiable):
+                    present = self._view(index, commitments).present()
+                if not _falsifiable(matrix, present, {}):
                     continue
             if atoms is None:
                 atoms = self._atoms(index, commitments)
@@ -1011,7 +1009,7 @@ class _Problem:
                     continue
                 yield trial
 
-    def choose_instances(self, conclusion, hint=None):
+    def choose_instances(self, conclusion, hint):
         """The instances a sub-proof states: one of each universal premise,
         else two, that make the conclusion obvious from the ground premises,
         as (premise index, instance over the conclusion's variables) pairs,
@@ -1029,7 +1027,7 @@ class _Problem:
         universe = [found[k] for k in sorted(found)] + [to_goal[v] for v in sorted(fixed)]
         stated = [] if isinstance(conclusion, fol.Forall) else [self.goal_matrix]
         pool = self._matrix_atoms(stated + [p.closed for p in self._prepared if p.unit is None])
-        preferred = {v: fol.subst_term(to_goal, t).key for v, t in (hint or {}).items()}
+        preferred = {v: fol.subst_term(to_goal, t).key for v, t in hint.items()}
         units = [(i, p.unit) for i, p in enumerate(self._prepared) if p.unit is not None]
         chosen = self._choose(units, pool, universe, preferred)
         if chosen is None and units:
@@ -1258,11 +1256,10 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
     return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed, reason)
 
 
-def choose_instances(premises, conclusion, budget, memo=None, hint=None):
+def choose_instances(premises, conclusion, budget, memo, hint):
     """_Problem.choose_instances on a step's justify query, given its memo."""
     try:
-        problem = _Problem.of(premises, conclusion, (), budget,
-                              PremiseMemo() if memo is None else memo)
+        problem = _Problem.of(premises, conclusion, (), budget, memo)
         return problem.choose_instances(conclusion, hint)
     except (BudgetExceeded, _TooHard):
         return None

@@ -17,7 +17,7 @@ from . import derivation, fol
 from .errors import MalformedSkolemStep, MultipleSkolemsUnsupported
 
 
-def validate_single_skolem(name, graph, base_sig=None) -> fol.Symbol:
+def validate_single_skolem(name, graph) -> fol.Symbol:
     """The fresh function symbol of a skolemization step.
 
     Steps introducing several fresh symbols at once would need a
@@ -25,7 +25,7 @@ def validate_single_skolem(name, graph, base_sig=None) -> fol.Symbol:
     """
     if len(graph.parents[name]) != 1:
         raise MalformedSkolemStep(name, len(graph.parents[name]))
-    fresh = derivation.new_function_symbols(name, graph, base_sig)
+    fresh = derivation.new_function_symbols(name, graph)
     if not fresh:
         raise MalformedSkolemStep(name, 1)
     if len(fresh) > 1:

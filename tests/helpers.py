@@ -144,6 +144,20 @@ CONJECTURE_CITED = (
 )
 
 
+def finished_article(graph, **options):
+    """build_article's draft, finished at once: every step justified in
+    model order, as a run without compression does."""
+    model, manifest = article.build_article(graph, **options)
+    article.finish_article(model, manifest)
+    return model, manifest
+
+
+def compressed(model, manifest, **options):
+    """compress.compress under a premise memo of its own."""
+    with obvious.PremiseMemo() as memo:
+        return compress.compress(model, manifest, memo, **options)
+
+
 def mizcheck_problems(model, manifest):
     """What mizcheck finds wrong with the rendered article and manifest: a
     citation that does not resolve, or a plain `by` step with a countermodel

@@ -5,7 +5,7 @@ import time
 
 import networkx as nx
 
-from tptp2miz import article, compress, derivation, fol, obvious, skolem, tptp
+from tptp2miz import article, derivation, fol, obvious, skolem, tptp
 from tptp2miz.errors import MultipleSkolemsUnsupported, TranslationError
 from tptp2miz.obvious import ObviousnessQuery, Verdict
 
@@ -32,9 +32,9 @@ class TestCriterion1EndToEnd:
         started = time.perf_counter()
         units = tptp.parse_derivation_file(DERIVATION)
         graph = derivation.build_graph(units)
-        model, manifest = article.build_article(graph)
+        model, manifest = helpers.finished_article(graph)
         lemmas_before = len(model.lemma_items)
-        model, _ = compress.compress(model, manifest)
+        model, _ = helpers.compressed(model, manifest)
         text = article.render_article(model)
         elapsed = time.perf_counter() - started
 
@@ -187,19 +187,19 @@ class TestCriterion5Compression:
         ok = True
         units = tptp.parse_derivation_file(DERIVATION)
         graph = derivation.build_graph(units)
-        model, manifest = article.build_article(graph)
-        out, rep = compress.compress(model, manifest)
+        model, manifest = helpers.finished_article(graph)
+        out, rep = helpers.compressed(model, manifest)
         ok &= rep.passes <= max(1, rep.steps_before)
-        again, rep2 = compress.compress(out, manifest)
+        again, rep2 = helpers.compressed(out, manifest)
         ok &= rep2.removed_labels == []
         ok &= article.render_article(out) == article.render_article(again)
         ok &= helpers.recheck(out, manifest) == []
         for seed in range(50):
             rng = helpers.make_rng(seed + 40_000)
             model, manifest = helpers.random_article(rng)
-            out, rep = compress.compress(model, manifest)
+            out, rep = helpers.compressed(model, manifest)
             ok &= rep.passes <= max(1, rep.steps_before)
-            again, rep2 = compress.compress(out, manifest)
+            again, rep2 = helpers.compressed(out, manifest)
             ok &= rep2.removed_labels == []
             ok &= helpers.recheck(out, manifest) == []
         report(5, "compression fixed point", ok)
@@ -221,15 +221,15 @@ class TestCriterion6StructuralInvariants:
         for parent, child in dag.edges:
             ok &= position[parent] < position[child]
 
-        model, manifest = article.build_article(graph)
-        model, _ = compress.compress(model, manifest)
+        model, manifest = helpers.finished_article(graph)
+        model, _ = helpers.compressed(model, manifest)
         text = article.render_article(model)
         ok &= helpers.mizcheck_problems(model, manifest) == []
 
-        model2, manifest2 = article.build_article(
+        model2, manifest2 = helpers.finished_article(
             derivation.build_graph(tptp.parse_derivation_file(DERIVATION))
         )
-        model2, _ = compress.compress(model2, manifest2)
+        model2, _ = helpers.compressed(model2, manifest2)
         ok &= article.render_article(model2) == text
         ok &= article.render_manifest(manifest2) == article.render_manifest(manifest)
 

@@ -12,7 +12,7 @@ from conftest import FIXTURES
 def fixture_article():
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
     graph = derivation.build_graph(units)
-    return article.build_article(graph)
+    return helpers.finished_article(graph)
 
 
 def F(text):
@@ -66,7 +66,7 @@ class TestBuildArticle:
     def test_keep_unused(self):
         units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
         graph = derivation.build_graph(units)
-        model, _ = article.build_article(graph, keep_unused=True)
+        model, _ = helpers.finished_article(graph, keep_unused=True)
         forms = [fol.debruijn(i.formula) for i in model.all_steps()]
         assert fol.debruijn(F("hates(butler,agatha)")) in forms
         # the unused step is never cited
@@ -88,14 +88,14 @@ class TestBuildArticle:
         )
         graph = derivation.build_graph(units)
         with pytest.raises(NoConjecture):
-            article.build_article(graph)
+            helpers.finished_article(graph)
 
     def test_cited_conjecture_is_its_negation(self):
         # s1 is justified from what its citations state in the article:
         # the axiom and the assumption not p(c), which do not give q(c)
         units = tptp.parse_problem(helpers.CONJECTURE_CITED)
         with pytest.raises(ExpansionFailed):
-            article.build_article(derivation.build_graph(units))
+            helpers.finished_article(derivation.build_graph(units))
 
     def test_skolem_names_skip_the_problem_symbols(self):
         # the problem has a constant skolem1, so esk1_0 becomes skolem2
@@ -110,7 +110,7 @@ class TestBuildArticle:
             "fof(s2, plain, q(esk1_0), inference(mp, [status(thm)], [s1, a2])).\n"
             "fof(f, plain, $false, inference(r, [status(thm)], [s2, n])).\n"
         )
-        model, manifest = article.build_article(derivation.build_graph(units))
+        model, manifest = helpers.finished_article(derivation.build_graph(units))
         assert manifest.functions == [("skolem1", 0), ("skolem2", 0)]
         assert fol.alpha_equivalent(manifest.skolem_defs[0], F("(?[X]: p(X)) => p(skolem2)"))
         text = article.render_article(model)
@@ -125,7 +125,7 @@ class TestBuildArticle:
             "cnf(f, plain, ($false), inference(sr,[status(thm)],[a, b]))."
         )
         graph = derivation.build_graph(units)
-        model, _ = article.build_article(graph, conjecture="a")
+        model, _ = helpers.finished_article(graph, conjecture="a")
         assert fol.alpha_equivalent(model.theorem, F("p(c)"))
         assert fol.alpha_equivalent(model.diffuse.assumption, F("~p(c)"))
 

@@ -17,7 +17,7 @@ def F(text):
 def fixture_article():
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
     graph = derivation.build_graph(units)
-    return article.build_article(graph)
+    return helpers.finished_article(graph)
 
 
 class TestInline:
@@ -66,7 +66,7 @@ class TestSplice:
         """The ref entries that compression lists, links or splices on a
         ("ground", n) refutation, and the steps it leaves."""
         text, _ = _bench_run().corpus.refutation(random.Random(n), "chain", [("ground", n)])
-        model, manifest = article.build_article(derivation.build_graph(tptp.parse_problem(text)))
+        model, manifest = helpers.finished_article(derivation.build_graph(tptp.parse_problem(text)))
         touched = [0]
         listed, spliced = compress._Refs.__iter__, compress._Refs.splice
 
@@ -84,7 +84,7 @@ class TestSplice:
         with monkeypatch.context() as patch:
             patch.setattr(compress._Refs, "__iter__", count_listed)
             patch.setattr(compress._Refs, "splice", count_spliced)
-            out, _ = compress.compress(model, manifest)
+            out, _ = helpers.compressed(model, manifest)
         return touched[0], len(out.all_steps())
 
     def test_long_chain_is_linear(self, monkeypatch):
@@ -113,7 +113,7 @@ class TestChainExample:
 
     def test_chain_collapses_to_direct_citation(self):
         model, manifest = self.build()
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
         assert out.lemma_items == []
         assert out.diffuse.contradiction_refs == ("Ax1", "S1")
         assert report.steps_before == 2
@@ -125,7 +125,7 @@ class TestFixtureCompression:
     def test_compresses_and_revalidates(self):
         model, manifest = fixture_article()
         before = len(model.all_steps())
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
         assert report.steps_before == before
         assert report.steps_after == len(out.all_steps())
         assert report.steps_after <= before
@@ -134,14 +134,14 @@ class TestFixtureCompression:
 
     def test_idempotent(self):
         model, manifest = fixture_article()
-        once, report1 = compress.compress(model, manifest)
-        twice, report2 = compress.compress(once, manifest)
+        once, report1 = helpers.compressed(model, manifest)
+        twice, report2 = helpers.compressed(once, manifest)
         assert report2.removed_labels == []
         assert article.render_article(once) == article.render_article(twice)
 
     def test_theorem_axioms_and_formulas_preserved(self):
         model, manifest = fixture_article()
-        out, _ = compress.compress(model, manifest)
+        out, _ = helpers.compressed(model, manifest)
         assert out.theorem == model.theorem
         assert [i.formula for i in out.axiom_items] == [
             i.formula for i in model.axiom_items
@@ -152,7 +152,7 @@ class TestFixtureCompression:
 
     def test_max_passes_limits_work(self):
         model, manifest = fixture_article()
-        out, report = compress.compress(model, manifest, max_passes=1)
+        out, report = helpers.compressed(model, manifest, max_passes=1)
         assert report.passes == 1
         assert helpers.recheck(out, manifest) == []
 
@@ -164,9 +164,9 @@ class TestRandomArticles:
             rng = helpers.make_rng(seed)
             model, manifest = helpers.random_article(rng)
             before = len(model.all_steps())
-            out, report = compress.compress(model, manifest)
+            out, report = helpers.compressed(model, manifest)
             assert report.passes <= before + 1
-            again, report2 = compress.compress(out, manifest)
+            again, report2 = helpers.compressed(out, manifest)
             if report2.removed_labels:
                 failures.append(seed)
             assert helpers.recheck(out, manifest) == []

@@ -2,7 +2,8 @@
 justify query is asked when compression reaches the step, and a deleted
 ground step that `covered` proves obvious needs no query at all.  The
 article, the manifest, the report and every error are those of eager
-justification followed by compression."""
+justification, every step justified by finish_article first, followed by
+compression.  Without compression finish_article justifies every step."""
 
 import contextlib
 import io
@@ -10,8 +11,9 @@ import os
 
 import pytest
 
-from tptp2miz import article, cli, compress, derivation, obvious, tptp
+from tptp2miz import article, cli, compress, derivation, fol, obvious, tptp
 
+import helpers
 from conftest import FIXTURES
 from test_premise_memo import ground_chain
 
@@ -72,7 +74,7 @@ def eager(path, **options):
     manifest and the report's lines."""
     graph = derivation.build_graph(tptp.parse_derivation_file(path))
     with obvious.PremiseMemo() as memo:
-        model, manifest = article.build_article(graph, memo=memo)
+        model, manifest = helpers.finished_article(graph, memo=memo)
         model, report = compress.compress(model, manifest, memo=memo, **options)
     lines = [report.summary(), report.checks()]
     if report.collapsed_subproofs:
@@ -130,8 +132,9 @@ class TestExactness:
 
 class TestQueries:
     def test_ground_chain_asks_only_the_closing_query(self, monkeypatch, tmp_path):
-        # The eager path asks 200 justify queries and the closing one.
-        # Deferred, compression settles each deleted step by propagation.
+        # Justified before compression, the chain asks 200 justify queries
+        # and the closing one.  Compression settles each deleted step by
+        # propagation instead.
         calls = [0]
         original = obvious.is_obvious
 
@@ -149,21 +152,40 @@ class TestQueries:
         assert justification == (
             "deferred justification: 0 justify queries, 200 settled by propagation")
 
-    def test_no_compress_is_eager(self, monkeypatch, tmp_path):
-        deferring = []
-        original = article.build_article
+    def test_no_compress_justifies_every_step_in_finish_article(self, monkeypatch, tmp_path):
+        # build_article asks only the closing query; finish_article then
+        # justifies every step, in model order, each under a memo of its own
+        asked = []  # per query: its conclusion, its memo, whether finish_article asked it
+        finishing = [False]
+        original_is_obvious, original_finish = obvious.is_obvious, article.finish_article
 
-        def build_article(*args, **kwargs):
-            deferring.append(kwargs.get("defer", False))
-            return original(*args, **kwargs)
+        def is_obvious(query, memo=None, budget=None):
+            asked.append((query.conclusion, memo, finishing[0]))
+            return original_is_obvious(query, memo, budget)
 
-        monkeypatch.setattr(article, "build_article", build_article)
+        def finish_article(*args):
+            finishing[0] = True
+            try:
+                return original_finish(*args)
+            finally:
+                finishing[0] = False
+
+        def no_compress(*args, **kwargs):
+            raise AssertionError("compress was called")
+
+        monkeypatch.setattr(obvious, "is_obvious", is_obvious)
+        monkeypatch.setattr(article, "finish_article", finish_article)
+        monkeypatch.setattr(compress, "compress", no_compress)
         path = tmp_path / "chain.out"
         path.write_text(ground_chain(5))
-        for options, expected in ((["--no-compress"], False), ([], True)):
-            with contextlib.redirect_stderr(io.StringIO()):
-                assert cli.main(["derivation", str(path), "-o", str(tmp_path), *options]) == 0
-            assert deferring.pop() is expected
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["derivation", str(path), "-o", str(tmp_path), "--no-compress"]) == 0
+        (closing, memo, finished), *steps = asked
+        assert closing is fol.FALSE and memo is None and not finished
+        assert [tptp.format_formula(c) for c, _, _ in steps] == [f"p{i}(c)" for i in range(1, 6)]
+        assert all(finished for _, _, finished in steps)
+        memos = [memo for _, memo, _ in steps]
+        assert None not in memos and len({id(m) for m in memos}) == len(memos)
 
 
 class TestErrors:

@@ -6,7 +6,7 @@ import os
 import networkx as nx
 import pytest
 
-from tptp2miz import article, cli, derivation, fol, tptp
+from tptp2miz import cli, derivation, fol, tptp
 from tptp2miz.derivation import StepClass
 from tptp2miz.errors import CycleDetected, DuplicateName, MissingParent
 
@@ -86,7 +86,7 @@ class TestTopologicalOrder:
                             lambda g: sorts.append(g) or sort(g))
         g = load_fixture_graph()
         assert g.order == sort(g)
-        article.build_article(g)
+        helpers.finished_article(g)
         assert sorts == [g]
 
 
@@ -135,7 +135,7 @@ class TestClassification:
 class TestPartitions:
     def test_conjecture_dependence_matches_reachability_oracle(self):
         g = load_fixture_graph()
-        depends = derivation.mark_conjecture_dependence(g)
+        depends = derivation.mark_conjecture_dependence(g, derivation.classify_all(g))
         dag = nx.DiGraph()
         for child, parents in g.parents.items():
             for p in parents:

@@ -1,8 +1,10 @@
 import pytest
 
-from tptp2miz import article, cli, derivation, expand, fol, obvious, tptp
+from tptp2miz import cli, derivation, expand, fol, obvious, tptp
 from tptp2miz.errors import ExpansionFailed
 from tptp2miz.obvious import ObviousnessQuery
+
+import helpers
 
 
 def F(text):
@@ -27,12 +29,20 @@ def verify_subproof(sp, parent_formulas):
     assert obvious.is_obvious(q).is_obvious
 
 
+def subproof(name, conclusion, parents, hint=None):
+    """build_subproof with a fresh budget of the default size and a
+    premise memo of its own."""
+    with obvious.PremiseMemo() as memo:
+        return expand.build_subproof(name, conclusion, parents,
+                                     obvious.Budget(obvious.DEFAULT_BUDGET), hint or {}, memo)
+
+
 class TestResolutionExample:
     def test_formula_level_step_expands(self):
         p1 = F("![X]:(~l(X)|d(X))")
         p2 = F("![X]:![Y]:(~l(X)|~d(X)|~d(Y))")
         conclusion = F("~l(X)|~d(Y)")
-        sp = expand.build_subproof("s", conclusion, [p1, p2])
+        sp = subproof("s", conclusion, [p1, p2])
         assert sp.fixed_variables == ("X", "Y")
         assert [s.label for s in sp.instances] == ["A", "B"]
         assert [s.parent_index for s in sp.instances] == [0, 1]
@@ -45,7 +55,7 @@ class TestResolutionExample:
 
 class TestInstanceSelection:
     def test_ground_parents_need_no_instances(self):
-        sp = expand.build_subproof(
+        sp = subproof(
             "s", F("q(c)"), [F("p(c)"), F("![X]:(p(X)=>q(X))")]
         )
         assert [s.parent_index for s in sp.instances] == [1]
@@ -53,7 +63,7 @@ class TestInstanceSelection:
 
     def test_hint_is_respected(self):
         parent = F("![X]:(p(X)=>q(X))")
-        sp = expand.build_subproof(
+        sp = subproof(
             "s", F("q(c)"), [parent, F("p(c)")], hint={"X": fol.App("c")}
         )
         inst = sp.instances[0].formula
@@ -61,7 +71,7 @@ class TestInstanceSelection:
 
     def test_duplicated_parent_when_one_instance_is_not_enough(self):
         parent = F("![X]:(p(X)=>p(f(X)))")
-        sp = expand.build_subproof(
+        sp = subproof(
             "s", F("p(f(f(c)))"), [parent, F("p(c)")]
         )
         indexes = [s.parent_index for s in sp.instances]
@@ -75,20 +85,20 @@ class TestInstanceSelection:
 class TestFailure:
     def test_non_consequence_fails(self):
         with pytest.raises(ExpansionFailed) as info:
-            expand.build_subproof("bad_step", F("q(c)"), [F("p(c)")])
+            subproof("bad_step", F("q(c)"), [F("p(c)")])
         assert info.value.step_name == "bad_step"
 
     def test_quantified_conclusion_offers_no_atoms(self):
         # Atoms under the conclusion's own quantifier are no candidates: an
         # instance at the constant that fixes its variable cannot be written.
         with pytest.raises(ExpansionFailed):
-            expand.build_subproof("s", F("![X]: (p(X) | q(X))"),
+            subproof("s", F("![X]: (p(X) | q(X))"),
                                   [F("![Y]: (p(Y) | r(Y))"), F("![Z]: (~r(Z) | q(Z))")])
 
     def test_instances_outside_term_universe_fail(self):
         # the needed witness term appears nowhere in the step's formulas
         with pytest.raises(ExpansionFailed):
-            expand.build_subproof(
+            subproof(
                 "s", F("$false"), [F("![X]:~p(X)"), F("?[Y]:p(g(Y))")]
             )
 
@@ -122,7 +132,7 @@ class TestFillUniverse:
         with obvious.PremiseMemo() as memo:
             query = ObviousnessQuery.make(parents, conclusion)
             assert not obvious.is_obvious(query, memo, budget).is_obvious
-            sp = expand.build_subproof("s", conclusion, parents, budget, memo=memo)
+            sp = expand.build_subproof("s", conclusion, parents, budget, {}, memo)
         assert [(s.parent_index, tptp.format_formula(s.formula)) for s in sp.instances] == [
             (i, tptp.format_formula(C(text))) for i, text in expected]
         assert budget.used == used
@@ -173,7 +183,7 @@ class TestOneBudgetPerStep:
 
         monkeypatch.setattr(obvious.Budget, "__init__", recording_init)
         graph = derivation.build_graph(tptp.parse_problem(self.DERIVATION))
-        model, _ = article.build_article(graph)
+        model, _ = helpers.finished_article(graph)
         assert [item.subproof is not None for item in model.all_steps()] == [True]
         return made, len(model.all_steps()) + 1
 

@@ -80,7 +80,7 @@ def resolution_step(rng):
         parents.append(fol.join(fol.Or, [random_literal(rng, names)
                                          for _ in range(rng.randint(1, 2))]))
     rng.shuffle(parents)
-    hint = None
+    hint = {}
     if rng.random() < 0.3:
         bound = sorted(v for p in parents for v in p.free)
         hint = {v: theta[v] for v in rng.sample(bound, min(len(bound), rng.randint(1, 2)))}
@@ -98,7 +98,8 @@ def expansion_lines(seed=SEED, count=COUNT):
         parents, conclusion, hint, limit = resolution_step(rng)
         budget = obvious.Budget(limit)
         try:
-            sub = expand.build_subproof(f"s{number}", conclusion, parents, budget, hint)
+            with obvious.PremiseMemo() as memo:
+                sub = expand.build_subproof(f"s{number}", conclusion, parents, budget, hint, memo)
         except ExpansionFailed:
             found = ["ExpansionFailed"]
         else:

@@ -197,7 +197,7 @@ def refute_compress_corpus(tmp_path_factory):
     for job in run.jobs_for("refute-compress", corpus_dir, facts):
         if job["name"] in ("mix021.out", "mid050.out"):
             units = tptp.parse_derivation_file(job["input"])
-            built[job["name"]] = article.build_article(derivation.build_graph(units))
+            built[job["name"]] = helpers.finished_article(derivation.build_graph(units))
     return built
 
 
@@ -206,7 +206,7 @@ def test_same_commitments_on_compression(monkeypatch, refute_compress_corpus, na
     model, manifest = refute_compress_corpus[name]
 
     def run():
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
         return article.render_article(out), report
 
     assert_same_search(monkeypatch, run)
@@ -232,6 +232,7 @@ def test_compression_budget_on_mix021(monkeypatch, refute_compress_corpus):
 
     monkeypatch.setattr(obvious, "is_obvious", is_obvious)
     monkeypatch.setattr(obvious, "candidate_substitutions", candidates)
-    _, report = compress.compress(model, manifest)
+    with obvious.PremiseMemo() as memo:
+        _, report = compress.compress(model, manifest, memo, budget=obvious.DEFAULT_BUDGET)
     assert report.steps_after == 0
     assert (spent[0], calls[0]) == (1268, 42)

@@ -178,20 +178,23 @@ class TestLifetime:
     def test_build_article(self, memos):
         # without a run memo, each step's justify query and sub-proof
         # search share one, emptied when the step is justified
-        model, _ = article.build_article(fixture_graph())
+        model, _ = helpers.finished_article(fixture_graph())
         assert_used_and_emptied(memos, len(model.all_steps()))
 
     def test_build_article_with_a_memo(self, memos):
         # the justify queries use the memo given, and its caller empties it
         with obvious.PremiseMemo() as memo:
-            article.build_article(fixture_graph(), memo=memo)
+            helpers.finished_article(fixture_graph(), memo=memo)
             assert len(memo) > 0
         assert_used_and_emptied(memos, 1)
 
     def test_compress(self, memos):
-        model, manifest = article.build_article(fixture_graph())
+        # compression's queries use the memo given, and its caller empties it
+        model, manifest = helpers.finished_article(fixture_graph())
         del memos[:]  # the steps' own
-        compress.compress(model, manifest)
+        with obvious.PremiseMemo() as memo:
+            compress.compress(model, manifest, memo)
+            assert len(memo) > 0
         assert_used_and_emptied(memos, 1)
 
     def test_cli_main(self, memos, monkeypatch, tmp_path):
@@ -321,7 +324,7 @@ class TestComplexityGuard:
 
     def test_ground_chain(self, monkeypatch):
         units = tptp.parse_problem(ground_chain(200))
-        model, manifest = article.build_article(derivation.build_graph(units))
+        model, manifest = helpers.finished_article(derivation.build_graph(units))
 
         counts = {"clausify": 0, "queries": 0, "index": 0}
         premises = {}  # id -> formula: distinct premise objects queried
@@ -343,7 +346,7 @@ class TestComplexityGuard:
         monkeypatch.setattr(obvious, "is_obvious", is_obvious)
         monkeypatch.setattr(compress, "_formula_index",
                             counting("index", compress._formula_index))
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
 
         assert report.steps_before == 200 and report.steps_after == 0
         assert counts["queries"] >= 200
@@ -454,9 +457,10 @@ class TestComplexityGuard:
                 run_registry = memo.registry
                 model, manifest = article.build_article(graph, memo=memo)
                 compress.compress(model, manifest, memo=memo)
+            article.finish_article(model, manifest)
             assert {id(r) for r in registries} == {id(run_registry)}
         else:
-            model, _ = article.build_article(graph)
+            model, _ = helpers.finished_article(graph)
 
         assert [i.subproof is not None for i in model.all_steps()] == [True] * n
         # two problems per step at least: the justify query and a leaf
@@ -501,7 +505,7 @@ class TestRunMemo:
 
 def compress_chain(n, previous_first):
     units = tptp.parse_problem(ground_chain(n, previous_first))
-    model, manifest = article.build_article(derivation.build_graph(units))
-    out, report = compress.compress(model, manifest)
+    model, manifest = helpers.finished_article(derivation.build_graph(units))
+    out, report = helpers.compressed(model, manifest)
     assert report.steps_after == 0
     return out

@@ -63,13 +63,13 @@ def exact(monkeypatch):
 def without_rule(model, manifest, **options):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(obvious, "covered", lambda memo, victim, refs: False)
-        return compress.compress(model, manifest, **options)
+        return helpers.compressed(model, manifest, **options)
 
 
 def assert_same_as_without_rule(model, manifest, **options):
     """The article and the report are those of the full-query path; the
     checks the rule settles are the queries it saves.  Returns the report."""
-    out, report = compress.compress(model, manifest, **options)
+    out, report = helpers.compressed(model, manifest, **options)
     full, full_report = without_rule(model, manifest, **options)
     assert article.render_article(out) == article.render_article(full)
     for name in REPORT_FIELDS:
@@ -80,13 +80,13 @@ def assert_same_as_without_rule(model, manifest, **options):
 
 
 def translate(text):
-    return article.build_article(derivation.build_graph(tptp.parse_problem(text)))
+    return helpers.finished_article(derivation.build_graph(tptp.parse_problem(text)))
 
 
 class TestExactness:
     def test_fixture(self, monkeypatch):
         units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
-        model, manifest = article.build_article(derivation.build_graph(units))
+        model, manifest = helpers.finished_article(derivation.build_graph(units))
         settled = exact(monkeypatch)
         report = assert_same_as_without_rule(model, manifest)
         # none: no citer of a deleted step closes by propagation
@@ -102,7 +102,7 @@ class TestExactness:
         for job in run.jobs_for("refute-compress", corpus_dir, facts):
             assert job["args"] == []  # compression on, the default budget
             units = tptp.parse_derivation_file(job["input"])
-            model, manifest = article.build_article(derivation.build_graph(units))
+            model, manifest = helpers.finished_article(derivation.build_graph(units))
             report = assert_same_as_without_rule(model, manifest)
             for name in COUNTERS:
                 totals[name] += getattr(report, name)
@@ -276,11 +276,11 @@ class TestFallsBack:
             [F("l | a"), F("l | ~a"), F("~l | m"), F("~l | ~m")],
             ["X", "Ax3", "Ax4"])
         settled = exact(monkeypatch)
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
         assert report.removed_labels == ["X", "V"] and settled == []
         assert out.diffuse.contradiction_refs == ("Ax1", "Ax2", "Ax3", "Ax4")
         # with one unit of budget the case split is Unknown: V stays
-        out, report = compress.compress(model, manifest, budget=1)
+        out, report = helpers.compressed(model, manifest, budget=1)
         assert report.removed_labels == ["X"] and report.settled == 0
         assert_same_as_without_rule(model, manifest, budget=1)
 
@@ -301,7 +301,7 @@ class TestFallsBack:
              F("(s | q) & (~s | q) & (s | r) & (~s | r)")],
             ["D", "V", "Ax1", "Ax3"])
         settled = exact(monkeypatch)
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
         assert report.removed_labels == ["W"] and settled == []
         assert [i.refs for i in out.lemma_items if i.formula == F("q & r")] == [
             ("S1", "Ax5", "Ax6", "Ax4")]
@@ -315,14 +315,14 @@ class TestFallsBack:
             [F("l"), blowup, F("~l | m"), F("~l | ~m")],
             ["X", "Ax3", "Ax4"])
         settled = exact(monkeypatch)
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
         assert report.removed_labels == ["X"] and settled == []
         assert out.diffuse.contradiction_refs == ("S1", "Ax3", "Ax4")
         assert report.queries == 3  # V is asked again in the second pass
 
     def test_budget_one_matches_the_full_query_path(self, monkeypatch):
         units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
-        model, manifest = article.build_article(derivation.build_graph(units))
+        model, manifest = helpers.finished_article(derivation.build_graph(units))
         exact(monkeypatch)
         assert_same_as_without_rule(model, manifest, budget=1)
         recipe = [("ground", 20), ("skolem_fn", 1), ("equality", 3), ("wide", 4)]
@@ -356,7 +356,7 @@ def test_premises_grow_with_the_chain():
     for n in (100, 200):
         text, _ = run.corpus.refutation(random.Random(0), "chain", [("ground", n)])
         model, manifest = translate(text)
-        out, report = compress.compress(model, manifest)
+        out, report = helpers.compressed(model, manifest)
         assert report.steps_after == 0
         premises.append(report.premises)
     assert premises[1] <= 2.5 * premises[0]
@@ -369,7 +369,7 @@ def test_ground_chain_counts(monkeypatch, previous_first):
     one registry, and each premise is prepared and clausified once, whether
     a query or `covered` reads it."""
     units = tptp.parse_problem(ground_chain(200, previous_first))
-    model, manifest = article.build_article(derivation.build_graph(units))
+    model, manifest = helpers.finished_article(derivation.build_graph(units))
 
     registries = []  # per query: (its registry, its memo's registry)
     prepared = collections.Counter()  # id(premise) -> _prepare calls
@@ -396,7 +396,7 @@ def test_ground_chain_counts(monkeypatch, previous_first):
     monkeypatch.setattr(obvious._Problem, "of", staticmethod(of))
     monkeypatch.setattr(obvious, "_prepare", prepare)
     monkeypatch.setattr(obvious, "_clausify", clausify)
-    out, report = compress.compress(model, manifest)
+    out, report = helpers.compressed(model, manifest)
 
     assert report.steps_before == 200 and report.steps_after == 0
     # the closing step's one query closes by propagation; the rest settle

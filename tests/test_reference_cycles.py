@@ -10,22 +10,23 @@ import pytest
 
 from tptp2miz import article, compress, derivation, obvious, tptp
 
+import helpers
 from conftest import FIXTURES
 
 
 def derivation_pipeline():
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
-    model, manifest = article.build_article(derivation.build_graph(units))
-    model, _ = compress.compress(model, manifest)
+    model, manifest = helpers.finished_article(derivation.build_graph(units))
+    model, _ = helpers.compressed(model, manifest)
     return article.render_article(model) + article.render_manifest(manifest)
 
 
 def deferred_pipeline():
-    """Justification deferred to compression, as cli runs it."""
+    """Justification left to compression, as cli runs it."""
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
     graph = derivation.build_graph(units)
     with obvious.PremiseMemo() as memo:
-        draft, manifest = article.build_article(graph, memo=memo, defer=True)
+        draft, manifest = article.build_article(graph, memo=memo)
         model, _ = compress.compress(draft, manifest, memo=memo)
     article.finish_article(draft, manifest)
     model.reservations = draft.reservations

@@ -2,9 +2,10 @@ import os
 
 import pytest
 
-from tptp2miz import article, derivation, fol, obvious, skolem, tptp
+from tptp2miz import derivation, fol, obvious, skolem, tptp
 from tptp2miz.errors import MalformedSkolemStep, MultipleSkolemsUnsupported
 
+import helpers
 from conftest import FIXTURES
 
 
@@ -84,7 +85,7 @@ class TestHenkinAxiom:
 class TestJustifyAll:
     def test_fixture_numbering_is_dense_topological(self):
         units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
-        model, manifest = article.build_article(derivation.build_graph(units))
+        model, manifest = helpers.finished_article(derivation.build_graph(units))
         assert len(manifest.skolem_defs) == 2
         for axiom in manifest.skolem_defs:
             assert axiom.free == ()

@@ -6,14 +6,15 @@ each shared node is read once."""
 import collections
 import os
 
-from tptp2miz import article, compress, derivation, fol, obvious, tptp
+from tptp2miz import article, derivation, fol, obvious, tptp
 
+import helpers
 from conftest import FIXTURES
 
 
 def test_fixture_builds_each_view_once(monkeypatch):
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
-    model, manifest = article.build_article(derivation.build_graph(units))
+    model, manifest = helpers.finished_article(derivation.build_graph(units))
 
     original_is_obvious = obvious.is_obvious
     original_branches = obvious._dpll_branches
@@ -44,7 +45,7 @@ def test_fixture_builds_each_view_once(monkeypatch):
     monkeypatch.setattr(obvious, "is_obvious", is_obvious)
     monkeypatch.setattr(obvious, "_dpll_branches", dpll_branches)
     monkeypatch.setattr(obvious, "_make_branch_view", make_branch_view)
-    out, _ = compress.compress(model, manifest)
+    out, _ = helpers.compressed(model, manifest)
 
     assert open_branches
     # without the memo this fixture builds 4,154 views for 187 assignments
@@ -55,7 +56,7 @@ def test_fixture_builds_each_view_once(monkeypatch):
 
 def test_fixture_compiles_each_instance_once(monkeypatch):
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
-    model, manifest = article.build_article(derivation.build_graph(units))
+    model, manifest = helpers.finished_article(derivation.build_graph(units))
 
     original_is_obvious = obvious.is_obvious
     original_instance = obvious.instance_formula
@@ -85,7 +86,7 @@ def test_fixture_compiles_each_instance_once(monkeypatch):
     monkeypatch.setattr(obvious, "is_obvious", is_obvious)
     monkeypatch.setattr(obvious, "instance_formula", instance_formula)
     monkeypatch.setattr(obvious, "_nnf", nnf)
-    out, _ = compress.compress(model, manifest)
+    out, _ = helpers.compressed(model, manifest)
 
     assert made and compiled
     assert max(made.values()) == 1
