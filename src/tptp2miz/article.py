@@ -276,11 +276,10 @@ class Deferred:
 def finish_article(model, manifest):
     """Complete a draft: justify, in model order, every step that
     compression did not settle (all of them when there was none), then
-    give each step its sub-proof as justification found it, before
-    compression collapsed any, and the reserve line and the manifest's
-    functions and predicates over them.  A kind or arity conflict, or a
-    symbol the rendering cannot write (UnsupportedSymbol), is raised here,
-    after any ExpansionFailed."""
+    give each step its sub-proof as justification found it, and the
+    reserve line and the manifest's functions and predicates over them.
+    A kind or arity conflict, or a symbol the rendering cannot write
+    (UnsupportedSymbol), is raised here, after any ExpansionFailed."""
     unsettled = [item for item in model.all_steps() if isinstance(item.subproof, Deferred)]
     if unsettled:
         unsettled[0].subproof.justify_before(None)  # the draft's one Deferred

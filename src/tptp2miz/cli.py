@@ -136,11 +136,6 @@ def _run_derivation(args):
         if args.verbose:
             print(report.checks(), file=sys.stderr)
             print(report.justifications(), file=sys.stderr)
-            if report.collapsed_subproofs:
-                print(
-                    "collapsed sub-proofs: " + ", ".join(report.collapsed_subproofs),
-                    file=sys.stderr,
-                )
     _emit(args, model, manifest)
     return 0
 

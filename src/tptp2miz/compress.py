@@ -13,12 +13,15 @@ The refs are spliced in place (`_Refs`), so the deletion also edits them
 at that cost: a long chain whose steps `thus` absorbs one after another
 compresses in linear time.
 
+Compression only deletes steps: a step that keeps a sub-proof keeps the
+one justification found, and the steps it cites.
+
 Justification is settled here, step by step, for the draft whose steps
-build_article left `Deferred`: a step is justified when the first pass
-reaches it, and a deleted ground step whose refs cover it is settled as
-obvious with no query, since covered() proves its justify query Obvious
-(`_obvious_when_covered`).  An article whose steps are settled already
-is compressed the same way.
+build_article left `Deferred`: a step is justified when a deletion scan
+reads its sub-proof, and a deleted ground step whose refs cover it is
+settled as obvious with no query, since covered() proves its justify
+query Obvious (`_obvious_when_covered`).  An article whose steps are
+settled already is compressed the same way.
 """
 
 from __future__ import annotations
@@ -29,16 +32,13 @@ from .article import ArticleModel, Deferred
 
 class CompressionReport(fol.MutableRecord):
     __slots__ = _fields = ("passes", "steps_before", "steps_after",
-                           "removed_labels", "collapsed_subproofs",
-                           "queries", "premises", "settled",
+                           "removed_labels", "queries", "premises", "settled",
                            "justified", "justify_settled")
 
-    def __init__(self, passes=0, steps_before=0, steps_after=0,
-                 removed_labels=None, collapsed_subproofs=None,
+    def __init__(self, passes=0, steps_before=0, steps_after=0, removed_labels=None,
                  queries=0, premises=0, settled=0, justified=0, justify_settled=0):
         self.passes, self.steps_before, self.steps_after = passes, steps_before, steps_after
         self.removed_labels = [] if removed_labels is None else removed_labels
-        self.collapsed_subproofs = [] if collapsed_subproofs is None else collapsed_subproofs
         # full checker queries, the premises they were given, and the
         # deletion checks settled by propagation without one
         self.queries, self.premises, self.settled = queries, premises, settled
@@ -241,31 +241,23 @@ class _Checker:
         else:
             self.propagated.discard(rank)
 
-    def collapse(self, item):
-        """Drop the step's sub-proof when its refs make it obvious; whether
-        it was dropped."""
-        if item.subproof is not None and self.query(item.refs, item.formula).is_obvious:
-            item.subproof = None
-            self.report.collapsed_subproofs.append(item.label)
-            return True
-        return False
-
-    def justify(self, item):
-        """Settle a deferred step by its justify query."""
-        item.subproof = item.subproof.justify(item.source_name)
-        self.report.justified += 1
+    def subproof(self, item):
+        """The step's sub-proof, a deferred step settled by its justify
+        query first."""
+        if isinstance(item.subproof, Deferred):
+            item.subproof = item.subproof.justify(item.source_name)
+            self.report.justified += 1
+        return item.subproof
 
     def settle_deleted(self, victim):
         """Settle the deferred victim of an accepted deletion: as obvious
-        when covers() proves its justify query Obvious, else by the query
-        and the collapse check."""
+        when covers() proves its justify query Obvious, else by the query."""
         if _obvious_when_covered(victim.formula) and self.covers(victim):
             victim.subproof.obvious(victim.source_name)
             victim.subproof = None
             self.report.justify_settled += 1
         else:
-            self.justify(victim)
-            self.collapse(victim)
+            self.subproof(victim)
 
 
 def _obvious_when_covered(formula):
@@ -300,15 +292,12 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
     shares the given obvious.PremiseMemo, which the caller empties, so no
     formula that justification cited with it is prepared again.
 
-    A `Deferred` step of a draft is settled in the first pass, with the
-    verdicts finish_article would give it; the draft keeps what
-    justification found (see article.finish_article).  A step is justified
-    the first time the deletion scan reads its sub-proof, as a citer, and
-    then given the collapse check that the pass asks first of the other
-    steps.  Its refs are still its own then: a citer is read before a
-    deletion is spliced into it.  A deleted step is settled as obvious
-    when covered() proves it so, else justified; a step no scan read, at
-    the end of the pass (or of the call, with `max_passes` 0)."""
+    A `Deferred` step of a draft is settled with the verdicts
+    finish_article would give it; the draft keeps what justification found
+    (see article.finish_article).  A step is justified the first time a
+    deletion scan reads its sub-proof, as a citer.  A deleted step is
+    settled as obvious when covered() proves it so, else justified; a step
+    no scan read, after the last pass."""
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))
     for item in model.all_steps():
@@ -321,14 +310,6 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
 
     checker = _Checker(index, memo, budget, report)
 
-    def subproof(item):
-        """The step's sub-proof, a deferred step settled first."""
-        nonlocal changed
-        if isinstance(item.subproof, Deferred):
-            checker.justify(item)
-            changed = checker.collapse(item) or changed
-        return item.subproof
-
     changed = True
     while changed:
         if max_passes is not None and report.passes >= max_passes:
@@ -336,18 +317,12 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
         report.passes += 1
         changed = False
 
-        # sub-proof collapse: the step may have become obvious from the
-        # original parents once surrounding steps were inlined
-        for item in model.all_steps():
-            if not isinstance(item.subproof, Deferred) and checker.collapse(item):
-                changed = True
-
         # deletion scan, reverse topological order (closest to the
         # contradiction first)
         removed = set()
         for victim in model.all_steps()[::-1]:
             found = citers.of(victim.label)
-            if any(c is not None and subproof(c) is not None for c in found):
+            if any(c is not None and checker.subproof(c) is not None for c in found):
                 continue  # sub-proof citations are left untouched
             checker.scan()
             trials = []  # per citer: its refs, rank, and whether they will propagate
@@ -374,11 +349,6 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
                     citers.add(citer, victim.refs)
                 report.removed_labels.append(victim.label)
                 changed = True
-        for item in model.all_steps():
-            subproof(item)  # a step no scan read
-        if report.passes == 1:
-            # as if every step were collapse-checked before the scan
-            report.collapsed_subproofs.sort(key=citers.rank.get)
         if removed:
             model.lemma_items = [i for i in model.lemma_items
                                  if i.label not in removed]
@@ -386,10 +356,7 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
                                          if i.label not in removed]
 
     for item in model.all_steps():
-        if isinstance(item.subproof, Deferred):  # no pass was made
-            checker.justify(item)
-
-    for item in model.all_steps():
+        checker.subproof(item)  # a step no scan read
         item.refs = tuple(item.refs)
     model.diffuse.contradiction_refs = tuple(model.diffuse.contradiction_refs)
     report.steps_after = len(model.all_steps())

@@ -62,16 +62,15 @@ class Verdict(Enum):
 
 
 class ObviousnessQuery(fol.Record):
-    __slots__ = _fields = ("premises", "conclusion", "fixed_vars")
+    __slots__ = _fields = ("premises", "conclusion")
 
-    def __init__(self, premises, conclusion, fixed_vars=()):
+    def __init__(self, premises, conclusion):
         _set(self, "premises", premises)
         _set(self, "conclusion", conclusion)
-        _set(self, "fixed_vars", fixed_vars)
 
     @staticmethod
-    def make(premises, conclusion, fixed_vars=()):
-        return ObviousnessQuery(tuple(premises), conclusion, tuple(fixed_vars))
+    def make(premises, conclusion):
+        return ObviousnessQuery(tuple(premises), conclusion)
 
 
 class ObviousnessVerdict(fol.Record):
@@ -291,26 +290,23 @@ class _Congruence:
 class _BranchView(fol.MutableRecord):
     """Branch assignment canonicalized through congruence closure."""
 
-    __slots__ = ("values", "cc", "canonical", "falsified", "heads")
-    _fields = __slots__[:-1]
+    __slots__ = _fields = ("values", "cc", "canonical", "falsified")
 
     def __init__(self, values, cc, canonical, falsified=None):
         self.values, self.cc = values, cc  # canonical atom key -> bool; a _Congruence
         self.canonical = canonical  # atom key -> its canonical key, filled as atoms are read
         self.falsified = {} if falsified is None else falsified  # _Commitment -> bool
-        self.heads = None  # _falsifiable's index of the values, built when first asked
 
     def present(self):
         """The view as _falsifiable reads it: (heads, cc), where heads maps
         (head, value) to the argument classes of the view's atoms of that
         head and value, none for an equation or quantified head."""
-        if self.heads is None:
-            self.heads = heads = {}
-            for canon, value in self.values.items():
-                entries = heads.setdefault((_head(canon), value), [])
-                if canon[0] == "p":
-                    entries.append(canon[2])
-        return self.heads, self.cc
+        heads = {}
+        for canon, value in self.values.items():
+            entries = heads.setdefault((_head(canon), value), [])
+            if canon[0] == "p":
+                entries.append(canon[2])
+        return heads, self.cc
 
     def value(self, key, registry):
         """The atom's truth value on the view, None when it has none."""
@@ -484,8 +480,7 @@ def covered(memo, victim, refs):
     """Whether a query that unit propagation at the root refutes stays
     refuted that way when the premise `victim` is replaced by the premises
     `refs`, judged from the prepared clauses of the victim and of the refs
-    alone (with no fixed variables, as compression asks), whatever the
-    query's other premises and conclusion.
+    alone, whatever the query's other premises and conclusion.
 
     It holds when every ref prepares without _TooHard and either unit
     propagation over the refs' clauses alone finds a clause false, or each
@@ -514,8 +509,8 @@ def covered(memo, victim, refs):
     the new premises for closed by propagation would apply this rule to
     them next on a false premise."""
     try:
-        clauses = [c for r in refs for c in memo.prepare(r, ()).clauses]
-        victim_clauses = memo.prepare(victim, ()).clauses
+        clauses = [c for r in refs for c in memo.prepare(r).clauses]
+        victim_clauses = memo.prepare(victim).clauses
     except _TooHard:
         return False
     derived, rest = _root(clauses)
@@ -686,11 +681,6 @@ def _goal_constants(n):
     return [fol.App(f".g{i + 1}") for i in range(n)]
 
 
-def _fix_formula(f, fixed_vars):
-    mapping = {v: fol.App(f".x_{v}") for v in fixed_vars}
-    return fol.apply_substitution(mapping, f)
-
-
 def instance_formula(unit, subst):
     mapping = {v: subst.get(v, _FILL) for v in unit.variables}
     return fol.apply_substitution(mapping, unit.matrix)
@@ -716,12 +706,11 @@ class _Prepared(fol.MutableRecord):
         return self._ground_terms
 
 
-def _prepare(premise, fixed_vars, registry):
-    """Close a premise over all but the fixed variables and split it: a
-    universal premise into its unit and one opaque atom, a ground one into
-    its clauses, registering their atoms.  Spends no budget; raises
-    _TooHard on a clause blow-up."""
-    closed = fol.universal_closure(_fix_formula(premise, fixed_vars))
+def _prepare(premise, registry):
+    """Close a premise and split it: a universal premise into its unit and
+    one opaque atom, a ground one into its clauses, registering their
+    atoms.  Spends no budget; raises _TooHard on a clause blow-up."""
+    closed = fol.universal_closure(premise)
     unit = universal_unit(closed)
     if unit is None:
         clauses = _clausify(closed, registry)
@@ -752,7 +741,7 @@ class PremiseMemo:
 
     def __init__(self):
         self.registry = _Registry()
-        self._entries = {}  # (id(premise), fixed_vars) -> (premise, _Prepared or guard)
+        self._entries = {}  # id(premise) -> (premise, _Prepared or guard)
 
     def __len__(self):
         return len(self._entries)
@@ -764,15 +753,14 @@ class PremiseMemo:
         self._entries.clear()
         self.registry = _Registry()
 
-    def prepare(self, premise, fixed_vars):
-        key = (id(premise), fixed_vars)
-        entry = self._entries.get(key)
+    def prepare(self, premise):
+        entry = self._entries.get(id(premise))
         if entry is None:
             try:
-                prepared = _prepare(premise, fixed_vars, self.registry)
+                prepared = _prepare(premise, self.registry)
             except _TooHard as exc:
                 prepared = exc.guard  # every query citing it is too hard
-            entry = self._entries[key] = (premise, prepared)
+            entry = self._entries[id(premise)] = (premise, prepared)
         if isinstance(entry[1], str):
             raise _TooHard(entry[1])
         return entry[1]
@@ -812,11 +800,10 @@ class _Problem:
         self._commitments = {}  # (id(unit), substitution keys) -> _Commitment
 
     @classmethod
-    def of(cls, premises, conclusion, fixed_vars, budget, memo):
+    def of(cls, premises, conclusion, budget, memo):
         """The query's problem; goal constants fix its closure's variables in order."""
-        fixed = tuple(fixed_vars)
-        prepared = [memo.prepare(p, fixed) for p in premises]
-        goal_matrix = goal = fol.universal_closure(_fix_formula(conclusion, fixed))
+        prepared = [memo.prepare(p) for p in premises]
+        goal_matrix = goal = fol.universal_closure(conclusion)
         if isinstance(goal, fol.Forall):
             consts = _goal_constants(len(goal.vars))
             goal_matrix = fol.apply_substitution(dict(zip(goal.vars, consts)), goal.body)
@@ -1013,12 +1000,12 @@ class _Problem:
         """The instances a sub-proof states: one of each universal premise,
         else two, that make the conclusion obvious from the ground premises,
         as (premise index, instance over the conclusion's variables) pairs,
-        or None.  The problem is the conclusion's query with no fixed
-        variables.  Candidates match the atoms of the conclusion as written
-        and of the ground premises, then of the instances chosen before;
-        residual variables fill from the ground terms sorted by key, then the
-        conclusion's variables by name.  Candidates that agree with the hint,
-        a prover's bindings, go first, the last of them first."""
+        or None.  The problem is the conclusion's query.  Candidates match
+        the atoms of the conclusion as written and of the ground premises,
+        then of the instances chosen before; residual variables fill from
+        the ground terms sorted by key, then the conclusion's variables by
+        name.  Candidates that agree with the hint, a prover's bindings, go
+        first, the last of them first."""
         fixed = conclusion.free
         to_goal = dict(zip(fixed, _goal_constants(len(fixed))))
         found = fol.keyed_ground_subterms(conclusion)
@@ -1079,7 +1066,7 @@ class _Problem:
         """Whether the goal is obvious from the ground premises and the instances."""
         prepared = [p for p in self._prepared if p.unit is None]
         try:
-            prepared += [_prepare(inst, (), self.registry) for inst in instances]
+            prepared += [_prepare(inst, self.registry) for inst in instances]
             leaf = _Problem(prepared, self.goal_matrix, self.goal_clauses, self.budget,
                             self.registry)
             return leaf.solve()[1] is not None
@@ -1234,8 +1221,8 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
     try:
-        problem = _Problem.of(query.premises, query.conclusion, query.fixed_vars,
-                              budget, PremiseMemo() if memo is None else memo)
+        problem = _Problem.of(query.premises, query.conclusion, budget,
+                              PremiseMemo() if memo is None else memo)
         reason, commitments = problem.solve()
     except BudgetExceeded:
         return ObviousnessVerdict(Verdict.UNKNOWN, reason="budget")
@@ -1259,7 +1246,7 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
 def choose_instances(premises, conclusion, budget, memo, hint):
     """_Problem.choose_instances on a step's justify query, given its memo."""
     try:
-        problem = _Problem.of(premises, conclusion, (), budget, memo)
+        problem = _Problem.of(premises, conclusion, budget, memo)
         return problem.choose_instances(conclusion, hint)
     except (BudgetExceeded, _TooHard):
         return None

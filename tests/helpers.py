@@ -89,6 +89,16 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+def fixed_query(premises, conclusion, fixed_vars):
+    """The query with the fixed variables held fixed: each is replaced, in
+    the premises and the conclusion, by the constant `.x_<name>`, so the
+    query's closure does not quantify it."""
+    mapping = {v: fol.App(f".x_{v}") for v in fixed_vars}
+    return obvious.ObviousnessQuery.make(
+        [fol.apply_substitution(mapping, p) for p in premises],
+        fol.apply_substitution(mapping, conclusion))
+
+
 def random_article(rng):
     """Small ground refutation article: implication chains with some
     redundant restatements, always passing the obviousness invariant."""

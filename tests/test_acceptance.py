@@ -69,10 +69,10 @@ class TestCriterion2CheckerExample:
             [F("![X]:(~l(X)|d(X))"), F("![X]:![Y]:(~l(X)|~d(X)|~d(Y))")],
             F("![X]:![Y]:(~l(X)|~d(Y))"),
         )
-        instance_level = ObviousnessQuery.make(
+        instance_level = helpers.fixed_query(
             [F("~l(X)|d(X)"), F("~l(X)|~d(X)|~d(Y)")],
             F("~l(X)|~d(Y)"),
-            fixed_vars=("X", "Y"),
+            ("X", "Y"),
         )
         v1 = obvious.is_obvious(formula_level)
         v2 = obvious.is_obvious(instance_level)

@@ -3,11 +3,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from tptp2miz import article, compress, derivation, fol, tptp
+from tptp2miz import article, compress, derivation, fol, obvious, tptp
 
 import helpers
 from conftest import FIXTURES
 from test_corpus_digests import _bench_run
+from test_deferred_justification import CASES
 
 
 def F(text):
@@ -171,3 +172,61 @@ class TestRandomArticles:
                 failures.append(seed)
             assert helpers.recheck(out, manifest) == []
         assert failures == []
+
+
+def kept_subproof_inputs():
+    """Refutations whose steps keep sub-proofs through compression: the
+    small case, and a generated one dense in non-ground resolution steps."""
+    text, _ = _bench_run().corpus.refutation(
+        random.Random(1), "ng", [("nonground", 20), ("nonground", 10)])
+    return [CASES["kept_steps_with_subproof"], text]
+
+
+def draft_and_compressed(text, monkeypatch):
+    """build_article's draft, its compressed copy, and the (refs,
+    conclusion) of every query compression asked, under one run memo."""
+    asked = []
+    original = compress._Checker.query
+
+    def query(self, refs, conclusion):
+        asked.append((tuple(refs), conclusion))
+        return original(self, refs, conclusion)
+
+    monkeypatch.setattr(compress._Checker, "query", query)
+    graph = derivation.build_graph(tptp.parse_problem(text))
+    with obvious.PremiseMemo() as memo:
+        draft, manifest = article.build_article(graph, memo=memo)
+        out, _ = compress.compress(draft, manifest, memo)
+    article.finish_article(draft, manifest)
+    return draft, out, asked
+
+
+class TestKeptSubproofs:
+    """Compression only deletes steps: a step that keeps a sub-proof keeps
+    the refs it was justified from, so asking whether they make it obvious
+    would repeat its failed justify query."""
+
+    def test_no_query_repeats_a_kept_steps_justify_query(self, monkeypatch):
+        for text in kept_subproof_inputs():
+            draft, out, asked = draft_and_compressed(text, monkeypatch)
+            by_name = {item.source_name: item for item in draft.all_steps()}
+            kept = [by_name[item.source_name] for item in out.all_steps()
+                    if item.subproof is not None]
+            assert kept
+            for step in kept:
+                assert not any(refs == step.refs and conclusion is step.formula
+                               for refs, conclusion in asked), step.label
+
+    def test_kept_subproof_steps_keep_their_draft_refs(self, monkeypatch):
+        for text in kept_subproof_inputs():
+            draft, out, _ = draft_and_compressed(text, monkeypatch)
+            relabel = {draft.diffuse.assumption_label: out.diffuse.assumption_label}
+            by_name = {item.source_name: item for item in draft.all_steps()}
+            for item in out.all_steps():
+                relabel[by_name[item.source_name].label] = item.label
+            kept = [item for item in out.all_steps() if item.subproof is not None]
+            assert kept
+            for item in kept:
+                step = by_name[item.source_name]
+                assert item.subproof == step.subproof
+                assert item.refs == tuple(relabel.get(r, r) for r in step.refs)

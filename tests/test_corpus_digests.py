@@ -17,6 +17,13 @@ fixture:
 `--seed N` prints the digests of seed N instead, to compare the outputs
 of two versions of the translator on other corpora; the fixture stays
 seed 1's.
+
+fixtures/expand-compressed-digests.txt pins the seed-1 refute-expand
+corpus run with compression on (its jobs' args without --no-compress):
+the files where the most steps keep a sub-proof through compression.
+`--compressed` prints it:
+
+    PYTHONPATH=src python tests/test_corpus_digests.py --compressed > tests/fixtures/expand-compressed-digests.txt
 """
 
 import contextlib
@@ -31,6 +38,7 @@ from tptp2miz import cli
 HERE = os.path.dirname(os.path.abspath(__file__))
 RUN = os.path.join(HERE, os.pardir, "bench", "run.py")
 DIGESTS = os.path.join(HERE, "fixtures", "corpus-digests.txt")
+COMPRESSED_DIGESTS = os.path.join(HERE, "fixtures", "expand-compressed-digests.txt")
 SEED = 1
 
 
@@ -52,20 +60,22 @@ def _digest(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def corpus_digests(root, seed=SEED):
+def corpus_digests(root, seed=SEED, compressed=False):
     """One line per corpus file of the seed: workload, file, exit code,
     .miz and .env digests, and stderr with the corpus directory written as
-    DIR."""
+    DIR.  With `compressed`, the refute-expand files alone, with
+    compression on."""
     run = _bench_run()
     lines = []
-    for workload in run.corpus.WORKLOADS:
+    for workload in ["refute-expand"] if compressed else run.corpus.WORKLOADS:
         corpus_dir = os.path.join(root, workload)
         facts = run.corpus.generate(workload, seed, corpus_dir)
         out = os.path.join(root, "out", workload)
         for job in run.jobs_for(workload, corpus_dir, facts):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = cli.main([job["mode"], job["input"], "-o", out] + job["args"])
+                args = [a for a in job["args"] if not (compressed and a == "--no-compress")]
+                code = cli.main([job["mode"], job["input"], "-o", out] + args)
             stem = job["name"].rsplit(".", 1)[0]
             stderr = err.getvalue().replace(corpus_dir, "DIR")
             lines.append(" ".join([
@@ -83,12 +93,20 @@ def test_outputs_match_the_pinned_digests(tmp_path):
     assert corpus_digests(str(tmp_path)) == expected
 
 
+def test_compressed_expand_outputs_match_the_pinned_digests(tmp_path):
+    with open(COMPRESSED_DIGESTS, encoding="utf-8") as handle:
+        expected = handle.read().splitlines()
+    assert corpus_digests(str(tmp_path), compressed=True) == expected
+
+
 if __name__ == "__main__":
     import argparse
     import tempfile
 
     parser = argparse.ArgumentParser(description="Print the corpus digests of one seed.")
     parser.add_argument("--seed", type=int, default=SEED)
-    seed = parser.parse_args().seed
+    parser.add_argument("--compressed", action="store_true",
+                        help="the refute-expand files alone, with compression on")
+    options = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
-        print("\n".join(corpus_digests(scratch, seed)))
+        print("\n".join(corpus_digests(scratch, options.seed, options.compressed)))

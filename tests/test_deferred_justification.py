@@ -76,10 +76,8 @@ def eager(path, **options):
     with obvious.PremiseMemo() as memo:
         model, manifest = helpers.finished_article(graph, memo=memo)
         model, report = compress.compress(model, manifest, memo=memo, **options)
-    lines = [report.summary(), report.checks()]
-    if report.collapsed_subproofs:
-        lines.append("collapsed sub-proofs: " + ", ".join(report.collapsed_subproofs))
-    return article.render_article(model), article.render_manifest(manifest), lines
+    return (article.render_article(model), article.render_manifest(manifest),
+            [report.summary(), report.checks()])
 
 
 def deferred(path, out, *options):

@@ -23,9 +23,7 @@ def verify_subproof(sp, parent_formulas):
         if not isinstance(fol.universal_closure(p), fol.Forall)
     ]
     premises = ground + [s.formula for s in sp.instances]
-    q = ObviousnessQuery.make(
-        premises, sp.conclusion, fixed_vars=sp.fixed_variables
-    )
+    q = helpers.fixed_query(premises, sp.conclusion, sp.fixed_variables)
     assert obvious.is_obvious(q).is_obvious
 
 

@@ -12,8 +12,8 @@ def F(text):
     return tptp.parse_problem(f"fof(x,axiom,{text}).")[0].formula
 
 
-def query(premises, conclusion, **kw):
-    return ObviousnessQuery.make([F(p) for p in premises], F(conclusion), **kw)
+def query(premises, conclusion):
+    return ObviousnessQuery.make([F(p) for p in premises], F(conclusion))
 
 
 class TestBasicVerdicts:
@@ -67,10 +67,10 @@ class TestOneInstancePerPremise:
 
     def test_instance_level_resolution_obvious(self):
         v = is_obvious(
-            ObviousnessQuery.make(
+            helpers.fixed_query(
                 [F("~l(X)|d(X)"), F("~l(X)|~d(X)|~d(Y)")],
                 F("~l(X)|~d(Y)"),
-                fixed_vars=("X", "Y"),
+                ("X", "Y"),
             )
         )
         assert v.is_obvious

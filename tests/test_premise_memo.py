@@ -76,7 +76,7 @@ class TestVerdictsUnchanged:
         sizes = []
         with obvious.PremiseMemo() as memo:
             for q in queries:
-                problem = obvious._Problem.of(q.premises, q.conclusion, q.fixed_vars,
+                problem = obvious._Problem.of(q.premises, q.conclusion,
                                               obvious.Budget(2000), memo)
                 universe = problem._fill_universe()
                 assert universe == eager(q, problem.goal_matrix)
@@ -131,9 +131,9 @@ def memos(monkeypatch):
             made.append(self)
             return super().__enter__()
 
-        def prepare(self, premise, fixed_vars):
+        def prepare(self, premise):
             try:
-                return super().prepare(premise, fixed_vars)
+                return super().prepare(premise)
             finally:
                 self.peak = max(self.peak, len(self))
 
@@ -249,8 +249,8 @@ class TestLifetime:
         memo = obvious.PremiseMemo()
         with pytest.raises(RuntimeError):
             with memo:
-                memo.prepare(F("![X]:p(X)"), ())
-                memo.prepare(F("q(c)"), ())
+                memo.prepare(F("![X]:p(X)"))
+                memo.prepare(F("q(c)"))
                 assert len(memo) == 2 and len(memo.registry.atoms) == 2
                 raise RuntimeError()
         assert len(memo) == 0
@@ -369,8 +369,8 @@ class TestComplexityGuard:
         original_prepare = obvious._prepare
         original_clausify = obvious._clausify
 
-        def of(premises, conclusion, fixed_vars, budget, memo):
-            problem = original_of(premises, conclusion, fixed_vars, budget, memo)
+        def of(premises, conclusion, budget, memo):
+            problem = original_of(premises, conclusion, budget, memo)
             registries.append((problem.registry, memo.registry))
             return problem
 
@@ -404,8 +404,8 @@ class TestComplexityGuard:
         shared = compress_chain(30, previous_first)
         original = obvious._Problem.of
 
-        def alone(premises, conclusion, fixed_vars, budget, memo):
-            return original(premises, conclusion, fixed_vars, budget, obvious.PremiseMemo())
+        def alone(premises, conclusion, budget, memo):
+            return original(premises, conclusion, budget, obvious.PremiseMemo())
 
         monkeypatch.setattr(obvious._Problem, "of", staticmethod(alone))
         unshared = compress_chain(30, previous_first)
@@ -476,14 +476,14 @@ class TestRunMemo:
 
     def test_ground_chain(self, monkeypatch, tmp_path):
         phase = [None]
-        prepared = {"justify": [], "compress": []}  # (id(premise), fixed_vars) per call
+        prepared = {"justify": [], "compress": []}  # id(premise) per call
         kept = []  # the prepared premises, so no id is reused
         original_prepare = obvious._prepare
 
-        def prepare(premise, fixed_vars, registry):
+        def prepare(premise, registry):
             kept.append(premise)
-            prepared[phase[0]].append((id(premise), fixed_vars))
-            return original_prepare(premise, fixed_vars, registry)
+            prepared[phase[0]].append(id(premise))
+            return original_prepare(premise, registry)
 
         for name, module, attr in (("justify", article, "build_article"),
                                    ("compress", compress, "compress")):

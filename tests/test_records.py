@@ -45,8 +45,8 @@ RECORDS = [
     (tptp.AnnotatedFormula, "(name, language, role, formula, source=None)",
      ("name", "language", "role", "formula", "source"),
      ("a", "fof", "axiom", P, tptp.FileSource("x.p")), "frozen"),
-    (obvious.ObviousnessQuery, "(premises, conclusion, fixed_vars=())",
-     ("premises", "conclusion", "fixed_vars"), ((P,), Q, ("X",)), "frozen"),
+    (obvious.ObviousnessQuery, "(premises, conclusion)",
+     ("premises", "conclusion"), ((P,), Q), "frozen"),
     (obvious.ObviousnessVerdict, "(kind, selection=(), commitments=(), reason='')",
      ("kind", "selection", "commitments", "reason"),
      (obvious.Verdict.NOT_OBVIOUS, (), (), "search-exhausted"), "frozen"),
@@ -78,11 +78,11 @@ RECORDS = [
      ("reservations", "axiom_items", "lemma_items", "theorem", "diffuse", "pending"),
      (("X",), [], [], P, None, True), "mutable"),
     (compress.CompressionReport,
-     "(passes=0, steps_before=0, steps_after=0, removed_labels=None, collapsed_subproofs=None,"
+     "(passes=0, steps_before=0, steps_after=0, removed_labels=None,"
      " queries=0, premises=0, settled=0, justified=0, justify_settled=0)",
-     ("passes", "steps_before", "steps_after", "removed_labels", "collapsed_subproofs",
+     ("passes", "steps_before", "steps_after", "removed_labels",
       "queries", "premises", "settled", "justified", "justify_settled"),
-     (1, 5, 3, ["A1"], [], 7, 40, 2, 1, 4), "mutable"),
+     (1, 5, 3, ["A1"], 7, 40, 2, 1, 4), "mutable"),
     (derivation.DerivationGraph, "(nodes, parents, children, order_index, sink, order)",
      ("nodes", "parents", "children", "order_index", "sink", "order"),
      ({}, {}, {}, {}, None, []), "mutable"),
@@ -159,8 +159,7 @@ def test_repr_text():
 def test_default_containers_are_fresh():
     first, second = compress.CompressionReport(), compress.CompressionReport()
     first.removed_labels.append("A1")
-    first.collapsed_subproofs.append("A1")
-    assert second == compress.CompressionReport(0, 0, 0, [], [])
+    assert second == compress.CompressionReport(0, 0, 0, [])
     registry = obvious._Registry()
     registry.atoms[("p",)] = P
     assert obvious._Registry().atoms == {}
