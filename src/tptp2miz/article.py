@@ -203,12 +203,12 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
         _, premises = citations(name)
         # the justify query and any expansion share one budget and one memo
         step_budget = obvious.Budget(budget)
-        query = obvious.ObviousnessQuery.make(premises, unit.formula)
         with obvious.PremiseMemo() if memo is None else contextlib.nullcontext(memo) as shared:
-            if obvious.is_obvious(query, shared, step_budget).is_obvious:
+            verdict = obvious.is_obvious(premises, unit.formula, shared, step_budget)
+            if verdict.is_obvious:
                 return None
             hint = expand.substitution_from_inference_record(unit.source)
-            sub = expand.build_subproof(name, unit.formula, premises, step_budget, hint, shared)
+            sub = expand.build_subproof(name, verdict.problem, hint)
         return _rename_subproof(sub, rename)
 
     deferred = Deferred(lemma_names + inner_names, justify)
@@ -231,8 +231,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     graph.symbols.clear()
 
     # the closing step has no sub-proof form, so it must be obvious as cited
-    query = obvious.ObviousnessQuery.make(premises, fol.FALSE)
-    if not obvious.is_obvious(query, memo, obvious.Budget(budget)).is_obvious:
+    if not obvious.is_obvious(premises, fol.FALSE, memo, obvious.Budget(budget)).is_obvious:
         deferred.justify_before(None)  # a failing step is named first
         raise ExpansionFailed(graph.sink)
     return model, manifest
@@ -323,12 +322,8 @@ def _skolem_renaming(skolem_symbols, graph):
 
 
 def _rename_subproof(sub, rename):
-    return expand.SubProof(
-        sub.fixed_variables,
-        tuple(expand.InstanceStep(s.label, s.parent_index, rename(s.formula))
-              for s in sub.instances),
-        rename(sub.conclusion),
-    )
+    return expand.SubProof(tuple(expand.InstanceStep(s.label, s.parent_index, rename(s.formula))
+                                 for s in sub.instances))
 
 
 def _stated_formulas(model):

@@ -146,9 +146,8 @@ def _run_check(args):
         raise IoError("no units in input")
     premises = [u.formula for u in units[:-1]]
     conclusion = units[-1].formula
-    query = obvious.ObviousnessQuery.make(premises, conclusion)
     budget = obvious.Budget(args.budget)
-    verdict = obvious.is_obvious(query, budget=budget)
+    verdict = obvious.is_obvious(premises, conclusion, budget=budget)
     print(verdict.kind.value)
     if args.verbose:
         print(f"reason: {verdict.reason}")

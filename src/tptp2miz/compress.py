@@ -204,8 +204,7 @@ class _Checker:
         premises = [self.index[r] for r in refs if r in self.index]
         self.report.queries += 1
         self.report.premises += len(premises)
-        q = obvious.ObviousnessQuery.make(premises, conclusion)
-        return obvious.is_obvious(q, self.memo, obvious.Budget(self.budget))
+        return obvious.is_obvious(premises, conclusion, self.memo, obvious.Budget(self.budget))
 
     def scan(self):
         """Begin the deletion checks of the next victim."""

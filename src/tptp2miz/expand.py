@@ -2,14 +2,16 @@
 
 A sub-proof fixes the conclusion's variables and states an instance of
 each universal parent it needs, from which, with the ground parents, the
-conclusion is obvious.  obvious.choose_instances chooses the instances.
+conclusion is obvious.  The instances are chosen on the problem of the
+step's failed justify query, as its verdict holds it, so the step is set
+up once.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import fol, obvious
+from . import fol
 from .errors import ExpansionFailed
 from .fol import _set
 from .tptp import InferenceRecord
@@ -25,12 +27,13 @@ class InstanceStep(fol.Record):
 
 
 class SubProof(fol.Record):
-    __slots__ = _fields = ("fixed_variables", "instances", "conclusion")
+    """The instances a step states; the step's own formula is its
+    conclusion, and its free variables are the ones the proof fixes."""
 
-    def __init__(self, fixed_variables, instances, conclusion):
-        _set(self, "fixed_variables", fixed_variables)
+    __slots__ = _fields = ("instances",)
+
+    def __init__(self, instances):
         _set(self, "instances", instances)  # InstanceStep, in citation order
-        _set(self, "conclusion", conclusion)
 
 
 def _labels():
@@ -44,14 +47,14 @@ def substitution_from_inference_record(record) -> dict:
     return dict(record.bindings) if isinstance(record, InferenceRecord) else {}
 
 
-def build_subproof(step_name, step_formula, parent_formulas, budget, hint, memo) -> SubProof:
-    """The step as a sub-proof; raises ExpansionFailed when no instances
-    within the search space and the obvious.Budget make it obvious.  The
-    hint is the prover's recorded bindings.  Given the PremiseMemo of the
-    step's justify query, the search finds the parents prepared."""
-    chosen = obvious.choose_instances(parent_formulas, step_formula, budget, memo, hint)
+def build_subproof(step_name, problem, hint) -> SubProof:
+    """The step as a sub-proof, searched on its justify query's problem
+    (obvious.ObviousnessVerdict.problem, None when the query was too hard
+    to set up), spending what is left of that query's budget; raises
+    ExpansionFailed when no instances within the search space and the
+    budget make it obvious.  The hint is the prover's recorded bindings."""
+    chosen = None if problem is None else problem.choose_instances(hint)
     if chosen is None:
         raise ExpansionFailed(step_name)
-    instances = tuple(InstanceStep(label, index, inst)
-                      for label, (index, inst) in zip(_labels(), chosen))
-    return SubProof(step_formula.free, instances, step_formula)
+    return SubProof(tuple(InstanceStep(label, index, inst)
+                          for label, (index, inst) in zip(_labels(), chosen)))

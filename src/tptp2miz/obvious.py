@@ -29,8 +29,10 @@ when one premise is replaced by premises whose clauses cover its own
 (`covered`); compression settles such deletions without a query.
 
 When a step's query is not obvious, the instances that its sub-proof
-states are chosen on the query's own problem (`choose_instances`), each
-choice checked over its prepared premises, registry and budget.
+states are chosen on the very problem the query was asked on, which its
+verdict holds (`ObviousnessVerdict.problem`, `_Problem.choose_instances`):
+the step is set up once, and each choice is checked over its prepared
+premises, registry and budget.
 """
 
 from __future__ import annotations
@@ -61,22 +63,11 @@ class Verdict(Enum):
     UNKNOWN = "Unknown"
 
 
-class ObviousnessQuery(fol.Record):
-    __slots__ = _fields = ("premises", "conclusion")
-
-    def __init__(self, premises, conclusion):
-        _set(self, "premises", premises)
-        _set(self, "conclusion", conclusion)
-
-    @staticmethod
-    def make(premises, conclusion):
-        return ObviousnessQuery(tuple(premises), conclusion)
-
-
 class ObviousnessVerdict(fol.Record):
-    __slots__ = _fields = ("kind", "selection", "commitments", "reason")
+    __slots__ = ("kind", "selection", "commitments", "reason", "problem")
+    _fields = ("kind", "selection", "commitments", "reason")
 
-    def __init__(self, kind, selection=(), commitments=(), reason=""):
+    def __init__(self, kind, selection=(), commitments=(), reason="", problem=None):
         _set(self, "kind", kind)
         _set(self, "selection", selection)  # per-premise {var: Term}, aligned with premises
         _set(self, "commitments", commitments)  # ((unit key, subst items), ...) closing branches
@@ -87,6 +78,9 @@ class ObviousnessVerdict(fol.Record):
         # "search-exhausted"; for Unknown "budget", or the explosion guard that fired,
         # "clauses" or "branches".
         _set(self, "reason", reason)
+        # The _Problem the query was asked on, which a failed step's sub-proof
+        # search reuses; None when setting it up was too hard.
+        _set(self, "problem", problem)
 
     @property
     def is_obvious(self):
@@ -801,14 +795,17 @@ class _Problem:
 
     @classmethod
     def of(cls, premises, conclusion, budget, memo):
-        """The query's problem; goal constants fix its closure's variables in order."""
+        """The query's problem; goal constants fix its closure's variables in
+        order.  Spends no budget; raises _TooHard on a clause blow-up."""
         prepared = [memo.prepare(p) for p in premises]
         goal_matrix = goal = fol.universal_closure(conclusion)
         if isinstance(goal, fol.Forall):
             consts = _goal_constants(len(goal.vars))
             goal_matrix = fol.apply_substitution(dict(zip(goal.vars, consts)), goal.body)
-        return cls(prepared, goal_matrix, _clausify(fol.Not(goal_matrix), memo.registry),
-                   budget, memo.registry)
+        problem = cls(prepared, goal_matrix, _clausify(fol.Not(goal_matrix), memo.registry),
+                      budget, memo.registry)
+        problem.conclusion = conclusion  # as written, for the instance search
+        return problem
 
     def _fill_universe(self):
         """The ground terms residual variables are filled from, gathered
@@ -996,16 +993,19 @@ class _Problem:
                     continue
                 yield trial
 
-    def choose_instances(self, conclusion, hint):
+    def choose_instances(self, hint):
         """The instances a sub-proof states: one of each universal premise,
         else two, that make the conclusion obvious from the ground premises,
         as (premise index, instance over the conclusion's variables) pairs,
-        or None.  The problem is the conclusion's query.  Candidates match
-        the atoms of the conclusion as written and of the ground premises,
-        then of the instances chosen before; residual variables fill from
-        the ground terms sorted by key, then the conclusion's variables by
-        name.  Candidates that agree with the hint, a prover's bindings, go
-        first, the last of them first."""
+        or None, also when the budget runs out.  The search reads only the
+        set-up of the query, which solve leaves as it found it, so it runs
+        on the problem that the query was asked on, after its verdict.
+        Candidates match the atoms of the conclusion as written and of the
+        ground premises, then of the instances chosen before; residual
+        variables fill from the ground terms sorted by key, then the
+        conclusion's variables by name.  Candidates that agree with the
+        hint, a prover's bindings, go first, the last of them first."""
+        conclusion = self.conclusion
         fixed = conclusion.free
         to_goal = dict(zip(fixed, _goal_constants(len(fixed))))
         found = fol.keyed_ground_subterms(conclusion)
@@ -1016,9 +1016,13 @@ class _Problem:
         pool = self._matrix_atoms(stated + [p.closed for p in self._prepared if p.unit is None])
         preferred = {v: fol.subst_term(to_goal, t).key for v, t in hint.items()}
         units = [(i, p.unit) for i, p in enumerate(self._prepared) if p.unit is not None]
-        chosen = self._choose(units, pool, universe, preferred)
-        if chosen is None and units:
-            chosen = self._choose([u for u in units for _ in (0, 1)], pool, universe, preferred)
+        try:
+            chosen = self._choose(units, pool, universe, preferred)
+            if chosen is None and units:
+                chosen = self._choose([u for u in units for _ in (0, 1)], pool, universe,
+                                      preferred)
+        except BudgetExceeded:  # _leaf_closes answers a _TooHard leaf itself
+            return None
         back = {c.key: fol.Var(v) for v, c in to_goal.items()}
         return None if chosen is None else [
             (i, instance_formula(unit, {v: _unfix_term(t, back) for v, t in subst.items()}))
@@ -1214,22 +1218,24 @@ def _as_literal(f):
     return None
 
 
-def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVerdict:
-    """The query's verdict; a PremiseMemo shares premise preparation between
+def is_obvious(premises, conclusion, memo=None, budget=None) -> ObviousnessVerdict:
+    """The verdict on the conclusion from the premises, holding the problem
+    it was asked on; a PremiseMemo shares premise preparation between
     queries and changes no verdict.  The search spends from the given Budget,
     or else from a fresh one of DEFAULT_BUDGET units."""
     if budget is None:
         budget = Budget(DEFAULT_BUDGET)
+    problem = None
     try:
-        problem = _Problem.of(query.premises, query.conclusion, budget,
+        problem = _Problem.of(premises, conclusion, budget,
                               PremiseMemo() if memo is None else memo)
         reason, commitments = problem.solve()
     except BudgetExceeded:
-        return ObviousnessVerdict(Verdict.UNKNOWN, reason="budget")
+        return ObviousnessVerdict(Verdict.UNKNOWN, reason="budget", problem=problem)
     except _TooHard as exc:
-        return ObviousnessVerdict(Verdict.UNKNOWN, reason=exc.guard)
+        return ObviousnessVerdict(Verdict.UNKNOWN, reason=exc.guard, problem=problem)
     if commitments is None:
-        return ObviousnessVerdict(Verdict.NOT_OBVIOUS, reason=reason)
+        return ObviousnessVerdict(Verdict.NOT_OBVIOUS, reason=reason, problem=problem)
     selection = []
     for unit in problem.premise_units:
         if unit is None or unit.key not in commitments:
@@ -1240,13 +1246,4 @@ def is_obvious(query: ObviousnessQuery, memo=None, budget=None) -> ObviousnessVe
     packed = tuple(
         (key, tuple(sorted(c.subst.items()))) for key, c in commitments.items()
     )
-    return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed, reason)
-
-
-def choose_instances(premises, conclusion, budget, memo, hint):
-    """_Problem.choose_instances on a step's justify query, given its memo."""
-    try:
-        problem = _Problem.of(premises, conclusion, budget, memo)
-        return problem.choose_instances(conclusion, hint)
-    except (BudgetExceeded, _TooHard):
-        return None
+    return ObviousnessVerdict(Verdict.OBVIOUS, tuple(selection), packed, reason, problem)

@@ -494,13 +494,14 @@ def _leaf_parents(items):
             names.append(item)
         elif isinstance(item, tuple):
             head, args = item
-            if head == "inference" and len(args) == 3:
+            if head == "inference" and len(args) == 3 and isinstance(args[2], list):
                 names.extend(_leaf_parents(args[2]))
             elif head == ":" and args:
                 names.extend(_leaf_parents(args[:1]))
             elif head == "file" and len(args) >= 2 and isinstance(args[1], str):
                 names.append(args[1])
-            # theory(equality) and similar non-name parents are dropped
+            # theory(equality), a nested inference whose parents are not a
+            # list, and similar non-name parents are dropped
         elif isinstance(item, list):
             names.extend(_leaf_parents(item))
     return names
@@ -564,7 +565,7 @@ def _annotation_to_term(value):
         if value[:1].isupper():
             return fol.Var(value)
         return fol.App(value, ())
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and value[0] != ":":  # a parent annotation is no term
         head, args = value
         sub = [_annotation_to_term(a) for a in args]
         if any(t is None for t in sub):

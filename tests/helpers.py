@@ -90,13 +90,12 @@ def make_rng(seed):
 
 
 def fixed_query(premises, conclusion, fixed_vars):
-    """The query with the fixed variables held fixed: each is replaced, in
-    the premises and the conclusion, by the constant `.x_<name>`, so the
-    query's closure does not quantify it."""
+    """(premises, conclusion) with the fixed variables held fixed: each is
+    replaced, in the premises and the conclusion, by the constant
+    `.x_<name>`, so the query's closure does not quantify it."""
     mapping = {v: fol.App(f".x_{v}") for v in fixed_vars}
-    return obvious.ObviousnessQuery.make(
-        [fol.apply_substitution(mapping, p) for p in premises],
-        fol.apply_substitution(mapping, conclusion))
+    return ([fol.apply_substitution(mapping, p) for p in premises],
+            fol.apply_substitution(mapping, conclusion))
 
 
 def random_article(rng):
@@ -188,7 +187,6 @@ def recheck(model, manifest):
         steps.append(("thus", model.diffuse.contradiction_refs, fol.FALSE))
     for label, refs, conclusion in steps:
         premises = [index[r] for r in refs if r in index]
-        query = obvious.ObviousnessQuery.make(premises, conclusion)
-        if not obvious.is_obvious(query).is_obvious:
+        if not obvious.is_obvious(premises, conclusion).is_obvious:
             problems.append(f"{label} is not obvious from its citations")
     return problems

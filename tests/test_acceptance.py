@@ -7,7 +7,7 @@ import networkx as nx
 
 from tptp2miz import article, derivation, fol, obvious, skolem, tptp
 from tptp2miz.errors import MultipleSkolemsUnsupported, TranslationError
-from tptp2miz.obvious import ObviousnessQuery, Verdict
+from tptp2miz.obvious import Verdict
 
 import helpers
 import oracle
@@ -65,7 +65,7 @@ class TestCriterion1EndToEnd:
 class TestCriterion2CheckerExample:
     def test_resolution_example_verdicts(self):
         started = time.perf_counter()
-        formula_level = ObviousnessQuery.make(
+        formula_level = (
             [F("![X]:(~l(X)|d(X))"), F("![X]:![Y]:(~l(X)|~d(X)|~d(Y))")],
             F("![X]:![Y]:(~l(X)|~d(Y))"),
         )
@@ -74,14 +74,12 @@ class TestCriterion2CheckerExample:
             F("~l(X)|~d(Y)"),
             ("X", "Y"),
         )
-        v1 = obvious.is_obvious(formula_level)
-        v2 = obvious.is_obvious(instance_level)
+        v1 = obvious.is_obvious(*formula_level)
+        v2 = obvious.is_obvious(*instance_level)
         ok = v1.kind is Verdict.NOT_OBVIOUS and v2.kind is Verdict.OBVIOUS
         # the NotObvious query is still a valid entailment
         for n in (1, 2, 3):
-            ok &= oracle.brute_force_entails(
-                list(formula_level.premises), formula_level.conclusion, n
-            )
+            ok &= oracle.brute_force_entails(*formula_level, n)
         ok &= (time.perf_counter() - started) < 1.0
         report(2, "checker verdicts on the resolution example", ok)
 
@@ -96,9 +94,7 @@ class TestCriterion3Soundness:
                 helpers.random_quantified(rng) for _ in range(rng.randint(1, 3))
             ]
             conclusion = helpers.random_quantified(rng)
-            verdict = obvious.is_obvious(
-                ObviousnessQuery.make(premises, conclusion), budget=obvious.Budget(2000)
-            )
+            verdict = obvious.is_obvious(premises, conclusion, budget=obvious.Budget(2000))
             checked += 1
             if verdict.is_obvious:
                 for n in (1, 2, 3):

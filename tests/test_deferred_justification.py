@@ -157,9 +157,9 @@ class TestQueries:
         finishing = [False]
         original_is_obvious, original_finish = obvious.is_obvious, article.finish_article
 
-        def is_obvious(query, memo=None, budget=None):
-            asked.append((query.conclusion, memo, finishing[0]))
-            return original_is_obvious(query, memo, budget)
+        def is_obvious(premises, conclusion, memo=None, budget=None):
+            asked.append((conclusion, memo, finishing[0]))
+            return original_is_obvious(premises, conclusion, memo, budget)
 
         def finish_article(*args):
             finishing[0] = True

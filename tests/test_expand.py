@@ -2,7 +2,6 @@ import pytest
 
 from tptp2miz import cli, derivation, expand, fol, obvious, tptp
 from tptp2miz.errors import ExpansionFailed
-from tptp2miz.obvious import ObviousnessQuery
 
 import helpers
 
@@ -15,24 +14,34 @@ def C(text):
     return tptp.parse_problem(f"cnf(x,axiom,{text}).")[0].formula
 
 
-def verify_subproof(sp, parent_formulas):
-    """Postcondition: the conclusion is obvious from the chosen instances
-    plus the ground parents, with the sub-proof's variables fixed."""
+def verify_subproof(sp, parent_formulas, conclusion):
+    """Postcondition: the step's conclusion is obvious from the chosen
+    instances plus the ground parents, with its free variables fixed."""
     ground = [
         p for p in parent_formulas
         if not isinstance(fol.universal_closure(p), fol.Forall)
     ]
     premises = ground + [s.formula for s in sp.instances]
-    q = helpers.fixed_query(premises, sp.conclusion, sp.fixed_variables)
-    assert obvious.is_obvious(q).is_obvious
+    assert obvious.is_obvious(*helpers.fixed_query(premises, conclusion,
+                                                   conclusion.free)).is_obvious
+
+
+def problem(parents, conclusion, budget, memo):
+    """The step's problem as its justify query sets it up, unsolved, or
+    None when that is too hard."""
+    try:
+        return obvious._Problem.of(parents, conclusion, budget, memo)
+    except obvious._TooHard:
+        return None
 
 
 def subproof(name, conclusion, parents, hint=None):
     """build_subproof with a fresh budget of the default size and a
-    premise memo of its own."""
+    premise memo of its own, on the step's problem unsolved."""
     with obvious.PremiseMemo() as memo:
-        return expand.build_subproof(name, conclusion, parents,
-                                     obvious.Budget(obvious.DEFAULT_BUDGET), hint or {}, memo)
+        budget = obvious.Budget(obvious.DEFAULT_BUDGET)
+        return expand.build_subproof(name, problem(parents, conclusion, budget, memo),
+                                     hint or {})
 
 
 class TestResolutionExample:
@@ -41,14 +50,13 @@ class TestResolutionExample:
         p2 = F("![X]:![Y]:(~l(X)|~d(X)|~d(Y))")
         conclusion = F("~l(X)|~d(Y)")
         sp = subproof("s", conclusion, [p1, p2])
-        assert sp.fixed_variables == ("X", "Y")
         assert [s.label for s in sp.instances] == ["A", "B"]
         assert [s.parent_index for s in sp.instances] == [0, 1]
         # instance of premise 1 at the fixed X
         assert fol.debruijn(sp.instances[0].formula) == fol.debruijn(
             F("~l(X)|d(X)")
         )
-        verify_subproof(sp, [p1, p2])
+        verify_subproof(sp, [p1, p2], conclusion)
 
 
 class TestInstanceSelection:
@@ -57,7 +65,7 @@ class TestInstanceSelection:
             "s", F("q(c)"), [F("p(c)"), F("![X]:(p(X)=>q(X))")]
         )
         assert [s.parent_index for s in sp.instances] == [1]
-        verify_subproof(sp, [F("p(c)"), F("![X]:(p(X)=>q(X))")])
+        verify_subproof(sp, [F("p(c)"), F("![X]:(p(X)=>q(X))")], F("q(c)"))
 
     def test_hint_is_respected(self):
         parent = F("![X]:(p(X)=>q(X))")
@@ -77,7 +85,7 @@ class TestInstanceSelection:
         forms = {fol.debruijn(s.formula) for s in sp.instances}
         assert fol.debruijn(F("p(c)=>p(f(c))")) in forms
         assert fol.debruijn(F("p(f(c))=>p(f(f(c)))")) in forms
-        verify_subproof(sp, [parent, F("p(c)")])
+        verify_subproof(sp, [parent, F("p(c)")], F("p(f(f(c)))"))
 
 
 class TestFailure:
@@ -128,13 +136,13 @@ class TestFillUniverse:
         parents, conclusion = [C(p) for p in parents], C(conclusion)
         budget = obvious.Budget(obvious.DEFAULT_BUDGET)
         with obvious.PremiseMemo() as memo:
-            query = ObviousnessQuery.make(parents, conclusion)
-            assert not obvious.is_obvious(query, memo, budget).is_obvious
-            sp = expand.build_subproof("s", conclusion, parents, budget, {}, memo)
+            verdict = obvious.is_obvious(parents, conclusion, memo, budget)
+            assert not verdict.is_obvious
+            sp = expand.build_subproof("s", verdict.problem, {})
         assert [(s.parent_index, tptp.format_formula(s.formula)) for s in sp.instances] == [
             (i, tptp.format_formula(C(text))) for i, text in expected]
         assert budget.used == used
-        verify_subproof(sp, parents)
+        verify_subproof(sp, parents, conclusion)
 
 
 class TestRecordBindings:

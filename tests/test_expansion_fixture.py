@@ -20,7 +20,7 @@ import random
 from tptp2miz import expand, fol, obvious, tptp
 from tptp2miz.errors import ExpansionFailed
 
-from test_expand import verify_subproof
+from test_expand import problem, verify_subproof
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXPANSIONS = os.path.join(HERE, "fixtures", "expansions.txt")
@@ -99,11 +99,12 @@ def expansion_lines(seed=SEED, count=COUNT):
         budget = obvious.Budget(limit)
         try:
             with obvious.PremiseMemo() as memo:
-                sub = expand.build_subproof(f"s{number}", conclusion, parents, budget, hint, memo)
+                sub = expand.build_subproof(f"s{number}",
+                                            problem(parents, conclusion, budget, memo), hint)
         except ExpansionFailed:
             found = ["ExpansionFailed"]
         else:
-            verify_subproof(sub, parents)
+            verify_subproof(sub, parents, conclusion)
             found = [f"{s.parent_index}:{tptp.format_formula(s.formula)}"
                      for s in sub.instances]
         lines.append(" ; ".join([str(number)] + found + [f"used {budget.used}"]))

@@ -182,7 +182,7 @@ def test_same_commitments_on_the_verdict_sample(monkeypatch):
     queries = [q for _, q in sample_queries()]
 
     def run():
-        return [obvious.is_obvious(q, budget=obvious.Budget(10**6)) for q in queries]
+        return [obvious.is_obvious(*q, budget=obvious.Budget(10**6)) for q in queries]
 
     assert_same_search(monkeypatch, run)
 
@@ -221,8 +221,8 @@ def test_compression_budget_on_mix021(monkeypatch, refute_compress_corpus):
     original_is_obvious = obvious.is_obvious
     original_candidates = obvious.candidate_substitutions
 
-    def is_obvious(q, memo=None, budget=None):
-        verdict = original_is_obvious(q, memo, budget)
+    def is_obvious(premises, conclusion, memo=None, budget=None):
+        verdict = original_is_obvious(premises, conclusion, memo, budget)
         spent[0] += budget.used
         return verdict
 

@@ -13,7 +13,7 @@ import pytest
 
 from tptp2miz import article, cli, compress, derivation, expand, fol, obvious, tptp
 from tptp2miz.errors import ExpansionFailed
-from tptp2miz.obvious import ObviousnessQuery, Verdict
+from tptp2miz.obvious import Verdict
 
 import helpers
 import test_verdict_golden
@@ -38,10 +38,10 @@ class TestVerdictsUnchanged:
                 helpers.random_quantified(rng) for _ in range(rng.randint(1, 3))
             ]
             conclusion = helpers.random_quantified(rng)
-            queries.append(ObviousnessQuery.make(premises, conclusion))
+            queries.append((premises, conclusion))
 
         def answers(memo=None):
-            return [answer(obvious.is_obvious(q, memo, obvious.Budget(2000)))
+            return [answer(obvious.is_obvious(*q, memo, obvious.Budget(2000)))
                     for q in queries]
 
         alone = answers()
@@ -56,9 +56,9 @@ class TestVerdictsUnchanged:
         # The reference gathers the ground terms of every closed premise,
         # in premise order up to the cut-off, then the goal's, as if each
         # premise's were gathered when it was prepared.
-        def eager(query, goal_matrix):
+        def eager(premises, goal_matrix):
             found = {}
-            for p in query.premises:
+            for p in premises:
                 found.update(fol.keyed_ground_subterms(fol.universal_closure(p)))
                 if len(found) > obvious._MAX_FILL_UNIVERSE:
                     break
@@ -71,15 +71,13 @@ class TestVerdictsUnchanged:
 
         # the sample's universes stay below the cut-off; one query passes it
         queries = [q for _, q in test_verdict_golden.sample_queries()]
-        queries.append(ObviousnessQuery.make(
-            [F("![X]:q(X)")] + [F(f"p(c{i})") for i in range(20)], F("q(d)")))
+        queries.append(([F("![X]:q(X)")] + [F(f"p(c{i})") for i in range(20)], F("q(d)")))
         sizes = []
         with obvious.PremiseMemo() as memo:
-            for q in queries:
-                problem = obvious._Problem.of(q.premises, q.conclusion,
-                                              obvious.Budget(2000), memo)
+            for premises, conclusion in queries:
+                problem = obvious._Problem.of(premises, conclusion, obvious.Budget(2000), memo)
                 universe = problem._fill_universe()
-                assert universe == eager(q, problem.goal_matrix)
+                assert universe == eager(premises, problem.goal_matrix)
                 sizes.append(len(universe))
         assert max(sizes[:-1]) <= obvious._MAX_FILL_UNIVERSE < sizes[-1]
 
@@ -90,29 +88,28 @@ class TestVerdictsUnchanged:
     ])
     def test_alpha_variant_premises_in_both_orders(self, left, right, conclusion):
         left, right, conclusion = F(left), F(right), F(conclusion)
-        queries = [ObviousnessQuery.make(premises, conclusion)
-                   for premises in ([left, right], [right, left])]
-        alone = [answer(obvious.is_obvious(q)) for q in queries]
+        queries = [(premises, conclusion) for premises in ([left, right], [right, left])]
+        alone = [answer(obvious.is_obvious(*q)) for q in queries]
         assert all(kind is Verdict.OBVIOUS for kind, _, _ in alone)
         with obvious.PremiseMemo() as memo:
-            shared = [answer(obvious.is_obvious(q, memo)) for q in queries + queries]
+            shared = [answer(obvious.is_obvious(*q, memo)) for q in queries + queries]
         assert shared == alone + alone
 
     def test_clause_blowup_is_unknown_on_every_call(self):
         # ten two-atom conjunctions in a disjunction: 1024 clauses
         blowup = F(" | ".join(f"(p{i}(c) & q{i}(c))" for i in range(10)))
-        q = ObviousnessQuery.make([blowup, F("r(c)")], F("r(c)"))
-        assert obvious.is_obvious(q).kind is Verdict.UNKNOWN
+        q = ([blowup, F("r(c)")], F("r(c)"))
+        assert obvious.is_obvious(*q).kind is Verdict.UNKNOWN
         with obvious.PremiseMemo() as memo:
-            assert obvious.is_obvious(q, memo).kind is Verdict.UNKNOWN
-            assert obvious.is_obvious(q, memo).kind is Verdict.UNKNOWN
+            assert obvious.is_obvious(*q, memo).kind is Verdict.UNKNOWN
+            assert obvious.is_obvious(*q, memo).kind is Verdict.UNKNOWN
 
     def test_memo_keeps_the_guard_that_fired(self):
         blowup = F(" | ".join(f"(p{i}(c) & q{i}(c))" for i in range(10)))
-        q = ObviousnessQuery.make([blowup, F("r(c)")], F("r(c)"))
-        assert obvious.is_obvious(q).reason == "clauses"
+        q = ([blowup, F("r(c)")], F("r(c)"))
+        assert obvious.is_obvious(*q).reason == "clauses"
         with obvious.PremiseMemo() as memo:
-            assert [obvious.is_obvious(q, memo).reason for _ in range(2)] == ["clauses"] * 2
+            assert [obvious.is_obvious(*q, memo).reason for _ in range(2)] == ["clauses"] * 2
 
 
 @pytest.fixture
@@ -337,10 +334,10 @@ class TestComplexityGuard:
 
         original_is_obvious = obvious.is_obvious
 
-        def is_obvious(query, *args, **kwargs):
+        def is_obvious(query_premises, *args, **kwargs):
             counts["queries"] += 1
-            premises.update((id(p), p) for p in query.premises)
-            return original_is_obvious(query, *args, **kwargs)
+            premises.update((id(p), p) for p in query_premises)
+            return original_is_obvious(query_premises, *args, **kwargs)
 
         monkeypatch.setattr(obvious, "_clausify", counting("clausify", obvious._clausify))
         monkeypatch.setattr(obvious, "is_obvious", is_obvious)
@@ -413,18 +410,25 @@ class TestComplexityGuard:
 
     @pytest.mark.parametrize("run_memo", [True, False])
     def test_expanded_steps(self, monkeypatch, run_memo):
-        # Every step of the chain is expanded into a sub-proof.  Its search
-        # runs on the justify query's problem: it makes no registry, memo or
-        # query of its own, each leaf is a problem over the memo's registry,
-        # and a ground parent is clausified once, for the justify query.
+        # Every step of the chain is expanded into a sub-proof.  Each query
+        # sets its problem up once, and the step's search runs on its failed
+        # justify query's problem, which the verdict holds: it sets up none
+        # and makes no registry or memo of its own, each leaf is a problem
+        # over the memo's registry, and a ground parent is clausified once,
+        # for the justify query.
         n = 20
         graph = derivation.build_graph(tptp.parse_problem(expansion_chain(n)))
         grounds = [graph.nodes[f"g{i}"].formula for i in range(1, n + 1)]
         registries = []  # the registry of every problem, leaves included
-        made = []  # the registries, memos and queries built inside build_subproof
+        made = []  # the registries and memos built inside build_subproof
         inside = [False]
+        set_up = [0]  # _Problem.of calls
+        asked = []  # the verdict of every query, in order
+        searched = []  # per search: its problem and the problem of the last verdict
         clausified = collections.Counter()  # id(formula) -> _clausify calls
         original_init = obvious._Problem.__init__
+        original_of = obvious._Problem.of
+        original_is_obvious = obvious.is_obvious
         original_clausify = obvious._clausify
         original_build = expand.build_subproof
 
@@ -432,24 +436,35 @@ class TestComplexityGuard:
             original_init(self, *args)
             registries.append(self.registry)
 
+        def of(*args):
+            set_up[0] += 1
+            return original_of(*args)
+
+        def is_obvious(*args, **kwargs):
+            asked.append(original_is_obvious(*args, **kwargs))
+            return asked[-1]
+
         def clausify(f, registry):
             clausified[id(f)] += 1
             return original_clausify(f, registry)
 
-        def build_subproof(*args, **kwargs):
+        def build_subproof(step_name, problem, hint):
+            searched.append((problem, asked[-1].problem))
             inside[0] = True
             try:
-                return original_build(*args, **kwargs)
+                return original_build(step_name, problem, hint)
             finally:
                 inside[0] = False
 
-        for cls in (obvious._Registry, obvious.PremiseMemo, obvious.ObviousnessQuery):
+        for cls in (obvious._Registry, obvious.PremiseMemo):
             def counting(self, *args, cls=cls, original=cls.__init__, **kwargs):
                 if inside[0]:
                     made.append(cls.__name__)
                 original(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting)
         monkeypatch.setattr(obvious._Problem, "__init__", init)
+        monkeypatch.setattr(obvious._Problem, "of", staticmethod(of))
+        monkeypatch.setattr(obvious, "is_obvious", is_obvious)
         monkeypatch.setattr(obvious, "_clausify", clausify)
         monkeypatch.setattr(expand, "build_subproof", build_subproof)
         if run_memo:
@@ -461,8 +476,12 @@ class TestComplexityGuard:
             assert {id(r) for r in registries} == {id(run_registry)}
         else:
             model, _ = helpers.finished_article(graph)
+            assert len(asked) == n + 1  # each step's justify query and the closing one
 
         assert [i.subproof is not None for i in model.all_steps()] == [True] * n
+        assert set_up[0] == len(asked)
+        assert len(searched) == n
+        assert all(mine is not None and mine is theirs for mine, theirs in searched)
         # two problems per step at least: the justify query and a leaf
         assert len(registries) > 2 * n
         assert made == []

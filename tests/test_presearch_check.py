@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tptp2miz import fol, obvious, tptp
-from tptp2miz.obvious import ObviousnessQuery, Verdict
+from tptp2miz.obvious import Verdict
 
 import helpers
 from test_verdict_golden import sample_queries
@@ -22,7 +22,7 @@ def F(text):
 
 
 def query(premises, conclusion):
-    return ObviousnessQuery.make([F(p) for p in premises], F(conclusion))
+    return [F(p) for p in premises], F(conclusion)
 
 
 def answer(verdict):
@@ -33,12 +33,12 @@ def bypassed(monkeypatch, q, budget):
     """The verdict with the check turned off, so that the search always runs."""
     with monkeypatch.context() as patch:
         patch.setattr(obvious, "_no_closing_instance", lambda branches, units: False)
-        return obvious.is_obvious(q, budget=obvious.Budget(budget))
+        return obvious.is_obvious(*q, budget=obvious.Budget(budget))
 
 
 def assert_exact(monkeypatch, q):
     """The check changes no answer, given a budget the search never runs out of."""
-    checked = obvious.is_obvious(q, budget=obvious.Budget(10**6))
+    checked = obvious.is_obvious(*q, budget=obvious.Budget(10**6))
     searched = bypassed(monkeypatch, q, 10**6)
     assert searched.kind is not Verdict.UNKNOWN
     assert answer(checked) == answer(searched)
@@ -58,7 +58,7 @@ def random_query(rng):
             f = fol.Iff(f, helpers.random_formula(rng, ("X",), depth=1))
         return f
     premises = [formula() for _ in range(rng.randint(1, 3))]
-    return ObviousnessQuery.make(premises, formula())
+    return premises, formula()
 
 
 class TestExact:
@@ -87,7 +87,7 @@ class TestStaysOff:
             return answers[-1]
 
         monkeypatch.setattr(obvious, "_no_closing_instance", spy)
-        verdict = obvious.is_obvious(q)
+        verdict = obvious.is_obvious(*q)
         assert answers == [False]
         return verdict
 
@@ -115,7 +115,7 @@ def test_non_unit_resolution_step_skips_the_search(monkeypatch):
 
     monkeypatch.setattr(obvious._Problem, "_close_all", close_all)
     q = query(["![X]: (~ p(X) | q(X))", "![X]: (~ q(X) | r(X))"], "![X]: (~ p(X) | r(X))")
-    verdict = obvious.is_obvious(q)
+    verdict = obvious.is_obvious(*q)
     assert verdict.kind is Verdict.NOT_OBVIOUS
     assert verdict.reason == "no-closing-instance"
     assert not searches
@@ -186,7 +186,7 @@ def test_atom_order_is_the_query_order(monkeypatch):
     def atom_lists(queries, memo):
         seen.clear()
         for q in queries:
-            obvious.is_obvious(q, memo=memo, budget=obvious.Budget(2000))
+            obvious.is_obvious(*q, memo=memo, budget=obvious.Budget(2000))
         return list(seen)
 
     monkeypatch.setattr(obvious._Problem, "_atoms", checked)
@@ -199,7 +199,7 @@ def test_atom_order_is_the_query_order(monkeypatch):
     # premise order, which is not the order of the units' keys
     names = ["s", "q0", "r1", "p2", "t", "r"]
     q = query([f"![X]: {n}(X)" for n in names], "r(c)")
-    verdict = obvious.is_obvious(q)
+    verdict = obvious.is_obvious(*q)
     assert verdict.is_obvious
     assert [key[2][1] for key, _ in verdict.commitments] == names
     assert merged[0]
@@ -214,5 +214,5 @@ def test_derived_units_reuse_registry_keys(monkeypatch):
                         lambda closed: calls.append(closed) or original(closed))
     q = query(["![X]: (p(X) => q(X))", "![X]: (q(X) => r(X))", "p(c) & (![Y]: s(Y))"],
               "r(c) & s(d)")
-    assert not obvious.is_obvious(q).is_obvious
+    assert not obvious.is_obvious(*q).is_obvious
     assert len(calls) == 3  # the two universal premises and the ground one

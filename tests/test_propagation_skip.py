@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tptp2miz import article, compress, derivation, fol, obvious, tptp
 from tptp2miz.article import ArticleModel, DiffuseBlock, EnvironmentManifest, Item
-from tptp2miz.obvious import ObviousnessQuery, Verdict
+from tptp2miz.obvious import Verdict
 
 import helpers
 from conftest import FIXTURES
@@ -40,8 +40,8 @@ def exact(monkeypatch):
 
     def propagates(checker, refs, conclusion):
         premises = [checker.index[r] for r in refs if r in checker.index]
-        verdict = obvious.is_obvious(ObviousnessQuery.make(premises, conclusion),
-                                     checker.memo, obvious.Budget(checker.budget))
+        verdict = obvious.is_obvious(premises, conclusion, checker.memo,
+                                     obvious.Budget(checker.budget))
         return (verdict.kind, verdict.reason) == (Verdict.OBVIOUS, "propagation")
 
     def deletion(self, rank, refs, conclusion, victim):

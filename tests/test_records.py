@@ -3,7 +3,8 @@ equality, hashing and repr, pickles and copies, and frozen records refuse
 assignment.
 
 A record compares, hashes and shows its fields in order, and nothing else:
-the facts a node carries (key, depth, free, binders) take no part.  Frozen
+the facts a node carries (key, depth, free, binders) and the problem a
+verdict was asked on take no part.  Frozen
 records hash like the tuple of their fields; mutable ones are unhashable;
 a commitment is hashed by identity."""
 
@@ -45,9 +46,8 @@ RECORDS = [
     (tptp.AnnotatedFormula, "(name, language, role, formula, source=None)",
      ("name", "language", "role", "formula", "source"),
      ("a", "fof", "axiom", P, tptp.FileSource("x.p")), "frozen"),
-    (obvious.ObviousnessQuery, "(premises, conclusion)",
-     ("premises", "conclusion"), ((P,), Q), "frozen"),
-    (obvious.ObviousnessVerdict, "(kind, selection=(), commitments=(), reason='')",
+    (obvious.ObviousnessVerdict,
+     "(kind, selection=(), commitments=(), reason='', problem=None)",
      ("kind", "selection", "commitments", "reason"),
      (obvious.Verdict.NOT_OBVIOUS, (), (), "search-exhausted"), "frozen"),
     (obvious._Registry, "(atoms=None)", ("atoms",), ({("p",): P},), "mutable"),
@@ -62,8 +62,7 @@ RECORDS = [
      "identity"),
     (expand.InstanceStep, "(label, parent_index, formula)",
      ("label", "parent_index", "formula"), ("A", 0, Q), "frozen"),
-    (expand.SubProof, "(fixed_variables, instances, conclusion)",
-     ("fixed_variables", "instances", "conclusion"), (("X",), (), Q), "frozen"),
+    (expand.SubProof, "(instances)", ("instances",), ((),), "frozen"),
     (article.Item, "(label, formula, refs=(), subproof=None, source_name='')",
      ("label", "formula", "refs", "subproof", "source_name"), ("A1", P, ("A2",), None, "s"),
      "mutable"),
@@ -177,3 +176,12 @@ def test_clone_copies_items_and_blocks():
     assert copy == model
     assert copy.axiom_items[0] is not item and copy.diffuse.inner_steps[0] is not inner
     assert copy.diffuse is not model.diffuse and copy.pending is True
+
+
+def test_verdict_problem_takes_no_part():
+    verdict = obvious.is_obvious([fol.Atom("p", (C,))], Q)
+    bare = obvious.ObviousnessVerdict(*verdict._values())
+    assert verdict.problem is not None and bare.problem is None
+    assert bare == verdict and hash(bare) == hash(verdict) and repr(bare) == repr(verdict)
+    copied = pickle.loads(pickle.dumps(verdict))
+    assert copied == verdict and copied.problem is None

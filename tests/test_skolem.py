@@ -76,10 +76,7 @@ class TestHenkinAxiom:
     def test_step_becomes_obvious_with_axiom(self):
         g = graph_of(F("?[Y]:p(Y)"), F("p(esk1_0)"))
         axiom = skolem.make_henkin_axiom("sk", g)
-        query = obvious.ObviousnessQuery.make(
-            [F("?[Y]:p(Y)"), axiom], F("p(esk1_0)")
-        )
-        assert obvious.is_obvious(query).is_obvious
+        assert obvious.is_obvious([F("?[Y]:p(Y)"), axiom], F("p(esk1_0)")).is_obvious
 
 
 class TestJustifyAll:

@@ -195,6 +195,24 @@ class TestSources:
         assert u.source.rule == "fof_nnf"
         assert u.source.parents == ("c_0_2",)
 
+    @pytest.mark.parametrize("parents", ["c_0_1", "f(c_0_1)"])
+    def test_nested_inference_without_a_parent_list_names_none(self, parents):
+        u = parse1(
+            "cnf(c, plain, p(c), inference(a,[status(thm)],"
+            f"[inference(b,[],{parents})]))."
+        )
+        assert u.source.rule == "a"
+        assert u.source.parents == ()
+
+    def test_annotated_binding_value_is_ignored(self):
+        with pytest.warns(tptp.TptpWarning, match="malformed bind annotation"):
+            u = parse1(
+                "cnf(c, plain, p(c), inference(a,[status(thm)],"
+                "[c_0_1 : [bind(X, $fot(Y : Z))]]))."
+            )
+        assert u.source.parents == ("c_0_1",)
+        assert u.source.bindings == ()
+
     def test_bindings_parsed(self):
         u = parse1(
             "cnf(c, plain, p(c), inference(spm,[status(thm)],"

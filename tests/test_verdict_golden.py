@@ -10,7 +10,6 @@ README's Testing section and review the diff.
 import os
 
 from tptp2miz import obvious
-from tptp2miz.obvious import ObviousnessQuery
 
 import helpers
 
@@ -18,13 +17,14 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "verdicts-500.txt")
 
 
 def sample_queries():
-    """The acceptance gate's soundness sample, same seeds; each query is
-    asked with the gate's budget of 2000."""
+    """The acceptance gate's soundness sample, same seeds, as (seed,
+    (premises, conclusion)); each query is asked with the gate's budget of
+    2000."""
     for seed in range(500):
         rng = helpers.make_rng(seed)
         premises = [helpers.random_quantified(rng) for _ in range(rng.randint(1, 3))]
         conclusion = helpers.random_quantified(rng)
-        yield seed, ObviousnessQuery.make(premises, conclusion)
+        yield seed, (premises, conclusion)
 
 
 def describe(seed, verdict):
@@ -40,7 +40,7 @@ def describe(seed, verdict):
 
 
 def verdict_lines(budget=2000):
-    return [describe(seed, obvious.is_obvious(q, budget=obvious.Budget(budget)))
+    return [describe(seed, obvious.is_obvious(*q, budget=obvious.Budget(budget)))
             for seed, q in sample_queries()]
 
 

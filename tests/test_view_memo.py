@@ -24,9 +24,9 @@ def test_fixture_builds_each_view_once(monkeypatch):
     # (query, assignment as a set of (atom key, value)) pairs
     branches, distinct, open_branches = set(), set(), set()
 
-    def is_obvious(q, *args, **kwargs):
+    def is_obvious(*args, **kwargs):
         query[0] += 1
-        return original_is_obvious(q, *args, **kwargs)
+        return original_is_obvious(*args, **kwargs)
 
     def dpll_branches(clauses, budget):
         found = original_branches(clauses, budget)  # None: refuted at the root
@@ -66,9 +66,9 @@ def test_fixture_compiles_each_instance_once(monkeypatch):
     compiled = collections.Counter()  # the same -> normal forms of the instance
     instances = {}  # id -> (instance, (query, unit, substitution))
 
-    def is_obvious(q, *args, **kwargs):
+    def is_obvious(*args, **kwargs):
         query[0] += 1
-        return original_is_obvious(q, *args, **kwargs)
+        return original_is_obvious(*args, **kwargs)
 
     def instance_formula(unit, subst):
         inst = original_instance(unit, subst)
