@@ -18,8 +18,8 @@ import re
 
 from . import derivation, expand, fol, obvious, skolem, tptp
 from .derivation import StepClass
-from .errors import (DuplicateName, ExpansionFailed, NoConjecture, NoRefutation,
-                     UnsupportedDefinition, UnsupportedSymbol)
+from .errors import (DuplicateName, ExpansionFailed, MultipleConjectures, NoConjecture,
+                     NoRefutation, UnsupportedDefinition, UnsupportedSymbol)
 
 # Symbol names are rendered verbatim, so they must be TPTP lower words or
 # numerals, and none of the words the rendering itself writes.
@@ -367,6 +367,8 @@ def translate_problem(units):
     theorem = None
     for u in units:
         if u.role == "conjecture":
+            if theorem is not None:
+                raise MultipleConjectures(u.name)
             theorem = u.formula
         else:
             i = len(axiom_items) + 1

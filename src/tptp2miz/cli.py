@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import os
 import sys
+import warnings
 
 from . import article, compress, derivation, obvious, tptp
 from .errors import IoError, TranslationError
@@ -165,15 +166,18 @@ def _run_check(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    try:
-        if args.mode == "problem":
-            return _run_problem(args)
-        if args.mode == "derivation":
-            return _run_derivation(args)
-        return _run_check(args)
-    except TranslationError as exc:
-        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a warning is one line, without the place in the package that raised it
+        warnings.showwarning = lambda message, *_: print("warning:", message, file=sys.stderr)
+        try:
+            if args.mode == "problem":
+                return _run_problem(args)
+            if args.mode == "derivation":
+                return _run_derivation(args)
+            return _run_check(args)
+        except TranslationError as exc:
+            print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

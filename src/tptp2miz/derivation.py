@@ -152,16 +152,12 @@ def classify_step(name: str, g: DerivationGraph) -> StepClass:
     if isinstance(unit.formula, fol.Falsum):
         return StepClass.FINAL_CONTRADICTION
     rule = unit.source.rule if isinstance(unit.source, InferenceRecord) else None
-    if isinstance(unit.source, FileSource) or rule is None:
-        if unit.role == "conjecture":
-            return StepClass.CONJECTURE
-        if unit.role == "negated_conjecture":
-            return StepClass.NEGATED_CONJECTURE
-        return StepClass.AXIOM
     if unit.role == "conjecture":
         return StepClass.CONJECTURE
     if unit.role == "negated_conjecture" or rule == "assume_negation":
         return StepClass.NEGATED_CONJECTURE
+    if rule is None:
+        return StepClass.AXIOM
     # The structural test overrides the rule name: any step whose conclusion
     # introduces a function symbol unseen in its parents is a skolemization.
     if new_function_symbols(name, g):

@@ -121,6 +121,14 @@ class NoConjecture(TranslationError):
         )
 
 
+class MultipleConjectures(TranslationError):
+    def __init__(self, name):
+        self.name = name
+        super().__init__(
+            f"problem has a second conjecture {name!r}, and the article states only one theorem"
+        )
+
+
 class NoRefutation(TranslationError):
     def __init__(self):
         super().__init__(

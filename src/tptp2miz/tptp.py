@@ -420,132 +420,103 @@ class _Parser:
     # -- sources ------------------------------------------------------------
 
     def parse_source(self):
-        term = self.parse_annotation_term()
-        source = _interpret_source(term)
+        parents, binds = [], []
+        term = self.parse_annotation_term(parents, binds)
+        source = _source(term, parents, binds)
         if isinstance(source, UnknownSource):
-            warnings.warn(
-                f"unrecognized source annotation {term!r}; treating as unknown",
-                TptpWarning,
-                stacklevel=4,
-            )
+            warnings.warn(f"unrecognized source annotation {term!r}; treating as unknown",
+                          TptpWarning, stacklevel=4)
         return source
 
-    def parse_annotation_term(self):
-        """Parse a general annotation term into nested python structures."""
+    def parse_annotation_term(self, parents=None, binds=None):
+        """Parse a general annotation term into nested python structures: a
+        list, a name, or a (name, args) pair, with `x : y` as (":", [x, y]).
+        Appends to `parents` the parent names the term gives as an item of
+        a parent list, and to `binds` each bind(...) of two arguments in it
+        that no other such bind holds, in text order."""
         name = self.peek()
         if name == "[":
             self.descend()
             items = []
             while not self.at("]"):
-                items.append(self.parse_annotation_term())
+                items.append(self.parse_annotation_term(parents, binds))
                 self.accept(",")
             self.expect("]")
             self.depth -= 1
             return items
         kind = _kind(name)
-        if kind not in ("op", "eof"):
-            self.next()
-            if kind == "quoted":
-                name = _unquote(name)
-            if self.at("("):
-                self.descend()
-                args = []
-                while not self.at(")"):
-                    args.append(self.parse_annotation_term())
-                    self.accept(",")
-                self.expect(")")
-                self.depth -= 1
-                out = (name, args)
-            else:
-                out = name
-            if self.at(":"):  # parent annotation, e.g. name : [bind(...)]
-                self.descend()
-                out = (":", [out, self.parse_annotation_term()])
-                self.depth -= 1
-            return out
-        self.error("expected an annotation term")
+        if kind in ("op", "eof"):
+            self.error("expected an annotation term")
+        self.next()
+        if kind == "quoted":
+            name = _unquote(name)
+        if not self.at("("):
+            out = name
+            if parents is not None:
+                parents.append(name)
+        else:
+            self.descend()
+            # As an item, an inference names the parents of its third argument
+            # once its arity shows, and a `:` those of its first: theory(...)
+            # and f(c_0_1) name none.  A bind's hints count once its arity
+            # shows that it is no hint itself.
+            own = [] if parents is not None else None
+            inner = [] if name == "bind" and binds is not None else binds
+            args = []
+            while not self.at(")"):
+                named = (name, len(args)) in (("inference", 2), (":", 0))
+                args.append(self.parse_annotation_term(own if named else None, inner))
+                self.accept(",")
+            self.expect(")")
+            self.depth -= 1
+            out = (name, args)
+            if parents is not None:
+                if name == "file" and len(args) >= 2 and isinstance(args[1], str):
+                    parents.append(args[1])
+                elif name != "inference" or len(args) == 3 and isinstance(args[2], list):
+                    parents.extend(own)
+            if inner is not binds:
+                if len(args) == 2:
+                    binds.append(out)
+                else:
+                    binds.extend(inner)
+        if self.at(":"):  # parent annotation, e.g. name : [bind(...)]
+            self.descend()
+            out = (":", [out, self.parse_annotation_term(None, binds)])
+            self.depth -= 1
+        return out
 
 
-def _interpret_source(term):
-    if isinstance(term, str):
-        if term == "unknown":
-            return UnknownSource("unknown")
-        return UnknownSource(repr(term))
-    if isinstance(term, tuple):
-        head, args = term
-        if head == "file":
-            if len(args) >= 2 and isinstance(args[1], str):
-                path = args[0] if isinstance(args[0], str) else "unknown"
-                return FileSource(args[1], path)
-            if args and isinstance(args[0], str):
-                return FileSource(args[0], args[0])
-            return UnknownSource(repr(term))
-        if head == "inference":
-            return _interpret_inference(term)
-        if head == "introduced":
-            return IntroducedSource(repr(term))
-    return UnknownSource(repr(term))
-
-
-def _leaf_parents(items):
-    names = []
-    for item in items:
-        if isinstance(item, str):
-            names.append(item)
-        elif isinstance(item, tuple):
-            head, args = item
-            if head == "inference" and len(args) == 3 and isinstance(args[2], list):
-                names.extend(_leaf_parents(args[2]))
-            elif head == ":" and args:
-                names.extend(_leaf_parents(args[:1]))
-            elif head == "file" and len(args) >= 2 and isinstance(args[1], str):
-                names.append(args[1])
-            # theory(equality), a nested inference whose parents are not a
-            # list, and similar non-name parents are dropped
-        elif isinstance(item, list):
-            names.extend(_leaf_parents(item))
-    return names
-
-
-def _interpret_inference(term):
+def _source(term, parents, binds):
+    """The record of a source annotation, from its term and the parents and
+    binds that parse_annotation_term gathered from it."""
+    if not isinstance(term, tuple):  # a name or a list
+        return UnknownSource("unknown" if term == "unknown" else repr(term))
     head, args = term
-    if len(args) != 3 or not isinstance(args[0], str) or not isinstance(args[2], list):
+    if head == "file":
+        if len(args) >= 2 and isinstance(args[1], str):
+            return FileSource(args[1], args[0] if isinstance(args[0], str) else "unknown")
+        if args and isinstance(args[0], str):
+            return FileSource(args[0], args[0])
+    if head == "introduced":
+        return IntroducedSource(repr(term))
+    if not (head == "inference" and len(args) == 3 and isinstance(args[0], str)
+            and isinstance(args[2], list)):
         return UnknownSource(repr(term))
-    rule = args[0]
     status = None
+    for item in args[1] if isinstance(args[1], list) else [args[1]]:
+        if (isinstance(item, tuple) and item[0] == "status" and item[1]
+                and isinstance(item[1][0], str)):
+            status = item[1][0]
     bindings = []
-    info = args[1] if isinstance(args[1], list) else [args[1]]
-    for item in info:
-        if isinstance(item, tuple):
-            ihead, iargs = item
-            if ihead == "status" and iargs and isinstance(iargs[0], str):
-                status = iargs[0]
-    for item in _collect_binds([info, args[2]]):
+    for item in binds:
         bound = _interpret_binding(item[1])
         if bound is not None:
             bindings.append(bound)
         else:
-            warnings.warn(
-                f"malformed bind annotation {item!r}; ignoring",
-                TptpWarning,
-                stacklevel=5,
-            )
-    parents = tuple(_leaf_parents(args[2]))
-    return InferenceRecord(rule, parents, status, tuple(bindings))
-
-
-def _collect_binds(obj):
-    found = []
-    if isinstance(obj, list):
-        for item in obj:
-            found.extend(_collect_binds(item))
-    elif isinstance(obj, tuple):
-        head, args = obj
-        if head == "bind" and len(args) == 2:
-            found.append(obj)
-        else:
-            found.extend(_collect_binds(args))
-    return found
+            warnings.warn(f"malformed bind annotation {item!r}; ignoring",
+                          TptpWarning, stacklevel=5)
+    return InferenceRecord(args[0], tuple(parents), status, tuple(bindings))
 
 
 def _interpret_binding(args):

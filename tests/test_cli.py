@@ -132,6 +132,28 @@ class TestProblemMode:
         assert err.startswith("error: IoError:")
         assert "Traceback" not in err
 
+    def test_parser_warnings_are_one_line_each(self, tmp_path, capsys):
+        path = tmp_path / "warn.p"
+        path.write_text("fof(a, axiom, p(c), creator(esoteric)).\n"
+                        "fof(b, axiom, q(c), inference(r, [bind(x, $fot(c))], [a])).\n")
+        code, _, err = run(capsys, "problem", str(path), "-o", str(tmp_path / "out"))
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: unrecognized source annotation ('creator', ['esoteric']); "
+            "treating as unknown",
+            "warning: malformed bind annotation ('bind', ['x', ('$fot', ['c'])]); ignoring",
+        ]
+
+    def test_second_conjecture_refused(self, tmp_path, capsys):
+        # the article states one theorem, so a second would be dropped unseen
+        path = tmp_path / "two.p"
+        path.write_text("fof(a,axiom,p(c)). fof(g1,conjecture,p(c)). fof(g2,conjecture,q(c)).\n")
+        code, _, err = run(capsys, "problem", str(path), "-o", str(tmp_path / "out"))
+        assert code == 2
+        assert err == ("error: MultipleConjectures: problem has a second conjecture 'g2', "
+                       "and the article states only one theorem\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestWideInputs:
     """Units wider than the recursion limit."""
