@@ -6,8 +6,9 @@ proof is a diffuse reasoning block refuting the negated conjecture.
 
 Each derived step is justified by a checker query, and expanded into a
 sub-proof when that fails.  build_article leaves the steps `Deferred`:
-compress justifies each step as it reaches it, and finish_article
-justifies any step still unsettled and completes the draft.
+compress justifies the steps its decisions read and the steps it keeps,
+and finish_article justifies any step still deferred and completes the
+article written.
 """
 
 from __future__ import annotations
@@ -82,17 +83,16 @@ class ArticleModel(fol.MutableRecord):
 def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
                   conjecture=None, memo=None):
     """The draft article and manifest of a derivation.  Each derived step's
-    sub-proof is left as the draft's one `Deferred`, which compress settles
-    when it reaches the step and finish_article settles otherwise; the
-    reserve line and the manifest's signature are left to finish_article.
-    Only the closing step is checked at once.
+    sub-proof is left as the draft's one `Deferred`, which compress or
+    finish_article justifies when the step is reached; the reserve line and
+    the manifest's signature are left to finish_article.  Only the closing
+    step is checked at once, and raises ExpansionFailed when it fails.
 
     The justify queries, the sub-proof searches on them and the closing
     step's query share the given obvious.PremiseMemo, if any, which the
     caller empties.  Without one, each step's query and search share a
     memo of their own."""
     classes = derivation.classify_all(graph)
-    depends = derivation.mark_conjecture_dependence(graph, classes)
     used = derivation.mark_used(graph)
 
     conj_nodes = [n for n in graph.order if classes[n] is StepClass.CONJECTURE]
@@ -106,15 +106,13 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
         theorem = designated.body if isinstance(designated, fol.Not) else fol.Not(designated)
         neg_nodes = [conjecture] + [n for n in neg_nodes if n != conjecture]
         conj_nodes = [n for n in conj_nodes if n != conjecture]
-        depends = dict(depends)
-        stack = [conjecture]
-        while stack:
-            cur = stack.pop()
-            if not depends.get(cur):
-                depends[cur] = True
-                stack.extend(graph.children[cur])
+        # the unit and its descendants depend on the assumption; its own
+        # class stays, so a designated axiom is still stated as one
+        depends = derivation.mark_conjecture_dependence(
+            graph, {**classes, conjecture: StepClass.NEGATED_CONJECTURE})
     elif conj_nodes:
         theorem = graph.nodes[conj_nodes[0]].formula
+        depends = derivation.mark_conjecture_dependence(graph, classes)
     else:
         raise NoConjecture()
 
@@ -211,7 +209,7 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             sub = expand.build_subproof(name, verdict.problem, hint)
         return _rename_subproof(sub, rename)
 
-    deferred = Deferred(lemma_names + inner_names, justify)
+    deferred = Deferred(justify)
 
     def item(name):
         return Item(label_of[name], rename(graph.nodes[name].formula),
@@ -232,58 +230,31 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
 
     # the closing step has no sub-proof form, so it must be obvious as cited
     if not obvious.is_obvious(premises, fol.FALSE, memo, obvious.Budget(budget)).is_obvious:
-        deferred.justify_before(None)  # a failing step is named first
         raise ExpansionFailed(graph.sink)
     return model, manifest
 
 
 class Deferred:
-    """The sub-proof of every derived step of a draft article until its
-    justify query is asked, when compression reaches the step or else in
-    finish_article: one object for the draft, which settles each step by
-    its source name."""
+    """The sub-proof of a derived step of a draft article until its
+    justify query is asked, by compress or finish_article: one object for
+    the draft, whose justify maps a step's source name to its SubProof, or
+    to None when the step is obvious as cited, and raises ExpansionFailed
+    when neither holds."""
 
-    def __init__(self, names, justify):
-        self._names = names  # the derived steps in model order
-        self._justify = justify
-        self.found = {}  # name -> its SubProof, or None when obvious as cited
-
-    def justify(self, name):
-        """The step's sub-proof as build_article finds it.  When that
-        fails, the steps before it are justified first, so the
-        ExpansionFailed raised names the first step that fails in model
-        order."""
-        try:
-            self.found[name] = self._justify(name)
-        except ExpansionFailed:
-            self.justify_before(name)
-            raise
-        return self.found[name]
-
-    def obvious(self, name):
-        """Settle the step as obvious as cited, which its caller proved."""
-        self.found[name] = None
-
-    def justify_before(self, name):
-        """Justify every unsettled step before the named one, or every
-        unsettled step when the name is None."""
-        for earlier in itertools.takewhile(lambda n: n != name, self._names):
-            if earlier not in self.found:
-                self.found[earlier] = self._justify(earlier)
+    def __init__(self, justify):
+        self.justify = justify
 
 
 def finish_article(model, manifest):
-    """Complete a draft: justify, in model order, every step that
-    compression did not settle (all of them when there was none), then
-    give each step its sub-proof as justification found it, and the
-    reserve line and the manifest's functions and predicates over them.
-    A kind or arity conflict, or a symbol the rendering cannot write
-    (UnsupportedSymbol), is raised here, after any ExpansionFailed."""
-    unsettled = [item for item in model.all_steps() if isinstance(item.subproof, Deferred)]
-    if unsettled:
-        unsettled[0].subproof.justify_before(None)  # the draft's one Deferred
-    for item in unsettled:
-        item.subproof = item.subproof.found[item.source_name]
+    """Complete the article to be written: justify, in model order, every
+    step still `Deferred` (each step of a draft, none after compression),
+    then give the reserve line and the manifest's functions and predicates
+    over the steps and their sub-proofs.  A kind or arity conflict, or a
+    symbol the rendering cannot write (UnsupportedSymbol), is raised here,
+    after any ExpansionFailed."""
+    for item in model.all_steps():
+        if isinstance(item.subproof, Deferred):
+            item.subproof = item.subproof.justify(item.source_name)
     model.reservations = _reservations(model)
     manifest.signature.add(_instance_formulas(model) + manifest.skolem_defs)
     signature, manifest.signature = manifest.signature.symbols(), None
@@ -342,15 +313,11 @@ def _instance_formulas(model):
 
 
 def _reservations(model):
-    # a display form names each free variable, which the closure binds, and
-    # each bound name once, however many quantifiers bind it; a sub-proof's
-    # instance steps add their bound names to their statement's
-    most = max((len(set(f.free).union(f.binders))
-                for f in _stated_formulas(model) + _instance_formulas(model)), default=0)
-    for item in model.all_steps():
-        if item.subproof is not None:
-            most = max([most] + [len(names) for _, names in _instance_names(item)])
-    return tuple(f"X{i}" for i in range(1, most + 1))
+    """X1, X2, ... up to the largest name map the article is rendered with."""
+    maps = [_display_names(f)[0] for f in _stated_formulas(model)]
+    maps += [names for item in model.all_steps() if item.subproof is not None
+             for _, names in _instance_names(item)]
+    return tuple(f"X{i}" for i in range(1, max(map(len, maps), default=0) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +407,30 @@ def _closure_prefix(f):
     return f.free, f
 
 
+def _variable_names(variables, names=()):
+    """The names extended by X<n+1>, X<n+2>, ... for each of the variables
+    they lack, in order."""
+    names = dict(names)
+    for v in variables:
+        if v not in names:
+            names[v] = f"X{len(names) + 1}"
+    return names
+
+
+def _display_names(f):
+    """The names a display form renders f's matrix with: its closure's
+    prefix first, then each bound name once, however many quantifiers bind
+    it; and the matrix."""
+    prefix, matrix = _closure_prefix(f)
+    return _variable_names(prefix + matrix.binders), matrix
+
+
 def _display_form(f):
     """Strip the universal closure and rename variables to X1, X2, ...
 
     Returns (rendered matrix formula text, original-name comment or None).
     """
-    prefix, matrix = _closure_prefix(f)
-    names = {}
-    for v in prefix:
-        names[v] = f"X{len(names) + 1}"
-    for v in matrix.binders:
-        if v not in names:
-            names[v] = f"X{len(names) + 1}"
+    names, matrix = _display_names(f)
     text = _render(matrix, names)
     renamed = [(old, new) for old, new in names.items() if old != new]
     comment = None
@@ -466,13 +445,9 @@ def _instance_names(item):
     must also apply inside the proof, then fresh names for the instance's
     bound variables, as _display_form names a statement's."""
     prefix, _ = _closure_prefix(item.formula)
-    names = {v: f"X{i + 1}" for i, v in enumerate(prefix)}
+    names = _variable_names(prefix)
     for step in item.subproof.instances:
-        own = dict(names)
-        for v in step.formula.binders:
-            if v not in own:
-                own[v] = f"X{len(own) + 1}"
-        yield step, own
+        yield step, _variable_names(step.formula.binders, names)
 
 
 def _subproof_lines(item, indent):

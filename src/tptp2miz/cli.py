@@ -123,15 +123,13 @@ def _run_derivation(args):
     # so one memo serves both; without it, no later query cites a justify
     # query's premises, and each query's memo is emptied when it returns.
     with contextlib.nullcontext() if args.no_compress else obvious.PremiseMemo() as memo:
-        draft, manifest = article.build_article(
+        model, manifest = article.build_article(
             graph, keep_unused=args.keep_unused, budget=args.budget,
             conjecture=args.conjecture, memo=memo)
-        model = draft
         if not args.no_compress:
             model, report = compress.compress(
-                draft, manifest, budget=args.budget, max_passes=args.max_passes, memo=memo)
-    article.finish_article(draft, manifest)
-    model.reservations = draft.reservations
+                model, manifest, budget=args.budget, max_passes=args.max_passes, memo=memo)
+    article.finish_article(model, manifest)
     if not args.no_compress:
         print(report.summary(), file=sys.stderr)
         if args.verbose:
@@ -167,7 +165,9 @@ def _run_check(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        # a warning is one line, without the place in the package that raised it
+        # a warning is one line, without the place in the package that
+        # raised it, and each one is shown, however often its line raises
+        warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print("warning:", message, file=sys.stderr)
         try:
             if args.mode == "problem":

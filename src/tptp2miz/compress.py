@@ -16,12 +16,12 @@ compresses in linear time.
 Compression only deletes steps: a step that keeps a sub-proof keeps the
 one justification found, and the steps it cites.
 
-Justification is settled here, step by step, for the draft whose steps
-build_article left `Deferred`: a step is justified when a deletion scan
-reads its sub-proof, and a deleted ground step whose refs cover it is
-settled as obvious with no query, since covered() proves its justify
-query Obvious (`_obvious_when_covered`).  An article whose steps are
-settled already is compressed the same way.
+A draft whose steps build_article left `Deferred` is justified here as
+far as compression needs it: a step is justified when a deletion scan
+reads its sub-proof, and every step kept is justified after the last
+pass.  A deleted step is never justified, since the article no longer
+states it.  An article whose steps are settled already is compressed the
+same way.
 """
 
 from __future__ import annotations
@@ -33,18 +33,17 @@ from .article import ArticleModel, Deferred
 class CompressionReport(fol.MutableRecord):
     __slots__ = _fields = ("passes", "steps_before", "steps_after",
                            "removed_labels", "queries", "premises", "settled",
-                           "justified", "justify_settled")
+                           "justified")
 
     def __init__(self, passes=0, steps_before=0, steps_after=0, removed_labels=None,
-                 queries=0, premises=0, settled=0, justified=0, justify_settled=0):
+                 queries=0, premises=0, settled=0, justified=0):
         self.passes, self.steps_before, self.steps_after = passes, steps_before, steps_after
         self.removed_labels = [] if removed_labels is None else removed_labels
         # full checker queries, the premises they were given, and the
         # deletion checks settled by propagation without one
         self.queries, self.premises, self.settled = queries, premises, settled
-        # deferred steps justified by their justify query, and those settled
-        # by propagation without one
-        self.justified, self.justify_settled = justified, justify_settled
+        # deferred steps justified by their justify query
+        self.justified = justified
 
     def summary(self):
         return (
@@ -60,10 +59,7 @@ class CompressionReport(fol.MutableRecord):
         )
 
     def justifications(self):
-        return (
-            f"deferred justification: {self.justified} justify queries, "
-            f"{self.justify_settled} settled by propagation"
-        )
+        return f"deferred justification: {self.justified} justify queries"
 
 
 def _clone(model: ArticleModel) -> ArticleModel:
@@ -190,7 +186,7 @@ class _Citers:
 class _Checker:
     """Compression's checker queries, counted in the report, the citers
     whose current refs close them by unit propagation at the root, and the
-    settling of deferred steps."""
+    justification of deferred steps."""
 
     def __init__(self, index, memo, budget, report):
         self.index, self.memo, self.budget, self.report = index, memo, budget, report
@@ -248,42 +244,6 @@ class _Checker:
             self.report.justified += 1
         return item.subproof
 
-    def settle_deleted(self, victim):
-        """Settle the deferred victim of an accepted deletion: as obvious
-        when covers() proves its justify query Obvious, else by the query."""
-        if _obvious_when_covered(victim.formula) and self.covers(victim):
-            victim.subproof.obvious(victim.source_name)
-            victim.subproof = None
-            self.report.justify_settled += 1
-        else:
-            self.subproof(victim)
-
-
-def _obvious_when_covered(formula):
-    """Whether obvious.covered, for a step and its own refs, proves the
-    step's justify query Obvious: the step is a ground literal or clause
-    of at most obvious._MAX_CLAUSES literals.
-
-    covered means one of three things about root propagation on the refs'
-    prepared clauses: it finds a conflict, or it derives the step's single
-    clause as a unit, or a ref clause lies inside that clause (a
-    tautology has no clause, and the third case holds of none).  The
-    justify query's clauses are those same clauses (its premises are the
-    refs' formulas, before the skolem renaming, which renames symbols one
-    to one) plus the step's negated literals as unit clauses.  So its root
-    propagation finds a conflict in all three cases: by monotonicity in
-    the first; in the second the derived literal meets its negation; in
-    the third every literal of the ref clause is false (and a tautology's
-    negation holds a literal and its complement).  The query is then
-    Obvious by "propagation", at one budget unit, which `--budget` (at
-    least 1) allows; and its goal, one unit clause per literal, stays
-    within the clause guard."""
-    if formula.free:
-        return False
-    literals = formula.parts if isinstance(formula, fol.Or) else (formula,)
-    return (len(literals) <= obvious._MAX_CLAUSES
-            and all(obvious._as_literal(g) is not None for g in literals))
-
 
 def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
              max_passes=None):
@@ -291,12 +251,10 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
     shares the given obvious.PremiseMemo, which the caller empties, so no
     formula that justification cited with it is prepared again.
 
-    A `Deferred` step of a draft is settled with the verdicts
-    finish_article would give it; the draft keeps what justification found
-    (see article.finish_article).  A step is justified the first time a
-    deletion scan reads its sub-proof, as a citer.  A deleted step is
-    settled as obvious when covered() proves it so, else justified; a step
-    no scan read, after the last pass."""
+    A `Deferred` step of a draft is justified in the copy the first time a
+    deletion scan reads its sub-proof, as a citer, and a kept step that no
+    scan read, after the last pass; a deleted step is not justified.  An
+    ExpansionFailed names the first step that fails in that order."""
     model = _clone(model)
     report = CompressionReport(steps_before=len(model.all_steps()))
     for item in model.all_steps():
@@ -336,8 +294,6 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
                     break
                 trials.append((refs, rank, propagates))
             else:
-                if isinstance(victim.subproof, Deferred):
-                    checker.settle_deleted(victim)
                 removed.add(victim.label)
                 citers.remove(victim)
                 for citer, (refs, rank, propagates) in zip(found, trials):

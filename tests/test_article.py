@@ -166,6 +166,12 @@ class TestRendering:
         model, manifest = fixture_article()
         assert helpers.mizcheck_problems(model, manifest) == []
 
+    def test_a_name_bound_twice_in_the_prefix_is_reserved(self):
+        # the prefix of ![X]: ![X]: p(X) binds X twice, and names it once
+        units = tptp.parse_problem("fof(a, axiom, ![X]: ![X]: p(X)).")
+        model, _ = article.translate_problem(units)
+        assert article.render_article(model) == "reserve X1;\n\n:: X1 <- X\nAx1: p X1 by AXIOMS:1;\n"
+
 
 class TestManifest:
     def test_round_trip(self):

@@ -144,6 +144,17 @@ class TestProblemMode:
             "warning: malformed bind annotation ('bind', ['x', ('$fot', ['c'])]); ignoring",
         ]
 
+    def test_a_repeated_warning_is_shown_each_time(self, tmp_path, capsys):
+        path = tmp_path / "warn.p"
+        path.write_text("fof(a, axiom, p(c), creator(esoteric)).\n"
+                        "fof(b, axiom, q(c), creator(esoteric)).\n")
+        code, _, err = run(capsys, "problem", str(path), "-o", str(tmp_path / "out"))
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: unrecognized source annotation ('creator', ['esoteric']); "
+            "treating as unknown",
+        ] * 2
+
     def test_second_conjecture_refused(self, tmp_path, capsys):
         # the article states one theorem, so a second would be dropped unseen
         path = tmp_path / "two.p"

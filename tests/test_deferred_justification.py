@@ -1,9 +1,10 @@
-"""Justification on demand: with compression on, each derived step's
-justify query is asked when compression reaches the step, and a deleted
-ground step that `covered` proves obvious needs no query at all.  The
-article, the manifest, the report and every error are those of eager
-justification, every step justified by finish_article first, followed by
-compression.  Without compression finish_article justifies every step."""
+"""Justification on demand: with compression on, a derived step's justify
+query is asked when a deletion scan reads the step's sub-proof, or after
+the last pass when the step is kept, and a deleted step is never
+justified.  The article, the manifest and the report are those of eager
+justification, every step justified first, followed by compression and
+finish_article on the compressed copy.  Without compression
+finish_article justifies every step."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ import os
 
 import pytest
 
-from tptp2miz import article, cli, compress, derivation, fol, obvious, tptp
+from tptp2miz import article, cli, compress, derivation, expand, fol, obvious, tptp
 
 import helpers
 from conftest import FIXTURES
@@ -49,18 +50,22 @@ CASES = {
         "p(g(g(g(c))))", {"a1": TWICE, "a2": "p(c)"},
         [("s0", "p(g(c))", ["a1", "a2"]), ("s1", "p(g(g(g(c))))", ["a1", "s0"])],
         ["s1", "neg"]),
-    # the skolem step is deleted, settled by its refs and choice axiom
+    # the skolem step is deleted, its choice axiom still in the manifest
     "deleted_skolem_step": derivation_text(
         "q(c)", {"a1": "?[X]: p(X)", "a2": "q(c)"},
         [("s0", "p(esk1_0)", ["a1"])], ["s0", "a2", "neg"]),
-    # two skolem steps and the steps that use them, all deleted: the skolem
-    # steps settled by propagation, the others by their justify queries
+    # two skolem steps and the steps that use them, all deleted
     "skolem_steps": derivation_text(
         "r(c)", {"a1": "?[X]: p(X)", "a2": "![X]: (p(X) => r(c))", "a3": "?[Y]: s(Y)",
                  "a4": "![Y]: (s(Y) => t(Y))", "a5": "u(c)"},
         [("s0", "p(esk1_0)", ["a1"]), ("s1", "r(c)", ["a2", "s0"]),
          ("s2", "s(esk2_0)", ["a3"]), ("s3", "t(esk2_0)", ["a4", "s2"])],
         ["s1", "s3", "neg"]),
+    # s1 states more variables than any kept formula, and is deleted, so
+    # the reserve line of the compressed article is shorter than the draft's
+    "deleted_step_with_more_variables": derivation_text(
+        "q(c)", {"a1": "![X]: p(X)", "a2": "q(c)"},
+        [("s1", "![X,Y]: (p(X) | p(Y))", ["a1"])], ["s1", "a2", "neg"]),
 }
 
 
@@ -70,12 +75,15 @@ def read(path):
 
 
 def eager(path, **options):
-    """Eager justification and then compression: the article, the
-    manifest and the report's lines."""
+    """Every draft step justified, then compression, and the compressed
+    copy finished: the article, the manifest and the report's lines."""
     graph = derivation.build_graph(tptp.parse_derivation_file(path))
     with obvious.PremiseMemo() as memo:
-        model, manifest = helpers.finished_article(graph, memo=memo)
+        model, manifest = article.build_article(graph, memo=memo)
+        for item in model.all_steps():
+            item.subproof = item.subproof.justify(item.source_name)
         model, report = compress.compress(model, manifest, memo=memo, **options)
+    article.finish_article(model, manifest)
     return (article.render_article(model), article.render_manifest(manifest),
             [report.summary(), report.checks()])
 
@@ -117,22 +125,28 @@ class TestExactness:
         (miz, _, lines), (justification,) = deferred(
             paths["deleted_step_with_subproof"], tmp_path / "out")
         assert "proof" not in miz.split("theorem")[0] and "removed [S1]" in lines[0]
-        assert justification == "deferred justification: 1 justify queries, 0 settled by propagation"
+        assert justification == "deferred justification: 0 justify queries"
         (miz, _, lines), (justification,) = deferred(
             paths["kept_steps_with_subproof"], tmp_path / "out")
         assert "removed []" in lines[0] and "thus thesis by" in miz
-        assert justification == "deferred justification: 2 justify queries, 0 settled by propagation"
+        assert justification == "deferred justification: 2 justify queries"
         (miz, env, lines), (justification,) = deferred(
             paths["deleted_skolem_step"], tmp_path / "out")
         assert "removed [S1]" in lines[0] and "skolemdef 1:" in env and "skolem1" in env
-        assert justification == "deferred justification: 0 justify queries, 1 settled by propagation"
+        assert justification == "deferred justification: 0 justify queries"
+        # the reserve line is the written article's, not the draft's
+        path = paths["deleted_step_with_more_variables"]
+        (miz, _, lines), _ = deferred(path, tmp_path / "out")
+        assert "removed [S1]" in lines[0] and miz.startswith("reserve X1;\n")
+        (miz, _, _), _ = deferred(path, tmp_path / "out", "--no-compress")
+        assert miz.startswith("reserve X1,X2;\n")
 
 
 class TestQueries:
     def test_ground_chain_asks_only_the_closing_query(self, monkeypatch, tmp_path):
         # Justified before compression, the chain asks 200 justify queries
-        # and the closing one.  Compression settles each deleted step by
-        # propagation instead.
+        # and the closing one.  Compression deletes every step, and a
+        # deleted step is not justified.
         calls = [0]
         original = obvious.is_obvious
 
@@ -147,8 +161,24 @@ class TestQueries:
         assert lines[0].startswith("compression: 200 -> 0 steps")
         queries = int(lines[1].split()[2])  # compression checks: N queries ...
         assert calls[0] - queries == 1
-        assert justification == (
-            "deferred justification: 0 justify queries, 200 settled by propagation")
+        assert justification == "deferred justification: 0 justify queries"
+
+    def test_a_deleted_step_needs_no_subproof_search(self, monkeypatch, tmp_path):
+        # s1 would need a sub-proof, but compression deletes it unjustified
+        searched = []
+        original = expand.build_subproof
+
+        def build_subproof(step_name, *args):
+            searched.append(step_name)
+            return original(step_name, *args)
+
+        monkeypatch.setattr(expand, "build_subproof", build_subproof)
+        path = tmp_path / "in.out"
+        path.write_text(CASES["deleted_step_with_subproof"])
+        (_, _, lines), _ = deferred(path, tmp_path / "out")
+        assert "removed [S1]" in lines[0] and searched == []
+        deferred(path, tmp_path / "out", "--no-compress")
+        assert searched == ["s1"]
 
     def test_no_compress_justifies_every_step_in_finish_article(self, monkeypatch, tmp_path):
         # build_article asks only the closing query; finish_article then
@@ -187,8 +217,12 @@ class TestQueries:
 
 
 class TestErrors:
-    """The error a run ends in is the one eager justification raises:
-    steps in model order, then the closing step, then the signature."""
+    """The closing step is checked first.  Then, without compression, the
+    first step that fails in model order is named; with compression, the
+    first step that fails as compression justifies it: a citer whose
+    sub-proof a deletion scan reads, or a kept step after the last pass.
+    A deleted step is never justified.  ExpansionFailed comes before the
+    signature's errors."""
 
     def translate(self, tmp_path, text, *options):
         path = tmp_path / "in.p"
@@ -200,33 +234,46 @@ class TestErrors:
         return code, err.getvalue()
 
     @pytest.mark.parametrize("options", [[], ["--no-compress"]])
-    def test_deleted_step_is_still_justified(self, tmp_path, options):
+    def test_a_deleted_step_ends_no_run(self, tmp_path, options):
         # r(c) does not follow from p(c); the closing step also cites the
-        # facts it needs, so compression deletes s1, which must still fail
+        # facts it needs, so compression deletes s1 unjustified and writes
+        # a valid article, while without compression s1 fails
         text = derivation_text("q(c)", {"a1": "p(c)", "a2": "q(c)"},
                                [("s1", "r(c)", ["a1"])], ["s1", "a2", "neg"])
-        code, err = self.translate(tmp_path, text, *options)
-        assert code == 2 and err.startswith("error: ExpansionFailed:") and "'s1'" in err
+        if options:
+            code, err = self.translate(tmp_path, text, *options)
+            assert code == 2 and err.startswith("error: ExpansionFailed:") and "'s1'" in err
+            return
+        path = tmp_path / "in.p"
+        path.write_text(text)
+        (miz, env, lines), _ = deferred(path, tmp_path / "out")
+        assert "removed [S1]" in lines[0]
+        assert helpers.mizcheck.check_article(miz, env).problems == []
 
     @pytest.mark.parametrize("options", [[], ["--no-compress"]])
     def test_the_first_failing_step_is_named(self, tmp_path, options):
-        # compression reaches s2 first, and s1 fails too
-        text = derivation_text("q(c)", {"a1": "p(c)", "a2": "q(c)"},
-                               [("s1", "r(c)", ["a1"]), ("s2", "t(c)", ["a1"])],
-                               ["s1", "s2", "a2", "neg"])
+        # Neither s1 nor s2 follows, and both are kept.  Deciding whether
+        # to delete s1, compression reads the sub-proof of its citer s2
+        # first; without compression s1 comes first in model order.
+        text = derivation_text("q(c)", {"a1": "p(c)", "a2": "t(c) => q(c)"},
+                               [("s1", "r(c)", ["a1"]), ("s2", "t(c)", ["s1"])],
+                               ["s2", "a2", "neg"])
         code, err = self.translate(tmp_path, text, *options)
-        assert code == 2 and "'s1'" in err
+        assert code == 2 and err.startswith("error: ExpansionFailed:")
+        assert ("'s1'" if options else "'s2'") in err
 
     @pytest.mark.parametrize("options", [[], ["--no-compress"]])
     def test_a_failing_step_before_the_closing_step(self, tmp_path, options):
+        # the closing step does not follow, and is checked first
         text = derivation_text("q(c)", {"a1": "p(c)"}, [("s1", "r(c)", ["a1"])],
                                ["s1", "neg"])
         code, err = self.translate(tmp_path, text, *options)
-        assert code == 2 and "ExpansionFailed" in err and "'s1'" in err
+        assert code == 2 and "ExpansionFailed" in err and "'f'" in err
 
     @pytest.mark.parametrize("options", [[], ["--no-compress"]])
     def test_expansion_failed_before_unsupported_symbol(self, tmp_path, options):
-        text = derivation_text("q(c)", {"a1": "p(c)", "a2": "q(c)", "a3": "or(c)"},
+        # s1 does not follow, and the closing step needs it, so it is kept
+        text = derivation_text("q(c)", {"a1": "p(c)", "a2": "r(c) => q(c)", "a3": "or(c)"},
                                [("s1", "r(c)", ["a1"])], ["s1", "a2", "neg"])
         code, err = self.translate(tmp_path, text, *options)
         assert code == 2 and "ExpansionFailed" in err and "'s1'" in err

@@ -151,13 +151,15 @@ def assert_used_and_emptied(made, count):
 
 
 RAISING = (
-    # r(c) does not follow from p(c), so the step cannot be expanded
+    # r(c) does not follow from p(c), so the step cannot be expanded; the
+    # closing step needs it, so compression keeps it
     "fof(a1, axiom, p(c), file('x.p', a1)).\n"
+    "fof(a2, axiom, r(c) => q(c), file('x.p', a2)).\n"
     "fof(goal, conjecture, q(c), file('x.p', goal)).\n"
     "fof(neg, negated_conjecture, ~q(c),"
     " inference(assume_negation,[status(cth)],[goal])).\n"
     "cnf(bad, plain, r(c), inference(resolution,[status(thm)],[a1])).\n"
-    "cnf(f, plain, $false, inference(resolution,[status(thm)],[bad, neg])).\n"
+    "cnf(f, plain, $false, inference(resolution,[status(thm)],[bad, a2, neg])).\n"
 )
 
 
@@ -254,9 +256,13 @@ class TestLifetime:
         assert not memo.registry.atoms
 
     def test_raising_call(self, memos):
-        # the failing step's memo is emptied as the failure passes
+        # the failing step's memo is emptied as the failure passes; the
+        # closing query, which passes, has no memo of its own
+        model, manifest = article.build_article(
+            derivation.build_graph(tptp.parse_problem(RAISING)))
+        assert memos == []
         with pytest.raises(ExpansionFailed):
-            article.build_article(derivation.build_graph(tptp.parse_problem(RAISING)))
+            article.finish_article(model, manifest)
         assert_used_and_emptied(memos, 1)
 
     def test_raising_run(self, memos, tmp_path):
@@ -386,9 +392,13 @@ class TestComplexityGuard:
         with obvious.PremiseMemo() as memo:  # the run memo, as cli opens it
             model, manifest = article.build_article(graph, memo=memo)
             out, report = compress.compress(model, manifest, memo=memo)
+        article.finish_article(out, manifest)
 
         assert report.steps_before == 200 and report.steps_after == 0
-        assert len(registries) >= 201 + 200  # justify queries, then compression's
+        # the closing query, then compression's 200 deletion checks; no
+        # deleted step is justified
+        assert report.justified == 0 and report.queries == 200
+        assert len(registries) == 1 + 200
         assert all(mine is theirs for mine, theirs in registries)
         assert len({id(mine) for mine, _ in registries}) == 1
         # Every premise of the chain is ground.  Each query clausifies its
@@ -470,8 +480,8 @@ class TestComplexityGuard:
         if run_memo:
             with obvious.PremiseMemo() as memo:  # the run memo, as cli opens it
                 run_registry = memo.registry
-                model, manifest = article.build_article(graph, memo=memo)
-                compress.compress(model, manifest, memo=memo)
+                draft, manifest = article.build_article(graph, memo=memo)
+                model, _ = compress.compress(draft, manifest, memo=memo)
             article.finish_article(model, manifest)
             assert {id(r) for r in registries} == {id(run_registry)}
         else:

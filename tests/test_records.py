@@ -78,10 +78,10 @@ RECORDS = [
      (("X",), [], [], P, None, True), "mutable"),
     (compress.CompressionReport,
      "(passes=0, steps_before=0, steps_after=0, removed_labels=None,"
-     " queries=0, premises=0, settled=0, justified=0, justify_settled=0)",
+     " queries=0, premises=0, settled=0, justified=0)",
      ("passes", "steps_before", "steps_after", "removed_labels",
-      "queries", "premises", "settled", "justified", "justify_settled"),
-     (1, 5, 3, ["A1"], 7, 40, 2, 1, 4), "mutable"),
+      "queries", "premises", "settled", "justified"),
+     (1, 5, 3, ["A1"], 7, 40, 2, 1), "mutable"),
     (derivation.DerivationGraph, "(nodes, parents, children, order_index, sink, order)",
      ("nodes", "parents", "children", "order_index", "sink", "order"),
      ({}, {}, {}, {}, None, []), "mutable"),

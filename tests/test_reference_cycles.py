@@ -28,8 +28,7 @@ def deferred_pipeline():
     with obvious.PremiseMemo() as memo:
         draft, manifest = article.build_article(graph, memo=memo)
         model, _ = compress.compress(draft, manifest, memo=memo)
-    article.finish_article(draft, manifest)
-    model.reservations = draft.reservations
+    article.finish_article(model, manifest)
     return article.render_article(model) + article.render_manifest(manifest)
 
 
