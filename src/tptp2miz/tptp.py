@@ -88,13 +88,15 @@ class AnnotatedFormula(fol.Record):
 # group 1 captures the token.  Since group 1 matches at every offset (any
 # character, or the end), the skip never backtracks and findall returns the
 # whole stream.  The first '' is the end of input (a text that ends in
-# whitespace or a comment gets a second).
+# whitespace or a comment gets a second).  Words and the one-character
+# operators that start no longer one come first, as most tokens are those.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|%[^\n]*|\#[^\n]*|/\*.*?\*/)*
-    ( '(?:[^'\\]|\\.)*'
+    ( [a-zA-Z][a-zA-Z0-9_]*
+    | [(),\[\]:.&|?*]
+    | '(?:[^'\\]|\\.)*'
     | \$[a-z][a-zA-Z0-9_]*
-    | [a-zA-Z][a-zA-Z0-9_]*
     | [+-]?\d+(?:\.\d+)?
     | <=>|<~>|=>|<=|!=|~\||~&
     | .
@@ -107,14 +109,10 @@ _TOKEN_RE = re.compile(
 _OPS = frozenset("!?~&|=:(),.[]<>*")  # the one-character operators
 _LETTERS = frozenset(c for c in map(chr, range(128)) if c.isalpha())  # ASCII
 
-# A token's kind follows from its first character: a sign or a digit that
-# no entry names starts a number.
+# A token's kind, `_KINDS.get(token[:1], "number")`, follows from its first
+# character: a sign or a digit that no entry names starts a number.
 _KINDS = {"": "eof", "'": "quoted", "$": "dollar", **dict.fromkeys(_OPS, "op")}
 _KINDS.update((c, "lower" if c.islower() else "upper") for c in _LETTERS)
-
-
-def _kind(token: str) -> str:
-    return _KINDS.get(token[:1], "number")
 
 
 def tokenize(text: str) -> list:
@@ -160,8 +158,9 @@ MAX_NESTING = 128
 
 
 class _Parser:
-    """Recursive descent over the token values; an error re-scans the text
-    for the position of the token it stopped at."""
+    """Recursive descent over the token values, read by index: each method
+    compares `tokens[i]` and advances `i` itself.  An error re-scans the
+    text for the position of the token it stopped at."""
 
     def __init__(self, text: str):
         self.text = text
@@ -170,49 +169,34 @@ class _Parser:
         self.depth = 0  # open nesting levels; an error ends the parse, so none closes on raise
         self.leaves = {}  # token -> the variable or constant it names, made once per text
 
-    def peek(self) -> str:
-        return self.tokens[self.i]
-
-    def next(self) -> str:
-        tok = self.tokens[self.i]
-        if tok:
-            self.i += 1
-        return tok
-
     def error(self, message, expected=()):
         raise TptpSyntaxError(message, *_position(self.text, self.i), expected)
 
     def expect(self, value):
-        if not self.accept(value):
-            self.error(f"got {self.peek()!r}", expected=(repr(value),))
+        """Consume the next token, which must be value."""
+        if self.tokens[self.i] != value:
+            self.error(f"got {self.tokens[self.i]!r}", expected=(repr(value),))
+        self.i += 1
 
-    def at(self, value) -> bool:
-        return self.tokens[self.i] == value
-
-    def accept(self, value) -> bool:
-        """Whether the next token is value, consuming it if so."""
-        found = self.tokens[self.i] == value
-        self.i += found
-        return found
-
-    def descend(self) -> str:
+    def descend(self):
         """Consume the token that opens one more nesting level, failing
         past MAX_NESTING; the caller closes the level with `self.depth -= 1`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             message = f"input nests deeper than {MAX_NESTING} levels"
             raise NestingTooDeep(message, *_position(self.text, self.i))
-        return self.next()
+        self.i += 1
 
     # -- top level ----------------------------------------------------------
 
     def parse_units(self):
         """The list of ('unit', AnnotatedFormula) and ('include', path, names) items."""
+        toks = self.tokens
         items = []
-        while tok := self.peek():
+        while tok := toks[self.i]:
             if tok == "include":
                 items.append(self.parse_include())
-            elif tok in ("fof", "cnf"):
+            elif tok == "fof" or tok == "cnf":
                 items.append(("unit", self.parse_unit()))
             elif tok in ("tff", "thf", "tcf", "tpi"):
                 raise UnsupportedLanguage(tok, _position(self.text, self.i)[0])
@@ -221,49 +205,59 @@ class _Parser:
         return items
 
     def parse_include(self):
-        self.expect("include")
+        toks = self.tokens
+        self.i += 1  # include
         self.expect("(")
-        if _kind(self.peek()) != "quoted":
+        if toks[self.i][:1] != "'":
             self.error("include path must be quoted", expected=("quoted atom",))
-        path = _unquote(self.next())
+        path = _unquote(toks[self.i])
+        self.i += 1
         names = None
-        if self.accept(","):
+        if toks[self.i] == ",":
+            self.i += 1
             self.expect("[")
             names = []
-            while not self.at("]"):
+            while toks[self.i] != "]":
                 names.append(self.parse_name())
-                self.accept(",")
-            self.expect("]")
+                if toks[self.i] == ",":
+                    self.i += 1
+            self.i += 1
         self.expect(")")
         self.expect(".")
         return ("include", path, names)
 
     def parse_name(self) -> str:
-        kind = _kind(self.peek())
-        if kind in ("lower", "number"):
-            return self.next()
+        tok = self.tokens[self.i]
+        kind = _KINDS.get(tok[:1], "number")
         if kind == "quoted":
-            return _unquote(self.next())
-        self.error("expected a unit name", expected=("lower word", "quoted atom"))
+            tok = _unquote(tok)
+        elif kind != "lower" and kind != "number":
+            self.error("expected a unit name", expected=("lower word", "quoted atom"))
+        self.i += 1
+        return tok
 
     def parse_unit(self) -> AnnotatedFormula:
-        lang = self.next()
+        toks = self.tokens
+        lang = toks[self.i]
+        self.i += 1
         self.expect("(")
         name = self.parse_name()
         self.expect(",")
-        role = self.peek()
+        role = toks[self.i]
         if role not in ROLES:
             self.error(f"unknown role {role!r}", expected=tuple(sorted(ROLES)))
-        self.next()
+        self.i += 1
         self.expect(",")
         if lang == "fof":
             formula = self.parse_fof_formula()
         else:
             formula = self.parse_cnf_formula()
         source = None
-        if self.accept(","):
+        if toks[self.i] == ",":
+            self.i += 1
             source = self.parse_source()
-            if self.accept(","):  # optional useful_info, discarded
+            if toks[self.i] == ",":  # optional useful_info, discarded
+                self.i += 1
                 self.parse_annotation_term()
         self.expect(")")
         self.expect(".")
@@ -280,43 +274,50 @@ class _Parser:
         "~|": lambda left, right: fol.Not(fol.join(fol.Or, (left, right))),
         "~&": lambda left, right: fol.Not(fol.join(fol.And, (left, right))),
     }
+    _BINARY = frozenset(["&", "|", *_NONASSOC])
 
     def parse_fof_formula(self) -> "fol.Formula":
+        toks = self.tokens
         left = self.parse_unitary()
-        op = self.peek()
-        if op in ("&", "|"):
+        op = toks[self.i]
+        if op == "&" or op == "|":
             parts = [left]
-            while self.accept(op):
+            while toks[self.i] == op:
+                self.i += 1
                 parts.append(self.parse_unitary())
-            if self.peek() in ("&", "|") or self.peek() in self._NONASSOC:
+            if toks[self.i] in self._BINARY:
                 self.error("binary connectives cannot be mixed without parentheses")
             return fol.join(fol.And if op == "&" else fol.Or, parts)
-        if op in self._NONASSOC:
-            build = self._NONASSOC[self.next()]
-            right = self.parse_unitary()
-            nxt = self.peek()
-            if nxt in ("&", "|") or nxt in self._NONASSOC:
-                self.error("binary connectives are non-associative; add parentheses")
-            return build(left, right)
-        return left
+        build = self._NONASSOC.get(op)
+        if build is None:
+            return left
+        self.i += 1
+        right = self.parse_unitary()
+        if toks[self.i] in self._BINARY:
+            self.error("binary connectives are non-associative; add parentheses")
+        return build(left, right)
 
     def parse_unitary(self) -> "fol.Formula":
-        tok = self.peek()
-        if tok in ("!", "?"):
-            quant = self.descend()
+        toks = self.tokens
+        tok = toks[self.i]
+        if tok == "!" or tok == "?":
+            self.descend()
             self.expect("[")
             names = []
             while True:
-                if _kind(self.peek()) != "upper":
+                name = toks[self.i]
+                if _KINDS.get(name[:1]) != "upper":
                     self.error("expected a variable", expected=("upper word",))
-                names.append(self.next())
-                if not self.accept(","):
+                names.append(name)
+                self.i += 1
+                if toks[self.i] != ",":
                     break
+                self.i += 1
             self.expect("]")
             self.expect(":")
             body = self.parse_unitary()
             self.depth -= 1
-            node = fol.Forall if quant == "!" else fol.Exists
+            node = fol.Forall if tok == "!" else fol.Exists
             return node(tuple(names), body)
         if tok == "~":
             self.descend()
@@ -332,85 +333,85 @@ class _Parser:
         return self.parse_atomic()
 
     def parse_atomic(self) -> "fol.Formula":
-        tok = self.peek()
-        if _kind(tok) == "dollar":
-            self.next()
+        toks = self.tokens
+        tok = toks[self.i]
+        kind = _KINDS.get(tok[:1], "number")
+        if kind == "upper":
+            term = self.parse_term()
+        elif kind == "dollar":
+            self.i += 1
             if tok == "$true":
                 return fol.TRUE
             if tok == "$false":
                 return fol.FALSE
             self.error(f"unsupported defined symbol {tok!r}")
-        if _kind(tok) == "upper":
-            term = self.parse_term()
         else:
             # an atom is made from its functor and arguments: only the side
             # of an equation is a term
-            name, args = self.parse_functor()
-            if self.peek() not in ("=", "!="):
+            if kind == "op" or kind == "eof":
+                self.error("expected a term", expected=("variable", "functor"))
+            self.i += 1
+            name = _unquote(tok) if kind == "quoted" else tok
+            args = self.parse_arguments() if toks[self.i] == "(" else ()
+            if toks[self.i] != "=" and toks[self.i] != "!=":
                 return fol.Atom(name, args)
             term = fol.App(name, args)
-        nxt = self.peek()
+        nxt = toks[self.i]
         if nxt == "=":
-            self.next()
+            self.i += 1
             return fol.Eq(term, self.parse_term())
         if nxt == "!=":
-            self.next()
+            self.i += 1
             return fol.Not(fol.Eq(term, self.parse_term()))
         self.error("a bare variable is not a formula")
 
     def parse_term(self) -> "fol.Term":
-        tok = self.peek()
-        if _kind(tok) == "upper":
-            self.next()
-            return self.leaf(tok, fol.Var, tok)
-        name, args = self.parse_functor()
-        if args:
-            return fol.App(name, args)
-        return self.leaf(tok, fol.App, name)
-
-    def leaf(self, tok, make, name):
-        """The one variable or constant that tok names in this text."""
-        term = self.leaves.get(tok)
+        toks = self.tokens
+        tok = toks[self.i]
+        kind = _KINDS.get(tok[:1], "number")
+        if kind == "op" or kind == "eof" or kind == "dollar":
+            self.error("expected a term", expected=("variable", "functor"))
+        self.i += 1
+        name = _unquote(tok) if kind == "quoted" else tok
+        if kind != "upper" and toks[self.i] == "(":
+            return fol.App(name, self.parse_arguments())
+        term = self.leaves.get(tok)  # the one variable or constant that tok names
         if term is None:
-            term = self.leaves[tok] = make(name)
+            term = self.leaves[tok] = fol.Var(tok) if kind == "upper" else fol.App(name)
         return term
 
-    def parse_functor(self):
-        """A functor and its argument terms, as (name, args)."""
-        name = self.peek()
-        kind = _kind(name)
-        if kind not in ("lower", "quoted", "number"):
-            self.error("expected a term", expected=("variable", "functor"))
-        self.next()
-        if kind == "quoted":
-            name = _unquote(name)
-        if not self.at("("):
-            return name, ()
+    def parse_arguments(self) -> tuple:
+        """The terms of the argument list that opens at the next token."""
+        toks = self.tokens
         self.descend()
-        got = [self.parse_term()]
-        while self.accept(","):
-            got.append(self.parse_term())
+        args = [self.parse_term()]
+        while toks[self.i] == ",":
+            self.i += 1
+            args.append(self.parse_term())
         self.expect(")")
         self.depth -= 1
-        return name, tuple(got)
+        return tuple(args)
 
     # -- cnf formulas -------------------------------------------------------
 
     def parse_cnf_formula(self) -> "fol.Formula":
-        if self.accept("("):
-            inner = self._parse_disjunction()
-            self.expect(")")
-            return inner
-        return self._parse_disjunction()
+        if self.tokens[self.i] != "(":
+            return self._parse_disjunction()
+        self.i += 1
+        inner = self._parse_disjunction()
+        self.expect(")")
+        return inner
 
     def _parse_disjunction(self) -> "fol.Formula":
+        toks = self.tokens
         parts = [self._parse_cnf_literal()]
-        while self.accept("|"):
+        while toks[self.i] == "|":
+            self.i += 1
             parts.append(self._parse_cnf_literal())
         return fol.join(fol.Or, parts)
 
     def _parse_cnf_literal(self) -> "fol.Formula":
-        if self.at("~"):
+        if self.tokens[self.i] == "~":
             self.descend()
             body = self._parse_cnf_literal()
             self.depth -= 1
@@ -434,23 +435,25 @@ class _Parser:
         Appends to `parents` the parent names the term gives as an item of
         a parent list, and to `binds` each bind(...) of two arguments in it
         that no other such bind holds, in text order."""
-        name = self.peek()
+        toks = self.tokens
+        name = toks[self.i]
         if name == "[":
             self.descend()
             items = []
-            while not self.at("]"):
+            while toks[self.i] != "]":  # a term or an error comes before the end
                 items.append(self.parse_annotation_term(parents, binds))
-                self.accept(",")
-            self.expect("]")
+                if toks[self.i] == ",":
+                    self.i += 1
+            self.i += 1
             self.depth -= 1
             return items
-        kind = _kind(name)
-        if kind in ("op", "eof"):
+        kind = _KINDS.get(name[:1], "number")
+        if kind == "op" or kind == "eof":
             self.error("expected an annotation term")
-        self.next()
+        self.i += 1
         if kind == "quoted":
             name = _unquote(name)
-        if not self.at("("):
+        if toks[self.i] != "(":
             out = name
             if parents is not None:
                 parents.append(name)
@@ -463,11 +466,12 @@ class _Parser:
             own = [] if parents is not None else None
             inner = [] if name == "bind" and binds is not None else binds
             args = []
-            while not self.at(")"):
+            while toks[self.i] != ")":
                 named = (name, len(args)) in (("inference", 2), (":", 0))
                 args.append(self.parse_annotation_term(own if named else None, inner))
-                self.accept(",")
-            self.expect(")")
+                if toks[self.i] == ",":
+                    self.i += 1
+            self.i += 1
             self.depth -= 1
             out = (name, args)
             if parents is not None:
@@ -480,7 +484,7 @@ class _Parser:
                     binds.append(out)
                 else:
                     binds.extend(inner)
-        if self.at(":"):  # parent annotation, e.g. name : [bind(...)]
+        if toks[self.i] == ":":  # parent annotation, e.g. name : [bind(...)]
             self.descend()
             out = (":", [out, self.parse_annotation_term(None, binds)])
             self.depth -= 1

@@ -3,8 +3,8 @@
 `reference_tokens` below is that lexer, kept here as the specification:
 each token has a kind, a value and an offset, and a character that no group
 takes is an error at its line and column.  The translator's tokenizer
-returns the values only; a kind follows from a value's first character and
-an offset is `_TOKEN_RE`'s group 1 start of the same match.
+returns the values only; a kind follows from a value's first character by
+`_KINDS`, and an offset is `_TOKEN_RE`'s group 1 start of the same match.
 """
 
 import os
@@ -59,7 +59,7 @@ def tokens(text):
     values = tptp.tokenize(text)
     values = values[:values.index("") + 1]
     offsets = [m.start(1) for m in tptp._TOKEN_RE.finditer(text)]
-    return [(tptp._kind(v), v, pos) for v, pos in zip(values, offsets)]
+    return [(tptp._KINDS.get(v[:1], "number"), v, pos) for v, pos in zip(values, offsets)]
 
 
 def outcome(tokenizer, text):
@@ -107,6 +107,17 @@ EDGE_CASES = [
     "<=><~>=><=!=~|~&!?~&|=:(),.[]<>*",
     "a<=b c<=>d e=>f ~~p",
     "x\n\n  @",
+    # words and one-character operators are tried before the other tokens
+    "p(.5)",
+    "3.5.",
+    "'a'.b",
+    "x.y",
+    "[a,b]",
+    "a*b",
+    "p~|q",
+    "p~&q",
+    "a!=b",
+    "a<=>b",
 ]
 
 
