@@ -5,10 +5,11 @@ manifest), conjecture-independent lemmas, and a single theorem whose
 proof is a diffuse reasoning block refuting the negated conjecture.
 
 Each derived step is justified by a checker query, and expanded into a
-sub-proof when that fails.  build_article leaves the steps `Deferred`:
-compress justifies the steps its decisions read and the steps it keeps,
-and finish_article justifies any step still deferred and completes the
-article written.
+sub-proof when that fails.  Every query, compression's too, cites the
+formulas the article states, as formula_index labels them.
+build_article leaves the steps `Deferred`: compress justifies the steps
+its decisions read and the steps it keeps, and finish_article justifies
+any step still deferred and completes the article written.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
     The justify queries, the sub-proof searches on them and the closing
     step's query share the given obvious.PremiseMemo, if any, which the
     caller empties.  Without one, each step's query and search share a
-    memo of their own."""
+    memo of their own.  Fresh prover symbols are renamed skolem1, ...
+    before any query, and the prover's bind hints with them."""
     classes = derivation.classify_all(graph)
     used = derivation.mark_used(graph)
 
@@ -177,58 +179,57 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
             symbol = skolem.validate_single_skolem(name, graph)
             henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
             skolem_symbols.append(symbol)
-    rename = _skolem_renaming(skolem_symbols, graph)
+    mapping = _skolem_renaming(skolem_symbols, graph)
+
+    def rename(f):
+        return fol.rename_symbols(f, mapping) if mapping else f
 
     def citations(name):
-        """The labels a step cites and the premises they state: a cited
-        conjecture's label is the assumption's, which states the
-        conjecture's negation, and a skolemization step also cites its
-        choice axiom.  The premises are the derivation's own formulas,
-        before renaming."""
+        """The labels a step cites: a cited conjecture's label is the
+        assumption's, which states the conjecture's negation, and a
+        skolemization step also cites its choice axiom."""
         refs = [label_of[p] for p in graph.parents[name]]
-        premises = [assumption if r == assumption_label else graph.nodes[p].formula
-                    for r, p in zip(refs, graph.parents[name])]
         henkin = henkins.get(name)
         if henkin is not None:
             refs.append(f"SKOLEM:def {henkin[0]}")
-            premises.append(henkin[1])
-        return refs, premises
+        return tuple(refs)
 
-    def justify(name):
-        """The step's sub-proof, renamed as the article is, or None when
-        its justify query is obvious; raises ExpansionFailed."""
-        unit = graph.nodes[name]
-        _, premises = citations(name)
+    def justify(item):
+        """The step's sub-proof, or None when its justify query is
+        obvious; raises ExpansionFailed."""
         # the justify query and any expansion share one budget and one memo
         step_budget = obvious.Budget(budget)
         with obvious.PremiseMemo() if memo is None else contextlib.nullcontext(memo) as shared:
-            verdict = obvious.is_obvious(premises, unit.formula, shared, step_budget)
+            verdict = obvious.is_obvious([index[r] for r in item.refs], item.formula, shared,
+                                         step_budget)
             if verdict.is_obvious:
                 return None
-            hint = expand.substitution_from_inference_record(unit.source)
-            sub = expand.build_subproof(name, verdict.problem, hint)
-        return _rename_subproof(sub, rename)
+            source = graph.nodes[item.source_name].source
+            hint = {v: fol._rename_term(t, mapping)
+                    for v, t in expand.substitution_from_inference_record(source).items()}
+            return expand.build_subproof(item.source_name, verdict.problem, hint)
 
     deferred = Deferred(justify)
 
-    def item(name):
-        return Item(label_of[name], rename(graph.nodes[name].formula),
-                    tuple(citations(name)[0]), deferred, name)
+    def step(name):
+        return Item(label_of[name], rename(graph.nodes[name].formula), citations(name),
+                    deferred, name)
 
     for i in axiom_items:
         i.formula = rename(i.formula)
-    refs, premises = citations(graph.sink)
     diffuse = DiffuseBlock(assumption_label, rename(assumption),
-                           [item(name) for name in inner_names], tuple(refs))
-    model = ArticleModel(None, axiom_items, [item(name) for name in lemma_names],
+                           [step(name) for name in inner_names], citations(graph.sink))
+    model = ArticleModel(None, axiom_items, [step(name) for name in lemma_names],
                          rename(theorem), diffuse)
     manifest = _draft_manifest(model, [rename(axiom) for _, axiom in sorted(henkins.values())],
                                graph.symbols)
     # Formulas met later are the sub-proofs' and the skolem definitions',
     # each walked once.
     graph.symbols.clear()
+    index = formula_index(model, manifest)
 
     # the closing step has no sub-proof form, so it must be obvious as cited
+    premises = [index[r] for r in diffuse.contradiction_refs]
     if not obvious.is_obvious(premises, fol.FALSE, memo, obvious.Budget(budget)).is_obvious:
         raise ExpansionFailed(graph.sink)
     return model, manifest
@@ -237,12 +238,27 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
 class Deferred:
     """The sub-proof of a derived step of a draft article until its
     justify query is asked, by compress or finish_article: one object for
-    the draft, whose justify maps a step's source name to its SubProof, or
-    to None when the step is obvious as cited, and raises ExpansionFailed
-    when neither holds."""
+    the draft, whose justify maps a step to its SubProof, or to None when
+    the step is obvious from the formulas its refs label in the draft
+    (formula_index), and raises ExpansionFailed when neither holds.  The
+    step is justified before any of its refs change."""
 
     def __init__(self, justify):
         self.justify = justify
+
+
+def formula_index(model, manifest):
+    """Label -> the formula the article or its manifest states under it:
+    every query's premises are looked up here."""
+    index = {}
+    for item in model.axiom_items + model.all_steps():
+        index[item.label] = item.formula
+    index[model.diffuse.assumption_label] = model.diffuse.assumption
+    for i, f in enumerate(manifest.axioms, start=1):
+        index[f"AXIOMS:{i}"] = f
+    for n, f in enumerate(manifest.skolem_defs, start=1):
+        index[f"SKOLEM:def {n}"] = f
+    return index
 
 
 def finish_article(model, manifest):
@@ -254,7 +270,7 @@ def finish_article(model, manifest):
     after any ExpansionFailed."""
     for item in model.all_steps():
         if isinstance(item.subproof, Deferred):
-            item.subproof = item.subproof.justify(item.source_name)
+            item.subproof = item.subproof.justify(item)
     model.reservations = _reservations(model)
     manifest.signature.add(_instance_formulas(model) + manifest.skolem_defs)
     signature, manifest.signature = manifest.signature.symbols(), None
@@ -277,24 +293,16 @@ def _draft_manifest(model, skolem_defs, walk=None):
 
 
 def _skolem_renaming(skolem_symbols, graph):
-    """The renaming of formulas that makes fresh prover symbols skolem1,
+    """The symbol mapping that makes fresh prover symbols skolem1,
     skolem2, ... in topological order, skipping the names that the
-    derivation's other symbols have.  A formula without one stays the very
-    object that justification cites, so a run's premise memo still knows
-    it."""
+    derivation's other symbols have; empty without one."""
     if not skolem_symbols:
-        return lambda f: f
+        return {}
     fresh = {s.name for s in skolem_symbols}
     taken = {name for unit in graph.nodes.values()
              for name, _, _ in graph.symbols(unit.formula)} - fresh
     free = (f"skolem{i}" for i in itertools.count(1) if f"skolem{i}" not in taken)
-    mapping = {s.name: next(free) for s in skolem_symbols}
-    return lambda f: fol.rename_symbols(f, mapping)
-
-
-def _rename_subproof(sub, rename):
-    return expand.SubProof(tuple(expand.InstanceStep(s.label, s.parent_index, rename(s.formula))
-                                 for s in sub.instances))
+    return {s.name: next(free) for s in skolem_symbols}
 
 
 def _stated_formulas(model):

@@ -21,13 +21,14 @@ far as compression needs it: a step is justified when a deletion scan
 reads its sub-proof, and every step kept is justified after the last
 pass.  A deleted step is never justified, since the article no longer
 states it.  An article whose steps are settled already is compressed the
-same way.
+same way.  Justification and compression alike cite the formulas
+article.formula_index labels, so justification must come before the
+relabelling at the end.
 """
 
 from __future__ import annotations
 
-from . import fol, obvious
-from .article import ArticleModel, Deferred
+from . import article, fol, obvious
 
 
 class CompressionReport(fol.MutableRecord):
@@ -62,7 +63,7 @@ class CompressionReport(fol.MutableRecord):
         return f"deferred justification: {self.justified} justify queries"
 
 
-def _clone(model: ArticleModel) -> ArticleModel:
+def _clone(model: article.ArticleModel) -> article.ArticleModel:
     """Copy the model down to its items, which compression edits in place."""
     def items(src):
         return [_replace(i) for i in src]
@@ -75,18 +76,6 @@ def _clone(model: ArticleModel) -> ArticleModel:
 def _replace(record, **changes):
     """A copy of an article record with the named fields changed."""
     return type(record)(*[changes.get(f, getattr(record, f)) for f in record._fields])
-
-
-def _formula_index(model, manifest):
-    index = {}
-    for item in model.axiom_items + model.all_steps():
-        index[item.label] = item.formula
-    index[model.diffuse.assumption_label] = model.diffuse.assumption
-    for i, f in enumerate(manifest.axioms, start=1):
-        index[f"AXIOMS:{i}"] = f
-    for n, f in enumerate(manifest.skolem_defs, start=1):
-        index[f"SKOLEM:def {n}"] = f
-    return index
 
 
 def _inline(refs, label, replacement):
@@ -197,7 +186,7 @@ class _Checker:
 
     def query(self, refs, conclusion):
         """The full verdict on the conclusion from the refs."""
-        premises = [self.index[r] for r in refs if r in self.index]
+        premises = [self.index[r] for r in refs]
         self.report.queries += 1
         self.report.premises += len(premises)
         return obvious.is_obvious(premises, conclusion, self.memo, obvious.Budget(self.budget))
@@ -213,7 +202,7 @@ class _Checker:
         if self._covers is None:
             self._covers = obvious.covered(
                 self.memo, self.index[victim.label],
-                [self.index[r] for r in victim.refs if r in self.index])
+                [self.index[r] for r in victim.refs])
         return self._covers
 
     def deletion(self, rank, refs, conclusion, victim):
@@ -239,13 +228,13 @@ class _Checker:
     def subproof(self, item):
         """The step's sub-proof, a deferred step settled by its justify
         query first."""
-        if isinstance(item.subproof, Deferred):
-            item.subproof = item.subproof.justify(item.source_name)
+        if isinstance(item.subproof, article.Deferred):
+            item.subproof = item.subproof.justify(item)
             self.report.justified += 1
         return item.subproof
 
 
-def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
+def compress(model: article.ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
              max_passes=None):
     """The compressed copy of the article, and its report.  Every query
     shares the given obvious.PremiseMemo, which the caller empties, so no
@@ -262,7 +251,7 @@ def compress(model: ArticleModel, manifest, memo, budget=obvious.DEFAULT_BUDGET,
     model.diffuse.contradiction_refs = _Refs(model.diffuse.contradiction_refs)
     # Formulas never change and a deleted label is never cited again, so
     # one index serves the whole call.
-    index = _formula_index(model, manifest)
+    index = article.formula_index(model, manifest)
     citers = _Citers(model)
 
     checker = _Checker(index, memo, budget, report)
@@ -340,4 +329,3 @@ def _relabel(model):
         item.refs = remap(item.refs)
     model.diffuse.assumption_label = mapping[model.diffuse.assumption_label]
     model.diffuse.contradiction_refs = remap(model.diffuse.contradiction_refs)
-    return mapping

@@ -13,25 +13,8 @@ class StepClass(Enum):
     AXIOM = "Axiom"
     CONJECTURE = "Conjecture"
     NEGATED_CONJECTURE = "NegatedConjecture"
-    CLAUSIFICATION = "Clausification"
     SKOLEMIZATION = "Skolemization"
     INFERENCE = "Inference"
-    FINAL_CONTRADICTION = "FinalContradiction"
-
-
-CLAUSIFICATION_RULES = {
-    "fof_nnf",
-    "nnf",
-    "fof_simplification",
-    "shift_quantors",
-    "variable_rename",
-    "rename_variables",
-    "split_conjunct",
-    "split",
-    "distribute",
-    "cn",
-    "reorder_literals",
-}
 
 
 class DerivationGraph(fol.MutableRecord):
@@ -150,7 +133,7 @@ def new_function_symbols(name: str, g: DerivationGraph) -> list:
 def classify_step(name: str, g: DerivationGraph) -> StepClass:
     unit = g.nodes[name]
     if isinstance(unit.formula, fol.Falsum):
-        return StepClass.FINAL_CONTRADICTION
+        return StepClass.INFERENCE  # derived, whatever its source: never an axiom
     rule = unit.source.rule if isinstance(unit.source, InferenceRecord) else None
     if unit.role == "conjecture":
         return StepClass.CONJECTURE
@@ -162,20 +145,11 @@ def classify_step(name: str, g: DerivationGraph) -> StepClass:
     # introduces a function symbol unseen in its parents is a skolemization.
     if new_function_symbols(name, g):
         return StepClass.SKOLEMIZATION
-    if rule in CLAUSIFICATION_RULES and len(g.parents[name]) == 1:
-        return StepClass.CLAUSIFICATION
     return StepClass.INFERENCE
 
 
 def classify_all(g: DerivationGraph) -> dict:
-    out = {}
-    for name in g.nodes:
-        out[name] = classify_step(name, g)
-    # Deterministic refutations have exactly one FinalContradiction: the sink.
-    for name, cls in out.items():
-        if cls is StepClass.FINAL_CONTRADICTION and name != g.sink:
-            out[name] = StepClass.INFERENCE
-    return out
+    return {name: classify_step(name, g) for name in g.nodes}
 
 
 def mark_conjecture_dependence(g: DerivationGraph, classes) -> dict:

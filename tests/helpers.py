@@ -180,7 +180,7 @@ def recheck(model, manifest):
     problems, and each plain step that the translator's own checker does not
     find obvious from its citations."""
     problems = mizcheck_problems(model, manifest)
-    index = compress._formula_index(model, manifest)
+    index = article.formula_index(model, manifest)
     steps = [(item.label, item.refs, item.formula)
              for item in model.all_steps() if item.subproof is None]
     if model.diffuse.contradiction_refs:

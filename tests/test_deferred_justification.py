@@ -81,7 +81,7 @@ def eager(path, **options):
     with obvious.PremiseMemo() as memo:
         model, manifest = article.build_article(graph, memo=memo)
         for item in model.all_steps():
-            item.subproof = item.subproof.justify(item.source_name)
+            item.subproof = item.subproof.justify(item)
         model, report = compress.compress(model, manifest, memo=memo, **options)
     article.finish_article(model, manifest)
     return (article.render_article(model), article.render_manifest(manifest),

@@ -347,8 +347,8 @@ class TestComplexityGuard:
 
         monkeypatch.setattr(obvious, "_clausify", counting("clausify", obvious._clausify))
         monkeypatch.setattr(obvious, "is_obvious", is_obvious)
-        monkeypatch.setattr(compress, "_formula_index",
-                            counting("index", compress._formula_index))
+        monkeypatch.setattr(article, "formula_index",
+                            counting("index", article.formula_index))
         out, report = helpers.compressed(model, manifest)
 
         assert report.steps_before == 200 and report.steps_after == 0
@@ -530,6 +530,66 @@ class TestRunMemo:
         assert len(prepared["compress"]) == len(set(prepared["compress"])) == 400
         again = set(prepared["compress"]) & set(prepared["justify"])
         assert len(again) == 0
+
+    @pytest.mark.parametrize("options", [(), ("--no-compress",)])
+    def test_one_form_per_formula(self, monkeypatch, tmp_path, options):
+        # Skolem renaming rebuilds every formula that names a skolem symbol.
+        # Each query cites and concludes the very formulas the draft
+        # states, so each is prepared in that one form: once per run with
+        # the run memo, once per step's memo without compression.  The
+        # derivation restates no formula as an equal value.
+        drafts = []  # the draft's label -> formula index
+        queried = []  # every premise and conclusion asked about
+        misses = collections.Counter()  # (id(memo), repr(premise)) -> preparations
+        memos = []  # the memos met, so no id is reused
+        original_build = article.build_article
+        original_is_obvious = obvious.is_obvious
+        original_prepare = obvious.PremiseMemo.prepare
+
+        def build_article(*args, **kwargs):
+            model, manifest = original_build(*args, **kwargs)
+            drafts.append(article.formula_index(model, manifest))
+            return model, manifest
+
+        def is_obvious(premises, conclusion, *args, **kwargs):
+            queried.extend(premises)
+            queried.append(conclusion)
+            return original_is_obvious(premises, conclusion, *args, **kwargs)
+
+        def prepare(memo, premise):
+            if id(premise) not in memo._entries:
+                memos.append(memo)
+                misses[id(memo), repr(premise)] += 1
+            return original_prepare(memo, premise)
+
+        monkeypatch.setattr(article, "build_article", build_article)
+        monkeypatch.setattr(obvious, "is_obvious", is_obvious)
+        monkeypatch.setattr(obvious.PremiseMemo, "prepare", prepare)
+        code, _ = derivation_run(tmp_path, SKOLEM_SUBPROOF, *options)
+
+        assert code == 0 and len(drafts) == 1
+        stated = {id(f) for f in drafts[0].values()} | {id(fol.FALSE)}
+        assert any("skolem" in repr(f) for f in queried)
+        assert [f for f in queried if id(f) not in stated] == []
+        assert misses and set(misses.values()) == {1}
+        if not options:
+            assert len({id(memo) for memo in memos}) == 1  # the run memo
+
+
+# s1 needs two instances of a2, so it keeps a sub-proof, whose justify
+# query cites the skolem step s0
+SKOLEM_SUBPROOF = (
+    "fof(a1, axiom, ?[Y]: p(Y), file('x.p', a1)).\n"
+    "fof(a2, axiom, ![X]: (p(X) => p(g(X))), file('x.p', a2)).\n"
+    "fof(a3, axiom, ![X]: (p(g(g(X))) => q(c)), file('x.p', a3)).\n"
+    "fof(goal, conjecture, q(c), file('x.p', goal)).\n"
+    "fof(neg, negated_conjecture, ~q(c),"
+    " inference(assume_negation,[status(cth)],[goal])).\n"
+    "fof(s0, plain, p(esk1_0), inference(skolemize,[status(esa)],[a1])).\n"
+    "fof(s1, plain, p(g(g(esk1_0))), inference(r,[status(thm)],[a2, s0])).\n"
+    "fof(s2, plain, q(c), inference(r,[status(thm)],[a3, s1])).\n"
+    "cnf(f, plain, $false, inference(r,[status(thm)],[s2, neg])).\n"
+)
 
 
 def compress_chain(n, previous_first):

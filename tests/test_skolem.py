@@ -1,8 +1,10 @@
+import contextlib
+import io
 import os
 
 import pytest
 
-from tptp2miz import derivation, fol, obvious, skolem, tptp
+from tptp2miz import cli, derivation, fol, obvious, skolem, tptp
 from tptp2miz.errors import MalformedSkolemStep, MultipleSkolemsUnsupported
 
 import helpers
@@ -92,3 +94,36 @@ class TestJustifyAll:
         refs = {item.source_name: item.refs for item in model.all_steps()}
         assert "SKOLEM:def 1" in refs["c_0_13"]
         assert "SKOLEM:def 2" in refs["c_0_16"]
+
+
+# s1 is closed by the instances of a3 and a4 at c, with p(c), or at esk1_0,
+# with s0; the prover's bind hint picks esk1_0
+HINTED = (
+    "fof(a1, axiom, ?[Y]: p(Y), file('x.p', a1)).\n"
+    "fof(a2, axiom, p(c), file('x.p', a2)).\n"
+    "fof(a3, axiom, ![X]: (~p(X) | q(X) | r(X)), file('x.p', a3)).\n"
+    "fof(a4, axiom, ![X]: (~q(X) | r(X)), file('x.p', a4)).\n"
+    "fof(a6, axiom, r(c), file('x.p', a6)).\n"
+    "fof(goal, conjecture, r(c), file('x.p', goal)).\n"
+    "fof(neg, negated_conjecture, ~ r(c),"
+    " inference(assume_negation,[status(cth)],[goal])).\n"
+    "fof(s0, plain, p(esk1_0), inference(r,[status(thm)],[a1])).\n"
+    "fof(s1, plain, r(c) | r(esk1_0),"
+    " inference(r,[status(thm)],[s0, a2, a3, a4 : [bind(X, $fot(esk1_0))]])).\n"
+    "cnf(f, plain, $false, inference(r,[status(thm)],[neg, a6])).\n"
+)
+
+
+class TestRenamedHint:
+    def test_hint_naming_a_skolem_symbol_is_renamed_with_it(self, tmp_path):
+        # the sub-proof searches the formulas the article states, where
+        # esk1_0 is skolem1, so the hint must name skolem1 to be followed
+        path = tmp_path / "hinted.out"
+        path.write_text(HINTED)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["derivation", str(path), "-o", str(tmp_path),
+                             "--no-compress", "--keep-unused"])
+        assert code == 0
+        text = (tmp_path / "hinted.miz").read_text()
+        assert "S2: r c or r skolem1\n" in text
+        assert "  A: (not p skolem1) or q skolem1 or r skolem1 by Ax3;\n" in text
