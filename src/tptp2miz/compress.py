@@ -175,14 +175,15 @@ class _Citers:
 class _Checker:
     """Compression's checker queries, counted in the report, the citers
     whose current refs close them by unit propagation at the root, and the
-    justification of deferred steps."""
+    justification of deferred steps.  obvious.covered is asked afresh for
+    each citer that propagates: no scan of the benchmark corpora asked it
+    twice, so its answer is not kept."""
 
     def __init__(self, index, memo, budget, report):
         self.index, self.memo, self.budget, self.report = index, memo, budget, report
         # citer ranks; a citer's entry comes from the verdict on its refs
         # and changes only in commit, when a deletion is accepted
         self.propagated = set()
-        self._covers = None  # covers() for the victim being scanned, once asked
 
     def query(self, refs, conclusion):
         """The full verdict on the conclusion from the refs."""
@@ -191,25 +192,12 @@ class _Checker:
         self.report.premises += len(premises)
         return obvious.is_obvious(premises, conclusion, self.memo, obvious.Budget(self.budget))
 
-    def scan(self):
-        """Begin the deletion checks of the next victim."""
-        self._covers = None
-
-    def covers(self, victim):
-        """obvious.covered for the victim being scanned and its refs,
-        computed at most once per scan: the victim's refs change only when
-        a step it cites is deleted, in another victim's scan."""
-        if self._covers is None:
-            self._covers = obvious.covered(
-                self.memo, self.index[victim.label],
-                [self.index[r] for r in victim.refs])
-        return self._covers
-
     def deletion(self, rank, refs, conclusion, victim):
         """Whether the refs of the citer of that rank, with the victim's
         inlined, close it by propagation (True) or otherwise (False); None
         when they do not close it.  The refs are left as they are."""
-        if rank in self.propagated and self.covers(victim):
+        if rank in self.propagated and obvious.covered(
+                self.memo, self.index[victim.label], [self.index[r] for r in victim.refs]):
             self.report.settled += 1
             return True
         verdict = self.query(_inline(refs, victim.label, victim.refs), conclusion)
@@ -270,7 +258,6 @@ def compress(model: article.ArticleModel, manifest, memo, budget=obvious.DEFAULT
             found = citers.of(victim.label)
             if any(c is not None and checker.subproof(c) is not None for c in found):
                 continue  # sub-proof citations are left untouched
-            checker.scan()
             trials = []  # per citer: its refs, rank, and whether they will propagate
             for citer in found:
                 if citer is None:

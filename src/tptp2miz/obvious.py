@@ -359,43 +359,24 @@ def _make_branch_view(assignment, registry):
     return _BranchView(values, cc, canonical)
 
 
-def _compile(f, registry):
-    """A ground generalized-atom formula's NNF with registry keys at the
-    leaves: ("lit", atom key, polarity), ("and", parts), ("or", parts),
-    ("true",) or ("false",).  Shared NNF nodes stay shared."""
-    return _compile_node(_nnf(f), registry, {})
-
-
-def _compile_node(g, registry, memo):
-    """memo maps id(NNF And or Or) to its compiled node; the NNF holds the nodes."""
+def _falsified(g, view, registry, memo):
+    """Whether an NNF formula over generalized atoms is false on the view,
+    where an atom with no value is not: three-valued evaluation, asked only
+    for False.  Each leaf is keyed through the registry when it is read.
+    memo maps id(NNF And or Or) to its answer, so a node that the NNF
+    shares, as the two sides of an <=> share theirs, is read once."""
     kind = type(g)
     if kind is fol.And or kind is fol.Or:
         out = memo.get(id(g))
         if out is None:
-            out = memo[id(g)] = ("and" if kind is fol.And else "or",
-                                 [_compile_node(p, registry, memo) for p in g.parts])
+            test = any if kind is fol.And else all
+            out = memo[id(g)] = test(_falsified(p, view, registry, memo) for p in g.parts)
         return out
     if kind is fol.Verum or kind is fol.Falsum:
-        return ("true",) if kind is fol.Verum else ("false",)
+        return kind is fol.Falsum
     if kind is fol.Not:
-        return ("lit", registry.atom_key(g.body), False)
-    return ("lit", registry.atom_key(g), True)
-
-
-def _falsified(node, view, registry, memo):
-    """Whether a compiled formula is false on the view, where an atom with
-    no value is not: three-valued evaluation, asked only for False.  memo
-    maps id(compiled and or or) to its answer, so each is read once."""
-    tag = node[0]
-    if tag == "lit":
-        return view.value(node[1], registry) is (not node[2])
-    if tag == "and" or tag == "or":
-        out = memo.get(id(node))
-        if out is None:
-            test = any if tag == "and" else all
-            out = memo[id(node)] = test(_falsified(p, view, registry, memo) for p in node[1])
-        return out
-    return tag == "false"
+        return view.value(registry.atom_key(g.body), registry) is True
+    return view.value(registry.atom_key(g), registry) is False
 
 
 # ---------------------------------------------------------------------------
@@ -764,16 +745,18 @@ _UNSEEN = object()  # memo miss marker
 
 
 class _Commitment(fol.MutableRecord):
-    """One chosen instance; hashed by identity, as a key of view memos."""
+    """One chosen instance: its literal, or else its NNF, which _falsified
+    reads on each view that asks; hashed by identity, as a key of view
+    memos."""
 
-    __slots__ = _fields = ("unit", "subst", "literal", "compiled")
+    __slots__ = _fields = ("unit", "subst", "literal", "nnf")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, unit, subst, literal, compiled):
+    def __init__(self, unit, subst, literal, nnf):
         self.unit, self.subst = unit, subst
         self.literal = literal  # (atom key, polarity) when the instance is a literal, else None
-        self.compiled = compiled  # the instance compiled for _falsified when it is not a literal
+        self.nnf = nnf  # the instance's NNF, which _falsified reads, when it is not a literal
 
 
 class _Problem:
@@ -837,14 +820,14 @@ class _Problem:
     def _commit(self, unit, subst):
         """The commitment to one instance of a unit, made once per unit
         object and substitution: its (atom key, polarity) when the instance
-        is a literal, else the instance compiled.  It holds the unit."""
+        is a literal, else the instance's NNF.  It holds the unit."""
         key = (id(unit), tuple(sorted([(v, t.key) for v, t in subst.items()])))
         commitment = self._commitments.get(key)
         if commitment is None:
             inst = instance_formula(unit, subst)
             lit = _as_literal(inst)
             if lit is None:
-                commitment = _Commitment(unit, subst, None, _compile(inst, self.registry))
+                commitment = _Commitment(unit, subst, None, _nnf(inst))
             else:
                 literal = (self.registry.atom_key(lit[1]), lit[0])
                 commitment = _Commitment(unit, subst, literal, None)
@@ -913,7 +896,7 @@ class _Problem:
             if c.literal is None:
                 false = view.falsified.get(c)
                 if false is None:
-                    false = view.falsified[c] = _falsified(c.compiled, view, self.registry, {})
+                    false = view.falsified[c] = _falsified(c.nnf, view, self.registry, {})
                 if false:
                     return True
         return False

@@ -106,8 +106,8 @@ def instances(unit, registry, branch):
 
 def some_instance_false(unit, registry, branch, view):
     for subst in instances(unit, registry, branch):
-        compiled = obvious._compile(obvious.instance_formula(unit, subst), registry)
-        if obvious._falsified(compiled, view, registry, {}):
+        nnf = obvious._nnf(obvious.instance_formula(unit, subst))
+        if obvious._falsified(nnf, view, registry, {}):
             return True
     return False
 

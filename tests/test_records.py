@@ -57,8 +57,8 @@ RECORDS = [
      (("key",), ("X",), P), "frozen"),
     (obvious._Prepared, "(unit, clauses, closed)", ("unit", "clauses", "closed"),
      (UNIT, [], P), "mutable"),
-    (obvious._Commitment, "(unit, subst, literal, compiled)",
-     ("unit", "subst", "literal", "compiled"), (UNIT, {"X": C}, (("p",), True), None),
+    (obvious._Commitment, "(unit, subst, literal, nnf)",
+     ("unit", "subst", "literal", "nnf"), (UNIT, {"X": C}, (("p",), True), None),
      "identity"),
     (expand.InstanceStep, "(label, parent_index, formula)",
      ("label", "parent_index", "formula"), ("A", 0, Q), "frozen"),

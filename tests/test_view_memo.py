@@ -1,6 +1,6 @@
 """The per-query memos: within one query, each branch view is built once
-per distinct assignment, each instance is made and compiled once, and the
-article does not change.  Within one evaluation of a compiled instance,
+per distinct assignment, each instance is made and put in NNF once, and
+the article does not change.  Within one evaluation of an instance's NNF,
 each shared node is read once."""
 
 import collections
@@ -54,7 +54,7 @@ def test_fixture_builds_each_view_once(monkeypatch):
         assert article.render_article(out) == handle.read()
 
 
-def test_fixture_compiles_each_instance_once(monkeypatch):
+def test_fixture_normalizes_each_instance_once(monkeypatch):
     units = tptp.parse_derivation_file(os.path.join(FIXTURES, "puz001+1.out"))
     model, manifest = helpers.finished_article(derivation.build_graph(units))
 
@@ -63,7 +63,7 @@ def test_fixture_compiles_each_instance_once(monkeypatch):
     original_nnf = obvious._nnf
     query = [0]
     made = collections.Counter()  # (query, unit, substitution) -> instances made
-    compiled = collections.Counter()  # the same -> normal forms of the instance
+    normalized = collections.Counter()  # the same -> normal forms of the instance
     instances = {}  # id -> (instance, (query, unit, substitution))
 
     def is_obvious(*args, **kwargs):
@@ -80,7 +80,7 @@ def test_fixture_compiles_each_instance_once(monkeypatch):
     def nnf(f):
         hit = instances.get(id(f))
         if hit is not None and hit[0] is f:
-            compiled[hit[1]] += 1
+            normalized[hit[1]] += 1
         return original_nnf(f)
 
     monkeypatch.setattr(obvious, "is_obvious", is_obvious)
@@ -88,17 +88,17 @@ def test_fixture_compiles_each_instance_once(monkeypatch):
     monkeypatch.setattr(obvious, "_nnf", nnf)
     out, _ = helpers.compressed(model, manifest)
 
-    assert made and compiled
+    assert made and normalized
     assert max(made.values()) == 1
-    assert max(compiled.values()) == 1
+    assert max(normalized.values()) == 1
     with open(os.path.join(FIXTURES, "puz001+1.miz"), encoding="utf-8") as handle:
         assert article.render_article(out) == handle.read()
 
 
 def nested_iff_instance(n):
-    """The instance at c of ![X]: with n nested <=> over p0(X) ... pn(X),
-    compiled, and the view of a branch with p1(c) ... pn(c) true and p0(d)
-    false, with the registry of both.  p0(c) has no value on the view, so
+    """The NNF of the instance at c of ![X]: with n nested <=> over
+    p0(X) ... pn(X), and the view of a branch with p1(c) ... pn(c) true
+    and p0(d) false, with the registry of both.  p0(c) has no value on the view, so
     no node of the instance is false, and each <=> is read on both sides."""
     x, c = fol.Var("X"), fol.App("c")
     matrix = fol.Atom("p0", (x,))
@@ -106,10 +106,10 @@ def nested_iff_instance(n):
         matrix = fol.Iff(matrix, fol.Atom(f"p{i}", (x,)))
     unit = obvious.universal_unit(fol.Forall(("X",), matrix))
     registry = obvious._Registry()
-    compiled = obvious._compile(obvious.instance_formula(unit, {"X": c}), registry)
+    nnf = obvious._nnf(obvious.instance_formula(unit, {"X": c}))
     branch = {registry.atom_key(fol.Atom(f"p{i}", (c,))): True for i in range(1, n + 1)}
     branch[registry.atom_key(fol.Atom("p0", (fol.App("d"),)))] = False
-    return compiled, obvious._make_branch_view(branch, registry), registry
+    return nnf, obvious._make_branch_view(branch, registry), registry
 
 
 class _Forgetful(dict):
@@ -121,7 +121,7 @@ def falsified_calls(monkeypatch, n, memo=True):
     """Whether nested_iff_instance(n) is false on its view, and the calls
     of _falsified that the answer took; without the memo, each call
     forgets what it read."""
-    compiled, view, registry = nested_iff_instance(n)
+    nnf, view, registry = nested_iff_instance(n)
     original = obvious._falsified
     calls = [0]
 
@@ -131,7 +131,7 @@ def falsified_calls(monkeypatch, n, memo=True):
 
     with monkeypatch.context() as patch:
         patch.setattr(obvious, "_falsified", counted)
-        answer = obvious._falsified(compiled, view, registry, {})
+        answer = obvious._falsified(nnf, view, registry, {})
     return answer, calls[0]
 
 
