@@ -20,8 +20,8 @@ import re
 
 from . import derivation, expand, fol, obvious, skolem, tptp
 from .derivation import StepClass
-from .errors import (DuplicateName, ExpansionFailed, MultipleConjectures, NoConjecture,
-                     NoRefutation, UnsupportedDefinition, UnsupportedSymbol)
+from .errors import (DuplicateName, ExpansionFailed, MalformedSkolemStep, MultipleConjectures,
+                     NoConjecture, NoRefutation, UnsupportedDefinition, UnsupportedSymbol)
 
 # Symbol names are rendered verbatim, so they must be TPTP lower words or
 # numerals, and none of the words the rendering itself writes.
@@ -173,13 +173,17 @@ def build_article(graph, keep_unused=False, budget=obvious.DEFAULT_BUDGET,
 
     # choice axioms for skolemization steps, numbered among kept steps only
     henkins = {}
-    skolem_symbols = []
+    introduced_by = {}  # fresh symbol name -> the kept step that introduced it
     for name in derived:
         if classes[name] is StepClass.SKOLEMIZATION:
-            symbol = skolem.validate_single_skolem(name, graph)
+            for symbol in skolem.validate_single_skolem(name, graph):
+                # two choices of one symbol together are not conservative
+                if symbol.name in introduced_by:
+                    raise MalformedSkolemStep(name, f"introduces {symbol.name!r}, as step "
+                                              f"{introduced_by[symbol.name]!r} did")
+                introduced_by[symbol.name] = name
             henkins[name] = (len(henkins) + 1, skolem.make_henkin_axiom(name, graph))
-            skolem_symbols.append(symbol)
-    mapping = _skolem_renaming(skolem_symbols, graph)
+    mapping = _skolem_renaming(list(introduced_by), graph)
 
     def rename(f):
         return fol.rename_symbols(f, mapping) if mapping else f
@@ -292,17 +296,16 @@ def _draft_manifest(model, skolem_defs, walk=None):
     return manifest
 
 
-def _skolem_renaming(skolem_symbols, graph):
-    """The symbol mapping that makes fresh prover symbols skolem1,
-    skolem2, ... in topological order, skipping the names that the
+def _skolem_renaming(fresh, graph):
+    """The symbol mapping that makes the fresh prover symbol names skolem1,
+    skolem2, ... in the given order, skipping the names that the
     derivation's other symbols have; empty without one."""
-    if not skolem_symbols:
+    if not fresh:
         return {}
-    fresh = {s.name for s in skolem_symbols}
     taken = {name for unit in graph.nodes.values()
-             for name, _, _ in graph.symbols(unit.formula)} - fresh
+             for name, _, _ in graph.symbols(unit.formula)} - set(fresh)
     free = (f"skolem{i}" for i in itertools.count(1) if f"skolem{i}" not in taken)
-    return {s.name: next(free) for s in skolem_symbols}
+    return {name: next(free) for name in fresh}
 
 
 def _stated_formulas(model):

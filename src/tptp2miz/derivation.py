@@ -135,16 +135,17 @@ def classify_step(name: str, g: DerivationGraph) -> StepClass:
     if isinstance(unit.formula, fol.Falsum):
         return StepClass.INFERENCE  # derived, whatever its source: never an axiom
     rule = unit.source.rule if isinstance(unit.source, InferenceRecord) else None
+    # The structural test overrides the rule name and the role: any derived
+    # step whose conclusion introduces a function symbol unseen in its
+    # parents is a skolemization, as E's role-negated_conjecture ones are.
+    if rule is not None and new_function_symbols(name, g):
+        return StepClass.SKOLEMIZATION
     if unit.role == "conjecture":
         return StepClass.CONJECTURE
     if unit.role == "negated_conjecture" or rule == "assume_negation":
         return StepClass.NEGATED_CONJECTURE
     if rule is None:
         return StepClass.AXIOM
-    # The structural test overrides the rule name: any step whose conclusion
-    # introduces a function symbol unseen in its parents is a skolemization.
-    if new_function_symbols(name, g):
-        return StepClass.SKOLEMIZATION
     return StepClass.INFERENCE
 
 

@@ -83,24 +83,10 @@ class CycleDetected(TranslationError):
         super().__init__("dependency cycle: " + " -> ".join(self.cycle))
 
 
-class MultipleSkolemsUnsupported(TranslationError):
-    def __init__(self, step_name, symbols):
-        self.step_name = step_name
-        self.symbols = tuple(symbols)
-        names = ", ".join(s.name for s in self.symbols)
-        super().__init__(
-            f"step {step_name!r} introduces {len(self.symbols)} skolem functions "
-            f"({names}); only single-skolem steps are supported"
-        )
-
-
 class MalformedSkolemStep(TranslationError):
-    def __init__(self, step_name, parent_count):
+    def __init__(self, step_name, problem):
         self.step_name = step_name
-        self.parent_count = parent_count
-        super().__init__(
-            f"skolemization step {step_name!r} has {parent_count} parents, expected 1"
-        )
+        super().__init__(f"skolemization step {step_name!r} {problem}")
 
 
 class ExpansionFailed(TranslationError):

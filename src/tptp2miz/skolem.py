@@ -1,36 +1,36 @@
 """Justifying skolemization steps with choice-style implication axioms.
 
-A skolemization step replaces an existential quantifier by a fresh
-function symbol.  The step is not a consequence of its parent, so it is
-backed by an extra axiom of the shape
+A skolemization step replaces the existential quantifiers of its parent
+by fresh function symbols, one or several at once, as E skolemizes a
+whole quantifier prefix in one step.  The step is not a consequence of
+its parent, so it is backed by one extra axiom of the shape
 
     (parent formula)  implies  (skolemized conclusion)
 
-which is satisfiable whenever the original problem is (the fresh symbol
-can be interpreted as a choice function).  These axioms are collected in
-the environment manifest and cited as SKOLEM:def <n>.
+which is satisfiable whenever the original problem is: each fresh symbol
+can be interpreted as a choice function (Skolem's theorem covers the
+whole prefix at once).  These axioms are collected in the environment
+manifest and cited as SKOLEM:def <n>.
 """
 
 from __future__ import annotations
 
 from . import derivation, fol
-from .errors import MalformedSkolemStep, MultipleSkolemsUnsupported
+from .errors import MalformedSkolemStep
 
 
-def validate_single_skolem(name, graph) -> fol.Symbol:
-    """The fresh function symbol of a skolemization step.
+def validate_single_skolem(name, graph) -> list:
+    """The fresh function symbols of a skolemization step with a single
+    parent, in order of first occurrence.
 
-    Steps introducing several fresh symbols at once would need a
-    simultaneous choice axiom, which the output format does not express.
-    """
+    bench/spans.py traces this function by name, so the name stays;
+    "single" is the one parent that the Henkin axiom states."""
     if len(graph.parents[name]) != 1:
-        raise MalformedSkolemStep(name, len(graph.parents[name]))
+        raise MalformedSkolemStep(name, f"has {len(graph.parents[name])} parents, expected 1")
     fresh = derivation.new_function_symbols(name, graph)
     if not fresh:
-        raise MalformedSkolemStep(name, 1)
-    if len(fresh) > 1:
-        raise MultipleSkolemsUnsupported(name, fresh)
-    return fresh[0]
+        raise MalformedSkolemStep(name, "introduces no fresh function symbol")
+    return fresh
 
 
 def make_henkin_axiom(name, graph) -> "fol.Formula":

@@ -1,8 +1,10 @@
-"""Brute-force entailment oracle for the soundness tests.
+"""Brute-force oracles for the soundness tests.
 
 brute_force_entails decides whether premises entail a conclusion in every
-interpretation over a domain of a given size, by enumerating them.  It
-shares nothing with the checker but the syntax and the signature.
+interpretation over a domain of a given size, by enumerating them, and
+brute_force_conservative whether a Henkin axiom is conservative over its
+parent there.  They share nothing with the checker but the syntax and the
+signature.
 """
 
 import itertools
@@ -64,6 +66,39 @@ def _compile(f, domain):
     return lambda interp, env: value
 
 
+def _tables(s, domain):
+    """Every table of the symbol over the domain."""
+    points = list(itertools.product(domain, repeat=s.arity))
+    values = list(domain) if s.kind == "function" else [False, True]
+    return [dict(zip(points, combo))
+            for combo in itertools.product(values, repeat=len(points))]
+
+
+def _interpretations(symbols, domain):
+    keys = [(s.name, s.arity) for s in symbols]
+    for combo in itertools.product(*[_tables(s, domain) for s in symbols]):
+        yield dict(zip(keys, combo))
+
+
+def brute_force_conservative(parent, axiom, fresh, domain_size):
+    """True iff, over a domain of the given size, every interpretation of
+    the axiom's other symbols that satisfies the parent extends, by some
+    reading of the fresh function symbols, to a model of the axiom: then
+    the axiom says nothing new about the other symbols (exhaustive)."""
+    parent, axiom = fol.universal_closure(parent), fol.universal_closure(axiom)
+    signature = fol.Signature()
+    signature.add([parent, axiom])
+    fresh = {(s.name, s.arity) for s in fresh}
+    base = [s for s in signature.symbols() if (s.name, s.arity) not in fresh]
+    chosen = [s for s in signature.symbols() if (s.name, s.arity) in fresh]
+    domain = range(domain_size)
+    holds_parent, holds_axiom = _compile(parent, domain), _compile(axiom, domain)
+    return all(
+        any(holds_axiom({**interp, **choice}, {}) for choice in _interpretations(chosen, domain))
+        for interp in _interpretations(base, domain) if holds_parent(interp, {})
+    )
+
+
 def brute_force_entails(premises, conclusion, domain_size, cap=_DEFAULT_MODEL_CAP):
     """True iff every interpretation of the given finite domain size that
     satisfies all premises also satisfies the conclusion (exhaustive).
@@ -94,12 +129,6 @@ def brute_force_entails(premises, conclusion, domain_size, cap=_DEFAULT_MODEL_CA
             position.setdefault((name, arity), len(position))
     order = sorted(symbols, key=lambda s: position[(s.name, s.arity)])
 
-    def tables(s):
-        points = list(itertools.product(domain, repeat=s.arity))
-        values = list(domain) if s.kind == "function" else [False, True]
-        return [dict(zip(points, combo))
-                for combo in itertools.product(values, repeat=len(points))]
-
     # checks[k]: the premises decided once the first k symbols have tables
     checks = [[] for _ in range(len(order) + 1)]
     for p in premises:
@@ -107,7 +136,7 @@ def brute_force_entails(premises, conclusion, domain_size, cap=_DEFAULT_MODEL_CA
                    default=-1)
         checks[last + 1].append(_compile(p, domain))
     goal = _compile(conclusion, domain)
-    choices = [tables(s) for s in order]
+    choices = [_tables(s, domain) for s in order]
     interp = {}
 
     def no_countermodel(k):

@@ -6,7 +6,7 @@ import time
 import networkx as nx
 
 from tptp2miz import article, derivation, fol, obvious, skolem, tptp
-from tptp2miz.errors import MultipleSkolemsUnsupported, TranslationError
+from tptp2miz.errors import TranslationError
 from tptp2miz.obvious import Verdict
 
 import helpers
@@ -110,23 +110,28 @@ class TestCriterion4Skolemization:
     def random_skolem_graph(rng):
         n_univ = rng.randint(0, 1)
         univ = ["X"][:n_univ]
+        # E skolemizes a whole prefix in one step, so one or two witnesses
+        exist = ["Y", "Z"][:rng.randint(1, 2)]
         # tiny signature (one constant, one unary predicate) keeps the
-        # brute-force validity check over esk interpretations fast
-        terms = [fol.Var(v) for v in univ] + [fol.Var("Y"), fol.App("a")]
+        # brute-force checks over esk interpretations fast
+        terms = [fol.Var(v) for v in univ + exist] + [fol.App("a")]
         lits = []
         for _ in range(rng.randint(1, 2)):
             atom = fol.Atom("p", (rng.choice(terms),))
             lits.append(fol.Not(atom) if rng.random() < 0.5 else atom)
-        if not any(
-            "Y" in l.free for l in lits
-        ):
-            lits.append(fol.Atom("p", (fol.Var("Y"),)))
+        for v in exist:
+            if not any(v in l.free for l in lits):
+                lits.append(fol.Atom("p", (fol.Var(v),)))
         matrix = fol.join(fol.Or, lits)
-        parent = fol.Exists(("Y",), matrix)
+        if len(exist) > 1 and rng.random() < 0.5:
+            parent = fol.Exists((exist[0],), fol.Exists((exist[1],), matrix))
+        else:
+            parent = fol.Exists(tuple(exist), matrix)
         for v in reversed(univ):
             parent = fol.Forall((v,), parent)
-        witness = fol.App("esk", tuple(fol.Var(v) for v in univ))
-        conclusion = fol.apply_substitution({"Y": witness}, matrix)
+        witnesses = {v: fol.App(f"esk{i}", tuple(fol.Var(u) for u in univ))
+                     for i, v in enumerate(exist, start=1)}
+        conclusion = fol.apply_substitution(witnesses, matrix)
         for v in reversed(univ):
             conclusion = fol.Forall((v,), conclusion)
         units = [
@@ -142,39 +147,34 @@ class TestCriterion4Skolemization:
 
     def test_randomized_henkin_axioms(self):
         ok = True
-        produced = 0
+        produced = wide = 0
         for seed in range(100):
             rng = helpers.make_rng(seed + 7_000)
             graph, parent, conclusion = self.random_skolem_graph(rng)
-            symbol = skolem.validate_single_skolem("sk", graph)
+            symbols = skolem.validate_single_skolem("sk", graph)
             axiom = skolem.make_henkin_axiom("sk", graph)
             produced += 1
+            wide += len(symbols) > 1
             ok &= axiom.free == ()
-            ok &= symbol.name == "esk"
-            ok &= any(
-                name == "esk"
-                for name, kind, _ in fol.formula_symbols(axiom)
-                if kind == "function"
-            )
-            for n in (1, 2, 3):
+            ok &= sorted(s.name for s in symbols) == [f"esk{i}" for i in range(1, len(symbols) + 1)]
+            ok &= {s.name for s in symbols} <= {
+                name for name, kind, _ in fol.formula_symbols(axiom) if kind == "function"
+            }
+            # every model of the parent reads the witnesses so that the
+            # axiom holds: the axiom is conservative.  Size 3 with two
+            # witnesses of arity 1 takes seconds, so two stop at size 2.
+            for n in (1, 2, 3)[:4 - len(symbols)]:
                 ok &= oracle.brute_force_entails([parent, axiom], conclusion, n)
-        ok &= produced >= 100
-        # two fresh symbols in one step must be rejected
-        units = [
-            tptp.AnnotatedFormula(
-                "par", "fof", "axiom", F("?[Y]:?[Z]:r(Y,Z)"),
-                tptp.FileSource("par", "x.p"),
-            ),
-            tptp.AnnotatedFormula(
-                "sk", "fof", "plain", F("r(esk1_0,esk2_0)"),
-                tptp.InferenceRecord("skolemize", ("par",)),
-            ),
-        ]
-        try:
-            skolem.validate_single_skolem("sk", derivation.build_graph(units))
-            ok = False
-        except MultipleSkolemsUnsupported:
-            pass
+                ok &= oracle.brute_force_conservative(parent, axiom, symbols, n)
+        ok &= produced >= 100 and wide >= 20
+        # negative controls: an axiom that says something new about q, and
+        # one that makes a single witness serve two existentials
+        fake = fol.Implies(F("p(a)"), F("q(esk)"))
+        ok &= not oracle.brute_force_conservative(
+            F("p(a)"), fake, [fol.Symbol("esk", "function", 0)], 1)
+        shared = fol.Implies(F("?[Y,Z]:(p(Y) & ~p(Z))"), F("p(esk) & ~p(esk)"))
+        ok &= not oracle.brute_force_conservative(
+            F("?[Y,Z]:(p(Y) & ~p(Z))"), shared, [fol.Symbol("esk", "function", 0)], 2)
         report(4, "skolemization properties", ok)
 
 

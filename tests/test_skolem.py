@@ -5,7 +5,7 @@ import os
 import pytest
 
 from tptp2miz import cli, derivation, fol, obvious, skolem, tptp
-from tptp2miz.errors import MalformedSkolemStep, MultipleSkolemsUnsupported
+from tptp2miz.errors import MalformedSkolemStep
 
 import helpers
 from conftest import FIXTURES
@@ -34,22 +34,21 @@ def F(text):
 class TestValidation:
     def test_single_skolem_found(self):
         g = graph_of(F("?[Y]:p(Y)"), F("p(esk1_0)"))
-        sym = skolem.validate_single_skolem("sk", g)
-        assert (sym.name, sym.arity) == ("esk1_0", 0)
+        syms = skolem.validate_single_skolem("sk", g)
+        assert [(s.name, s.arity) for s in syms] == [("esk1_0", 0)]
 
-    def test_two_skolems_rejected(self):
-        g = graph_of(
-            F("?[Y]:?[Z]:r(Y,Z)"), F("r(esk1_0,esk2_0)")
-        )
-        with pytest.raises(MultipleSkolemsUnsupported) as info:
-            skolem.validate_single_skolem("sk", g)
-        assert len(info.value.symbols) == 2
+    def test_two_skolems_found(self):
+        # E skolemizes a whole prefix in one step; the symbols come in
+        # order of first occurrence
+        g = graph_of(F("?[Y]:?[Z]:r(Y,Z)"), F("r(esk2_0,esk1_0)"))
+        syms = skolem.validate_single_skolem("sk", g)
+        assert [s.name for s in syms] == ["esk2_0", "esk1_0"]
 
     def test_no_fresh_symbol_rejected(self):
         g = graph_of(F("?[Y]:p(Y)"), F("p(c)"))
         # c counts as fresh here (not in the parent), so build a real no-op
         g2 = graph_of(F("p(c)"), F("p(c)"))
-        with pytest.raises(MalformedSkolemStep):
+        with pytest.raises(MalformedSkolemStep, match="no fresh function symbol"):
             skolem.validate_single_skolem("sk", g2)
 
     def test_multi_parent_rejected(self):
@@ -127,3 +126,110 @@ class TestRenamedHint:
         text = (tmp_path / "hinted.miz").read_text()
         assert "S2: r c or r skolem1\n" in text
         assert "  A: (not p skolem1) or q skolem1 or r skolem1 by Ax3;\n" in text
+
+
+def _units(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# E 2.x on a two-variable universal conjecture: one skolemize step, with
+# the negated_conjecture role, introduces two symbols
+E2X = _units(
+    "fof(c_0_0, axiom, ![X1,X2]: (p(X1) => r(X1,X2)), file('x.p', ax)).",
+    "fof(c_0_1, axiom, ![X1]: p(X1), file('x.p', px)).",
+    "fof(c_0_2, conjecture, ![X1,X2]: r(X1,X2), file('x.p', goal)).",
+    "fof(c_0_3, negated_conjecture, ~(![X1,X2]: r(X1,X2)),"
+    " inference(assume_negation,[status(cth)],[c_0_2])).",
+    "fof(c_0_4, plain, ![X3,X4]: (~p(X3) | r(X3,X4)), inference(variable_rename,[status(thm)],"
+    "[inference(fof_nnf,[status(thm)],[c_0_0])])).",
+    "fof(c_0_5, negated_conjecture, ~r(esk1_0,esk2_0), inference(skolemize,[status(esa)],"
+    "[inference(variable_rename,[status(thm)],[inference(fof_nnf,[status(thm)],[c_0_3])])])).",
+    "cnf(c_0_6, plain, (r(X1,X2) | ~p(X1)), inference(split_conjunct,[status(thm)],[c_0_4])).",
+    "cnf(c_0_7, plain, p(X1), inference(split_conjunct,[status(thm)],[c_0_1])).",
+    "cnf(c_0_8, negated_conjecture, ~r(esk1_0,esk2_0),"
+    " inference(split_conjunct,[status(thm)],[c_0_5])).",
+    "cnf(c_0_9, plain, r(X1,X2),"
+    " inference(cn,[status(thm)],[inference(rw,[status(thm)],[c_0_6, c_0_7])])).",
+    "cnf(c_0_10, negated_conjecture, $false,"
+    " inference(cn,[status(thm)],[inference(rw,[status(thm)],[c_0_8, c_0_9])]), ['proof']).",
+)
+
+# an axiom's two existentials under one universal, skolemized at once
+TWO = _units(
+    "fof(c_0_0, axiom, ![X]: ?[Y]: ?[Z]: (r(X,Y) & s(X,Z)), file('x.p', ax)).",
+    "fof(c_0_1, conjecture, ![X]: ?[Y]: r(X,Y), file('x.p', goal)).",
+    "fof(c_0_2, negated_conjecture, ~(![X]: ?[Y]: r(X,Y)),"
+    " inference(assume_negation,[status(cth)],[c_0_1])).",
+    "fof(c_0_3, plain, ![X1]: (r(X1,esk1_1(X1)) & s(X1,esk2_1(X1))),"
+    " inference(skolemize,[status(esa)],[inference(variable_rename,[status(thm)],[c_0_0])])).",
+    "fof(c_0_4, negated_conjecture, ![X2]: ~r(esk3_0,X2), inference(skolemize,[status(esa)],"
+    "[inference(variable_rename,[status(thm)],[inference(fof_nnf,[status(thm)],[c_0_2])])])).",
+    "cnf(c_0_5, plain, r(X1,esk1_1(X1)), inference(split_conjunct,[status(thm)],[c_0_3])).",
+    "cnf(c_0_6, negated_conjecture, ~r(esk3_0,X1), inference(split_conjunct,[status(thm)],[c_0_4])).",
+    "cnf(c_0_7, negated_conjecture, $false, inference(sr,[status(thm)],[c_0_6, c_0_5]), ['proof']).",
+)
+
+# the skolemize step cites a separate fof_nnf unit
+NEGSK = _units(
+    "fof(c_0_0, axiom, ![X]: p(X), file('x.p', ax)).",
+    "fof(c_0_1, conjecture, ![X]: p(X), file('x.p', goal)).",
+    "fof(c_0_2, negated_conjecture, ~(![X]: p(X)),"
+    " inference(assume_negation,[status(cth)],[c_0_1])).",
+    "fof(c_0_3, negated_conjecture, ?[X]: ~p(X), inference(fof_nnf,[status(thm)],[c_0_2])).",
+    "fof(c_0_4, negated_conjecture, ~p(esk1_0), inference(skolemize,[status(esa)],"
+    "[inference(variable_rename,[status(thm)],[c_0_3])])).",
+    "cnf(c_0_5, plain, p(X1), inference(split_conjunct,[status(thm)],[c_0_0])).",
+    "cnf(c_0_6, negated_conjecture, $false, inference(sr,[status(thm)],[c_0_4, c_0_5]), ['proof']).",
+)
+
+# two steps choose one symbol for two different existentials; together
+# their axioms would prove the non-theorem
+DUP = _units(
+    "fof(a1, axiom, ?[X]: p(X), file('x.p', a1)).",
+    "fof(a2, axiom, ?[X]: q(X), file('x.p', a2)).",
+    "fof(goal, conjecture, ?[X]: (p(X) & q(X)), file('x.p', goal)).",
+    "fof(neg, negated_conjecture, ~(?[X]: (p(X) & q(X))),"
+    " inference(assume_negation,[status(cth)],[goal])).",
+    "fof(n1, negated_conjecture, ![X]: (~p(X) | ~q(X)), inference(fof_nnf,[status(thm)],[neg])).",
+    "fof(s1, plain, p(esk1_0), inference(skolemize,[status(esa)],[a1])).",
+    "fof(s2, plain, q(esk1_0), inference(skolemize,[status(esa)],[a2])).",
+    "cnf(c1, negated_conjecture, ~q(esk1_0), inference(r,[status(thm)],[n1, s1])).",
+    "cnf(f, negated_conjecture, $false, inference(r,[status(thm)],[c1, s2])).",
+)
+
+
+def translate(tmp_path, text, *options):
+    path = tmp_path / "in.out"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["derivation", str(path), "-o", str(tmp_path), *options])
+    return code, err.getvalue()
+
+
+class TestEShapes:
+    E2X_DEF = "skolemdef 1: (~ ! [X1,X2] : r(X1,X2) => ~ r(skolem1,skolem2))"
+    TWO_DEF = ("skolemdef 1: (! [X] : ? [Y,Z] : (r(X,Y) & s(X,Z)) => "
+               "! [X1] : (r(X1,skolem1(X1)) & s(X1,skolem2(X1))))")
+
+    @pytest.mark.parametrize("text, options, skolemdef", [
+        pytest.param(E2X, [], E2X_DEF, id="e2x"),
+        pytest.param(E2X, ["--no-compress"], E2X_DEF, id="e2x-no-compress"),
+        pytest.param(TWO, [], TWO_DEF, id="two"),
+        pytest.param(TWO, ["--no-compress"], TWO_DEF, id="two-no-compress"),
+        # without compression the fof_nnf step is refused (quantifier duality)
+        pytest.param(NEGSK, [], "skolemdef 1: (? [X] : ~ p(X) => ~ p(skolem1))", id="negsk"),
+    ])
+    def test_translates_and_checks(self, tmp_path, text, options, skolemdef):
+        code, err = translate(tmp_path, text, *options)
+        assert code == 0, err
+        miz, env = (tmp_path / "in.miz").read_text(), (tmp_path / "in.env").read_text()
+        assert skolemdef in env.splitlines()
+        assert helpers.mizcheck.check_article(miz, env).problems == []
+
+    @pytest.mark.parametrize("options", [[], ["--no-compress"]])
+    def test_one_symbol_chosen_twice_is_refused(self, tmp_path, options):
+        code, err = translate(tmp_path, DUP, *options)
+        assert code == 2
+        assert err.startswith("error: MalformedSkolemStep:")
+        assert "'s2'" in err and "'s1'" in err and "esk1_0" in err
